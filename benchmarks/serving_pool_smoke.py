@@ -10,15 +10,13 @@ Two phases, exit 0 only if both hold:
 1. **In-process replica kill** — a 3-replica ``--serve-workers`` pool
    under concurrent load; one replica is SIGKILLed mid-stream.  Asserts
    every response is 200 (the dead replica's outstanding work re-queues
-   onto survivors — never a 5xx), ``/readyz`` stays green, the pool
-   metrics show exactly the one rebuild, and stopping the server leaves
-   zero shared-memory segments behind.
+   onto survivors — never a 5xx), ``/readyz`` stays green, and the pool
+   metrics show the rebuild.
 2. **Subprocess SIGTERM** — ``python -m repro.cli serve
    --serve-workers 3`` as a real process: readiness polled over HTTP,
    load applied from threads, SIGTERM delivered mid-stream.  Asserts
-   the drain exits 0, every client outcome is definite (200/503/clean
-   close), and ``/dev/shm`` holds no new ``repro-pool`` segment after
-   the process is gone — the unlink guarantee, observed from outside.
+   the drain exits 0 and every client outcome is definite (200/503/clean
+   close).
 
 Standalone on purpose (plain script, not pytest): CI runs it as its
 own job so a pool regression is visible as a named failing step.
@@ -39,7 +37,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from repro.serve import ServeConfig, ServerHandle, build_demo_network  # noqa: E402
-from repro.serve.shm import SEGMENT_PREFIX, list_segments  # noqa: E402
 
 SHAPE = (2, 8, 8)
 TIMESTEPS = 6
@@ -71,7 +68,6 @@ def phase_replica_kill():
     rng = np.random.default_rng(1)
     handle = ServerHandle(core, shape, config)
     pool = handle.server.worker
-    prefix = pool.ring.prefix
     try:
         statuses = []
         lock = threading.Lock()
@@ -128,10 +124,6 @@ def phase_replica_kill():
         check(all(r.alive() for r in pool._replicas), "every replica live again")
     finally:
         handle.stop(timeout=60.0)
-    check(
-        list_segments(prefix) == [],
-        "zero shared-memory segments after the pool drained",
-    )
 
 
 def http_get(port, path, timeout=5.0):
@@ -173,7 +165,6 @@ def free_port():
 
 def phase_sigterm():
     print(f"phase 2: subprocess --serve-workers {REPLICAS} SIGTERM drain")
-    segments_before = set(list_segments(SEGMENT_PREFIX))
     port = free_port()
     env = dict(os.environ, PYTHONPATH="src")
     process = subprocess.Popen(
@@ -235,11 +226,6 @@ def phase_sigterm():
         if process.poll() is None:
             process.kill()
             process.wait(timeout=10.0)
-    leftovers = sorted(set(list_segments(SEGMENT_PREFIX)) - segments_before)
-    check(
-        not leftovers,
-        f"no repro-pool segments left in /dev/shm (leaked: {leftovers})",
-    )
 
 
 def main():

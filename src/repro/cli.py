@@ -518,7 +518,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
                         dest="serve_workers",
                         help="process-backed engine replicas behind the "
                         "batcher (1 = today's in-process worker; N > 1 "
-                        "scales across cores via shared-memory transport)")
+                        "scales across cores)")
     parser.add_argument("--plan-path", default=None, dest="plan_path",
                         help="persisted execution-plan file for adaptive "
                         "engines (shared warm start across restarts and "

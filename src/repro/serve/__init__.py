@@ -15,9 +15,8 @@ service in front of it, stdlib-only:
 * :mod:`repro.serve.middleware` — error taxonomy, auth, request
   decoding;
 * :mod:`repro.serve.pool` — N process-backed engine replicas behind
-  the worker interface (``--serve-workers N``);
-* :mod:`repro.serve.shm` — the shared-memory slab ring the pool moves
-  batches and per-step logits through, zero-copy.
+  the worker interface (``--serve-workers N``); batches and per-step
+  logits travel pickled on the replicas' queues.
 
 Start one with ``python -m repro.cli serve`` or programmatically via
 :class:`~repro.serve.app.InferenceServer` /
@@ -42,16 +41,6 @@ from repro.serve.batcher import (
 from repro.serve.breaker import CLOSED, CircuitBreaker, HALF_OPEN, OPEN
 from repro.serve.metrics import LatencyReservoir, ServingMetrics, percentile
 from repro.serve.pool import EngineWorkerPool, PoolRun, pool_start_method
-from repro.serve.shm import (
-    Slab,
-    SlabError,
-    SlabOverflowError,
-    SlabRing,
-    StaleSlabError,
-    attach_slab,
-    create_slab,
-    list_segments,
-)
 from repro.serve.middleware import (
     AuthError,
     BadRequestError,
@@ -89,18 +78,10 @@ __all__ = [
     "ServiceEstimator",
     "ServingMetrics",
     "ShedError",
-    "Slab",
-    "SlabError",
-    "SlabOverflowError",
-    "SlabRing",
-    "StaleSlabError",
     "WorkerFailedError",
-    "attach_slab",
     "authenticate",
     "build_demo_network",
-    "create_slab",
     "decode_infer_request",
-    "list_segments",
     "percentile",
     "pool_start_method",
 ]

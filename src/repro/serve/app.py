@@ -181,7 +181,7 @@ class InferenceServer:
             )
         engine.bind(model)
         if cfg.serve_workers > 1:
-            # Process-parallel replicas over shared-memory transport.
+            # Process-parallel engine replicas.
             self.worker = EngineWorkerPool(
                 engine,
                 replicas=cfg.serve_workers,

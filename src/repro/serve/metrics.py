@@ -98,9 +98,8 @@ class ServingMetrics:
 
         The provider runs at snapshot time (outside the metrics lock, so
         it may take its own locks) and its JSON-ready dict lands under
-        ``name`` — how the worker pool exposes per-replica depth,
-        restarts and shared-memory bytes without the metrics object
-        knowing pool internals.  A provider that raises contributes an
+        ``name`` — how the worker pool exposes per-replica depth and
+        restarts without the metrics object knowing pool internals.  A provider that raises contributes an
         ``{"error": ...}`` stub instead of breaking ``/metrics``.
         """
         with self._lock:

@@ -9,12 +9,11 @@ unchanged: it duck-types the worker's surface (``run_async`` /
 ``shutdown``) plus a ``capacity`` attribute the micro-batcher uses to
 keep up to N batches in flight.
 
-Transport is the :mod:`repro.serve.shm` slab ring — input batches and
-per-step cumulative logits cross the process boundary in place through
-``multiprocessing.shared_memory`` segments; only a ~100-byte descriptor
-(slab names, generation tag, T, density) rides the queues.  Slabs are
-recycled, generation tags reject stale frames, and the parent-owned
-ring guarantees ``unlink()`` on drain and (via ``atexit``) on crash.
+Transport is the replicas' ``multiprocessing`` queues themselves: the
+input batch rides pickled inside the dispatch dict on the replica's
+request queue, and the stacked per-step cumulative logits ride back
+inside the response dict on the shared response queue.  The README's
+mechanism-decision table records the cost of that pickling.
 
 Replication strategy:
 
@@ -32,9 +31,9 @@ Scheduling is least-outstanding-work: each dispatch lands on the live
 replica with the smallest sum of queued sample-timesteps whose
 per-replica circuit breaker admits traffic.  A replica that hangs past
 the worker timeout is killed and rebuilt alone; a replica that *dies*
-(crash, OOM-kill, chaos test) has its outstanding descriptors re-queued
-onto surviving replicas — input slabs are parent-owned and still valid —
-so the pool keeps answering through a replica's death.
+(crash, OOM-kill, chaos test) has its outstanding dispatches re-queued
+onto surviving replicas — the parent keeps every input batch until its
+answer arrives — so the pool keeps answering through a replica's death.
 """
 
 from __future__ import annotations
@@ -42,8 +41,10 @@ from __future__ import annotations
 import asyncio
 import logging
 import multiprocessing
+import os
 import queue as queue_module
 import signal
+import stat
 import threading
 import time
 from concurrent.futures import Future
@@ -53,7 +54,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.serve.breaker import CircuitBreaker
-from repro.serve.shm import Slab, SlabError, SlabRing, attach_slab
 from repro.snn.engines.service import ProbeResult, WorkerTimeout
 
 logger = logging.getLogger(__name__)
@@ -62,10 +62,6 @@ logger = logging.getLogger(__name__)
 #: fails out to the caller — bounds the blast radius of a poison batch
 #: that crashes every replica it touches.
 MAX_DISPATCH_ATTEMPTS = 2
-
-#: Replica-side cap on cached slab attachments (segments are recycled
-#: by name, so steady state is a handful; retired names age out).
-_ATTACH_CACHE_LIMIT = 64
 
 
 def pool_start_method() -> str:
@@ -96,31 +92,42 @@ def _materialise_engine(payload: dict):
     return engine
 
 
-def _replica_main(index: int, payload: dict, request_queue, response_queue) -> None:
-    """One replica: attach slabs, run batches, frame results back.
+def _drop_inherited_sockets() -> None:
+    """Release the copies of the parent's sockets a forked replica holds.
 
-    Replicas never own segments — they attach, compute, write the
-    response frame under the request's generation tag, and answer with
-    a small status message.  All exits (sentinel, queue EOF) leave the
-    parent's segments untouched.
+    A replica rebuilt while the server runs inherits every open client
+    connection; while it holds a copy, the parent's close never reaches
+    the client, which then waits for EOF.  Each socket descriptor is
+    pointed at ``/dev/null`` rather than closed, so the number stays
+    taken and an inherited socket object can never close an unrelated
+    descriptor that reused it.
+    """
+    devnull = os.open(os.devnull, os.O_RDWR)
+    try:
+        for name in os.listdir("/dev/fd"):
+            try:
+                fd = int(name)
+                if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    os.dup2(devnull, fd)
+            except (ValueError, OSError):
+                continue  # e.g. the listing's own, already closed descriptor
+    finally:
+        os.close(devnull)
+
+
+def _replica_main(index: int, payload: dict, request_queue, response_queue) -> None:
+    """One replica: take batches off its queue, answer on the shared one.
+
+    Every answer carries the dispatch's ``req`` id and ``attempt`` tag so
+    the parent can match it and drop a superseded attempt's.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    if payload["mode"] == "fork":
+        _drop_inherited_sockets()
     engine = _materialise_engine(payload)
     policy = payload.get("policy")
     workers = int(payload.get("workers", 1))
     shard_mode = payload.get("shard_mode", "auto")
-    attached: Dict[str, Slab] = {}
-
-    def _attach(name: str) -> Slab:
-        slab = attached.get(name)
-        if slab is None:
-            if len(attached) >= _ATTACH_CACHE_LIMIT:
-                _, old = attached.popitem()
-                old.close()
-            slab = attach_slab(name)
-            attached[name] = slab
-        return slab
-
     while True:
         try:
             item = request_queue.get()
@@ -128,31 +135,26 @@ def _replica_main(index: int, payload: dict, request_queue, response_queue) -> N
             break
         if item is None:
             break
-        generation = item.get("generation")
         response = {
-            "req": item.get("req"), "replica": index, "generation": generation,
+            "req": item.get("req"), "replica": index,
             "attempt": item.get("attempt"),
         }
-        x = None
         try:
-            x = _attach(item["input"]).read(
-                expected_generation=generation, copy=False
-            )
             density = item.get("density")
             observe = getattr(engine, "observe_density_prior", None)
             if observe is not None and density is not None:
                 observe(item.get("kind", "dense"), float(density))
             run = engine.run(
-                x,
+                item["x"],
                 int(item["timesteps"]),
                 per_step=True,
                 workers=workers,
                 shard_mode=shard_mode,
                 shard_policy=policy,
             )
-            _attach(item["output"]).write(np.stack(run.per_step), generation)
             response.update(
                 ok=True,
+                per_step=np.stack(run.per_step),
                 stats={
                     "shard_failures": len(run.stats.shard_failures),
                     "degraded_shard_mode": run.stats.degraded_shard_mode or "",
@@ -162,14 +164,10 @@ def _replica_main(index: int, payload: dict, request_queue, response_queue) -> N
             )
         except BaseException as error:  # noqa: BLE001 - replica must answer
             response.update(ok=False, error=f"{type(error).__name__}: {error}")
-        finally:
-            del x  # drop the shared view before any slab close
         try:
             response_queue.put(response)
         except (EOFError, OSError):
             break
-    for slab in attached.values():
-        slab.close()
 
 
 # ----------------------------------------------------------------------
@@ -177,13 +175,10 @@ def _replica_main(index: int, payload: dict, request_queue, response_queue) -> N
 # ----------------------------------------------------------------------
 @dataclass
 class _Dispatch:
-    """One in-flight batch: its slabs, descriptor, and caller future."""
+    """One in-flight batch: its descriptor (input included) and caller future."""
 
     rid: int
     descriptor: dict
-    input_slab: Slab
-    output_slab: Slab
-    generation: int
     work: int                       # sample-timesteps, for scheduling
     timesteps: int
     per_step: bool
@@ -231,7 +226,7 @@ class _PoolStats:
 
 @dataclass
 class PoolRun:
-    """``EngineRun``-shaped result assembled from a replica's frame."""
+    """``EngineRun``-shaped result assembled from a replica's answer."""
 
     logits: np.ndarray
     stats: _PoolStats
@@ -244,8 +239,7 @@ class EngineWorkerPool:
     Parameters mirror :class:`EngineWorker` where they overlap; the
     engine must already be bound.  The parent runs warm-up probes
     through its own engine *before* starting replicas so fork children
-    inherit compiled plans and the pool learns the logit geometry it
-    sizes response slabs with.
+    inherit compiled plans.
     """
 
     def __init__(
@@ -263,14 +257,13 @@ class EngineWorkerPool:
         breaker_reset_seconds: float = 2.0,
         spawn_spec: Optional[str] = None,
         plan_path: Optional[str] = None,
-        slab_prefix: Optional[str] = None,
     ) -> None:
         if engine.model is None:
             raise ValueError("engine must be bound to a model (call bind() first)")
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
         if probe_shape is None:
-            raise ValueError("the pool needs probe_shape to size response slabs")
+            raise ValueError("the pool needs probe_shape for its warm-up runs")
         self._engine = engine
         self.policy = policy
         self.workers = int(workers)
@@ -296,20 +289,16 @@ class EngineWorkerPool:
         self._dispatches: Dict[int, _Dispatch] = {}
 
         # Warm the parent engine before forking: compiles plans for the
-        # single-sample and full-batch keys (inherited by replicas) and
-        # reveals the logit dtype/width the response slabs are sized by.
+        # single-sample and full-batch keys, inherited by replicas.
         probe = np.zeros((1,) + self.probe_shape, dtype=np.float32)
         serve_t = int(serve_timesteps or self.probe_timesteps)
-        warm = self._engine.run(probe, serve_t, per_step=True)
-        self.classes = int(warm.logits.shape[-1])
-        self._logit_dtype = warm.logits.dtype
+        self._engine.run(probe, serve_t, per_step=True)
         if self.max_batch_size > 1:
             batch = np.zeros(
                 (self.max_batch_size,) + self.probe_shape, dtype=np.float32
             )
             self._engine.run(batch, serve_t, per_step=True)
 
-        self.ring = SlabRing(prefix=slab_prefix)
         self._context = multiprocessing.get_context(self.start_method)
         self._response_queue = self._context.Queue()
         self._replicas: List[_Replica] = []
@@ -372,13 +361,18 @@ class EngineWorkerPool:
         """Kill + restart one replica; returns its orphaned dispatches.
 
         Called with the pool lock held.  The process is killed *before*
-        its outstanding work is re-queued, so no straggler can write a
-        recycled slab after its generation moved on.
+        its outstanding work is re-queued; a late answer it managed to
+        send is dropped by its stale ``attempt`` tag.
         """
         process = replica.process
         if process is not None and process.is_alive():
             process.kill()
             process.join(timeout=5.0)
+        if replica.request_queue is not None:
+            # Batches the dead replica never read may still sit in the
+            # queue's feeder thread, blocked on a full pipe; don't let
+            # interpreter exit wait for them.
+            replica.request_queue.cancel_join_thread()
         orphans = list(replica.outstanding.values())
         replica.outstanding.clear()
         replica.restarts += 1
@@ -422,31 +416,27 @@ class EngineWorkerPool:
         # The attempt tag lets _handle_response drop a late answer from
         # a superseded attempt: a replica that finished just before its
         # SIGKILL may have enqueued a response that would otherwise be
-        # taken for the re-queued attempt's and release its slabs while
-        # the new replica is still working on them.
-        dispatch.descriptor["attempt"] = dispatch.attempts
+        # taken for the re-queued attempt's.  Each put gets its own dict
+        # because the queue pickles it later, on its feeder thread.
         replica.outstanding[dispatch.rid] = dispatch
-        replica.request_queue.put(dispatch.descriptor)
+        replica.request_queue.put(
+            dict(dispatch.descriptor, attempt=dispatch.attempts)
+        )
 
     # ------------------------------------------------------------------
     # Submission (worker interface)
     # ------------------------------------------------------------------
     def submit(self, x, timesteps: int, per_step: bool = False) -> Future:
-        """Frame one batch into shared memory and queue it on a replica."""
-        x = np.ascontiguousarray(x)
+        """Queue one batch on a replica; the future resolves to a PoolRun."""
+        # A private copy: the queue pickles it later, on its feeder
+        # thread, and a re-queue after a replica death sends it again.
+        x = np.array(x, order="C")
         timesteps = int(timesteps)
         with self._lock:
             if self._closed:
                 raise RuntimeError("the worker pool is shut down")
             self._rid_counter += 1
             rid = self._rid_counter
-            generation = self.ring.next_generation()
-            input_slab = self.ring.acquire(x.nbytes)
-            input_slab.write(x, generation)
-            out_bytes = (
-                timesteps * x.shape[0] * self.classes * self._logit_dtype.itemsize
-            )
-            output_slab = self.ring.acquire(out_bytes)
             density = float(np.count_nonzero(x)) / max(x.size, 1)
             # Feed the parent engine's density prior too: /metrics
             # reports the parent's planner snapshot, and replicas built
@@ -459,16 +449,11 @@ class EngineWorkerPool:
                 rid=rid,
                 descriptor={
                     "req": rid,
-                    "input": input_slab.name,
-                    "output": output_slab.name,
-                    "generation": generation,
+                    "x": x,
                     "timesteps": timesteps,
                     "density": density,
                     "kind": "dense",
                 },
-                input_slab=input_slab,
-                output_slab=output_slab,
-                generation=generation,
                 work=int(x.shape[0]) * timesteps,
                 timesteps=timesteps,
                 per_step=per_step,
@@ -476,9 +461,8 @@ class EngineWorkerPool:
             self._dispatches[rid] = dispatch
             try:
                 self._assign(dispatch)
-            except Exception as error:
+            except Exception:
                 self._dispatches.pop(rid, None)
-                self._release_slabs(dispatch)
                 raise
         return dispatch.future
 
@@ -520,22 +504,16 @@ class EngineWorkerPool:
                     # The hung dispatch itself fails (the caller already
                     # got WorkerTimeout); innocent co-residents re-queue.
                     self._dispatches.pop(orphan.rid, None)
-                    self._release_slabs(orphan)
                     continue
                 self._requeue(orphan, "replica hang")
 
     # ------------------------------------------------------------------
     # Response handling
     # ------------------------------------------------------------------
-    def _release_slabs(self, dispatch: _Dispatch) -> None:
-        self.ring.release(dispatch.input_slab)
-        self.ring.release(dispatch.output_slab)
-
     def _requeue(self, dispatch: _Dispatch, reason: str) -> None:
         """Give an orphaned dispatch another replica (lock held)."""
         if dispatch.attempts >= MAX_DISPATCH_ATTEMPTS:
             self._dispatches.pop(dispatch.rid, None)
-            self._release_slabs(dispatch)
             if not dispatch.future.done():
                 dispatch.future.set_exception(
                     RuntimeError(
@@ -548,7 +526,6 @@ class EngineWorkerPool:
             self._assign(dispatch)
         except Exception as error:  # no live replica left
             self._dispatches.pop(dispatch.rid, None)
-            self._release_slabs(dispatch)
             if not dispatch.future.done():
                 dispatch.future.set_exception(RuntimeError(str(error)))
 
@@ -561,9 +538,8 @@ class EngineWorkerPool:
             attempt = message.get("attempt")
             if attempt is not None and attempt != dispatch.attempts:
                 # A superseded attempt's late answer (the replica died
-                # right after responding and the work was re-queued).
-                # The current attempt still owns the slabs — touching
-                # them here would recycle segments under a live run.
+                # right after responding and the work was re-queued):
+                # the live attempt answers for this dispatch.
                 return
             self._dispatches.pop(rid, None)
             replica = dispatch.replica
@@ -574,28 +550,22 @@ class EngineWorkerPool:
                     replica.breaker.record_failure(
                         reason=message.get("error", "replica error")
                     )
-                self._release_slabs(dispatch)
                 error: Optional[Exception] = RuntimeError(
                     message.get("error", "replica failed")
                 )
                 result = None
             else:
-                error, result = self._collect_result(dispatch, message)
+                error, result = None, self._collect_result(dispatch, message)
                 if replica is not None:
-                    if error is None:
-                        replica.breaker.record_success()
-                        replica.completed += 1
-                    else:
-                        replica.breaker.record_failure(reason=str(error))
-                self._release_slabs(dispatch)
-                if error is None:
-                    stats = result.stats
-                    self.runs_completed += 1
-                    self.shard_failures += len(stats.shard_failures)
-                    if stats.degraded_shard_mode:
-                        self.last_degraded_mode = stats.degraded_shard_mode
-                    if stats.replan_triggered:
-                        self.replans_seen += 1
+                    replica.breaker.record_success()
+                    replica.completed += 1
+                stats = result.stats
+                self.runs_completed += 1
+                self.shard_failures += len(stats.shard_failures)
+                if stats.degraded_shard_mode:
+                    self.last_degraded_mode = stats.degraded_shard_mode
+                if stats.replan_triggered:
+                    self.replans_seen += 1
         if dispatch.future.done():
             return
         if error is not None:
@@ -603,16 +573,9 @@ class EngineWorkerPool:
         else:
             dispatch.future.set_result(result)
 
-    def _collect_result(
-        self, dispatch: _Dispatch, message: dict
-    ) -> Tuple[Optional[Exception], Optional[PoolRun]]:
-        """Copy the response frame out of shared memory (lock held)."""
-        try:
-            stacked = dispatch.output_slab.read(
-                expected_generation=dispatch.generation, copy=True
-            )
-        except SlabError as slab_error:
-            return RuntimeError(f"stale/corrupt response frame: {slab_error}"), None
+    def _collect_result(self, dispatch: _Dispatch, message: dict) -> PoolRun:
+        """Assemble the caller's result from a replica's answer."""
+        stacked = message["per_step"]
         raw = message.get("stats") or {}
         stats = _PoolStats(
             batch_size=int(stacked.shape[1]) if stacked.ndim >= 2 else 1,
@@ -624,12 +587,11 @@ class EngineWorkerPool:
             replan_triggered=bool(raw.get("replan_triggered", False)),
         )
         per_step = [stacked[t] for t in range(stacked.shape[0])]
-        run = PoolRun(
+        return PoolRun(
             logits=per_step[-1],
             stats=stats,
             per_step=per_step if dispatch.per_step else None,
         )
-        return None, run
 
     def _reader_loop(self) -> None:
         last_reap = time.monotonic()
@@ -744,11 +706,10 @@ class EngineWorkerPool:
             "restarts": self.restarts,
             "runs_completed": self.runs_completed,
             "per_replica": replicas,
-            "shm": self.ring.snapshot(),
         }
 
     def shutdown(self) -> None:
-        """Stop replicas, fail stragglers, destroy every slab (idempotent)."""
+        """Stop replicas and fail stragglers (idempotent)."""
         with self._lock:
             if self._closed:
                 return
@@ -777,6 +738,6 @@ class EngineWorkerPool:
             if process.is_alive():
                 process.kill()
                 process.join(timeout=2.0)
+                replica.request_queue.cancel_join_thread()
         if self._reader.is_alive() and threading.current_thread() is not self._reader:
             self._reader.join(timeout=2.0)
-        self.ring.unlink_all()

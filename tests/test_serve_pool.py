@@ -1,19 +1,18 @@
-"""Process-parallel pool: bit-identity, failure recovery, shm lifecycle.
+"""Process-parallel pool: bit-identity, failure recovery, lifecycle.
 
 Covers the pool-specific serving guarantees the single-worker suite
 cannot: replica responses are bit-identical to an in-process engine run
-(shared-memory framing is lossless and fork inherits the same plans),
+under both fork and spawn, also for batches larger than a pipe buffer;
 a replica's death or hang re-queues work onto survivors while the pool
-keeps answering, slabs are recycled — not leaked — across replica
-restarts, and drain destroys every ``/dev/shm`` segment.  Also pins the
-queue-proportional 429 ``Retry-After`` estimate the pool's ``capacity``
-feeds into.
+keeps answering, and a superseded attempt's late answer is dropped.
+Also pins the queue-proportional 429 ``Retry-After`` estimate the
+pool's ``capacity`` feeds into.
 """
 
 import asyncio
-import multiprocessing
 import os
 import signal
+import socket
 import time
 
 import numpy as np
@@ -30,23 +29,30 @@ from repro.serve import (
     ServingMetrics,
     ShedError,
     build_demo_network,
-    list_segments,
     pool_start_method,
 )
 from repro.snn.engines import make_engine
+from repro.serve import pool as pool_module
 from repro.snn.engines.service import WorkerTimeout
-
-pytestmark = pytest.mark.skipif(
-    not os.path.isdir("/dev/shm"), reason="POSIX shared memory not available"
-)
 
 SHAPE = (2, 4, 4)
 CLASSES = 5
 
 
-def tiny_model(seed=0):
-    model, _ = build_demo_network(input_shape=SHAPE, classes=CLASSES, seed=seed)
+def tiny_model(seed=0, shape=SHAPE):
+    model, _ = build_demo_network(input_shape=shape, classes=CLASSES, seed=seed)
     return model
+
+
+def assert_matches_inprocess(run, x, timesteps, shape=SHAPE):
+    """The pool's per-step logits equal a fresh in-process dense run."""
+    control = make_engine("dense").bind(tiny_model(shape=shape))
+    expect = control.run(x, timesteps, per_step=True)
+    assert run.logits.dtype == expect.logits.dtype
+    np.testing.assert_array_equal(run.logits, expect.logits)
+    assert len(run.per_step) == timesteps
+    for step, want in zip(run.per_step, expect.per_step):
+        np.testing.assert_array_equal(step, want)
 
 
 class FileStallLayer(nn.Module):
@@ -91,12 +97,16 @@ def stall(tmp_path):
     FileStallLayer.stall_file = ""
 
 
-def make_pool(replicas=2, model=None, serve_timesteps=4, max_batch_size=4):
-    engine = make_engine("dense").bind(model if model is not None else tiny_model())
+def make_pool(
+    replicas=2, model=None, serve_timesteps=4, max_batch_size=4, shape=SHAPE
+):
+    engine = make_engine("dense").bind(
+        model if model is not None else tiny_model(shape=shape)
+    )
     return EngineWorkerPool(
         engine,
         replicas=replicas,
-        probe_shape=SHAPE,
+        probe_shape=shape,
         serve_timesteps=serve_timesteps,
         max_batch_size=max_batch_size,
         spawn_spec="dense",
@@ -108,20 +118,39 @@ def make_pool(replicas=2, model=None, serve_timesteps=4, max_batch_size=4):
 # ----------------------------------------------------------------------
 class TestPoolBitIdentity:
     def test_pool_results_bit_identical_to_inprocess_run(self):
-        model = tiny_model()
-        pool = make_pool(replicas=2, model=model)
+        pool = make_pool(replicas=2)
         try:
-            control_engine = make_engine("dense").bind(tiny_model())
             rng = np.random.default_rng(11)
             x = rng.normal(size=(3,) + SHAPE).astype(np.float32)
-            control = control_engine.run(x, 4, per_step=True)
-
             run = pool.submit(x, 4, per_step=True).result(timeout=60)
-            assert run.logits.dtype == control.logits.dtype
-            np.testing.assert_array_equal(run.logits, control.logits)
-            assert len(run.per_step) == 4
-            for step, expect in zip(run.per_step, control.per_step):
-                np.testing.assert_array_equal(step, expect)
+            assert_matches_inprocess(run, x, 4)
+        finally:
+            pool.shutdown()
+
+    def test_spawn_replica_bit_identical_to_inprocess_run(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "pool_start_method", lambda: "spawn")
+        pool = make_pool(replicas=1)
+        try:
+            assert pool.snapshot()["start_method"] == "spawn"
+            x = np.random.default_rng(12).normal(size=(3,) + SHAPE)
+            x = x.astype(np.float32)
+            run = pool.submit(x, 4, per_step=True).result(timeout=120)
+            assert_matches_inprocess(run, x, 4)
+        finally:
+            pool.shutdown()
+
+    @pytest.mark.skipif(
+        pool_start_method() != "fork", reason="fork start method unavailable"
+    )
+    def test_batch_larger_than_a_pipe_buffer_is_bit_identical(self):
+        shape = (3, 32, 32)
+        pool = make_pool(replicas=2, max_batch_size=1, shape=shape)
+        try:
+            x = np.random.default_rng(13).normal(size=(64,) + shape)
+            x = x.astype(np.float32)
+            assert x.nbytes > 64 * 1024
+            run = pool.submit(x, 2, per_step=True).result(timeout=120)
+            assert_matches_inprocess(run, x, 2, shape=shape)
         finally:
             pool.shutdown()
 
@@ -176,14 +205,13 @@ class TestPoolFailureRecovery:
 
     def test_late_answer_from_superseded_attempt_is_dropped(self, stall):
         """A replica that answered just before dying must not have its
-        late message taken for the re-queued attempt's answer — the
-        slabs still belong to the survivor's in-flight run, so an early
-        release would recycle segments under it."""
+        late message taken for the re-queued attempt's answer."""
         pool = make_pool(replicas=2, model=nn.Sequential(FileStallLayer(), tiny_model()))
         try:
             stall.arm(2.0)
-            x = np.ones((2,) + SHAPE, dtype=np.float32)
-            future = pool.submit(x, 4)
+            x = np.random.default_rng(6).normal(size=(2,) + SHAPE)
+            x = x.astype(np.float32)
+            future = pool.submit(x, 4, per_step=True)
             victim = next(r for r in pool._replicas if r.outstanding)
             os.kill(victim.process.pid, signal.SIGKILL)
             deadline = time.monotonic() + 30
@@ -195,17 +223,17 @@ class TestPoolFailureRecovery:
                 stale = {
                     "req": dispatch.rid,
                     "replica": victim.index,
-                    "generation": dispatch.generation,
                     "attempt": 1,
                     "ok": True,
+                    "per_step": np.zeros((4, 2, CLASSES), dtype=np.float32),
                     "stats": {},
                 }
             pool._handle_response(stale)
+            assert dispatch.rid in pool._dispatches  # still registered
             assert not future.done()  # the stale answer resolved nothing
-            assert pool.ring.bytes_in_flight() > 0  # ...and freed no slab
+            stall.disarm()
             run = future.result(timeout=60)  # the live attempt answers
-            assert run.logits.shape == (2, CLASSES)
-            assert pool.ring.bytes_in_flight() == 0
+            assert_matches_inprocess(run, x, 4)
         finally:
             stall.disarm()
             pool.shutdown()
@@ -232,67 +260,35 @@ class TestPoolFailureRecovery:
 
 
 # ----------------------------------------------------------------------
-# Shared-memory lifecycle through the pool (satellite: shm coverage)
+# Lifecycle
 # ----------------------------------------------------------------------
-class TestPoolShmLifecycle:
-    def test_slabs_recycle_across_replica_restart_without_leaking(self, stall):
-        pool = make_pool(replicas=2, model=nn.Sequential(FileStallLayer(), tiny_model()))
-        try:
-            x = np.ones((2,) + SHAPE, dtype=np.float32)
-            for _ in range(4):
-                pool.submit(x, 4).result(timeout=60)
-            segments_before = list_segments(pool.ring.prefix)
-            assert segments_before  # the ring minted working slabs
-
-            stall.arm(1.0)  # still mid-run when the SIGKILL lands
-            future = pool.submit(x, 4)
-            victim = next(r for r in pool._replicas if r.outstanding)
-            os.kill(victim.process.pid, signal.SIGKILL)
-            future.result(timeout=60)
-            stall.disarm()
-
-            for _ in range(4):
-                pool.submit(x, 4).result(timeout=60)
-            # Same segments, reused — a restart must not strand or mint.
-            assert list_segments(pool.ring.prefix) == segments_before
-            assert pool.ring.bytes_in_flight() == 0
-        finally:
-            pool.shutdown()
-
-    def test_shutdown_unlinks_every_segment_and_closes_the_pool(self):
-        pool = make_pool(replicas=2)
-        prefix = pool.ring.prefix
-        x = np.ones((2,) + SHAPE, dtype=np.float32)
-        pool.submit(x, 4).result(timeout=60)
-        assert list_segments(prefix)
-        pool.shutdown()
-        assert list_segments(prefix) == []
-        pool.shutdown()  # idempotent
-        with pytest.raises(RuntimeError):
-            pool.submit(x, 4)
-
-    def test_stale_generation_never_served(self):
-        """A response frame carrying the wrong generation is rejected,
-        not returned as data (simulates a straggler's late write)."""
+class TestPoolLifecycle:
+    @pytest.mark.skipif(
+        pool_start_method() != "fork", reason="fork start method unavailable"
+    )
+    def test_forked_replica_does_not_hold_the_parents_sockets(self):
+        """A connection open while a replica forks (a rebuild under
+        load) must still reach EOF when the parent closes its end."""
+        ours, peer = socket.socketpair()
         pool = make_pool(replicas=1)
         try:
             x = np.ones((1,) + SHAPE, dtype=np.float32)
-            run = pool.submit(x, 2, per_step=True).result(timeout=60)
-            assert len(run.per_step) == 2
-            # Corrupt the next dispatch's view of generations: write a
-            # frame with an old tag into the output slab path by asking
-            # _collect_result to read under a mismatched expectation.
-            from repro.serve.shm import StaleSlabError
-
-            with pool._lock:
-                slab = pool.ring.acquire(64)
-            slab.write(np.zeros(4, dtype=np.float32), generation=1)
-            with pytest.raises(StaleSlabError):
-                slab.read(expected_generation=999)
-            with pool._lock:
-                pool.ring.release(slab)
+            pool.submit(x, 2).result(timeout=60)  # the replica is running
+            ours.close()
+            peer.settimeout(10.0)
+            assert peer.recv(1) == b""
         finally:
+            peer.close()
             pool.shutdown()
+
+    def test_shutdown_is_idempotent_and_refuses_new_work(self):
+        pool = make_pool(replicas=2)
+        x = np.ones((2,) + SHAPE, dtype=np.float32)
+        pool.submit(x, 4).result(timeout=60)
+        pool.shutdown()
+        pool.shutdown()  # idempotent
+        with pytest.raises(RuntimeError):
+            pool.submit(x, 4)
 
 
 # ----------------------------------------------------------------------
