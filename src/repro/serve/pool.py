@@ -285,6 +285,10 @@ class EngineWorkerPool:
 
         self._lock = threading.Lock()
         self._closed = False
+        # Set by shutdown() once every replica has exited; until then the
+        # reader keeps draining answers, so a replica whose answer is
+        # still in its queue's pipe can flush it and exit.
+        self._replicas_joined = threading.Event()
         self._rid_counter = 0
         self._dispatches: Dict[int, _Dispatch] = {}
 
@@ -596,9 +600,8 @@ class EngineWorkerPool:
     def _reader_loop(self) -> None:
         last_reap = time.monotonic()
         while True:
-            with self._lock:
-                if self._closed and not self._dispatches:
-                    return
+            if self._replicas_joined.is_set():
+                return
             try:
                 message = self._response_queue.get(timeout=0.2)
             except queue_module.Empty:
@@ -739,5 +742,6 @@ class EngineWorkerPool:
                 process.kill()
                 process.join(timeout=2.0)
                 replica.request_queue.cancel_join_thread()
+        self._replicas_joined.set()
         if self._reader.is_alive() and threading.current_thread() is not self._reader:
             self._reader.join(timeout=2.0)

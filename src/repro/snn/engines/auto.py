@@ -30,9 +30,12 @@ measure-then-specialise loop in software, in two gears:
    observed density still matches the neighbor's calibration copy its
    decision and skip the race.
 
-Plans are cached by (bound model, input kind, full input shape, T,
+Plans are cached by (bound model, input kind, input shape, T,
 input-density bucket) in a bounded LRU and persisted as JSON beside the
-cost model (``AutoEngine(plan_path=...)``).
+cost model (``AutoEngine(plan_path=...)``).  A call the time-stacked
+schedule runs as sample blocks (:data:`repro.snn.engines.batched.STACK_BLOCK_ROWS`)
+uses one key for all its blocks: the first block's shape with the whole
+call's density bucket, so a call calibrates at most once.
 
 **Drift and mid-run re-planning.**  Every planned run watches observed
 layer densities against the plan's calibration.  With a trustworthy
@@ -67,7 +70,7 @@ import numpy as np
 
 from repro.nn.layers import Conv2d
 from repro.snn.engines.base import LRUCache, _dense_op_count, _effective_weight
-from repro.snn.engines.batched import TimeBatchedEngine
+from repro.snn.engines.batched import STACK_BLOCK_ROWS, TimeBatchedEngine
 from repro.snn.engines.costmodel import (
     CostModel,
     cost_model_path_for,
@@ -130,6 +133,12 @@ DENSITY_PRIOR_ALPHA = 0.2
 #: workers.
 LAYER_SHARD_MIN_SECONDS = 0.05
 LAYER_SHARD_WORKERS = 2
+
+#: Fewest stack rows a per-layer row shard may hold; a layer too short
+#: for two such shards runs in-line.  Small GEMMs take another OpenBLAS
+#: summation path (see :data:`STACK_BLOCK_ROWS`), so shorter row shards
+#: would not be bitwise equal to the in-line kernel.
+LAYER_SHARD_MIN_ROWS = STACK_BLOCK_ROWS // 2
 
 
 def density_bucket(density: float) -> int:
@@ -410,6 +419,9 @@ class AutoEngine(EventBatchedEngine):
         self._replan_worst = 0.0
         self._run_observations: List[Tuple[str, float, float]] = []
         self._layer_shard_failures: List = []
+        # The plan key every block of the current blocked call shares
+        # (see _run_blocked); None outside a blocked call.
+        self._block_key: Optional[Tuple] = None
         # Single-writer guard for the plan/cost files: fork-pool children
         # inherit this engine (and plan_path) copy-on-write, but only
         # the owning process persists — children ship plans/evictions/
@@ -544,11 +556,17 @@ class AutoEngine(EventBatchedEngine):
     ) -> Optional[ExecutionPlan]:
         """The cached plan for a full input shape (batch included) and T.
 
-        With ``density_bucket=None`` the most recently cached plan for
-        the (kind, shape, T) prefix is returned regardless of its
-        bucket; pass a :func:`density_bucket` value to pin one.
+        A shape the engine runs as sample blocks resolves to its first
+        block's shape, the key those blocks ran under.  With
+        ``density_bucket=None`` the most recently cached plan for the
+        (kind, shape, T) prefix is returned regardless of its bucket;
+        pass a :func:`density_bucket` value to pin one.
         """
-        prefix = (str(kind), tuple(int(s) for s in input_shape), int(timesteps))
+        shape = tuple(int(s) for s in input_shape)
+        blocks = self._sample_blocks(shape[0], int(timesteps))
+        if blocks:
+            shape = (blocks[0][1],) + shape[1:]
+        prefix = (str(kind), shape, int(timesteps))
         if density_bucket is not None:
             return self._plans.get(prefix + (int(density_bucket),))
         match = None
@@ -616,8 +634,31 @@ class AutoEngine(EventBatchedEngine):
                 best, best_distance = plan, distance
         return best
 
+    def _run_blocked(self, x, timesteps, per_step):
+        bounds = self._sample_blocks(int(x.shape[0]), timesteps)
+        if len(bounds) <= 1:
+            return self._run_single(x, timesteps, per_step)
+        kind, _, steps, bucket = self._plan_key(x, timesteps)
+        key = (kind, (bounds[0][1],) + tuple(x.shape[1:]), steps, bucket)
+        plan = self._plans.get(key)
+        self._block_key = key
+        try:
+            run = super()._run_blocked(x, timesteps, per_step)
+        finally:
+            self._block_key = None
+        # The post-run drift guard judges the whole call once, so a
+        # block that drifted cannot evict the plan and make the next
+        # block of the same call recalibrate.
+        if (
+            plan is not None
+            and not run.stats.replan_triggered
+            and self._check_drift(key, plan, run.stats)
+        ):
+            run.dropped_plan_key = key
+        return run
+
     def _run_single(self, x, timesteps, per_step):
-        key = self._plan_key(x, timesteps)
+        key = self._block_key or self._plan_key(x, timesteps)
         plan = self._plans.get(key)
         self._active_plan = plan
         self._calibration = {} if plan is None else None
@@ -660,7 +701,7 @@ class AutoEngine(EventBatchedEngine):
                 stats.replanned_at = self._replanned_at
                 run.plan = plan
                 self._persist_plans()
-            else:
+            elif self._block_key is None:
                 if self._check_drift(key, plan, stats):
                     # Like a fresh plan, an eviction must ride back to
                     # the parent: a fork shard pops only its throwaway
@@ -983,12 +1024,17 @@ class AutoEngine(EventBatchedEngine):
     ):
         """One layer's output computed as supervised row shards.
 
-        Returns ``(out, failures)``; the concatenation of per-block
-        results is bitwise identical to the in-line kernel because each
-        output row is an independent reduction over the same input rows
-        with the same kernel.
+        Returns ``(out, failures)``.  Each output row is an independent
+        reduction over the same input rows with the same kernel, but
+        that alone does not make the concatenation bitwise identical to
+        the in-line kernel: OpenBLAS takes another summation path for
+        small GEMMs (a 512->10 GEMM split into blocks of fewer than 128
+        rows is not bitwise equal to the unsplit one).  So no shard
+        holds fewer than :data:`LAYER_SHARD_MIN_ROWS` rows; a layer too
+        short for two shards runs in-line.
         """
-        bounds = split_bounds(int(data.shape[0]), workers)
+        rows = int(data.shape[0])
+        bounds = split_bounds(rows, min(workers, rows // LAYER_SHARD_MIN_ROWS))
 
         def kernel(lo: int, hi: int):
             block = data[lo:hi]
@@ -1002,7 +1048,7 @@ class AutoEngine(EventBatchedEngine):
             return out
 
         if len(bounds) <= 1:
-            return kernel(0, int(data.shape[0])), []
+            return kernel(0, rows), []
         outcome = run_layer_shards(kernel, bounds, mode or "thread")
         return (
             np.concatenate(outcome.results, axis=0),
@@ -1128,7 +1174,7 @@ class AutoEngine(EventBatchedEngine):
                 and seeded is None
                 and not self._predict_only
                 and self.layer_shard_workers > 1
-                and data.shape[0] >= self.layer_shard_workers
+                and data.shape[0] >= 2 * LAYER_SHARD_MIN_ROWS
                 and gemm_seconds > self.layer_shard_min_seconds
             ):
                 weight = _effective_weight(module, self._weight_cache)

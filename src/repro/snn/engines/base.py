@@ -3,7 +3,8 @@
 :class:`SimulationEngine` owns everything common to all backends — the
 timestep/shard orchestration in :meth:`SimulationEngine.run`, the
 per-run reset/install/execute/collect cycle in
-:meth:`SimulationEngine._run_single`, and the per-layer wall-clock
+:meth:`SimulationEngine._run_single` (called once per sample block by
+:meth:`SimulationEngine._run_blocked`), and the per-layer wall-clock
 profiling wrappers (see :mod:`repro.snn.engines.profiling`) installed
 around every interceptor.  Backends customise per-layer execution by
 overriding :meth:`SimulationEngine._make_interceptor` (synapse layers)
@@ -185,6 +186,36 @@ def _dense_op_count(module: Module, x_shape: Sequence[int]) -> int:
     return int(x_shape[0]) * module.in_features * module.out_features
 
 
+def _concat_runs(runs: List[EngineRun], timesteps: int, per_step: bool) -> EngineRun:
+    """Join the runs of consecutive batch slices into one batch-order run.
+
+    Logits and per-step logits are concatenated, statistics merged into
+    the first run's record (:meth:`RunStats.merge`), and the engine
+    -private payloads carried along so a forked shard's blocks still
+    hand their plan, eviction and cost samples back to the parent.
+    """
+    stats = runs[0].stats
+    for run in runs[1:]:
+        stats.merge(run.stats)
+    outputs: Optional[List[np.ndarray]] = None
+    if per_step:
+        outputs = [
+            np.concatenate([run.per_step[t] for run in runs], axis=0)
+            for t in range(timesteps)
+        ]
+    plans = [run.plan for run in runs if run.plan is not None]
+    dropped = [run.dropped_plan_key for run in runs if run.dropped_plan_key is not None]
+    observations = [o for run in runs for o in (run.observations or ())]
+    return EngineRun(
+        logits=np.concatenate([run.logits for run in runs], axis=0),
+        stats=stats,
+        per_step=outputs,
+        plan=plans[-1] if plans else None,
+        dropped_plan_key=dropped[-1] if dropped else None,
+        observations=observations or None,
+    )
+
+
 # ----------------------------------------------------------------------
 # Engine interface
 # ----------------------------------------------------------------------
@@ -292,6 +323,11 @@ class SimulationEngine(abc.ABC):
         where fork is unavailable), or ``"auto"`` (fork where the
         platform has it, threads otherwise).
 
+        The time-stacked engines run a large call — and each shard its
+        own slice — as serial sample blocks (:meth:`_run_blocked`), so
+        their ``(T*N, ...)`` working set stays bounded; blocks are
+        joined like shards.
+
         ``x`` may also be a COO :class:`repro.snn.spikes.SpikeStream`
         — per-timestep input planes instead of one direct-coded frame.
         The stream's ``timesteps`` must match ``timesteps``, and shards
@@ -339,7 +375,7 @@ class SimulationEngine(abc.ABC):
             # No sharding happens: don't demand a working fork (a
             # shard_mode="fork" request must not crash single-worker
             # runs on fork-less platforms).
-            return self._run_single(x, timesteps, per_step)
+            return self._run_blocked(x, timesteps, per_step)
         mode = resolve_shard_mode(shard_mode)
 
         started = time.perf_counter()
@@ -347,25 +383,42 @@ class SimulationEngine(abc.ABC):
         outcome = run_batch_shards(
             self, x, timesteps, per_step, bounds, mode, policy=shard_policy
         )
-        runs = outcome.results
-        self._absorb_shard_runs(runs)
-        logits = np.concatenate([run.logits for run in runs], axis=0)
-        stats = runs[0].stats
-        for run in runs[1:]:
-            stats.merge(run.stats)
+        self._absorb_shard_runs(outcome.results)
+        merged = _concat_runs(outcome.results, timesteps, per_step)
+        stats = merged.stats
         stats.workers = len(bounds)
         stats.shard_mode = mode
         stats.shard_failures = list(outcome.failures)
         stats.degraded_shard_mode = outcome.degraded_mode
         # Shard wall clocks overlap; report the parent-observed elapsed.
         stats.wall_clock_seconds = time.perf_counter() - started
-        outputs: Optional[List[np.ndarray]] = None
-        if per_step:
-            outputs = [
-                np.concatenate([run.per_step[t] for run in runs], axis=0)
-                for t in range(timesteps)
-            ]
-        return EngineRun(logits=logits, stats=stats, per_step=outputs)
+        return EngineRun(logits=merged.logits, stats=stats, per_step=merged.per_step)
+
+    def _sample_blocks(self, batch: int, timesteps: int) -> List[Tuple[int, int]]:
+        """Contiguous sample blocks one call runs as, in order.
+
+        The default is the whole batch at once; the time-stacked
+        engines bound their ``(T*N, ...)`` working set by returning
+        several blocks for large batches.
+        """
+        return [(0, batch)]
+
+    def _run_blocked(self, x, timesteps: int, per_step: bool) -> EngineRun:
+        """One call (or one shard's slice) as serial sample blocks.
+
+        Every block is a plain :meth:`_run_single`; their logits are
+        concatenated in batch order and their statistics merged, exactly
+        like batch shards.  Stateful neurons keep the last block's
+        membrane and spike state.
+        """
+        bounds = self._sample_blocks(int(x.shape[0]), timesteps)
+        if len(bounds) <= 1:
+            return self._run_single(x, timesteps, per_step)
+        started = time.perf_counter()
+        runs = [self._run_single(x[lo:hi], timesteps, per_step) for lo, hi in bounds]
+        merged = _concat_runs(runs, timesteps, per_step)
+        merged.stats.wall_clock_seconds = time.perf_counter() - started
+        return merged
 
     def _run_single(self, x: np.ndarray, timesteps: int, per_step: bool) -> EngineRun:
         """One in-process run: reset, instrument, execute, collect stats."""

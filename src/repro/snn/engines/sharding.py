@@ -33,9 +33,9 @@ Every parallel shard runs under a **supervisor** (:func:`run_supervised`):
 * failed shards — and only the failed shards — are retried up to
   :attr:`ShardPolicy.retries` times with exponential backoff, then the
   run degrades down the substrate chain ``fork -> thread -> serial``.
-  A shard is the same ``_run_single`` over the same contiguous slice
-  with the same kernels on every substrate, so a degraded re-run
-  produces bit-identical logits.
+  A shard is the same ``_run_blocked`` over the same contiguous slice
+  (the same sample blocks) with the same kernels on every substrate,
+  so a degraded re-run produces bit-identical logits.
 
 Only when the serial fallback itself fails does the supervisor raise
 (:class:`ShardExecutionError`, carrying every recorded failure).  The
@@ -583,18 +583,18 @@ def run_batch_shards(
     ``mode`` must already be resolved (``"fork"`` or ``"thread"``).
     Every substrate — including a supervised degradation re-run —
     produces the same per-shard results and merged statistics: a shard
-    is the same ``_run_single`` on the same contiguous slice with the
-    same kernels.
+    is the same ``_run_blocked`` on the same contiguous slice with the
+    same kernels, so it runs its slice as the same sample blocks.
     """
     if len(bounds) <= 1:
-        runs = [engine._run_single(x[lo:hi], timesteps, per_step) for lo, hi in bounds]
+        runs = [engine._run_blocked(x[lo:hi], timesteps, per_step) for lo, hi in bounds]
         return SupervisedOutcome(
             results=runs, requested_mode=mode, completed_mode=mode
         )
 
     def serial_fn(index: int):
         lo, hi = bounds[index]
-        return engine._run_single(x[lo:hi], timesteps, per_step)
+        return engine._run_blocked(x[lo:hi], timesteps, per_step)
 
     # Thread shards run on per-shard sibling engines over model clones
     # so concurrent shards never race on module state.  The peers are
@@ -608,7 +608,7 @@ def run_batch_shards(
 
     def thread_fn(index: int):
         lo, hi = bounds[index]
-        return peers_box[0][index]._run_single(x[lo:hi], timesteps, per_step)
+        return peers_box[0][index]._run_blocked(x[lo:hi], timesteps, per_step)
 
     return run_supervised(
         count=len(bounds),

@@ -4,7 +4,8 @@ Covers the pool-specific serving guarantees the single-worker suite
 cannot: replica responses are bit-identical to an in-process engine run
 under both fork and spawn, also for batches larger than a pipe buffer;
 a replica's death or hang re-queues work onto survivors while the pool
-keeps answering, and a superseded attempt's late answer is dropped.
+keeps answering, and a superseded attempt's late answer is dropped;
+shutdown drains answers until the replicas have exited.
 Also pins the queue-proportional 429 ``Retry-After`` estimate the
 pool's ``capacity`` feeds into.
 """
@@ -280,6 +281,30 @@ class TestPoolLifecycle:
         finally:
             peer.close()
             pool.shutdown()
+
+    @pytest.mark.skipif(
+        pool_start_method() != "fork", reason="fork start method unavailable"
+    )
+    def test_shutdown_drains_an_answer_larger_than_a_pipe(self, stall):
+        """A replica still answering when shutdown starts gets its answer
+        read, so it exits on its own instead of blocking on a full pipe
+        until the join times out and it is killed."""
+        shape = (3, 32, 32)
+        model, _ = build_demo_network(input_shape=shape, classes=256, seed=0)
+        pool = make_pool(
+            replicas=1, model=nn.Sequential(FileStallLayer(), model),
+            max_batch_size=1, shape=shape,
+        )
+        x = np.random.default_rng(14).normal(size=(64,) + shape)
+        # The answer: 2 steps x 64 samples x 256 classes of float32.
+        assert 2 * 64 * 256 * 4 > 64 * 1024
+        stall.arm(0.5)  # still running when shutdown starts
+        future = pool.submit(x.astype(np.float32), 2, per_step=True)
+        started = time.monotonic()
+        pool.shutdown()
+        assert time.monotonic() - started < 2.0
+        assert future.done()
+        assert [r.process.exitcode for r in pool._replicas] == [0]  # not killed
 
     def test_shutdown_is_idempotent_and_refuses_new_work(self):
         pool = make_pool(replicas=2)

@@ -244,6 +244,12 @@ class TestSplitBounds:
 
 
 class TestLayerShardPlans:
+    @pytest.fixture(autouse=True)
+    def _shard_short_layers(self, monkeypatch):
+        # The toy's layers are far shorter than the production row floor;
+        # lower it so these plans really split their layers into shards.
+        monkeypatch.setattr(auto_module, "LAYER_SHARD_MIN_ROWS", 1)
+
     def _planned_net(self):
         engine = AutoEngine()
         net = SpikingNetwork(converted_pooled_toy(), timesteps=4, engine=engine)
