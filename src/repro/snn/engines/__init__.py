@@ -39,7 +39,10 @@ shard the batch dimension across forked processes or a thread pool
 (``shard_mode="fork" | "thread" | "auto"``, see
 :mod:`repro.snn.engines.sharding`); shard results are concatenated and
 their stats merged, so a K-worker run reports the same rates and op
-counts as a single-worker run.
+counts as a single-worker run.  Without shards, the time-stacked
+engines run a large call's sample blocks concurrently, one lane per
+usable core (:mod:`repro.snn.engines.lanes`), bit-identical to running
+them one after another.
 """
 
 from __future__ import annotations

@@ -35,7 +35,10 @@ input-density bucket) in a bounded LRU and persisted as JSON beside the
 cost model (``AutoEngine(plan_path=...)``).  A call the time-stacked
 schedule runs as sample blocks (:data:`repro.snn.engines.batched.STACK_BLOCK_ROWS`)
 uses one key for all its blocks: the first block's shape with the whole
-call's density bucket, so a call calibrates at most once.
+call's density bucket, so a call calibrates at most once.  Its blocks
+run in lanes (:mod:`repro.snn.engines.lanes`) only once that key has a
+plan: a cold call calibrates serially.  Lane peers share the plan cache
+and cost model and fold their planner counters back into the engine.
 
 **Drift and mid-run re-planning.**  Every planned run watches observed
 layer densities against the plan's calibration.  With a trustworthy
@@ -328,6 +331,15 @@ class _Capture:
     dense_ops: int = 0
     raceable: bool = False
     seeded: Optional[LayerDecision] = None
+
+
+#: The planner's event counters; lane peers fold theirs into the parent.
+PLANNER_COUNTERS = (
+    "calibration_runs",
+    "replans_triggered",
+    "warm_starts",
+    "prior_warm_starts",
+)
 
 
 class AutoEngine(EventBatchedEngine):
@@ -634,7 +646,7 @@ class AutoEngine(EventBatchedEngine):
                 best, best_distance = plan, distance
         return best
 
-    def _run_blocked(self, x, timesteps, per_step):
+    def _run_blocked(self, x, timesteps, per_step, lanes=True):
         bounds = self._sample_blocks(int(x.shape[0]), timesteps)
         if len(bounds) <= 1:
             return self._run_single(x, timesteps, per_step)
@@ -643,7 +655,7 @@ class AutoEngine(EventBatchedEngine):
         plan = self._plans.get(key)
         self._block_key = key
         try:
-            run = super()._run_blocked(x, timesteps, per_step)
+            run = super()._run_blocked(x, timesteps, per_step, lanes)
         finally:
             self._block_key = None
         # The post-run drift guard judges the whole call once, so a
@@ -656,6 +668,33 @@ class AutoEngine(EventBatchedEngine):
         ):
             run.dropped_plan_key = key
         return run
+
+    def _lanes_ready(self) -> bool:
+        # A cold key calibrates serially, and a plan that row-shards a
+        # layer already spreads that layer over the cores.
+        plan = self._plans.get(self._block_key)
+        return plan is not None and plan.sharded_layers == 0
+
+    def _enter_lane(self, peer: "AutoEngine") -> None:
+        peer._block_key = self._block_key
+        for name in PLANNER_COUNTERS:
+            setattr(peer, name, 0)
+
+    def _absorb_lanes(self, peers) -> None:
+        # Peers share the plan cache and cost model, so only their
+        # counters need folding; the parent is the single writer of the
+        # persisted plan and cost files.
+        learned = replanned = 0
+        for peer in peers:
+            peer._block_key = None
+            for name in PLANNER_COUNTERS:
+                setattr(self, name, getattr(self, name) + getattr(peer, name))
+            learned += peer.calibration_runs
+            replanned += peer.replans_triggered
+        if learned or replanned:
+            self._persist_plans()
+        if learned:
+            self._persist_cost_model()
 
     def _run_single(self, x, timesteps, per_step):
         key = self._block_key or self._plan_key(x, timesteps)

@@ -28,6 +28,7 @@ from repro.nn.layers import Conv2d, Linear
 from repro.nn.module import Module
 from repro.nn.quant import QuantConv2d, QuantLinear, _WeightFakeQuant
 from repro.snn.convert import reset_network_state
+from repro.snn.engines.lanes import lane_count, run_lanes
 from repro.snn.engines.profiling import profiled_call
 from repro.snn.engines.sharding import (
     SHARD_MODES,
@@ -324,9 +325,10 @@ class SimulationEngine(abc.ABC):
         platform has it, threads otherwise).
 
         The time-stacked engines run a large call — and each shard its
-        own slice — as serial sample blocks (:meth:`_run_blocked`), so
-        their ``(T*N, ...)`` working set stays bounded; blocks are
-        joined like shards.
+        own slice — as sample blocks (:meth:`_run_blocked`), so their
+        ``(T*N, ...)`` working set stays bounded; blocks are joined like
+        shards.  An unsharded call runs its blocks in lanes, one per
+        usable core (:mod:`repro.snn.engines.lanes`).
 
         ``x`` may also be a COO :class:`repro.snn.spikes.SpikeStream`
         — per-timestep input planes instead of one direct-coded frame.
@@ -403,22 +405,43 @@ class SimulationEngine(abc.ABC):
         """
         return [(0, batch)]
 
-    def _run_blocked(self, x, timesteps: int, per_step: bool) -> EngineRun:
-        """One call (or one shard's slice) as serial sample blocks.
+    def _run_blocked(
+        self, x, timesteps: int, per_step: bool, lanes: bool = True
+    ) -> EngineRun:
+        """One call (or one shard's slice) as sample blocks.
 
         Every block is a plain :meth:`_run_single`; their logits are
         concatenated in batch order and their statistics merged, exactly
-        like batch shards.  Stateful neurons keep the last block's
-        membrane and spike state.
+        like batch shards.  Blocks run concurrently in lanes, one per
+        usable core (:mod:`repro.snn.engines.lanes`), unless ``lanes``
+        is off (batch-shard tasks, which already own the cores), the
+        engine declines (:meth:`_lanes_ready`) or the machine cannot;
+        otherwise serially.  The bound model's stateful neurons keep the
+        membrane and spike state of the last block it ran.
         """
         bounds = self._sample_blocks(int(x.shape[0]), timesteps)
         if len(bounds) <= 1:
             return self._run_single(x, timesteps, per_step)
         started = time.perf_counter()
-        runs = [self._run_single(x[lo:hi], timesteps, per_step) for lo, hi in bounds]
+        count = lane_count(len(bounds)) if lanes and self._lanes_ready() else 1
+        if count > 1:
+            runs = run_lanes(self, x, timesteps, per_step, bounds, count)
+        else:
+            runs = [self._run_single(x[lo:hi], timesteps, per_step) for lo, hi in bounds]
         merged = _concat_runs(runs, timesteps, per_step)
         merged.stats.wall_clock_seconds = time.perf_counter() - started
+        merged.stats.lanes = count
         return merged
+
+    def _lanes_ready(self) -> bool:
+        """Whether the current blocked call may run its blocks in lanes."""
+        return True
+
+    def _enter_lane(self, peer: "SimulationEngine") -> None:
+        """Hand ``peer`` the call-scoped state it needs to run a lane."""
+
+    def _absorb_lanes(self, peers: List["SimulationEngine"]) -> None:
+        """Fold what the lane ``peers`` learned back into this engine."""
 
     def _run_single(self, x: np.ndarray, timesteps: int, per_step: bool) -> EngineRun:
         """One in-process run: reset, instrument, execute, collect stats."""

@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.nn.layers import AvgPool2d, BatchNorm2d, Conv2d, MaxPool2d
 from repro.nn.module import Module
-from repro.snn.dynamics import initial_membrane, neuron_step
+from repro.snn.dynamics import ResetMode, initial_membrane, neuron_step
 from repro.snn.engines.base import (
     LRUCache,
     SimulationEngine,
@@ -25,16 +25,21 @@ from repro.snn.stats import LayerStats
 from repro.tensor import Tensor, no_grad
 
 #: Stack rows (T x samples) one time-stacked pass covers at most.  A
-#: larger call runs as serial, balanced sample blocks of about
+#: larger call runs as balanced sample blocks of about
 #: ``STACK_BLOCK_ROWS // T`` samples (never fewer than half that), so
 #: activations and im2col matrices stay cache- and page-resident
-#: instead of growing with the batch.  On a 2-core x86_64 box with
+#: instead of growing with the batch.  The blocks run concurrently, one
+#: lane per usable core (:mod:`repro.snn.engines.lanes`), so each core
+#: holds one block's working set at a time.  On a 2-core x86_64 box with
 #: OpenBLAS 0.3.31, the converted VGG-11 (width 0.125) at T=8 and batch
 #: 256 went from a 2048-row stack (67 MB activations and 151 MB im2col
 #: matrices per layer) to 256-row blocks: 235 -> 310 samples/s, p50
 #: 1090 -> 826 ms, peak RSS 1230 -> 347 MB (medians of 10 alternating
-#: run pairs of the repository benchmark).  It is a floor-aware constant,
-#: not a tunable: OpenBLAS sums small GEMMs in another order, so a
+#: run pairs of the repository benchmark).  Running the 8 blocks in two
+#: lanes took the same workload from 381 to 643 samples/s (medians of
+#: 10 alternating pairs against serial blocks, measured later on the
+#: same box).  It is a floor-aware constant, not a tunable: OpenBLAS
+#: sums small GEMMs in another order, so a
 #: 512->10 GEMM split into row blocks of fewer than 128 rows is not
 #: bitwise equal to the unsplit one.  On that VGG, 64-row blocks
 #: changed the last bits of the logits against an unblocked run;
@@ -66,8 +71,8 @@ class TimeBatchedEngine(SimulationEngine):
     software twin of the accelerator's frame-psum cache).  Per-step
     logits fall out of the explicit time axis for free, which makes
     accuracy-vs-timesteps sweeps the biggest beneficiary.  A call larger
-    than :data:`STACK_BLOCK_ROWS` stack rows runs as serial sample
-    blocks, so the stack never outgrows the cache.
+    than :data:`STACK_BLOCK_ROWS` stack rows runs as sample blocks, one
+    lane of them per usable core, so the stack never outgrows the cache.
     """
 
     name = "batched"
@@ -274,10 +279,7 @@ class TimeBatchedEngine(SimulationEngine):
             stacked = data.reshape((t, n) + data.shape[1:])
             leak_fn = module._leak_fn()
             # The membrane buffer is private to this run (reset to None
-            # at run start), so stepping integrates in place; the spike
-            # plane is scaled by the threshold as it is stored (one
-            # fused pass per step instead of an extra (T*N, ...)
-            # multiply at the end).
+            # at run start), so stepping integrates in place.
             v = module.v
             if v is None:
                 v = initial_membrane(
@@ -287,18 +289,34 @@ class TimeBatchedEngine(SimulationEngine):
                     dtype=data.dtype,
                 )
             out = np.empty(stacked.shape, dtype=np.float32)
-            for step in range(t):
-                v, spiked = neuron_step(
-                    v,
-                    stacked[step],
-                    module.threshold,
-                    reset=module.reset,
-                    leak_fn=leak_fn,
-                    in_place=True,
-                )
-                np.multiply(
-                    spiked, module.threshold, out=out[step], casting="unsafe"
-                )
+            if module.reset == ResetMode.SUBTRACT and v.dtype == np.float32:
+                # neuron_step's op sequence fused with the store: the
+                # spike plane scaled by the threshold is written once,
+                # into the output, and subtracted from it as the reset
+                # (``spiked * thr`` is exactly that plane), so no step
+                # allocates a temporary.
+                thr = np.float32(module.threshold)
+                mask = np.empty(stacked.shape[1:], dtype=bool)
+                for step in range(t):
+                    if leak_fn is not None:
+                        v = leak_fn(v)
+                    v += stacked[step]
+                    np.greater_equal(v, module.threshold, out=mask)
+                    np.multiply(mask, thr, out=out[step])
+                    v -= out[step]
+            else:
+                for step in range(t):
+                    v, spiked = neuron_step(
+                        v,
+                        stacked[step],
+                        module.threshold,
+                        reset=module.reset,
+                        leak_fn=leak_fn,
+                        in_place=True,
+                    )
+                    np.multiply(
+                        spiked, module.threshold, out=out[step], casting="unsafe"
+                    )
             module.v = v
             # Spikes are exactly 0 or threshold (> 0), so one count over
             # the whole (T, N, ...) plane replaces T small reductions.

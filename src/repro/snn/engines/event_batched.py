@@ -601,8 +601,9 @@ class EventBatchedEngine(TimeBatchedEngine):
                 o4[step] = (pattern[step] * thr)[np.newaxis, :, np.newaxis]
             vi += xf[step][cells]
             spiked = vi >= thr
-            vi -= spiked * thr
-            of[step][cells] = spiked * thr
+            fired_thr = spiked * thr
+            vi -= fired_thr
+            of[step][cells] = fired_thr
             fired = cells[spiked]
             if fired.size:
                 fired_parts.append((step, fired))

@@ -584,17 +584,22 @@ def run_batch_shards(
     Every substrate — including a supervised degradation re-run —
     produces the same per-shard results and merged statistics: a shard
     is the same ``_run_blocked`` on the same contiguous slice with the
-    same kernels, so it runs its slice as the same sample blocks.
+    same kernels, so it runs its slice as the same sample blocks.  A
+    shard runs its blocks serially, never in lanes: the shards already
+    own the cores.
     """
     if len(bounds) <= 1:
-        runs = [engine._run_blocked(x[lo:hi], timesteps, per_step) for lo, hi in bounds]
+        runs = [
+            engine._run_blocked(x[lo:hi], timesteps, per_step, lanes=False)
+            for lo, hi in bounds
+        ]
         return SupervisedOutcome(
             results=runs, requested_mode=mode, completed_mode=mode
         )
 
     def serial_fn(index: int):
         lo, hi = bounds[index]
-        return engine._run_blocked(x[lo:hi], timesteps, per_step)
+        return engine._run_blocked(x[lo:hi], timesteps, per_step, lanes=False)
 
     # Thread shards run on per-shard sibling engines over model clones
     # so concurrent shards never race on module state.  The peers are
@@ -608,7 +613,9 @@ def run_batch_shards(
 
     def thread_fn(index: int):
         lo, hi = bounds[index]
-        return peers_box[0][index]._run_blocked(x[lo:hi], timesteps, per_step)
+        return peers_box[0][index]._run_blocked(
+            x[lo:hi], timesteps, per_step, lanes=False
+        )
 
     return run_supervised(
         count=len(bounds),

@@ -164,6 +164,10 @@ class RunStats:
     wall_clock_seconds: float = 0.0
     workers: int = 1  # batch shards merged into this record
     shard_mode: str = ""  # "fork" | "thread" when workers > 1
+    # Block lanes the run's sample blocks ran in concurrently (1 when
+    # serial).  Per-layer wall clock is busy time summed over lanes, so
+    # with lanes > 1 it can exceed the run's elapsed wall clock.
+    lanes: int = 1
     # Supervised-sharding failure trail: every captured per-shard
     # failure (crash or hang, see
     # :class:`repro.snn.engines.sharding.ShardFailure`) of the run, and
@@ -313,6 +317,7 @@ class RunStats:
             mine.merge(theirs)
         self.batch_size += other.batch_size
         self.wall_clock_seconds += other.wall_clock_seconds
+        self.lanes = max(self.lanes, other.lanes)
         self.plan_drift = max(self.plan_drift, other.plan_drift)
         self.replan_triggered = self.replan_triggered or other.replan_triggered
         # A shard that re-planned mid-run outranks siblings that did not.
@@ -389,7 +394,7 @@ class RunStats:
         lines.append(
             f"run wall clock {self.wall_clock_seconds * 1e3:.3f} ms "
             f"({attributed * 1e3:.3f} ms attributed to layers); "
-            f"engine {self.engine or '?'}, workers {self.workers}"
+            f"engine {self.engine or '?'}, workers {self.workers}, lanes {self.lanes}"
         )
         if self.plan_source:
             replanned = (

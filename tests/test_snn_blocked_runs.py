@@ -35,6 +35,7 @@ from repro.snn import convert_to_snn
 from repro.snn.engines import AutoEngine, fork_available, make_engine
 from repro.snn.engines import auto as auto_module
 from repro.snn.engines import batched as batched_module
+from repro.snn.engines import lanes as lanes_module
 from repro.tensor import Tensor, no_grad
 
 from test_snn_engine import converted_resnet
@@ -79,7 +80,14 @@ def frames(n, seed):
 
 
 def block_sizes(engine, monkeypatch):
-    """Record the batch size of every ``_run_single`` the engine makes."""
+    """Record the batch size of every ``_run_single`` the engine makes.
+
+    Block lanes would run later blocks on sibling engines this patch
+    does not see, so the recorded calls run their blocks serially, as on
+    a one-core machine; ``test_snn_block_lanes.py`` holds lanes to this
+    serial path bit for bit.
+    """
+    monkeypatch.setattr(lanes_module, "usable_cores", lambda: 1)
     sizes = []
     inner = engine._run_single
 
