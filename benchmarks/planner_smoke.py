@@ -10,7 +10,9 @@ One scenario, exit 0 only if every check holds:
 1. **Organic calibration** — an auto engine races a small two-conv SNN
    across several timestep keys; the cost model must become
    ``plan_ready`` purely from those measured races (no synthetic
-   observations).
+   observations), every raced plan's logits must equal the ``batched``
+   engine's bit for bit, and every plan ``/metrics`` reports must count
+   its ``coo_layers``.
 2. **Predict-mode serving** — the engine is handed to a live server;
    the serve-shaped key is cold, so its first plan must come from the
    cost model (``plan_source == "cost-model"``) and ``/metrics`` must
@@ -89,12 +91,17 @@ def main():
     engine = AutoEngine(drift_threshold=DRIFT_THRESHOLD)
     rng = np.random.default_rng(5)
     warm = rng.normal(size=(4,) + SHAPE).astype(np.float32)
+    bitwise = True
     for t in range(2, 8):
-        SpikingNetwork(model, timesteps=t, engine=engine).forward(warm)
+        raced = SpikingNetwork(model, timesteps=t, engine=engine)
+        reference = SpikingNetwork(model, timesteps=t, engine="batched").forward(warm)
+        for _ in range(2):  # the calibration run, then the raced plan
+            bitwise = np.array_equal(raced.forward(warm), reference) and bitwise
     check(
         engine.cost_model.plan_ready(),
         f"cost model fit from races alone ({len(engine.cost_model)} observations)",
     )
+    check(bitwise, "raced plans' logits bit-identical to batched")
     raced_calibrations = engine.calibration_runs
 
     sample = rng.normal(size=SHAPE).astype(np.float32)
@@ -129,6 +136,10 @@ def main():
         planner = metrics.get("planner")
         check(planner is not None, "/metrics exposes the planner section")
         check(planner["cost_model"]["plan_ready"] is True, "metrics report model ready")
+        check(
+            all("coo_layers" in p for p in planner["plans"]),
+            "every /metrics plan reports coo_layers",
+        )
         check(
             any(p["source"] == "cost-model" for p in planner["plans"]),
             "metrics show the predicted plan",

@@ -445,13 +445,13 @@ def test_engines_wall_clock_and_auto_plan(converted_vgg_bench, converted_dvs):
     print(f"\nwall clock (ms): " + ", ".join(
         f"{k} {v['wall_clock_ms']}" for k, v in results.items()
     ))
-    event_layers = sum(
-        1 for row in results["auto"]["profile"] if row["backend"] == "event"
+    coo_layers = sum(
+        1 for row in results["auto"]["profile"] if row["backend"] == "event-batched"
     )
     print(
         f"batched speedup vs dense: {speedup:.2f}x; "
         f"auto/best-fixed {auto_ratio:.3f} "
-        f"({event_layers} layers on the event gather); "
+        f"({coo_layers} layers on the COO kernel); "
         f"DVS density {dvs_stream.density:.4f}: "
         f"event-batched {dvs_speedup:.2f}x vs batched, "
         f"auto/best-fixed {dvs_auto_ratio:.3f} -> {BENCH_PATH}"

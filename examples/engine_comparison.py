@@ -8,8 +8,9 @@ rate; the ``batched`` backend restructures execution from time-outer to
 layer-outer — every stateless layer runs once over a ``(T*N, ...)``
 stack; and the ``auto`` backend profiles a calibration run (per-layer
 wall clock + observed density) and compiles a cached per-layer plan
-that mixes batched GEMM and event gather, the same
-measure-then-specialise loop the paper's mapper applies in hardware.
+that mixes batched GEMM and the COO row-subset kernel (bitwise equal
+to ``batched``), the same measure-then-specialise loop the paper's
+mapper applies in hardware.
 ``--workers K`` additionally shards each batch across K forked
 processes or threads (``--shard-mode``); statistics are merged and
 match a single-worker run.
@@ -215,10 +216,10 @@ def main() -> None:
         for layer in auto_stats.layers
         if layer.kind in ("conv", "linear")
     }
-    event_layers = sum(1 for backend in chosen.values() if backend == "event")
+    coo_layers = sum(1 for backend in chosen.values() if backend == "event-batched")
     print(
-        f"\nauto engine plan: {event_layers}/{len(chosen)} synapse layers "
-        f"routed to the event gather, the rest stay on the batched GEMM"
+        f"\nauto engine plan: {coo_layers}/{len(chosen)} synapse layers "
+        f"routed to the COO row-subset kernel, the rest stay on the batched GEMM"
     )
     print(
         f"\nevent-driven op saving: {event_stats.synaptic_op_saving:.1%} "

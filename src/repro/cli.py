@@ -631,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
         "recompute per timestep, sparse event propagation, "
         "time-batched layer-sequential execution, or the adaptive "
         "auto backend (profiles a calibration run, then picks "
-        "GEMM vs event-gather per layer; fastest)",
+        "GEMM vs COO row-subset per layer; fastest)",
     )
     parser.add_argument(
         "--workers",

@@ -14,8 +14,8 @@ all T timesteps), ``"event-batched"`` (the time-batched schedule with
 COO-native gathers: one row-subset GEMM per layer covering all T
 timesteps, bitwise identical to ``"batched"`` and faster at low input
 density) or ``"auto"`` (profiles a calibration run and compiles a
-cached per-layer GEMM/event/event-batched plan, the fastest software
-path) —
+cached per-layer GEMM/event-batched plan, bitwise equal to
+``"batched"``) —
 optionally sharded over ``workers`` forked processes or threads
 (``shard_mode``) along the batch dimension.
 """

@@ -21,9 +21,11 @@ behind one :class:`SimulationEngine` interface:
 ``AutoEngine`` (:mod:`repro.snn.engines.auto`)
     The adaptive backend: profiles a calibration run (per-layer wall
     clock + observed density) and compiles a cached per-layer plan —
-    batched GEMM where dense arithmetic wins, event gather where the
-    measured sparsity pays, the same measure-then-specialise loop the
-    paper's mapper applies in hardware.
+    batched GEMM where dense arithmetic wins, the COO row-subset kernel
+    where the measured sparsity pays, the same measure-then-specialise
+    loop the paper's mapper applies in hardware.  Both kernels compute
+    the same floats, so every plan is bitwise equal to the batched
+    engine.
 
 All engines run the *same* module graph — backends install
 per-instance forward interceptors for the duration of a run — so
@@ -96,7 +98,6 @@ from repro.snn.engines.sharding import (
     clone_for_inference,
     fork_available,
     resolve_shard_mode,
-    run_layer_shards,
     run_supervised,
     split_bounds,
 )
@@ -161,7 +162,6 @@ __all__ = [
     "WEIGHT_CACHE_CAPACITY",
     "clone_for_inference",
     "run_supervised",
-    "run_layer_shards",
     "split_bounds",
     "conv_active_windows",
     "cost_model_path_for",

@@ -7,17 +7,18 @@ batched) throws that structure away: measured densities vary widely
 across layers, so the best kernel is a per-layer property.
 
 :class:`AutoEngine` (``engine="auto"``) closes the same
-measure-then-specialise loop in software, in two gears:
+measure-then-specialise loop in software, in two gears, over one
+kernel menu (:data:`BITWISE_BACKENDS`): the time-batched GEMM and the
+batched COO row-subset path (:mod:`repro.snn.engines.event_batched`).
+The two compute identical floats per layer, so the schedule changes
+the speed, never the result: every plan's logits are bitwise equal to
+the ``batched`` engine's.
 
 1. **Race (cold).** The first runs execute the time-batched GEMM
    schedule while the per-layer profiler records wall clock and input
-   density; for every genuinely sparse layer both sparse kernels — the
-   per-plane event gather and the bit-exact batched COO row-subset path
-   (:mod:`repro.snn.engines.event_batched`) — are timed on the very
-   activations the calibration run produced, and heavy GEMM layers
-   additionally race a supervised row-sharded execution
-   (:func:`repro.snn.engines.sharding.run_layer_shards`).  A layer
-   switches off the GEMM only when a measured challenger beats its
+   density; for every genuinely sparse layer the COO kernel is timed
+   on the very activations the calibration run produced.  A layer
+   switches off the GEMM only when the measured COO kernel beats its
    measured GEMM by a safety margin.
 2. **Predict (warm).** Every race feeds ``(backend, ops, ms)`` samples
    into a fitted analytic :class:`repro.snn.engines.costmodel.CostModel`
@@ -46,14 +47,13 @@ cost model, drift past ``drift_threshold`` triggers a *mid-run re-plan*:
 at that very layer boundary the remaining schedule is re-predicted from
 the cost model and swapped in place — the run completes under the new
 plan, the cache and plan file are updated, and nothing recalibrates
-cold.  Swaps are restricted to the bitwise-agreeing kernel pair (the
-batched GEMM and the COO row-subset path compute identical floats), so
-a re-planned run's logits are bit-identical to the same run without the
-swap.  Without a fitted model the guard falls back to evict-next-run:
-the plan is dropped and the next run recalibrates.
+cold.  Both kernels compute identical floats, so a re-planned run's
+logits are bit-identical to the same run without the swap.  Without a
+fitted model the guard falls back to evict-next-run: the plan is
+dropped and the next run recalibrates.
 
 Op accounting follows the chosen backend per layer: GEMM layers bill
-full dense MACs, event layers bill performed (per-spike) ops, and every
+full dense MACs, COO layers bill performed (per-spike) ops, and every
 layer's :class:`repro.snn.stats.LayerStats` records which backend ran,
 how it was chosen (``raced`` | ``cost-model`` | ``re-planned``) and the
 planner's predicted wall clock (``profile_table`` /
@@ -73,16 +73,14 @@ import numpy as np
 
 from repro.nn.layers import Conv2d
 from repro.snn.engines.base import LRUCache, _dense_op_count, _effective_weight
-from repro.snn.engines.batched import STACK_BLOCK_ROWS, TimeBatchedEngine
+from repro.snn.engines.batched import TimeBatchedEngine
 from repro.snn.engines.costmodel import (
     CostModel,
     cost_model_path_for,
     sparse_feature_ops,
 )
 from repro.snn.engines.dense import dense_conv2d
-from repro.snn.engines.event import sparse_conv2d, sparse_linear
 from repro.snn.engines.event_batched import EventBatchedEngine
-from repro.snn.engines.sharding import run_layer_shards, split_bounds
 from repro.snn.spikes import SpikeStream, StepSpikes
 from repro.tensor import Tensor
 from repro.utils.io import atomic_write_json
@@ -96,28 +94,26 @@ PLAN_CACHE_CAPACITY = 8
 PLAN_FILE_FORMAT = "repro-execution-plans/v1"
 
 #: Upper edges of the coarse input-density buckets baked into plan keys.
-#: The GEMM/gather crossover moves with input density just like it moves
+#: The GEMM/COO crossover moves with input density just like it moves
 #: with the stack size, so a plan calibrated on a 1%-dense stream must
 #: not be replayed on a 40%-dense one of the same shape.  Buckets are
 #: deliberately coarse (log-spaced around the observed crossovers) so
 #: ordinary batch-to-batch density jitter still hits the cached plan.
 DENSITY_BUCKET_EDGES = (0.005, 0.01, 0.02, 0.05, 0.1, 0.25, 0.5)
 
-#: Timing samples per kernel in the calibration race (best-of-N).  All
-#: raced kernels — GEMM, event gather, COO row-subset, sharded GEMM —
-#: get the same sample count: racing a min-of-N candidate against a
-#: single-shot incumbent systematically favours the candidate (one
-#: noisy-high GEMM sample near the crossover flips the layer to a slower
-#: sparse kernel), which is exactly the miscalibration that pushes
-#: ``auto_vs_best_fixed`` past its 1.1 acceptance bound.
+#: Timing samples per kernel in the calibration race (best-of-N).  Both
+#: raced kernels — GEMM and COO row-subset — get the same sample count:
+#: racing a min-of-N candidate against a single-shot incumbent
+#: systematically favours the candidate (one noisy-high GEMM sample
+#: near the crossover flips the layer to a slower sparse kernel), which
+#: is exactly the miscalibration that pushes ``auto_vs_best_fixed`` past
+#: its 1.1 acceptance bound.
 CALIBRATION_REPEATS = 3
 
-#: The kernels that compute bit-identical floats per layer: the batched
-#: GEMM and the COO row-subset path share summation order exactly, so a
-#: mid-run re-plan may swap a layer between them without perturbing the
-#: logits.  The per-plane event gather accumulates in per-spike order
-#: and is only summation-order equal, so re-plans never touch layers it
-#: owns.
+#: The planner's whole kernel menu: the batched GEMM and the COO
+#: row-subset path share summation order exactly, so any plan — raced,
+#: predicted, seeded or re-planned mid-run — computes the same bits.
+#: Plan files naming any other backend are rejected on load.
 BITWISE_BACKENDS = ("gemm", "event-batched")
 
 #: Observed-vs-calibrated density deviations below this absolute value
@@ -129,19 +125,6 @@ MIN_DRIFT_DEVIATION = 0.01
 #: tenant's traffic mix within tens of requests, light enough that one
 #: outlier batch cannot yank the warm-start bucket.
 DENSITY_PRIOR_ALPHA = 0.2
-
-#: Per-layer shard race defaults: a GEMM layer is only worth row-sharding
-#: when one calibration call already costs this much wall clock (the
-#: thread fan-out has fixed overhead), and the race tries this many
-#: workers.
-LAYER_SHARD_MIN_SECONDS = 0.05
-LAYER_SHARD_WORKERS = 2
-
-#: Fewest stack rows a per-layer row shard may hold; a layer too short
-#: for two such shards runs in-line.  Small GEMMs take another OpenBLAS
-#: summation path (see :data:`STACK_BLOCK_ROWS`), so shorter row shards
-#: would not be bitwise equal to the in-line kernel.
-LAYER_SHARD_MIN_ROWS = STACK_BLOCK_ROWS // 2
 
 
 def density_bucket(density: float) -> int:
@@ -163,23 +146,19 @@ class LayerDecision:
     ``source`` records how the choice was made: ``"raced"`` (measured
     kernels), ``"cost-model"`` (predicted from the fitted model) or
     ``"re-planned"`` (swapped by the mid-run drift guard).
-    ``shard_mode``/``workers`` extend the plan beyond kernel choice: a
-    GEMM layer may execute as supervised row shards
-    (:func:`~repro.snn.engines.sharding.run_layer_shards`) when the
-    calibration race showed the fan-out pays.
     """
 
     name: str
-    backend: str                 # "gemm" | "event" | "event-batched"
+    backend: str                 # one of BITWISE_BACKENDS
     density: float               # observed input density during calibration
     gemm_seconds: float          # measured batched-GEMM wall clock
-    event_seconds: Optional[float] = None  # measured gather wall clock (if tried)
     coo_seconds: Optional[float] = None    # measured COO row-subset wall clock
     source: str = "raced"        # "raced" | "cost-model" | "re-planned"
     predicted_ms: float = 0.0    # planner-expected wall clock of the choice
     dense_ops: int = 0           # dense MAC count at the calibrated shape
-    shard_mode: str = ""         # "" (in-line) | "thread" row sharding
-    workers: int = 1             # row-shard fan-out when shard_mode set
+
+    # Not a field: every layer runs in-line; perfbench's plan signatures read it.
+    workers = 1
 
 
 @dataclass
@@ -206,12 +185,10 @@ class ExecutionPlan:
         return decision.backend if decision is not None else "gemm"
 
     @property
-    def event_layers(self) -> int:
-        return sum(1 for d in self.decisions.values() if d.backend == "event")
-
-    @property
-    def sharded_layers(self) -> int:
-        return sum(1 for d in self.decisions.values() if d.workers > 1)
+    def coo_layers(self) -> int:
+        return sum(
+            1 for d in self.decisions.values() if d.backend == "event-batched"
+        )
 
     @property
     def source(self) -> str:
@@ -243,13 +220,10 @@ class ExecutionPlan:
                     "backend": d.backend,
                     "density": d.density,
                     "gemm_seconds": d.gemm_seconds,
-                    "event_seconds": d.event_seconds,
                     "coo_seconds": d.coo_seconds,
                     "source": d.source,
                     "predicted_ms": d.predicted_ms,
                     "dense_ops": d.dense_ops,
-                    "shard_mode": d.shard_mode,
-                    "workers": d.workers,
                 }
                 for d in self.decisions.values()
             ],
@@ -257,7 +231,13 @@ class ExecutionPlan:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "ExecutionPlan":
-        """Rebuild a plan from a :meth:`to_payload` dict."""
+        """Rebuild a plan from a :meth:`to_payload` dict.
+
+        Keys of removed mechanisms (the gather's ``event_seconds``, the
+        row shards' ``shard_mode``/``workers``) are ignored, so a legacy
+        shard decision runs in-line with the same bits.  A decision on a
+        backend outside :data:`BITWISE_BACKENDS` raises ``ValueError``.
+        """
         if payload.get("format") != PLAN_FILE_FORMAT:
             raise ValueError(
                 f"not an execution plan document (format "
@@ -275,28 +255,26 @@ class ExecutionPlan:
             )
         )
         for entry in payload["decisions"]:
+            if entry["backend"] not in BITWISE_BACKENDS:
+                raise ValueError(
+                    f"layer {entry['name']!r} planned on backend "
+                    f"{entry['backend']!r}, not one of {BITWISE_BACKENDS}"
+                )
             plan.decisions[entry["name"]] = LayerDecision(
                 name=entry["name"],
                 backend=entry["backend"],
                 density=float(entry["density"]),
                 gemm_seconds=float(entry["gemm_seconds"]),
-                event_seconds=(
-                    None
-                    if entry["event_seconds"] is None
-                    else float(entry["event_seconds"])
-                ),
                 coo_seconds=(
                     None
                     if entry.get("coo_seconds") is None
                     else float(entry.get("coo_seconds"))
                 ),
                 # Planner-v2 fields; plans persisted before them load as
-                # plain raced, unsharded decisions.
+                # plain raced decisions.
                 source=str(entry.get("source", "raced")),
                 predicted_ms=float(entry.get("predicted_ms", 0.0)),
                 dense_ops=int(entry.get("dense_ops", 0)),
-                shard_mode=str(entry.get("shard_mode", "")),
-                workers=int(entry.get("workers", 1)),
             )
         return plan
 
@@ -314,7 +292,7 @@ class ExecutionPlan:
 class _Capture:
     """Per-layer calibration measurement.
 
-    Numbers only — the challenger kernels are raced inline while the
+    Numbers only — the COO challenger is raced inline while the
     layer's input is naturally live, so calibration never retains
     activation stacks (a batched run's whole working set would
     otherwise stay pinned until the plan compiles).  ``raceable`` marks
@@ -325,9 +303,7 @@ class _Capture:
 
     density: float
     gemm_seconds: float
-    event_seconds: Optional[float]  # None: constant/dense input, not raced
-    coo_seconds: Optional[float] = None  # COO row-subset kernel, if raced
-    shard_seconds: Optional[float] = None  # row-sharded GEMM, if raced
+    coo_seconds: Optional[float] = None  # None: not raced
     dense_ops: int = 0
     raceable: bool = False
     seeded: Optional[LayerDecision] = None
@@ -348,7 +324,7 @@ class AutoEngine(EventBatchedEngine):
     Parameters
     ----------
     density_threshold:
-        Input densities at or above this never try the sparse kernels
+        Input densities at or above this never try the COO kernel
         (there is no sparsity to exploit; the gather would only copy).
     margin:
         A challenger kernel must beat the GEMM by this factor to be
@@ -375,12 +351,6 @@ class AutoEngine(EventBatchedEngine):
         Allow the drift guard to swap the plan at a layer boundary
         mid-run (requires a fitted cost model).  Off, drift always
         falls back to evict-next-run.
-    layer_shard_workers / layer_shard_min_seconds:
-        Per-layer shard race: GEMM layers whose calibration call costs
-        at least ``layer_shard_min_seconds`` also race a supervised
-        ``layer_shard_workers``-way row-sharded execution, and the plan
-        records the fan-out when it wins.  ``layer_shard_workers <= 1``
-        disables the race.
     """
 
     name = "auto"
@@ -394,8 +364,6 @@ class AutoEngine(EventBatchedEngine):
         profile_layers: bool = True,
         cost_model: Optional[CostModel] = None,
         midrun_replan: bool = True,
-        layer_shard_workers: int = LAYER_SHARD_WORKERS,
-        layer_shard_min_seconds: float = LAYER_SHARD_MIN_SECONDS,
     ) -> None:
         # Calibration *is* the per-layer profile, so profiling stays on
         # regardless of the flag an explicit False would suggest.
@@ -406,14 +374,10 @@ class AutoEngine(EventBatchedEngine):
             raise ValueError("margin must be in (0, 1]")
         if drift_threshold <= 0.0:
             raise ValueError("drift_threshold must be > 0")
-        if layer_shard_min_seconds < 0.0:
-            raise ValueError("layer_shard_min_seconds must be >= 0")
         self.margin = margin
         self.drift_threshold = drift_threshold
         self.plan_path = plan_path
         self.midrun_replan = bool(midrun_replan)
-        self.layer_shard_workers = int(layer_shard_workers)
-        self.layer_shard_min_seconds = float(layer_shard_min_seconds)
         self.calibration_runs = 0
         self.replans_triggered = 0
         self.warm_starts = 0
@@ -430,7 +394,6 @@ class AutoEngine(EventBatchedEngine):
         self._replanned_at: Optional[str] = None
         self._replan_worst = 0.0
         self._run_observations: List[Tuple[str, float, float]] = []
-        self._layer_shard_failures: List = []
         # The plan key every block of the current blocked call shares
         # (see _run_blocked); None outside a blocked call.
         self._block_key: Optional[Tuple] = None
@@ -457,8 +420,6 @@ class AutoEngine(EventBatchedEngine):
         config["margin"] = self.margin
         config["drift_threshold"] = self.drift_threshold
         config["midrun_replan"] = self.midrun_replan
-        config["layer_shard_workers"] = self.layer_shard_workers
-        config["layer_shard_min_seconds"] = self.layer_shard_min_seconds
         return config
 
     def _share_caches(self, peer: "AutoEngine") -> None:
@@ -670,10 +631,8 @@ class AutoEngine(EventBatchedEngine):
         return run
 
     def _lanes_ready(self) -> bool:
-        # A cold key calibrates serially, and a plan that row-shards a
-        # layer already spreads that layer over the cores.
-        plan = self._plans.get(self._block_key)
-        return plan is not None and plan.sharded_layers == 0
+        # A cold key calibrates serially.
+        return self._plans.get(self._block_key) is not None
 
     def _enter_lane(self, peer: "AutoEngine") -> None:
         peer._block_key = self._block_key
@@ -706,7 +665,6 @@ class AutoEngine(EventBatchedEngine):
         self._replanned_at = None
         self._replan_worst = 0.0
         self._run_observations = []
-        self._layer_shard_failures = []
         if plan is None:
             if self.cost_model.plan_ready():
                 # Warm cold start: no races — one plain batched pass
@@ -757,10 +715,6 @@ class AutoEngine(EventBatchedEngine):
                 self.cost_model.observe_many(self._run_observations)
                 run.observations = list(self._run_observations)
                 self._persist_cost_model()
-            if self._layer_shard_failures:
-                stats.shard_failures = (
-                    list(stats.shard_failures) + list(self._layer_shard_failures)
-                )
             for layer in stats.layers:
                 if layer.kind == "neuron":
                     layer.backend = "stepped"
@@ -778,14 +732,13 @@ class AutoEngine(EventBatchedEngine):
             self._predict_only = False
             self._replanned_at = None
             self._run_observations = []
-            self._layer_shard_failures = []
 
     def _check_drift(self, key, plan: ExecutionPlan, stats) -> bool:
         """Drop the plan when observed densities left its calibration.
 
         Relative drift is ``|observed - calibrated| / calibrated`` per
         planned synapse layer; crossing ``drift_threshold`` on any
-        layer means the GEMM/event crossover the plan encodes was
+        layer means the GEMM/COO crossover the plan encodes was
         measured on a different activity regime (distribution shift),
         so the plan is evicted and the next run recalibrates.  (With a
         trustworthy cost model the mid-run guard usually re-plans
@@ -793,7 +746,7 @@ class AutoEngine(EventBatchedEngine):
         for plans without geometry or runs where the in-flight check
         was disabled.)  Layers whose *absolute* deviation is tiny are
         ignored: near-silent layers naturally vary by large relative
-        factors between batches without moving the GEMM/gather
+        factors between batches without moving the GEMM/COO
         crossover, and billing them would make the guard oscillate
         calibrate/drop forever.  Returns whether the plan was dropped.
         """
@@ -831,9 +784,9 @@ class AutoEngine(EventBatchedEngine):
         Already-executed layers keep their decisions untouched (their
         work is done); the drifting layer and everything downstream are
         re-predicted from the cost model at densities scaled by the
-        observed drift ratio.  Only bitwise-agreeing kernels are
-        eligible targets, so the completed run's logits are
-        bit-identical to the same run without the swap.  The re-planned
+        observed drift ratio.  Both kernels on the menu compute the
+        same floats, so the completed run's logits are bit-identical to
+        the same run without the swap.  The re-planned
         schedule replaces the cached plan in place — the next run for
         this key starts on it with no cold recalibration.
         """
@@ -878,10 +831,9 @@ class AutoEngine(EventBatchedEngine):
     ) -> LayerDecision:
         """One layer's cost-model re-prediction under a drift ratio."""
         density = min(max(decision.density * scale, 0.0), 1.0)
-        if decision.backend not in BITWISE_BACKENDS or decision.dense_ops <= 0:
-            # The per-plane gather is only summation-order equal to the
-            # GEMM, and geometry-less decisions (old plan files) cannot
-            # be priced — both keep their backend, updated density only.
+        if decision.dense_ops <= 0:
+            # Geometry-less decisions (old plan files) cannot be priced:
+            # they keep their backend, updated density only.
             return replace(decision, density=density)
         gemm_ms = self.cost_model.predict_ms("gemm", decision.dense_ops)
         coo_ms = self.cost_model.predict_ms(
@@ -899,10 +851,6 @@ class AutoEngine(EventBatchedEngine):
             density=density,
             source="re-planned",
             predicted_ms=predicted,
-            # Row sharding was raced for the GEMM only; a swapped layer
-            # runs the COO kernel in-line.
-            shard_mode=decision.shard_mode if backend == "gemm" else "",
-            workers=decision.workers if backend == "gemm" else 1,
         )
 
     def _absorb_shard_runs(self, runs) -> None:
@@ -949,8 +897,7 @@ class AutoEngine(EventBatchedEngine):
                     "density_bucket": int(bucket),
                     "source": plan.source,
                     "layers": len(plan.decisions),
-                    "event_layers": plan.event_layers,
-                    "sharded_layers": plan.sharded_layers,
+                    "coo_layers": plan.coo_layers,
                 }
             )
         return {
@@ -972,9 +919,9 @@ class AutoEngine(EventBatchedEngine):
     ) -> ExecutionPlan:
         """Turn calibration measurements into a per-layer schedule.
 
-        Raced layers keep the PR 3 rule — a measured challenger must
-        beat the measured GEMM by the ``margin`` hysteresis — now with
-        the row-sharded GEMM as a fourth candidate.  In predict-only
+        Raced layers switch to the COO kernel only when its measured
+        time beats the measured GEMM by the ``margin`` hysteresis.  In
+        predict-only
         calibrations no races happened: every raceable layer is priced
         by the cost model instead (source ``"cost-model"``), and layers
         the warm start seeded copy the neighboring bucket's decision.
@@ -996,37 +943,21 @@ class AutoEngine(EventBatchedEngine):
             if self._predict_only:
                 plan.decisions[name] = self._predict_decision(name, capture)
                 continue
-            backend = "gemm"
-            best = capture.gemm_seconds * self.margin
-            for candidate, seconds in (
-                ("event", capture.event_seconds),
-                ("event-batched", capture.coo_seconds),
-            ):
-                if seconds is not None and seconds < best:
-                    backend, best = candidate, seconds
-            shard_mode, workers = "", 1
+            backend, chosen_seconds = "gemm", capture.gemm_seconds
             if (
-                backend == "gemm"
-                and capture.shard_seconds is not None
-                and capture.shard_seconds < capture.gemm_seconds * self.margin
+                capture.coo_seconds is not None
+                and capture.coo_seconds < capture.gemm_seconds * self.margin
             ):
-                shard_mode, workers = "thread", self.layer_shard_workers
-                best = capture.shard_seconds
-            chosen_seconds = (
-                capture.gemm_seconds if backend == "gemm" and workers == 1 else best
-            )
+                backend, chosen_seconds = "event-batched", capture.coo_seconds
             plan.decisions[name] = LayerDecision(
                 name=name,
                 backend=backend,
                 density=capture.density,
                 gemm_seconds=capture.gemm_seconds,
-                event_seconds=capture.event_seconds,
                 coo_seconds=capture.coo_seconds,
                 source="raced",
                 predicted_ms=chosen_seconds * 1e3,
                 dense_ops=capture.dense_ops,
-                shard_mode=shard_mode,
-                workers=workers,
             )
         if seeded_any:
             self.warm_starts += 1
@@ -1038,11 +969,8 @@ class AutoEngine(EventBatchedEngine):
         backend = "gemm"
         predicted = gemm_ms if gemm_ms is not None else capture.gemm_seconds * 1e3
         if capture.raceable and gemm_ms is not None:
-            # Only the bit-exact COO challenger is predictable: the
-            # per-plane gather's cost has per-plane geometry terms the
-            # affine-in-ops model cannot see, so it is chosen by
-            # measured races only.  This also keeps every predicted
-            # plan inside the bitwise pair a mid-run re-plan may swap.
+            # The COO kernel's work is events times fan-out, the unit
+            # the model fitted its samples in.
             ops = sparse_feature_ops(capture.dense_ops, capture.density)
             coo_ms = self.cost_model.predict_ms("event-batched", ops)
             if coo_ms is not None and coo_ms < gemm_ms * self.margin:
@@ -1055,43 +983,6 @@ class AutoEngine(EventBatchedEngine):
             source="cost-model",
             predicted_ms=float(predicted),
             dense_ops=capture.dense_ops,
-        )
-
-    # ------------------------------------------------------------------
-    def _layer_shard_output(
-        self, module, data, weight, bias, is_conv: bool, workers: int, mode: str
-    ):
-        """One layer's output computed as supervised row shards.
-
-        Returns ``(out, failures)``.  Each output row is an independent
-        reduction over the same input rows with the same kernel, but
-        that alone does not make the concatenation bitwise identical to
-        the in-line kernel: OpenBLAS takes another summation path for
-        small GEMMs (a 512->10 GEMM split into blocks of fewer than 128
-        rows is not bitwise equal to the unsplit one).  So no shard
-        holds fewer than :data:`LAYER_SHARD_MIN_ROWS` rows; a layer too
-        short for two shards runs in-line.
-        """
-        rows = int(data.shape[0])
-        bounds = split_bounds(rows, min(workers, rows // LAYER_SHARD_MIN_ROWS))
-
-        def kernel(lo: int, hi: int):
-            block = data[lo:hi]
-            if is_conv:
-                return dense_conv2d(
-                    block, weight, bias, module.stride, module.padding
-                )
-            out = block @ weight.T
-            if bias is not None:
-                out = out + bias
-            return out
-
-        if len(bounds) <= 1:
-            return kernel(0, rows), []
-        outcome = run_layer_shards(kernel, bounds, mode or "thread")
-        return (
-            np.concatenate(outcome.results, axis=0),
-            list(outcome.failures),
         )
 
     # ------------------------------------------------------------------
@@ -1114,7 +1005,7 @@ class AutoEngine(EventBatchedEngine):
         def calibrate(x: Tensor, data) -> Tensor:
             # Calibration: time the GEMM path, then (unless the cost
             # model already prices the kernels, or the warm-start seed
-            # still matches) race the challengers right here while the
+            # still matches) race the COO kernel right here while the
             # input is naturally live — recording numbers, never
             # activations, keeps the calibration run's memory profile
             # identical to a plain batched run.
@@ -1128,9 +1019,7 @@ class AutoEngine(EventBatchedEngine):
             started = time.perf_counter()
             out = gemm(x)
             gemm_seconds = time.perf_counter() - started
-            event_seconds: Optional[float] = None
             coo_seconds: Optional[float] = None
-            shard_seconds: Optional[float] = None
             seeded: Optional[LayerDecision] = None
             raceable = not constant and density < self.density_threshold
             seed_decision = (
@@ -1152,12 +1041,12 @@ class AutoEngine(EventBatchedEngine):
             if raceable and seeded is None and not self._predict_only:
                 weight = _effective_weight(module, self._weight_cache)
                 bias = module.bias.data if module.bias is not None else None
-                # Every raced kernel gets the same best-of-N
+                # Both raced kernels get the same best-of-N
                 # sampling, the GEMM included: its real forward
                 # above is one sample, and the raw kernel is
                 # re-timed to fill the rest.  An asymmetric race
-                # (min-of-N candidates vs a one-shot incumbent)
-                # flips crossover layers onto slower sparse kernels
+                # (min-of-N challenger vs a one-shot incumbent)
+                # flips crossover layers onto the slower COO kernel
                 # whenever the single GEMM sample lands high.
                 for _ in range(CALIBRATION_REPEATS - 1):
                     trial = time.perf_counter()
@@ -1171,18 +1060,6 @@ class AutoEngine(EventBatchedEngine):
                             redo += bias
                     gemm_seconds = min(
                         gemm_seconds, time.perf_counter() - trial
-                    )
-                event_seconds = float("inf")
-                for _ in range(CALIBRATION_REPEATS):
-                    trial = time.perf_counter()
-                    if is_conv:
-                        sparse_conv2d(
-                            data, weight, bias, module.stride, module.padding
-                        )
-                    else:
-                        sparse_linear(data, weight, bias)
-                    event_seconds = min(
-                        event_seconds, time.perf_counter() - trial
                     )
                 coo_seconds = float("inf")
                 for _ in range(CALIBRATION_REPEATS):
@@ -1204,36 +1081,13 @@ class AutoEngine(EventBatchedEngine):
                 self._run_observations.extend(
                     [
                         ("gemm", float(dense_ops), gemm_seconds * 1e3),
-                        ("event", sparse_ops, event_seconds * 1e3),
                         ("event-batched", sparse_ops, coo_seconds * 1e3),
                     ]
                 )
-            if (
-                not constant
-                and seeded is None
-                and not self._predict_only
-                and self.layer_shard_workers > 1
-                and data.shape[0] >= 2 * LAYER_SHARD_MIN_ROWS
-                and gemm_seconds > self.layer_shard_min_seconds
-            ):
-                weight = _effective_weight(module, self._weight_cache)
-                bias = module.bias.data if module.bias is not None else None
-                shard_seconds = float("inf")
-                for _ in range(CALIBRATION_REPEATS):
-                    trial = time.perf_counter()
-                    self._layer_shard_output(
-                        module, data, weight, bias, is_conv,
-                        self.layer_shard_workers, "thread",
-                    )
-                    shard_seconds = min(
-                        shard_seconds, time.perf_counter() - trial
-                    )
             self._calibration[name] = _Capture(
                 density=density,
                 gemm_seconds=gemm_seconds,
-                event_seconds=event_seconds,
                 coo_seconds=coo_seconds,
-                shard_seconds=shard_seconds,
                 dense_ops=dense_ops,
                 raceable=raceable,
                 seeded=seeded,
@@ -1267,47 +1121,17 @@ class AutoEngine(EventBatchedEngine):
                 ):
                     plan = self._replan_mid_run(plan, name, observed)
                     decision = plan.decisions.get(name)
-            backend = decision.backend if decision is not None else "gemm"
-            if backend == "gemm" or constant:
-                if (
-                    decision is not None
-                    and decision.workers > 1
-                    and not constant
-                ):
-                    # Planned row sharding: same GEMM kernel over
-                    # contiguous row blocks under the shard supervisor,
-                    # billed exactly like the in-line GEMM.
-                    ops = _dense_op_count(module, data.shape)
-                    stat.synaptic_ops += ops
-                    stat.dense_synaptic_ops += ops
-                    weight = _effective_weight(module, self._weight_cache)
-                    bias = (
-                        module.bias.data if module.bias is not None else None
-                    )
-                    out, failures = self._layer_shard_output(
-                        module, data, weight, bias, is_conv,
-                        decision.workers, decision.shard_mode,
-                    )
-                    if failures:
-                        self._layer_shard_failures.extend(failures)
-                    return Tensor(out)
+            if decision is None or decision.backend == "gemm" or constant:
                 return gemm(x)
-            # Planned sparse layer: one gather over the whole (T*N, ...)
-            # stack; bills performed (per-spike) ops like the event
-            # engine, with the dense MAC count as the baseline.
+            # Planned COO layer: one row-subset gather over the whole
+            # (T*N, ...) stack; bills performed (per-spike) ops, with
+            # the dense MAC count as the baseline.
             stat.dense_synaptic_ops += _dense_op_count(module, data.shape)
             weight = _effective_weight(module, self._weight_cache)
             bias = module.bias.data if module.bias is not None else None
-            if backend == "event-batched":
-                out, billed, _ = self._coo_synapse(
-                    module, data, coords_of(data), weight, bias
-                )
-            elif is_conv:
-                out, billed = sparse_conv2d(
-                    data, weight, bias, module.stride, module.padding
-                )
-            else:
-                out, billed = sparse_linear(data, weight, bias)
+            out, billed, _ = self._coo_synapse(
+                module, data, coords_of(data), weight, bias
+            )
             stat.synaptic_ops += billed
             return Tensor(out)
 

@@ -15,8 +15,8 @@ the work the backend performs::
 
 where ``ops`` is the backend's natural work unit: the dense MAC count
 for the GEMM path, and ``density * dense_macs`` (events times fan-out)
-for the sparse kernels.  Affine-in-ops captures what actually moves the
-GEMM/gather crossover — layer geometry scales both terms, density
+for the COO row-subset kernel.  Affine-in-ops captures what actually
+moves the GEMM/COO crossover — layer geometry scales both terms, density
 scales only the sparse one — while staying fittable from a handful of
 observations by least squares, with no iterative optimiser.  Slopes and
 intercepts are clamped non-negative so a noisy fit can never predict
@@ -51,9 +51,12 @@ logger = logging.getLogger(__name__)
 #: On-disk format tag for persisted cost models.
 COST_MODEL_FORMAT = "repro-cost-model/v1"
 
-#: Backends the model prices.  "gemm" is billed in dense MACs; the two
-#: sparse kernels are billed in performed (event x fan-out) ops.
-COST_BACKENDS = ("gemm", "event", "event-batched")
+#: Backends the model prices: the auto engine's kernel menu.  "gemm"
+#: is billed in dense MACs, the COO kernel in performed (event x
+#: fan-out) ops.  Samples for any other backend (such as "event" in a
+#: model persisted while the planner still raced the per-plane gather)
+#: are ignored.
+COST_BACKENDS = ("gemm", "event-batched")
 
 #: Observations a backend needs before its fit is trusted.  One raced
 #: calibration contributes one observation per raced layer, so a deep
@@ -79,10 +82,10 @@ def cost_model_path_for(plan_path: str) -> str:
 
 
 def sparse_feature_ops(dense_ops: float, density: float) -> float:
-    """The sparse kernels' work feature: events times fan-out.
+    """The COO kernel's work feature: events times fan-out.
 
-    Both sparse paths (per-plane gather, COO row-subset) do work
-    proportional to the nonzero fraction of the dense MAC count; the
+    The COO row-subset path does work proportional to the nonzero
+    fraction of the dense MAC count; the
     same expression is used for fitting and for prediction so the
     learned slope absorbs any constant factor between this estimate and
     the kernels' exact billed ops.

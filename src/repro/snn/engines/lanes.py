@@ -31,8 +31,8 @@ Blocks run serially, exactly as without lanes, when
   (another BLAS, or an older OpenBLAS);
 * the call is a batch-shard task: the shards already own the cores;
 * the engine declines (:meth:`SimulationEngine._lanes_ready`): the auto
-  engine does until the call's block key has a plan without per-layer
-  row shards, so a cold call still calibrates serially.
+  engine does until the call's block key has a plan, so a cold call
+  still calibrates serially.
 """
 
 from __future__ import annotations

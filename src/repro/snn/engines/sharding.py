@@ -86,10 +86,9 @@ def split_bounds(total: int, shards: int) -> List[Tuple[int, int]]:
     """Contiguous ``(lo, hi)`` row bounds splitting ``total`` rows into
     at most ``shards`` near-equal blocks (empty blocks dropped).
 
-    The one splitting rule every sharded path uses — whole-batch shards
-    in :meth:`SimulationEngine.run` and the planner's per-layer row
-    shards alike — so a degraded re-run always re-executes the exact
-    same slices.
+    The one splitting rule whole-batch shards in
+    :meth:`SimulationEngine.run` use, so a degraded re-run always
+    re-executes the exact same slices.
     """
     if total < 1 or shards < 1:
         return []
@@ -629,45 +628,3 @@ def run_batch_shards(
         label="batch-shard",
     )
 
-
-# ----------------------------------------------------------------------
-def run_layer_shards(
-    kernel: Callable[[int, int], object],
-    bounds: List[Tuple[int, int]],
-    mode: str,
-    policy: Optional[ShardPolicy] = None,
-    label: str = "layer-shard",
-) -> SupervisedOutcome:
-    """Run one layer's row blocks in parallel under supervision.
-
-    The execution substrate for the planner's *per-layer* shard
-    decisions: ``kernel(lo, hi)`` computes the layer's output for rows
-    ``[lo, hi)`` of its stacked input, each block is an independent
-    pure-array task (no module state, no engine), and the supervisor
-    gives it the same fault semantics as whole-batch sharding — per
-    -block failure capture, bounded retries with backoff, and
-    degradation down to serial execution re-running only the failed
-    blocks with bit-identical results (same kernel, same rows).
-
-    Only ``"thread"`` and ``"serial"`` substrates make sense here: the
-    blocks close over live per-run arrays, and forking a pool inside a
-    single layer's forward would cost more than the layer.  The hot
-    kernels are BLAS GEMMs, which release the GIL, so threads
-    parallelise them for real.
-    """
-    if mode not in ("thread", "serial"):
-        raise ValueError(
-            f"per-layer shards run on 'thread' or 'serial', not {mode!r}"
-        )
-
-    def task(index: int):
-        lo, hi = bounds[index]
-        return kernel(lo, hi)
-
-    return run_supervised(
-        count=len(bounds),
-        mode=mode,
-        policy=policy,
-        serial_fn=task,
-        label=label,
-    )

@@ -1,7 +1,7 @@
 """Adaptive (auto) engine tests: calibration, plan caching, equivalence.
 
 The auto engine runs the time-batched GEMM schedule while profiling a
-calibration pass, then compiles a per-layer GEMM/event plan cached by
+calibration pass, then compiles a per-layer GEMM/COO plan cached by
 (input shape, T).  Logits must match the dense reference within float
 summation-order tolerance on every model family, calibration must not
 repeat for a cached key, and the per-layer profile (wall clock,
@@ -14,6 +14,7 @@ import pytest
 
 from repro.snn import AutoEngine, SpikingNetwork, make_engine
 from repro.snn.engines import ExecutionPlan
+from repro.snn.engines.auto import BITWISE_BACKENDS
 
 from test_snn_engine import converted_pooled_toy, converted_resnet, converted_toy
 
@@ -49,7 +50,7 @@ class TestMakeAutoEngine:
 class TestEquivalence:
     """Auto logits match dense on every model family, both on the
     calibration run and on the planned runs that may reroute sparse
-    layers through the event gather."""
+    layers through the COO kernel."""
 
     def test_if_toy(self):
         x = np.random.default_rng(50).normal(size=(6, 2, 4, 4)).astype(np.float32)
@@ -128,7 +129,7 @@ class TestPlanCache:
         assert isinstance(plan, ExecutionPlan)
         assert set(plan.decisions) == {"0", "4"}  # the conv and the linear
         for decision in plan.decisions.values():
-            assert decision.backend in ("gemm", "event")
+            assert decision.backend in BITWISE_BACKENDS
             assert 0.0 <= decision.density <= 1.0
             assert decision.gemm_seconds > 0.0
         # The frame conv sees the dense constant input: never event.
@@ -146,7 +147,7 @@ class TestPlanCache:
             if layer.kind == "neuron":
                 assert layer.backend == "stepped"
             else:
-                assert layer.backend in ("gemm", "event")
+                assert layer.backend in BITWISE_BACKENDS
         table = stats.profile_table()
         assert "backend" in table
         assert "gemm" in table

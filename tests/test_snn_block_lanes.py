@@ -25,7 +25,6 @@ import multiprocessing
 import sys
 import threading
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -226,17 +225,6 @@ class TestSerialFallback:
         warm = engine.run(x, TIMESTEPS)
         assert warm.stats.lanes == 2
         assert engine.calibration_runs == 1
-
-    def test_row_sharded_plan_stays_serial(self, models, lanes_on):
-        engine = make_engine("auto").bind(models["vgg"])
-        x = frames(32, seed=47)
-        engine.run(x, TIMESTEPS)
-        plan = engine.plan_for(x.shape, TIMESTEPS)
-        name = next(n for n, d in plan.decisions.items() if d.backend == "gemm")
-        plan.decisions[name] = replace(
-            plan.decisions[name], shard_mode="thread", workers=2
-        )
-        assert engine.run(x, TIMESTEPS).stats.lanes == 1
 
 
 class TestPlannerCounters:

@@ -13,17 +13,12 @@ The contracts under test:
 * ``auto`` keys every block of one call to one plan, so a call
   calibrates at most once, and ``plan_for(full_shape)`` finds it;
 * batch shards block their own slices, bitwise equal to a serial run;
-* small calls and per-layer row shards below the row floor are left
-  alone.
+* small calls are left alone.
 
 Most tests shrink ``STACK_BLOCK_ROWS`` so tiny batches form blocks.
 ``dense`` is no bitwise reference at such tiny blocks: OpenBLAS sums
 small GEMMs in another order, so an 8-row stack differs from the dense
-engine's per-step GEMM in the last bit even without blocking.  The
-``auto`` engine is pinned to its GEMM kernels (a near-zero
-``density_threshold`` leaves only silent layers raceable) wherever bits
-are compared, so a timing race cannot pick the per-plane gather, which
-is only summation-order equal.
+engine's per-step GEMM in the last bit even without blocking.
 """
 
 import numpy as np
@@ -32,8 +27,7 @@ import pytest
 from repro.data import rate_encode_stream
 from repro.pipeline import build_quantized_twin
 from repro.snn import convert_to_snn
-from repro.snn.engines import AutoEngine, fork_available, make_engine
-from repro.snn.engines import auto as auto_module
+from repro.snn.engines import fork_available, make_engine
 from repro.snn.engines import batched as batched_module
 from repro.snn.engines import lanes as lanes_module
 from repro.tensor import Tensor, no_grad
@@ -70,8 +64,6 @@ def two_sample_blocks(monkeypatch):
 
 
 def engine_for(name, model):
-    if name == "auto":
-        return AutoEngine(density_threshold=1e-9).bind(model)
     return make_engine(name).bind(model)
 
 
@@ -244,25 +236,3 @@ class TestUnblocked:
         assert [hi - lo for lo, hi in engine._sample_blocks(256, 8)] == [32] * 8
         # Balanced: 33 samples at 32 per block is 17 + 16, never 32 + 1.
         assert [hi - lo for lo, hi in engine._sample_blocks(33, 8)] == [17, 16]
-
-
-class TestLayerShardRowFloor:
-    @pytest.mark.parametrize("extra, shards", [(-1, []), (0, [128, 128])])
-    def test_no_shard_below_the_row_floor(self, monkeypatch, extra, shards):
-        seen = []
-        real = auto_module.run_layer_shards
-
-        def recording(kernel, bounds, mode, **kwargs):
-            seen.extend(hi - lo for lo, hi in bounds)
-            return real(kernel, bounds, mode, **kwargs)
-
-        monkeypatch.setattr(auto_module, "run_layer_shards", recording)
-        assert auto_module.LAYER_SHARD_MIN_ROWS == 128
-        rows = 2 * auto_module.LAYER_SHARD_MIN_ROWS + extra
-        data = np.random.default_rng(11).normal(size=(rows, 5)).astype(np.float32)
-        weight = np.ones((3, 5), dtype=np.float32)
-        out, failures = auto_module.AutoEngine()._layer_shard_output(
-            None, data, weight, None, is_conv=False, workers=4, mode="thread"
-        )
-        assert seen == shards and failures == []
-        np.testing.assert_array_equal(out, data @ weight.T)

@@ -175,3 +175,22 @@ class TestPersistence:
         strict = CostModel.load(path, min_observations=6)
         assert strict.min_observations == 6
         assert not strict.ready("gemm")
+
+    @pytest.mark.parametrize("coo_samples", [8, 3])
+    def test_gather_samples_ignored_on_load(self, tmp_path, coo_samples):
+        # A model persisted while the planner still raced the per-plane
+        # gather carries "event" samples; they are not on the menu.
+        gemm = [[ops, ms] for ops, ms in synthetic_samples(1e-6, 0.1)]
+        coo = [[ops, ms] for ops, ms in synthetic_samples(5e-7, 0.05, count=coo_samples)]
+        event = [[ops, ms] for ops, ms in synthetic_samples(2e-6, 0.2)]
+        path = tmp_path / "legacy.cost.json"
+        without = {"format": COST_MODEL_FORMAT, "backends": {"gemm": gemm, "event-batched": coo}}
+        path.write_text(json.dumps(without))
+        expected = CostModel.load(str(path)).plan_ready()
+        path.write_text(json.dumps(
+            dict(without, backends=dict(without["backends"], event=event))
+        ))
+        model = CostModel.load(str(path))
+        assert len(model) == len(gemm) + len(coo)
+        assert "event" not in model.snapshot()["observations"]
+        assert model.plan_ready() is expected is (coo_samples >= 6)

@@ -1,5 +1,5 @@
 """Planner v2: predict-mode calibration, warm starts, mid-run re-plans,
-per-layer shard plans.
+one bitwise kernel menu.
 
 The contracts under test:
 
@@ -9,35 +9,34 @@ The contracts under test:
   it instead of racing cold;
 * drift during a planned run swaps the remaining schedule at a layer
   boundary with **bit-identical** logits versus the un-swapped run;
-* per-layer shard decisions execute through the shard supervisor, so an
-  injected shard fault degrades and completes instead of failing the
-  run.
+* every plan — raced, predicted or re-planned — uses only the GEMM and
+  COO kernels, and its logits are bitwise equal to the batched engine.
 """
 
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.snn import AutoEngine, SpikingNetwork
+from repro import nn
+from repro.data.events import SyntheticDVS
+from repro.snn import AutoEngine, SpikingNetwork, convert_to_snn
 from repro.snn.engines import EngineWorker, ExecutionPlan, make_engine
 from repro.snn.engines import auto as auto_module
-from repro.snn.engines.auto import LayerDecision
+from repro.snn.engines.auto import BITWISE_BACKENDS, PLAN_FILE_FORMAT, LayerDecision
 from repro.snn.engines.costmodel import CostModel
-from repro.snn.engines.sharding import run_layer_shards, split_bounds
+from repro.snn.engines.sharding import split_bounds
+from repro.tensor import Tensor, no_grad
 
-from test_snn_engine import converted_pooled_toy, converted_toy
+from test_snn_engine import converted_pooled_toy, converted_resnet, converted_toy
 
 
-def ready_cost_model(
-    gemm=(1e-6, 0.1), event=(2e-6, 0.2), coo=(5e-7, 0.05)
-) -> CostModel:
+def ready_cost_model(gemm=(1e-6, 0.1), coo=(5e-7, 0.05)) -> CostModel:
     """A fitted model with known affine laws per backend."""
     model = CostModel()
     ops = np.linspace(1e4, 1e6, 8)
-    for backend, (slope, intercept) in (
-        ("gemm", gemm), ("event", event), ("event-batched", coo),
-    ):
+    for backend, (slope, intercept) in (("gemm", gemm), ("event-batched", coo)):
         for o in ops:
             model.observe(backend, float(o), slope * float(o) + intercept)
     assert model.plan_ready()
@@ -198,18 +197,6 @@ class TestMidRunReplan:
         # calibration pass).
         assert engine.plan_for((4, 2, 4, 4), 4) is None
 
-    def test_event_layers_never_swapped(self):
-        # The per-plane gather is only summation-order equal to the
-        # GEMM; a re-plan must leave such layers on their backend.
-        decision = LayerDecision(
-            name="fc", backend="event", density=0.1,
-            gemm_seconds=1.0, dense_ops=10_000,
-        )
-        engine = self._calibrated_engine()
-        repredicted = engine._repredict_decision(decision, scale=5.0)
-        assert repredicted.backend == "event"
-        assert repredicted.density == pytest.approx(0.5)
-
     def test_geometry_less_decisions_keep_backend(self):
         # Plans persisted before Planner v2 carry no dense_ops; they
         # cannot be priced, so a re-plan leaves them untouched.
@@ -243,84 +230,6 @@ class TestSplitBounds:
         assert split_bounds(4, 0) == []
 
 
-class TestLayerShardPlans:
-    @pytest.fixture(autouse=True)
-    def _shard_short_layers(self, monkeypatch):
-        # The toy's layers are far shorter than the production row floor;
-        # lower it so these plans really split their layers into shards.
-        monkeypatch.setattr(auto_module, "LAYER_SHARD_MIN_ROWS", 1)
-
-    def _planned_net(self):
-        engine = AutoEngine()
-        net = SpikingNetwork(converted_pooled_toy(), timesteps=4, engine=engine)
-        x = np.random.default_rng(40).normal(size=(6, 2, 8, 8)).astype(np.float32)
-        net.forward(x)  # calibrate
-        return engine, net, x
-
-    def _shard_last_gemm_layer(self, engine, workers=2):
-        plan = engine.plan_for((6, 2, 8, 8), 4)
-        name = list(plan.decisions)[-1]
-        plan.decisions[name] = replace(
-            plan.decisions[name],
-            backend="gemm", shard_mode="thread", workers=workers,
-        )
-        return name
-
-    def test_sharded_layer_output_bitwise_equal(self):
-        engine, net, x = self._planned_net()
-        plan = engine.plan_for((6, 2, 8, 8), 4)
-        # Pin every layer to the in-line GEMM for the baseline run.
-        for name in list(plan.decisions):
-            plan.decisions[name] = replace(
-                plan.decisions[name], backend="gemm", shard_mode="", workers=1
-            )
-        baseline = net.forward(x)
-        self._shard_last_gemm_layer(engine)
-        sharded = net.forward(x)
-        assert np.array_equal(baseline, sharded)
-        assert not net.last_run_stats.shard_failures
-
-    def test_injected_shard_fault_degrades_and_completes(self, monkeypatch):
-        engine, net, x = self._planned_net()
-        plan = engine.plan_for((6, 2, 8, 8), 4)
-        for name in list(plan.decisions):
-            plan.decisions[name] = replace(
-                plan.decisions[name], backend="gemm", shard_mode="", workers=1
-            )
-        baseline = net.forward(x)
-        self._shard_last_gemm_layer(engine)
-
-        boom = {"remaining": 1}
-
-        def flaky_run_layer_shards(kernel, bounds, mode, policy=None, label=""):
-            def wrapped(lo, hi):
-                if boom["remaining"] > 0:
-                    boom["remaining"] -= 1
-                    raise RuntimeError("injected shard fault")
-                return kernel(lo, hi)
-
-            return run_layer_shards(
-                wrapped, bounds, mode, policy=policy, label=label
-            )
-
-        monkeypatch.setattr(
-            auto_module, "run_layer_shards", flaky_run_layer_shards
-        )
-        recovered = net.forward(x)
-        stats = net.last_run_stats
-        assert stats.shard_failures  # the fault was seen and absorbed
-        assert np.array_equal(baseline, recovered)
-
-    def test_shard_decision_round_trips_through_plan_file(self):
-        engine, net, _ = self._planned_net()
-        name = self._shard_last_gemm_layer(engine)
-        plan = engine.plan_for((6, 2, 8, 8), 4)
-        reloaded = ExecutionPlan.from_json(plan.to_json())
-        assert reloaded.decisions[name].shard_mode == "thread"
-        assert reloaded.decisions[name].workers == 2
-        assert reloaded.sharded_layers == 1
-
-
 class TestPlanPayloadCompat:
     def test_legacy_payload_defaults_new_fields(self):
         plan = ExecutionPlan(
@@ -333,16 +242,54 @@ class TestPlanPayloadCompat:
         )
         payload = plan.to_payload()
         for entry in payload["decisions"]:
-            for field in ("source", "predicted_ms", "dense_ops",
-                          "shard_mode", "workers"):
+            for field in ("source", "predicted_ms", "dense_ops"):
                 entry.pop(field)
         loaded = ExecutionPlan.from_payload(payload)
         decision = loaded.decisions["0"]
         assert decision.source == "raced"
         assert decision.predicted_ms == 0.0
         assert decision.dense_ops == 0
-        assert decision.shard_mode == ""
         assert decision.workers == 1
+
+    def _calibrated_payload(self, x):
+        engine = AutoEngine()
+        SpikingNetwork(converted_pooled_toy(), timesteps=4, engine=engine).forward(x)
+        return engine.plan_for(x.shape, 4).to_payload()
+
+    def test_legacy_shard_decision_runs_inline_bitwise(self, tmp_path):
+        x = np.random.default_rng(41).normal(size=(6, 2, 8, 8)).astype(np.float32)
+        payload = self._calibrated_payload(x)
+        for entry in payload["decisions"]:
+            # As persisted when the planner still raced row shards.
+            entry.update(event_seconds=None, shard_mode="", workers=1)
+        gemm = next(e for e in payload["decisions"] if e["backend"] == "gemm")
+        gemm.update(shard_mode="thread", workers=2)
+        path = tmp_path / "plans.json"
+        path.write_text(json.dumps({"format": PLAN_FILE_FORMAT, "plans": [payload]}))
+        engine = AutoEngine(plan_path=str(path))
+        assert engine.plan_for(x.shape, 4).decisions[gemm["name"]].workers == 1
+        model = converted_pooled_toy()
+        logits = SpikingNetwork(model, timesteps=4, engine=engine).forward(x)
+        assert engine.calibration_runs == 0
+        reference = SpikingNetwork(model, timesteps=4, engine="batched").forward(x)
+        assert np.array_equal(logits, reference)
+
+    def test_gather_decision_rejected_and_recalibrated(self, tmp_path, caplog):
+        x = np.random.default_rng(42).normal(size=(6, 2, 8, 8)).astype(np.float32)
+        payload = self._calibrated_payload(x)
+        payload["decisions"][-1]["backend"] = "event"
+        path = tmp_path / "plans.json"
+        path.write_text(json.dumps({"format": PLAN_FILE_FORMAT, "plans": [payload]}))
+        with caplog.at_level("WARNING", logger=auto_module.__name__):
+            engine = AutoEngine(plan_path=str(path))
+        assert len([r for r in caplog.records if r.levelname == "WARNING"]) == 1
+        assert engine.load_plans() == 0
+        with pytest.raises(ValueError, match="event"):
+            ExecutionPlan.from_payload(payload)
+        net = SpikingNetwork(converted_pooled_toy(), timesteps=4, engine=engine)
+        net.forward(x)
+        net.forward(x)
+        assert engine.calibration_runs == 1
 
 
 class TestPersistence:
@@ -374,6 +321,11 @@ class TestPlannerSnapshot:
         assert entry["source"] == "cost-model"
         assert entry["input_shape"] == [2, 2, 4, 4]
         assert entry["layers"] >= 1
+        plan = engine.plan_for((2, 2, 4, 4), 4)
+        assert entry["coo_layers"] == sum(
+            d.backend == "event-batched" for d in plan.decisions.values()
+        )
+        assert "event_layers" not in entry and "sharded_layers" not in entry
 
     def test_worker_passthrough_and_fixed_engine_none(self):
         engine = AutoEngine()
@@ -390,3 +342,80 @@ class TestPlannerSnapshot:
             assert worker.planner_snapshot() is None
         finally:
             worker.shutdown()
+
+
+def converted_dvs_toy():
+    """A two-conv CNN on 16x16 two-polarity event frames."""
+    rng = np.random.default_rng(70)
+    model = nn.Sequential(
+        nn.Conv2d(2, 4, 3, padding=1, rng=rng),
+        nn.BatchNorm2d(4),
+        nn.QuantReLU(levels=2, init_step=1.0),
+        nn.MaxPool2d(2),
+        nn.Conv2d(4, 8, 3, padding=1, rng=rng),
+        nn.QuantReLU(levels=2, init_step=1.0),
+        nn.AvgPool2d(2),
+        nn.Flatten(),
+        nn.Linear(8 * 4 * 4, 4, rng=rng),
+    )
+    model.train()
+    with no_grad():
+        for _ in range(4):
+            model(Tensor((rng.random((8, 2, 16, 16)) < 0.05).astype(np.float32)))
+    model.eval()
+    return convert_to_snn(model)
+
+
+def dvs_stream():
+    events = SyntheticDVS(num_train=0, num_test=4, height=16, width=16,
+                          timesteps=4, noise_rate=0.01, seed=7)
+    return events.spike_stream("test")[0]
+
+
+MENU_MODELS = {
+    "vgg": (converted_pooled_toy,
+            lambda: np.random.default_rng(80).normal(size=(4, 2, 8, 8)).astype(np.float32)),
+    "resnet": (converted_resnet,
+               lambda: np.random.default_rng(81).normal(size=(2, 3, 32, 32)).astype(np.float32)),
+    "dvs": (converted_dvs_toy, dvs_stream),
+}
+
+
+class TestBitwiseMenu:
+    """Every auto plan, however it was made, stays on the GEMM/COO pair
+    and computes the batched engine's logits bit for bit."""
+
+    def test_calibration_observes_only_the_menu(self):
+        engine = AutoEngine().bind(converted_pooled_toy())
+        x = np.random.default_rng(82).normal(size=(4, 2, 8, 8)).astype(np.float32)
+        run = engine.run(x, 4)
+        assert run.observations
+        assert {backend for backend, _, _ in run.observations} == set(BITWISE_BACKENDS)
+
+    @pytest.mark.parametrize("source", ["raced", "cost-model", "re-planned"])
+    @pytest.mark.parametrize("family", sorted(MENU_MODELS))
+    def test_plan_is_bitwise_batched(self, family, source):
+        build, make_input = MENU_MODELS[family]
+        model, x = build(), make_input()
+        timesteps = 4
+        reference = SpikingNetwork(model, timesteps=timesteps, engine="batched").forward(x)
+        engine = AutoEngine(cost_model=None if source == "raced" else ready_cost_model())
+        net = SpikingNetwork(model, timesteps=timesteps, engine=engine)
+        outputs = [net.forward(x)]  # calibration run
+        key = AutoEngine._plan_key(x, timesteps)
+        plan = engine._plans.get(key)
+        assert plan.source == ("raced" if source == "raced" else "cost-model")
+        if source == "re-planned":
+            # Claim every layer was calibrated fully dense: the sparse
+            # layers' observed densities then drift past the threshold.
+            for name, decision in list(plan.decisions.items()):
+                plan.decisions[name] = replace(decision, density=1.0)
+        outputs.append(net.forward(x))  # planned (or re-planned) run
+        plan = engine._plans.get(key)
+        assert plan.source == source
+        assert net.last_run_stats.plan_source == source
+        for decision in plan.decisions.values():
+            assert decision.backend in BITWISE_BACKENDS
+        outputs.append(net.forward(x))  # the settled plan
+        for out in outputs:
+            assert np.array_equal(out, reference)
