@@ -132,6 +132,37 @@ def pooled_coords(
     return np.stack(np.unravel_index(uniq, out_shape), axis=1).astype(np.int64)
 
 
+def conv_rows(
+    x: np.ndarray,
+    weight: np.ndarray,
+    bias: Optional[np.ndarray],
+    stride: int,
+    padding: int,
+    rows: np.ndarray,
+) -> np.ndarray:
+    """Bit-exact convolution output at the given im2col rows only.
+
+    Returns the ``(rows, C_out)`` block whose row ``i`` is the output
+    vector of window ``rows[i]`` (flattened ``n * OH * OW + oy * OW +
+    ox``).  Only those windows are unfolded
+    (:func:`repro.tensor.functional.im2col_rows` — the dense column
+    matrix is never built), each keeping its full ``C*K*K`` tap vector.
+    A row-subset GEMM computes each output row with the same reduction
+    the full GEMM would use, so every value — bias added last, as the
+    dense kernel does — is bitwise identical to the dense convolution's
+    at that window.  Cost scales with the rows, and at low density the
+    gather itself is the dominant saving: the full unfold is
+    ``O(N·OH·OW·C·K²)`` regardless of sparsity.  Every other window of
+    the dense output is exactly ``0 + bias``.
+    """
+    c_out, _, k, _ = weight.shape
+    sub, _, _ = im2col_rows(x, k, stride, padding, rows)
+    values = sub @ weight.reshape(c_out, -1).T
+    if bias is not None:
+        values += bias
+    return values
+
+
 def sparse_conv2d(
     x: np.ndarray,
     weight: np.ndarray,
@@ -140,7 +171,6 @@ def sparse_conv2d(
     padding: int,
     active_rows: Optional[np.ndarray] = None,
     performed: Optional[int] = None,
-    rows_only: bool = False,
 ) -> Tuple[np.ndarray, int]:
     """Event-driven convolution of a sparse activation plane.
 
@@ -162,18 +192,6 @@ def sparse_conv2d(
     stream's t-major stacked coordinate batch); when omitted they are
     re-derived by scanning the densified column matrix.
 
-    ``rows_only=True`` (requires ``active_rows``) is the *bit-exact*
-    batched event path: only the active windows are unfolded at all
-    (:func:`repro.tensor.functional.im2col_rows` — the dense column
-    matrix is never built) and every gathered row keeps its full
-    ``C*K*K`` tap vector.  A row-subset GEMM computes each output row
-    with the same reduction the full GEMM would use, so the result is
-    bitwise identical to the dense convolution — unlike the
-    column-subset shrink, which regroups partial sums.  Cost scales
-    with active windows, and at low density the gather itself is the
-    dominant saving: the full unfold is ``O(N·OH·OW·C·K²)`` regardless
-    of sparsity.
-
     Returns ``(output, performed_ops)`` where ``performed_ops`` counts
     one op per nonzero im2col entry per output channel — the
     event-driven synaptic-operation count the hardware's aggregation
@@ -182,27 +200,6 @@ def sparse_conv2d(
     n = x.shape[0]
     c_out, _, k, _ = weight.shape
     w_mat = weight.reshape(c_out, -1)
-    if rows_only:
-        if active_rows is None:
-            raise ValueError("rows_only requires coordinate-derived active_rows")
-        sub, oh, ow = im2col_rows(x, k, stride, padding, active_rows)
-        if performed is None:
-            performed = int(np.count_nonzero(sub)) * c_out
-        # Scatter straight into channel-first layout: the (rows, C_out)
-        # GEMM result lands at its (sample, :, site) slots, so the
-        # output is born contiguous NCHW and the full-plane NHWC
-        # transpose copy of the dense path never happens.  Same values
-        # per element (the GEMM rows are unchanged), so still bitwise.
-        out = np.zeros(
-            (n, c_out, oh * ow), dtype=np.result_type(x.dtype, weight.dtype)
-        )
-        if active_rows.size:
-            out[active_rows // (oh * ow), :, active_rows % (oh * ow)] = (
-                sub @ w_mat.T
-            )
-        if bias is not None:
-            out += bias.reshape(1, c_out, 1)
-        return out.reshape(n, c_out, oh, ow), performed
     cols, oh, ow = im2col(x, k, stride, padding)
     if performed is None:
         performed = int(np.count_nonzero(cols)) * c_out

@@ -1,4 +1,4 @@
-"""COO-native time-batched backend: one gather+scatter per layer.
+"""COO-native time-batched backend: one gather per layer.
 
 :class:`EventBatchedEngine` merges the two fast paths the suite already
 has — the time-batched schedule (one pass over the t-major ``(T*N, ...)``
@@ -8,17 +8,26 @@ inheriting the per-step Python loop that makes the event engine lose
 wall clock at low density.  A :class:`repro.snn.spikes.SpikeStream`
 enters as one *stacked coordinate batch* (:meth:`SpikeStream.stacked`)
 and its sparsity structure is carried across the layer graph alongside
-the dense planes at three levels of detail:
+the dense planes at four levels of detail:
 
-* *exact coordinates* (stream input, COO pool outputs, sparse-neuron
+* *exact coordinates* (stream input, COO pool outputs, site-neuron
   outputs) — conv/linear run the bit-exact row-subset kernels
-  (:func:`repro.snn.engines.event.sparse_conv2d` with ``rows_only``,
+  (:func:`repro.snn.engines.event.conv_rows`,
   :func:`repro.snn.engines.event.sparse_linear` with ``rows``): one
-  gather + one GEMM + one scatter covering all T timesteps;
-* *active sites* (conv outputs) — the channel-collapsed superset of a
-  conv output's nonzeros, which lets eval-mode BatchNorm fill the plane
-  with its zero-input response and run the module's exact arithmetic
-  only at touched sites, and licenses the sparse membrane update;
+  gather + one GEMM covering all T timesteps;
+* *site values* (gathered conv outputs that feed a proven
+  ``Conv2d -> [BatchNorm2d ->] IFNeuron`` chain of a ``Sequential``) —
+  the active rows, their ``(rows, C)`` output block and the per-channel
+  background every other site holds.  No dense plane is built: eval BN
+  maps the block and the background, and the neuron builds one
+  ``(T, sites, C)`` input block, screens out every cell whose running
+  sum never reaches threshold and steps only the rest.  The chains are
+  found once per :meth:`EventBatchedEngine.bind`; what flows between
+  the modules meanwhile is an all-NaN placeholder, so a consumer that
+  escaped the proof cannot compute on it silently;
+* *active sites* (other conv outputs) — the same rows and background
+  over a dense plane, which lets eval-mode BatchNorm and the neuron
+  gather the values at the rows and run the same site kernels;
 * *nonzero counts* (neuron outputs, pooled planes) — exact or bounded
   event counts that cost nothing to produce (the neuron already counts
   its spikes) and let the next conv reject the gather in O(1) without
@@ -38,10 +47,11 @@ reference: row-subset GEMMs reduce each output element with the same
 summation the full GEMM uses (unlike the event engine's column-subset
 shrink, which only matches up to float summation order), silent rows
 come out exactly ``+0.0``, BN and pooling replicate the reference
-kernels' exact op sequences at active sites, and the sparse membrane
-update is gated to configurations where skipping zero-current sites
-cannot change any value.  Logits, per-step outputs, spike counts and
-recorded densities all match ``TimeBatchedEngine`` exactly; op billing
+kernels' exact op sequences at active sites and on the background,
+and the screened membrane update runs the stepper's exact op sequence
+on every cell it keeps (a screened-out cell provably never spikes).
+Logits, per-step outputs, spike counts, membranes and recorded
+densities all match ``TimeBatchedEngine`` exactly; op billing
 matches the event engine (performed ops) on layers that took a
 coordinate path and the dense engines (full MACs) on layers that fell
 back — ``LayerStats.backend`` records which.
@@ -54,6 +64,7 @@ backend wins outright — see ``benchmarks/test_engine_speedup.py``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -61,6 +72,7 @@ import numpy as np
 
 from repro.nn.layers import BatchNorm2d, Conv2d, MaxPool2d
 from repro.nn.module import Module
+from repro.nn.sequential import Sequential
 from repro.snn.dynamics import ResetMode, initial_membrane
 from repro.snn.engines.base import (
     _conv_out_size,
@@ -71,8 +83,8 @@ from repro.snn.engines.batched import TimeBatchedEngine
 from repro.snn.engines.dense import dense_conv2d
 from repro.snn.engines.event import (
     conv_active_windows,
+    conv_rows,
     pooled_coords,
-    sparse_conv2d,
     sparse_linear,
 )
 from repro.snn.neurons import IFNeuron
@@ -82,23 +94,107 @@ from repro.tensor import Tensor
 
 
 @dataclass(frozen=True)
-class _ActiveSites:
-    """Active-site metadata carried in place of exact coordinates.
+class _Sites:
+    """Carried structure of a plane that is a per-channel constant
+    everywhere except at a few spatial sites.
 
     ``rows`` are the sorted flattened spatial sites ``b * OH * OW + oy *
     OW + ox`` (over the stacked ``(T*N, C, OH, OW)`` plane, channel
     axis excluded — a window touches all output channels at once) that
-    a convolution actually computed (or that survived BN's site-local
-    rewrite); ``background`` is the per-channel value every *other*
-    site of the plane holds — exactly zero for a bias-free conv, the
-    bias vector for a biased one, the zero-input response ``h0`` after
-    eval BN.  A constant background is what licenses the sparse
-    membrane update downstream: untouched sites of one channel all
-    follow a single shared trajectory.
+    a convolution actually computed, or that carried events;
+    ``background`` is the ``(C,)`` value every *other* site holds —
+    exactly zero for a bias-free conv or a spike plane, ``0 + bias``
+    for a biased conv, BN of that after eval BN.  A constant background
+    is what licenses the screened membrane update downstream: untouched
+    sites of one channel all follow a single shared trajectory.
+
+    ``values`` is the ``(rows, C)`` block of the plane at ``rows``, or
+    None when a dense plane holds them.  A plane registered *with*
+    values is a placeholder: the dense plane was never built (see
+    :meth:`EventBatchedEngine._materialize`).
     """
 
     rows: np.ndarray
     background: np.ndarray
+    values: Optional[np.ndarray] = None
+
+
+def _site_chains(model: Module) -> Dict[int, Optional[BatchNorm2d]]:
+    """Convs whose output only a site-aware consumer reads.
+
+    Maps ``id(conv)`` to the eval BN between it and its neuron (None
+    for a direct ``Conv2d -> IFNeuron`` pair) for every adjacent
+    ``Conv2d -> [BatchNorm2d ->] IFNeuron`` run of children of a plain
+    :class:`repro.nn.Sequential` — its ``forward`` hands each child's
+    output to the next child and nothing else, which proves the
+    consumer.  A module registered in more than one place may be called
+    from elsewhere, so chains through one are left out, as are
+    ``Sequential`` subclasses with their own ``forward``.
+    """
+    slots = Counter(
+        id(child) for module in model.modules() for child in module._modules.values()
+    )
+    chains: Dict[int, Optional[BatchNorm2d]] = {}
+    for parent in model.modules():
+        if (
+            not isinstance(parent, Sequential)
+            or type(parent).forward is not Sequential.forward
+        ):
+            continue
+        children = list(parent._modules.values())
+        for conv, after, third in zip(children, children[1:], children[2:] + [None]):
+            bn = after if isinstance(after, BatchNorm2d) else None
+            neuron = after if bn is None else third
+            if (
+                isinstance(conv, Conv2d)
+                and isinstance(neuron, IFNeuron)
+                and all(slots[id(m)] == 1 for m in (conv, bn, neuron) if m is not None)
+            ):
+                chains[id(conv)] = bn
+    return chains
+
+
+def _screen(
+    x: np.ndarray, v0: np.floating, threshold: np.floating, leak_fn
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Running membrane sums of a ``(T, cells)`` input block, and the
+    flat indices of the cells whose sum ever reaches ``threshold``.
+
+    The sums use the stepper's exact op sequence (leak, then add, from
+    the same initial membrane), so a cell that never reaches threshold
+    never spikes and its final sum *is* its stepped membrane, bit for
+    bit; only the returned cells need stepping.
+    """
+    v = np.full(x.shape[1], v0, dtype=x.dtype)
+    peak = np.full(x.shape[1], -np.inf, dtype=x.dtype)
+    for step in range(x.shape[0]):
+        if leak_fn is not None:
+            v = leak_fn(v)
+        v += x[step]
+        np.maximum(peak, v, out=peak)
+    return v, np.flatnonzero(peak >= threshold)
+
+
+def _placeholder(shape: Tuple[int, ...]) -> np.ndarray:
+    """Stand-in for a plane carried as site values.
+
+    A zero-stride, read-only all-NaN view: a consumer that reads it
+    without asking the site registry gets NaN everywhere, so a consumer
+    that escaped :func:`_site_chains` fails bit-identity loudly instead
+    of computing on a wrong plane.
+    """
+    return np.broadcast_to(np.float32(np.nan), shape)
+
+
+def _dense_plane(shape: Tuple[int, ...], sites: _Sites) -> np.ndarray:
+    """The dense plane site values stand for: the background broadcast,
+    the values scattered — the dense kernels' exact values."""
+    n, c, h, w = shape
+    s = h * w
+    out = np.empty((n, c, s), dtype=sites.values.dtype)
+    out[:] = sites.background[np.newaxis, :, np.newaxis]
+    out[sites.rows // s, :, sites.rows % s] = sites.values
+    return out.reshape(shape)
 
 
 class EventBatchedEngine(TimeBatchedEngine):
@@ -138,11 +234,20 @@ class EventBatchedEngine(TimeBatchedEngine):
         # the entries hold the plane itself so ids cannot be recycled
         # while registered.  ``_coords`` holds *exact* nonzero
         # coordinates; ``_sites`` the active-window superset of conv
-        # outputs; ``_counts`` nonzero counts (exact flag) for planes
-        # whose structure is unknown but whose magnitude is.
+        # outputs (with their values, for placeholders); ``_counts``
+        # nonzero counts (exact flag) for planes whose structure is
+        # unknown but whose magnitude is.
         self._coords: Dict[int, Tuple[np.ndarray, StepSpikes]] = {}
-        self._sites: Dict[int, Tuple[np.ndarray, _ActiveSites]] = {}
+        self._sites: Dict[int, Tuple[np.ndarray, _Sites]] = {}
         self._counts: Dict[int, Tuple[np.ndarray, int, bool]] = {}
+        # Bound-model structure: the convs that may hand site values to
+        # their neuron (see _site_chains); rebuilt per bind, not per run.
+        self._chains: Dict[int, Optional[BatchNorm2d]] = {}
+
+    def bind(self, model: Module) -> "EventBatchedEngine":
+        super().bind(model)
+        self._chains = _site_chains(model)
+        return self
 
     def _config(self) -> dict:
         config = super()._config()
@@ -156,7 +261,7 @@ class EventBatchedEngine(TimeBatchedEngine):
         self._coords[id(plane)] = (plane, step)
         self._counts[id(plane)] = (plane, step.num_events, True)
 
-    def _register_sites(self, plane: np.ndarray, sites: _ActiveSites) -> None:
+    def _register_sites(self, plane: np.ndarray, sites: _Sites) -> None:
         self._sites[id(plane)] = (plane, sites)
 
     def _register_count(self, plane: np.ndarray, count: int, exact: bool) -> None:
@@ -171,20 +276,61 @@ class EventBatchedEngine(TimeBatchedEngine):
         entry = self._counts.get(id(data))
         return None if entry is None else (entry[1], entry[2])
 
-    def _site_rows(self, data: np.ndarray) -> Optional[np.ndarray]:
-        """Flattened spatial sites (channel-collapsed) of a 4D plane's
-        possible nonzeros, from either registry; None when unknown."""
+    def _sites_of(self, data: np.ndarray) -> Optional[_Sites]:
+        """Site structure of a 4D plane, from either registry; None when
+        unknown.  Exact coordinates become sites on a zero background."""
         entry = self._sites.get(id(data))
         if entry is not None:
-            return entry[1].rows
+            return entry[1]
         step = self._carried_coords(data)
         if step is not None and len(step.shape) == 4:
             w = step.shape[3]
             s = step.shape[2] * w
-            return np.unique(
+            rows = np.unique(
                 step.coords[:, 0] * s + step.coords[:, 2] * w + step.coords[:, 3]
             )
+            return _Sites(rows=rows, background=np.zeros(data.shape[1], data.dtype))
         return None
+
+    @staticmethod
+    def _gathered(data: np.ndarray, sites: _Sites) -> _Sites:
+        """``sites`` with their values (read from the dense plane)."""
+        if sites.values is not None:
+            return sites
+        n, c, h, w = data.shape
+        s = h * w
+        values = data.reshape(n, c, s)[sites.rows // s, :, sites.rows % s]
+        return _Sites(rows=sites.rows, background=sites.background, values=values)
+
+    def _emit(
+        self, shape: Tuple[int, ...], sites: _Sites, defer: bool, register: bool = True
+    ) -> np.ndarray:
+        """Hand on site values: as a placeholder carrying them when
+        ``defer`` (the consumer is proven site-aware), else as their
+        dense plane with the sites registered for the dense-plane site
+        paths."""
+        if defer:
+            out = _placeholder(shape)
+        else:
+            out = _dense_plane(shape, sites)
+            sites = _Sites(rows=sites.rows, background=sites.background)
+        if register:
+            self._register_sites(out, sites)
+        return out
+
+    def _materialize(self, data: np.ndarray) -> np.ndarray:
+        """The dense plane of a placeholder; any other plane unchanged."""
+        entry = self._sites.get(id(data))
+        if entry is None or entry[1].values is None:
+            return data
+        return self._emit(data.shape, entry[1], defer=False)
+
+    def _defers(self, conv: Conv2d) -> bool:
+        """Whether ``conv``'s gathered output may stay site values."""
+        if id(conv) not in self._chains:
+            return False
+        bn = self._chains[id(conv)]
+        return bn is None or not bn.training
 
     def _input_nonzero_of(self, data: np.ndarray) -> Optional[int]:
         # Exact carried counts make density recording free; bounds are
@@ -233,11 +379,14 @@ class EventBatchedEngine(TimeBatchedEngine):
         Returns ``(output, performed_ops, gathered)``; the output is
         bitwise identical to the dense kernel's either way.  For convs
         the enumerated active-window fraction decides between the
-        row-subset gather and one dense GEMM (``gathered`` records
-        which); performed ops are billed from the coordinates in both
-        cases, and the active sites are registered for the downstream
-        BN/neuron fast paths.  ``register=False`` skips registration
-        (calibration trials whose outputs are discarded).
+        row-subset gather (:func:`repro.snn.engines.event.conv_rows`)
+        and one dense GEMM (``gathered`` records which); performed ops
+        are billed from the coordinates in both cases, and the active
+        sites are registered for the downstream BN/neuron site paths.
+        A gathered conv whose consumer is a proven site chain
+        (:func:`_site_chains`) returns a placeholder carrying the site
+        values instead of a dense plane.  ``register=False`` skips
+        registration (calibration trials whose outputs are discarded).
         """
         if isinstance(module, Conv2d):
             k, s_, p = module.kernel_size, module.stride, module.padding
@@ -247,31 +396,26 @@ class EventBatchedEngine(TimeBatchedEngine):
             performed = entries * module.out_channels
             oh = _conv_out_size(data.shape[2], k, s_, p)
             ow = _conv_out_size(data.shape[3], k, s_, p)
-            n_rows = data.shape[0] * oh * ow
-            if active_rows.size <= self.gather_limit * n_rows:
-                out, _ = sparse_conv2d(
-                    data,
-                    weight,
-                    bias,
-                    s_,
-                    p,
-                    active_rows=active_rows,
-                    performed=performed,
-                    rows_only=True,
+            shape = (data.shape[0], module.out_channels, oh, ow)
+            background = np.zeros(
+                module.out_channels, dtype=np.result_type(data.dtype, weight.dtype)
+            )
+            if bias is not None:
+                background = background + bias  # a silent window's 0 + bias
+            gathered = active_rows.size <= self.gather_limit * shape[0] * oh * ow
+            if gathered:
+                values = conv_rows(data, weight, bias, s_, p, active_rows)
+                out = self._emit(
+                    shape,
+                    _Sites(active_rows, background, values),
+                    self._defers(module),
+                    register,
                 )
-                gathered = True
             else:
                 out = dense_conv2d(data, weight, bias, s_, p)
-                gathered = False
+                if register:
+                    self._register_sites(out, _Sites(active_rows, background))
             if register:
-                background = (
-                    np.zeros(module.out_channels, dtype=out.dtype)
-                    if bias is None
-                    else np.asarray(bias, dtype=out.dtype)
-                )
-                self._register_sites(
-                    out, _ActiveSites(rows=active_rows, background=background)
-                )
                 self._register_count(
                     out,
                     min(active_rows.size * module.out_channels, out.size),
@@ -344,53 +488,39 @@ class EventBatchedEngine(TimeBatchedEngine):
 
         def forward(x: Tensor) -> Tensor:
             data = x.data
-            if (
-                module.training
-                or data.ndim != 4
-                or id(data) in self._constant_arrays
+            sites = None if module.training else self._sites_of(data)
+            if sites is None or 2 * sites.rows.size >= data.shape[0] * (
+                data.shape[2] * data.shape[3]
             ):
-                return base(x)
-            rows = self._site_rows(data)
-            spatial = data.shape[2] * data.shape[3]
-            if rows is None or 2 * rows.size >= data.shape[0] * spatial:
-                return base(x)
-            return Tensor(self._bn_at_sites(module, data, rows, terms))
+                return base(Tensor(self._materialize(data)))
+            out = self._bn_at_sites(module, self._gathered(data, sites), terms)
+            # BN is site-local, so the sites survive it verbatim, with
+            # BN(background) as the new background; site values stay
+            # deferred when they came in deferred (the chain's neuron
+            # reads them).
+            return Tensor(self._emit(data.shape, out, defer=sites.values is not None))
 
         return forward
 
-    def _bn_at_sites(self, module, data, rows, terms) -> np.ndarray:
-        """Eval BN applied only at active sites, zero-response elsewhere.
-
-        The background fill is the per-channel response to a zero input
-        computed with the module's exact op sequence, so it is bitwise
-        what the dense kernel produces at silent sites; active sites run
-        that same sequence on their gathered values.  BN-fold thus
-        costs ``O(active sites · C)`` instead of a full-plane pass.
-        """
+    @staticmethod
+    def _bn_at_sites(module, sites: _Sites, terms) -> _Sites:
+        """Eval BN of site values: the module's exact op sequence on the
+        ``(rows, C)`` value block and on the ``(C,)`` background, so
+        both are bitwise what the dense kernel produces there, at
+        ``O(active sites · C)`` instead of a full-plane pass."""
         if terms[0] is None:
-            mu = module.running_mean
-            inv = (module.running_var + module.eps) ** -0.5
-            g = module.gamma.data
-            b = module.beta.data
-            h0 = ((np.zeros_like(mu) - mu) * inv) * g + b
-            terms[0] = (mu, inv, g, b, h0)
-        mu, inv, g, b, h0 = terms[0]
-        n, c, h, w = data.shape
-        s = h * w
-        out = np.empty_like(data)
-        flat = out.reshape(n, c, s)
-        flat[:] = h0.reshape(1, c, 1)
-        bi = rows // s
-        sp = rows % s
-        vals = data.reshape(n, c, s)[bi, :, sp]  # (active sites, C)
-        flat[bi, :, sp] = ((vals - mu) * inv) * g + b
-        # BN is site-local, so the active sites survive it verbatim —
-        # with the zero response as the new constant background.  This
-        # keeps the sparse membrane update alive across BN.
-        self._register_sites(
-            out, _ActiveSites(rows=rows, background=h0.astype(out.dtype, copy=False))
+            terms[0] = (
+                module.running_mean,
+                (module.running_var + module.eps) ** -0.5,
+                module.gamma.data,
+                module.beta.data,
+            )
+        mu, inv, g, b = terms[0]
+        return _Sites(
+            rows=sites.rows,
+            background=((sites.background - mu) * inv) * g + b,
+            values=((sites.values - mu) * inv) * g + b,
         )
-        return out
 
     def _make_pool_interceptor(self, module, base):
         kernel, stride = module.kernel_size, module.stride
@@ -507,13 +637,12 @@ class EventBatchedEngine(TimeBatchedEngine):
                 entry is not None
                 and module.v is None
                 and module.reset == ResetMode.SUBTRACT
-                and module._leak_fn() is None
             ):
-                result = self._sparse_neuron(module, data, entry[1])
+                result = self._site_neuron(module, data, entry[1])
                 if result is not None:
                     return result
             before = module.spike_count
-            result = dense_step(x)
+            result = dense_step(Tensor(self._materialize(data)))
             # The dense step already counted its spikes, so the output's
             # exact nonzero count is free — enough for the next conv's
             # O(1) decision without a coordinate scan.
@@ -524,118 +653,111 @@ class EventBatchedEngine(TimeBatchedEngine):
 
         return forward
 
-    def _sparse_neuron(self, module, data, sites: _ActiveSites) -> Optional[Tensor]:
-        """Membrane update via one shared trajectory per channel.
+    def _site_neuron(self, module, data, sites: _Sites) -> Optional[Tensor]:
+        """Screened membrane update of a plane carried as site structure.
 
-        Valid for leak-free IF neurons with subtract reset fed a plane
-        that is a constant per-channel ``background`` everywhere except
-        the carried active sites: every untouched site of channel ``c``
-        receives the same input ``background[c]`` at every step, so its
-        membrane follows one shared trajectory — computed once on a
-        ``(C,)`` vector with the exact dense op sequence (integrate,
-        compare, subtract-reset) and broadcast.  Only the sites a
-        synapse actually touched (expanded across channels) are stepped
-        individually, with their gathered inputs, using that same op
-        sequence from the same uniform initial membrane.  Membrane,
-        spikes and counters come out bitwise identical to dense
-        stepping at ``O(touched sites · C · T)`` plus one broadcast
-        fill, instead of ``O(plane · T)``.
+        Valid for subtract-reset IF/LIF neurons fed a plane that is a
+        constant per-channel ``background`` everywhere except the
+        carried sites: every untouched site of channel ``c`` receives
+        the same input at every step, so its membrane follows one shared
+        trajectory — computed once on a ``(C,)`` vector with the exact
+        dense op sequence (leak, integrate, compare, subtract-reset) and
+        broadcast.  The individual sites (every sample/site pair touched
+        at any step; stepping one from step 0 applies the ops it would
+        share before its first touch, so this is bitwise equivalent)
+        get one ``(T, sites, C)`` input block: their values where
+        touched, the background elsewhere.  :func:`_screen` drops every
+        cell whose running sum never reaches threshold — it never
+        spikes, and its sum is its membrane — and only the rest are
+        stepped.  Membrane, spikes and counters come out bitwise
+        identical to dense stepping at ``O(touched sites · C · T)``.
 
-        When the background trajectory never fires, the individually
-        fired sites double as the output's exact coordinates, which
-        re-enter the carried stream at no scan cost.
+        When the background trajectory never fires (the common case:
+        the zero-input response cannot climb to threshold), the fired
+        cells are the output's exact coordinates, which re-enter the
+        carried stream at no scan cost.  Returns None when nearly every
+        site is touched (a dense step is cheaper).
         """
         t = self._run_timesteps
-        b = data.shape[0]
-        if t < 1 or b % t or data.ndim != 4:
+        b, c, hh, ww = data.shape
+        if t < 1 or b % t:
             return None
         n = b // t
-        c = data.shape[1]
-        hh, ww = data.shape[2], data.shape[3]
         s = hh * ww
-        rows = sites.rows
-        # Individual sites: the union over time of touched (sample,
-        # spatial) pairs — a site diverges from the shared trajectory at
-        # its first touch and must be tracked individually from then on
-        # (stepping it individually from step 0 applies the identical
-        # ops it would share before the touch, so tracking the union
-        # from the start is bitwise equivalent and branch-free).
+        step_of, site_of = np.divmod(sites.rows, n * s)
         mask = np.zeros(n * s, dtype=bool)
-        mask[(rows // s) % n * s + rows % s] = True
+        mask[site_of] = True
         ind = np.flatnonzero(mask)
         if 2 * ind.size >= n * s:
-            return None  # nearly every site diverges: dense is cheaper
-        v0 = initial_membrane((1,), module.threshold, module.v_init_fraction,
-                              dtype=data.dtype)[0]
-        thr = np.asarray(module.threshold, dtype=data.dtype)
-        bg = np.asarray(sites.background, dtype=data.dtype)
-        # Shared background trajectory, exact dense op sequence on (C,).
-        vbg = np.full(c, v0, dtype=data.dtype)
+            return None
+        values = self._gathered(data, sites).values
+        dtype = values.dtype
+        v0 = initial_membrane(
+            (1,), module.threshold, module.v_init_fraction, dtype=dtype
+        )[0]
+        thr = np.asarray(module.threshold, dtype=dtype)
+        leak_fn = module._leak_fn()
+        vbg = np.full(c, v0, dtype=dtype)
         pattern = np.empty((t, c), dtype=bool)
         for step in range(t):
-            vbg += bg
-            spiked_bg = vbg >= thr
-            vbg -= spiked_bg * thr
-            pattern[step] = spiked_bg
-        # Individual sites, expanded across channels, stepped with their
-        # gathered inputs.
-        cells = (
-            ((ind // s) * (c * s) + ind % s)[:, np.newaxis]
-            + np.arange(c, dtype=np.int64) * s
-        ).reshape(-1)
-        xf = data.reshape(t, n * c * s)
-        bg_fires = bool(pattern.any())
-        # A silent background (the common case: the zero-input response
-        # cannot climb to threshold) means the plane outside the
-        # individual sites is exactly zero — calloc it instead of
-        # broadcasting a fill every step.
-        out = (np.empty if bg_fires else np.zeros)(data.shape, dtype=np.float32)
-        o4 = out.reshape(t, n, c, s)
-        of = out.reshape(t, n * c * s)
-        vi = np.full(cells.size, v0, dtype=data.dtype)
-        fired_parts: List[Tuple[int, np.ndarray]] = []
-        spikes = 0
-        bg_cells = n * s - ind.size  # background cells per channel
+            if leak_fn is not None:
+                vbg = leak_fn(vbg)
+            vbg += sites.background
+            pattern[step] = vbg >= thr
+            vbg -= pattern[step] * thr
+        x = np.empty((t, ind.size, c), dtype=dtype)
+        x[:] = sites.background
+        x[step_of, np.searchsorted(ind, site_of)] = values
+        xf = x.reshape(t, ind.size * c)
+        v, cells = _screen(xf, v0, thr, leak_fn)
+        vi = np.full(cells.size, v0, dtype=dtype)
+        fired: List[np.ndarray] = []
         for step in range(t):
-            if bg_fires:
-                o4[step] = (pattern[step] * thr)[np.newaxis, :, np.newaxis]
-            vi += xf[step][cells]
+            if leak_fn is not None:
+                vi = leak_fn(vi)
+            vi += xf[step, cells]
             spiked = vi >= thr
-            fired_thr = spiked * thr
-            vi -= fired_thr
-            of[step][cells] = fired_thr
-            fired = cells[spiked]
-            if fired.size:
-                fired_parts.append((step, fired))
-                spikes += int(fired.size)
-        spikes += int(pattern.sum(dtype=np.int64)) * bg_cells
-        v = np.empty((n, c, s), dtype=data.dtype)
-        v[:] = vbg[np.newaxis, :, np.newaxis]
-        v.reshape(-1)[cells] = vi
-        module.v = v.reshape((n,) + data.shape[1:])
-        module.spike_count += spikes
-        module.neuron_steps += int(out.size)
-        module.last_spikes = out[(t - 1) * n :] / module.threshold
-        if not pattern.any():
-            # Fired flat indices are the output's nonzeros — assemble
-            # the stacked coordinates O(spikes), no plane scan.
-            if fired_parts:
-                cols = []
-                for step, fired in fired_parts:
-                    bi = step * n + fired // (c * s)
-                    rem = fired % (c * s)
-                    cols.append(
-                        np.stack((bi, rem // s, (rem % s) // ww, rem % ww), axis=1)
-                    )
-                coords = np.concatenate(cols, axis=0)
-            else:
-                coords = np.zeros((0, 4), dtype=np.int64)
+            vi -= spiked * thr
+            fired.append(cells[spiked])
+        v[cells] = vi
+        sample, spatial = np.divmod(ind, s)
+        spikes = sum(int(f.size) for f in fired)
+        spikes += int(pattern.sum(dtype=np.int64)) * (n * s - ind.size)
+        out = np.zeros(data.shape, dtype=np.float32)
+        if pattern.any():
+            stepped = out.reshape(t, n, c, s)
+            stepped[:] = (pattern * thr)[:, np.newaxis, :, np.newaxis]
+            for step, cell in enumerate(fired):
+                block = np.zeros(ind.size * c, dtype=np.float32)
+                block[cell] = thr
+                stepped[step][sample, :, spatial] = block.reshape(ind.size, c)
+            self._register_count(out, spikes, exact=True)
+        else:
+            # Fired cells are the output's nonzeros — assemble the
+            # stacked coordinates O(spikes), no plane scan.
+            site, channel = np.divmod(np.concatenate(fired), c)
+            coords = np.stack(
+                (
+                    np.repeat(np.arange(t), [f.size for f in fired]) * n
+                    + sample[site],
+                    channel,
+                    spatial[site] // ww,
+                    spatial[site] % ww,
+                ),
+                axis=1,
+            )
+            out[tuple(coords.T)] = thr
             self._register_coords(
                 out,
                 StepSpikes(
                     coords=coords, shape=out.shape, scale=float(module.threshold)
                 ),
             )
-        else:
-            self._register_count(out, spikes, exact=True)
+        membrane = np.empty((n, c, s), dtype=dtype)
+        membrane[:] = vbg[np.newaxis, :, np.newaxis]
+        membrane[sample, :, spatial] = v.reshape(ind.size, c)
+        module.v = membrane.reshape((n, c, hh, ww))
+        module.spike_count += spikes
+        module.neuron_steps += int(out.size)
+        module.last_spikes = out[(t - 1) * n :] / module.threshold
         return Tensor(out)

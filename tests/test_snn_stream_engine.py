@@ -167,24 +167,24 @@ class TestEventBatchedBitExact:
                 assert a.spike_rate == b.spike_rate, a.name
 
     def test_sparse_neuron_background_paths(self, monkeypatch):
-        """The background-trajectory neuron update engages on sparse
-        site sets and stays bitwise for both a silent background
-        (bias-free conv: untouched sites never fire) and a firing one
-        (large conv bias: every untouched site follows the shared
-        background trajectory)."""
+        """The screened site-neuron update engages on sparse site sets
+        and stays bitwise for both a silent background (bias-free conv:
+        untouched sites never fire) and a firing one (large conv bias:
+        every untouched site follows the shared background
+        trajectory)."""
         from repro import nn
         from repro.snn.engines import event_batched as eb_mod
         from repro.snn.neurons import IFNeuron
 
         engaged = []
-        orig = eb_mod.EventBatchedEngine._sparse_neuron
+        orig = eb_mod.EventBatchedEngine._site_neuron
 
         def spy(self, module, data, sites):
             out = orig(self, module, data, sites)
             engaged.append(out is not None)
             return out
 
-        monkeypatch.setattr(eb_mod.EventBatchedEngine, "_sparse_neuron", spy)
+        monkeypatch.setattr(eb_mod.EventBatchedEngine, "_site_neuron", spy)
 
         rng = np.random.default_rng(4)
         for bias in (None, 1.5):
@@ -203,22 +203,23 @@ class TestEventBatchedBitExact:
                     assert a.spike_rate == b.spike_rate
 
     def test_sparse_neuron_after_bn_background(self, monkeypatch):
-        """BN-at-sites hands the neuron a nonzero per-channel background
-        (the folded zero-input response h0); the shared-trajectory
-        update must stay bitwise through that path too."""
+        """BN of site values hands the neuron a nonzero per-channel
+        background (BN of the conv's background); the screened
+        shared-trajectory update must stay bitwise through that path
+        too."""
         from repro import nn
         from repro.snn.engines import event_batched as eb_mod
         from repro.snn.neurons import IFNeuron
 
         engaged = []
-        orig = eb_mod.EventBatchedEngine._sparse_neuron
+        orig = eb_mod.EventBatchedEngine._site_neuron
 
         def spy(self, module, data, sites):
             out = orig(self, module, data, sites)
             engaged.append(out is not None)
             return out
 
-        monkeypatch.setattr(eb_mod.EventBatchedEngine, "_sparse_neuron", spy)
+        monkeypatch.setattr(eb_mod.EventBatchedEngine, "_site_neuron", spy)
 
         rng = np.random.default_rng(5)
         bn = nn.BatchNorm2d(6)
@@ -234,6 +235,273 @@ class TestEventBatchedBitExact:
         (ld, _), (le, _) = self._both(model, stream)
         assert any(engaged), "sparse neuron path not taken after BN"
         assert np.array_equal(ld, le)
+
+
+def _bn(channels, seed):
+    """An eval BN with nontrivial running statistics."""
+    from repro import nn
+
+    rng = np.random.default_rng(seed)
+    bn = nn.BatchNorm2d(channels)
+    bn.running_mean[:] = rng.normal(0, 0.05, channels).astype(np.float32)
+    bn.running_var[:] = 1 + rng.normal(0, 0.1, channels).astype(np.float32) ** 2
+    bn.eval()
+    return bn
+
+
+def _residual_chain(seed):
+    """Conv -> BN -> IF whose conv output is also added back: the add
+    is not site-aware, so the chain runs on dense planes."""
+    from repro import nn
+    from repro.snn.neurons import IFNeuron
+
+    class Residual(nn.Module):
+        def __init__(self):
+            super().__init__()
+            self.conv = nn.Conv2d(2, 2, 3, padding=1, rng=np.random.default_rng(seed))
+            self.bn = _bn(2, seed)
+            self.sn = IFNeuron(threshold=1.0)
+
+        def forward(self, x):
+            y = self.conv(x)
+            return self.sn(self.bn(y)) + y
+
+    return Residual()
+
+
+def _custom_forward_chain(seed):
+    """A Sequential subclass whose own forward reads the conv output
+    twice (into BN and into the sum)."""
+    from repro import nn
+    from repro.snn.neurons import IFNeuron
+
+    class Skip(nn.Sequential):
+        def forward(self, x):
+            y = self[0](x)
+            return self[2](self[1](y)) + y
+
+    return Skip(
+        nn.Conv2d(2, 2, 3, padding=1, rng=np.random.default_rng(seed)),
+        _bn(2, seed),
+        IFNeuron(threshold=1.0),
+    )
+
+
+def _shared_conv_chain(seed):
+    """One conv instance in two slots of a Sequential."""
+    from repro import nn
+    from repro.snn.neurons import IFNeuron
+
+    conv = nn.Conv2d(2, 2, 3, padding=1, rng=np.random.default_rng(seed))
+    return nn.Sequential(
+        conv, _bn(2, seed), IFNeuron(threshold=1.0),
+        conv, _bn(2, seed + 1), IFNeuron(threshold=1.0),
+    )
+
+
+def _with_head(body):
+    """``body`` followed by a readout of its pooled output.  No linear
+    layer: a row-subset GEMM with few rows may pick another BLAS kernel
+    than the full one (ROADMAP), and these tests pin the chain itself."""
+    from repro import nn
+
+    return nn.Sequential(body, nn.AvgPool2d(2), nn.Flatten())
+
+
+class TestSiteValuedChains:
+    """Conv -> [BN ->] IF chains of a Sequential carry the conv output as
+    site values (rows, value block, background) into the screened neuron
+    step; everything else sees dense planes.  All of it is bitwise."""
+
+    def _run(self, model, x, engine, timesteps=TIMESTEPS):
+        net = SpikingNetwork(model, timesteps=timesteps, engine=engine)
+        return net.forward(x), net.last_run_stats
+
+    @staticmethod
+    def _membranes(model):
+        from repro.snn.neurons import IFNeuron
+
+        return [m.v.copy() for m in model.modules() if isinstance(m, IFNeuron)]
+
+    def _forced_coo_auto(self, model, stream, layer):
+        """An auto engine whose cached plan runs ``layer`` on COO."""
+        from repro.snn.engines import AutoEngine
+
+        engine = AutoEngine(midrun_replan=False)
+        net = SpikingNetwork(model, timesteps=stream.timesteps, engine=engine)
+        net.forward(stream)  # calibrates
+        plan = engine.plan_for(stream.shape, stream.timesteps, "stream")
+        plan.decisions[layer].backend = "event-batched"
+        logits = net.forward(stream)
+        stats = net.last_run_stats
+        assert {l.name: l.backend for l in stats.layers}[layer] == "event-batched"
+        return logits, stats
+
+    def test_biased_conv_bn_background(self):
+        """A biased conv's background is its bias, so BN must map that,
+        not zero: the serve demo net (Conv2d with bias -> BN -> IF) with
+        a nonzero bias, on event-batched and on auto with the conv
+        forced onto COO."""
+        from repro.serve.app import build_demo_network
+
+        model, shape = build_demo_network((2, 16, 16))
+        model[0].bias.data[:] = np.linspace(-0.6, 0.6, 8, dtype=np.float32)
+        stream = _sparse_stream((4,) + shape, 8, 0.01, seed=0)
+        ref, ref_stats = self._run(model, stream, "batched")
+        ref_v = self._membranes(model)
+        _, eb_stats = self._run(model, stream, "event-batched")
+        assert [l.backend for l in eb_stats.layers][0] == "event-batched"
+        for a, b in zip(ref_v, self._membranes(model)):
+            assert np.array_equal(a, b)
+        for a, b in zip(ref_stats.layers, eb_stats.layers):
+            assert a.spike_count == b.spike_count, a.name
+        logits, _ = self._forced_coo_auto(model, stream, "0")
+        assert np.array_equal(ref, logits)
+        for a, b in zip(ref_v, self._membranes(model)):
+            assert np.array_equal(a, b)
+
+    def test_chain_hands_a_nan_placeholder(self, monkeypatch):
+        """In a Sequential chain no dense conv plane is built: the neuron
+        receives a zero-stride all-NaN placeholder plus the site values,
+        so a consumer reading the plane directly could not pass a
+        bit-identity check."""
+        from repro import nn
+        from repro.snn.engines import event_batched as eb_mod
+        from repro.snn.neurons import IFNeuron
+
+        seen = []
+        orig = eb_mod.EventBatchedEngine._site_neuron
+
+        def spy(self, module, data, sites):
+            seen.append((data, sites.values is not None))
+            return orig(self, module, data, sites)
+
+        monkeypatch.setattr(eb_mod.EventBatchedEngine, "_site_neuron", spy)
+        model = _with_head(
+            nn.Sequential(
+                nn.Conv2d(2, 2, 3, padding=1, rng=np.random.default_rng(1)),
+                _bn(2, 1),
+                IFNeuron(threshold=1.0),
+            )
+        )
+        stream = _sparse_stream((4, 2, 24, 24), TIMESTEPS, 0.004, seed=41)
+        ref, _ = self._run(model, stream, "batched")
+        out, _ = self._run(model, stream, "event-batched")
+        assert np.array_equal(ref, out)
+        assert len(seen) == 1
+        data, deferred = seen[0]
+        assert deferred
+        assert not any(data.strides) and np.isnan(data).all()
+
+    @pytest.mark.parametrize(
+        "build", [_residual_chain, _custom_forward_chain, _shared_conv_chain]
+    )
+    def test_unproven_consumers_get_dense_planes(self, build, monkeypatch):
+        """A residual add, a custom forward reading the conv output
+        twice, and a conv shared between two slots are not provable
+        site chains: they run on dense planes — the neuron gathers the
+        site values from the plane — and stay bitwise."""
+        from repro.snn.engines import event_batched as eb_mod
+
+        engaged = []
+        orig = eb_mod.EventBatchedEngine._site_neuron
+
+        def spy(self, module, data, sites):
+            out = orig(self, module, data, sites)
+            engaged.append((sites.values is None, out is not None))
+            return out
+
+        monkeypatch.setattr(eb_mod.EventBatchedEngine, "_site_neuron", spy)
+        model = _with_head(build(2))
+        assert eb_mod._site_chains(model) == {}
+        stream = _sparse_stream((4, 2, 24, 24), TIMESTEPS, 0.004, seed=42)
+        ref, _ = self._run(model, stream, "batched")
+        out, stats = self._run(model, stream, "event-batched")
+        assert np.array_equal(ref, out)
+        assert any(l.backend == "event-batched" for l in stats.layers)
+        assert engaged and all(dense and ran for dense, ran in engaged)
+
+    def test_escaped_placeholder_fails_loudly(self, monkeypatch):
+        """If the chain proof wrongly admitted a conv whose output is
+        also read elsewhere, that reader would get NaN — the logits
+        cannot come out silently wrong."""
+        from repro.snn.engines import event_batched as eb_mod
+
+        body = _residual_chain(3)
+        model = _with_head(body)
+        monkeypatch.setattr(
+            eb_mod, "_site_chains", lambda _: {id(body.conv): body.bn}
+        )
+        stream = _sparse_stream((4, 2, 24, 24), TIMESTEPS, 0.004, seed=43)
+        out, _ = self._run(model, stream, "event-batched")
+        assert np.isnan(out).all()
+
+    def test_screen_skips_and_steps_cells(self, monkeypatch):
+        """The screen drops cells that never reach threshold and steps
+        the ones that do; both kinds occur and the result is bitwise."""
+        from repro import nn
+        from repro.snn.engines import event_batched as eb_mod
+        from repro.snn.neurons import IFNeuron
+
+        screened = []
+        orig = eb_mod._screen
+
+        def spy(x, v0, threshold, leak_fn):
+            v, cells = orig(x, v0, threshold, leak_fn)
+            screened.append((x.shape[1], cells.size))
+            return v, cells
+
+        monkeypatch.setattr(eb_mod, "_screen", spy)
+        model = _with_head(
+            nn.Sequential(
+                nn.Conv2d(2, 2, 3, padding=1, rng=np.random.default_rng(4)),
+                _bn(2, 4),
+                IFNeuron(threshold=0.5),
+            )
+        )
+        stream = _sparse_stream((4, 2, 24, 24), TIMESTEPS, 0.005, seed=44)
+        ref, ref_stats = self._run(model, stream, "batched")
+        out, stats = self._run(model, stream, "event-batched")
+        assert np.array_equal(ref, out)
+        assert ref_stats.layers[1].spike_count == stats.layers[1].spike_count > 0
+        assert screened
+        cells, stepped = screened[0]
+        assert 0 < stepped < cells
+
+    @pytest.mark.parametrize("bias", [None, 1.2])
+    def test_leaky_neurons_take_the_site_path(self, monkeypatch, bias):
+        """LIF neurons get the same screened update (leak first, as the
+        stepper does) for a silent and a firing background."""
+        from repro import nn
+        from repro.snn.engines import event_batched as eb_mod
+        from repro.snn.neurons import LIFNeuron
+
+        engaged = []
+        orig = eb_mod.EventBatchedEngine._site_neuron
+
+        def spy(self, module, data, sites):
+            out = orig(self, module, data, sites)
+            engaged.append(out is not None)
+            return out
+
+        monkeypatch.setattr(eb_mod.EventBatchedEngine, "_site_neuron", spy)
+        conv = nn.Conv2d(
+            2, 2, 3, padding=1, bias=bias is not None, rng=np.random.default_rng(5)
+        )
+        if bias is not None:
+            conv.bias.data[:] = bias
+        model = _with_head(
+            nn.Sequential(conv, _bn(2, 5), LIFNeuron(threshold=1.0, leak=0.8))
+        )
+        stream = _sparse_stream((4, 2, 24, 24), 6, 0.004, seed=45)
+        ref, ref_stats = self._run(model, stream, "batched", timesteps=6)
+        ref_v = self._membranes(model)
+        out, stats = self._run(model, stream, "event-batched", timesteps=6)
+        assert engaged == [True]
+        assert np.array_equal(ref, out)
+        assert ref_stats.layers[1].spike_count == stats.layers[1].spike_count
+        for a, b in zip(ref_v, self._membranes(model)):
+            assert np.array_equal(a, b)
 
 
 class TestStackedRoundTrip:
