@@ -246,22 +246,38 @@ def test_stream_input_does_not_regress_event_op_reduction(converted_vgg):
     assert stream_stats.synaptic_op_saving > 0.5
 
 
-def _timed_interleaved(networks, x, repeats=24):
-    """Best-of-k wall clock per engine, measured in interleaved rounds.
+def _interleaved_samples(networks, x, repeats=24):
+    """Per-round wall clock of each network, measured in interleaved rounds.
 
     Interleaving means a machine-wide slow phase (shared CI box, cache
-    pressure) hits every engine alike, so the *ratios* stay stable even
-    when absolute times wobble; min-of-k then filters scheduler noise.
+    pressure) hits every engine of a round alike.  Returns one array of
+    ``repeats`` seconds per network, in round order, for
+    :func:`_paired_ratio`; ``.min()`` is the best-of-k wall clock the
+    record reports.
     """
     for network in networks.values():
         network.forward(x)  # warm caches, BLAS, plan/pad workspaces
-    best = {name: float("inf") for name in networks}
+    samples = {name: [] for name in networks}
     for _ in range(repeats):
         for name, network in networks.items():
             started = time.perf_counter()
             network.forward(x)
-            best[name] = min(best[name], time.perf_counter() - started)
-    return best
+            samples[name].append(time.perf_counter() - started)
+    return {name: np.array(times) for name, times in samples.items()}
+
+
+def _paired_ratio(samples, numerator, denominator):
+    """Median over rounds of one network's wall clock over another's.
+
+    Each round's two runs are adjacent in time, so a slow phase cancels
+    in their ratio, and the median ignores the rounds it does not.  The
+    gates use this, not a ratio of two best-of-k minima: on a 2-core
+    VM, best-of-24 put two identical batched engines anywhere from
+    0.88x to 1.28x apart over eight processes, while their median round
+    ratio stayed within 0.92x-0.95x.  That steady offset from 1.0 comes
+    from the engines' places in the round, which stay fixed.
+    """
+    return float(np.median(samples[numerator] / samples[denominator]))
 
 
 # The artifact's machine-readable contract lives in bench_schema.py —
@@ -292,7 +308,8 @@ def test_engines_wall_clock_and_auto_plan(converted_vgg_bench, converted_dvs):
         engine: SpikingNetwork(model, timesteps=TIMESTEPS, engine=engine)
         for engine in ("dense", "event", "batched", "event-batched", "auto")
     }
-    seconds = _timed_interleaved(networks, frame)
+    samples = _interleaved_samples(networks, frame)
+    seconds = {engine: float(times.min()) for engine, times in samples.items()}
     results = {}
     for engine, network in networks.items():
         logits = network.forward(frame)
@@ -315,21 +332,19 @@ def test_engines_wall_clock_and_auto_plan(converted_vgg_bench, converted_dvs):
             np.abs(logits - dense_logits).max()
         )
 
-    speedup = (
-        results["dense"]["wall_clock_ms"] / results["batched"]["wall_clock_ms"]
+    speedup = _paired_ratio(samples, "dense", "batched")
+    best_fixed_name = min(
+        ("dense", "event", "batched", "event-batched"),
+        key=lambda e: seconds[e],
     )
-    best_fixed = min(
-        results[e]["wall_clock_ms"]
-        for e in ("dense", "event", "batched", "event-batched")
-    )
-    auto_ratio = results["auto"]["wall_clock_ms"] / best_fixed
+    auto_ratio = _paired_ratio(samples, "auto", best_fixed_name)
     batch_nets = {
         engine: SpikingNetwork(model, timesteps=TIMESTEPS, engine=engine)
         for engine in ("dense", "batched")
     }
     batch16 = {
-        engine: round(s * 1e3, 3)
-        for engine, s in _timed_interleaved(batch_nets, x[:16], repeats=3).items()
+        engine: round(float(s.min()) * 1e3, 3)
+        for engine, s in _interleaved_samples(batch_nets, x[:16], repeats=3).items()
     }
 
     # Planner v2: cold-start calibration cost, racing vs cost model.
@@ -359,11 +374,7 @@ def test_engines_wall_clock_and_auto_plan(converted_vgg_bench, converted_dvs):
     assert predicted_stats.plan_source == "cost-model"
     assert np.allclose(racing_logits, predicted_logits, atol=1e-4)
     calibration_speedup = calibration_s_racing / calibration_s_model
-    best_fixed_name = min(
-        ("dense", "event", "batched", "event-batched"),
-        key=lambda e: seconds[e],
-    )
-    planner_seconds = _timed_interleaved(
+    planner_samples = _interleaved_samples(
         {
             "best_fixed": networks[best_fixed_name],
             "model_plan": predicted_net,
@@ -371,7 +382,7 @@ def test_engines_wall_clock_and_auto_plan(converted_vgg_bench, converted_dvs):
         frame,
         repeats=24,
     )
-    model_plan_ratio = planner_seconds["model_plan"] / planner_seconds["best_fixed"]
+    model_plan_ratio = _paired_ratio(planner_samples, "model_plan", "best_fixed")
 
     dvs_model, dvs_stream = converted_dvs
     dvs_nets = {
@@ -379,7 +390,8 @@ def test_engines_wall_clock_and_auto_plan(converted_vgg_bench, converted_dvs):
         for engine in ("batched", "event-batched", "auto")
     }
     dvs_logits = {e: net.forward(dvs_stream) for e, net in dvs_nets.items()}
-    dvs_seconds = _timed_interleaved(dvs_nets, dvs_stream, repeats=12)
+    dvs_samples = _interleaved_samples(dvs_nets, dvs_stream, repeats=12)
+    dvs_seconds = {engine: float(times.min()) for engine, times in dvs_samples.items()}
     dvs_results = {
         engine: {
             "wall_clock_ms": round(dvs_seconds[engine] * 1e3, 3),
@@ -391,9 +403,9 @@ def test_engines_wall_clock_and_auto_plan(converted_vgg_bench, converted_dvs):
         np.array_equal(dvs_logits["batched"], dvs_logits["event-batched"])
         and np.array_equal(dvs_logits["batched"], dvs_logits["auto"])
     )
-    dvs_speedup = dvs_seconds["batched"] / dvs_seconds["event-batched"]
-    dvs_best_fixed = min(dvs_seconds["batched"], dvs_seconds["event-batched"])
-    dvs_auto_ratio = dvs_seconds["auto"] / dvs_best_fixed
+    dvs_speedup = _paired_ratio(dvs_samples, "batched", "event-batched")
+    dvs_best_fixed = min(("batched", "event-batched"), key=lambda e: dvs_seconds[e])
+    dvs_auto_ratio = _paired_ratio(dvs_samples, "auto", dvs_best_fixed)
 
     record = {
         "benchmark": "engines_wall_clock",
@@ -486,7 +498,7 @@ def test_engines_wall_clock_and_auto_plan(converted_vgg_bench, converted_dvs):
     # bit-identical to the dense batched reference.
     assert dvs_stream.density < 0.05
     assert dvs_bitwise
-    assert dvs_seconds["event-batched"] < dvs_seconds["batched"]
+    assert dvs_speedup > 1.0
     # Events bill only performed MACs; the dense reference bills them all.
     assert (
         dvs_results["event-batched"]["synaptic_ops"]
@@ -498,10 +510,14 @@ def test_engines_wall_clock_and_auto_plan(converted_vgg_bench, converted_dvs):
 def test_profiler_overhead_under_5_percent(converted_vgg_bench):
     """Always-on per-layer profiling must cost < 5% of a batched run.
 
-    Interleaved min-of-k on the same model/batch, profiled vs
-    unprofiled engine instances: perf_counter pairs plus one
-    count_nonzero per layer call are orders of magnitude below the
-    GEMMs they bracket.
+    Interleaved rounds on the same model/batch and the same engine
+    instance, with profiling switched on and off between runs, judged
+    by the median round ratio (:func:`_paired_ratio`): perf_counter
+    pairs plus one count_nonzero per layer call are orders of magnitude
+    below the GEMMs they bracket.  One instance matters: two engines
+    each hold their own effective-weight cache, and two identical
+    unprofiled engines measured up to ~9% apart on a 2-core VM, more
+    than the bound.
     """
     from repro.snn import TimeBatchedEngine
 
@@ -511,22 +527,29 @@ def test_profiler_overhead_under_5_percent(converted_vgg_bench):
     # profiler's absolute cost is per layer call, not per sample, so a
     # bigger batch only makes the test stricter.
     batch = np.concatenate([x, x], axis=0)[:32]
-    networks = {
-        "profiled": SpikingNetwork(
-            model, timesteps=TIMESTEPS, engine=TimeBatchedEngine(profile_layers=True)
-        ),
-        "unprofiled": SpikingNetwork(
-            model, timesteps=TIMESTEPS, engine=TimeBatchedEngine(profile_layers=False)
-        ),
-    }
-    seconds = _timed_interleaved(networks, batch, repeats=16)
-    overhead = seconds["profiled"] / seconds["unprofiled"] - 1.0
+    engine = TimeBatchedEngine(profile_layers=True)
+    network = SpikingNetwork(model, timesteps=TIMESTEPS, engine=engine)
+    modes = {"profiled": True, "unprofiled": False}
+    layers = {}
+    for name, on in modes.items():
+        engine.profile_layers = on
+        network.forward(batch)  # warm caches, BLAS, plan/pad workspaces
+        layers[name] = network.last_run_stats.layers
+    samples = {name: [] for name in modes}
+    for _ in range(16):
+        for name, on in modes.items():
+            engine.profile_layers = on
+            started = time.perf_counter()
+            network.forward(batch)
+            samples[name].append(time.perf_counter() - started)
+    samples = {name: np.array(times) for name, times in samples.items()}
+    seconds = {name: float(times.min()) for name, times in samples.items()}
+    overhead = _paired_ratio(samples, "profiled", "unprofiled") - 1.0
     print(
         f"\nprofiled {seconds['profiled'] * 1e3:.2f} ms, "
         f"unprofiled {seconds['unprofiled'] * 1e3:.2f} ms, "
         f"overhead {overhead:+.2%}"
     )
-    stats = networks["profiled"].last_run_stats
-    assert sum(l.wall_clock_seconds for l in stats.layers) > 0.0
-    assert all(l.wall_clock_seconds == 0.0 for l in networks["unprofiled"].last_run_stats.layers)
+    assert sum(l.wall_clock_seconds for l in layers["profiled"]) > 0.0
+    assert all(l.wall_clock_seconds == 0.0 for l in layers["unprofiled"])
     assert overhead < 0.05

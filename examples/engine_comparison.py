@@ -10,10 +10,9 @@ stack; and the ``auto`` backend profiles a calibration run (per-layer
 wall clock + observed density) and compiles a cached per-layer plan
 that mixes batched GEMM and the COO row-subset kernel (bitwise equal
 to ``batched``), the same measure-then-specialise loop the paper's
-mapper applies in hardware.
-``--workers K`` additionally shards each batch across K forked
-processes or threads (``--shard-mode``); statistics are merged and
-match a single-worker run.
+mapper applies in hardware.  The time-stacked backends run a large
+batch as sample blocks in lanes, one per usable core (the ``lanes``
+count printed per backend).
 
 This example converts a small VGG-11, runs the same batch through all
 backends and prints the agreement between their logits together with
@@ -31,7 +30,6 @@ command line.
 
 Run:
     python examples/engine_comparison.py
-    python examples/engine_comparison.py --workers 2 --shard-mode thread
     python examples/engine_comparison.py --profile
     python examples/engine_comparison.py --density 0.003
     python examples/engine_comparison.py --density 0.02   # past crossover
@@ -133,19 +131,6 @@ def run_density_scenario(density: float, profile: bool) -> None:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="batch shards per inference run in parallel (1 = in-process)",
-    )
-    parser.add_argument(
-        "--shard-mode",
-        choices=["auto", "fork", "thread"],
-        default="auto",
-        dest="shard_mode",
-        help="substrate for --workers > 1: forked processes or a thread pool",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help="print each backend's per-layer wall-clock/density profile",
@@ -175,13 +160,7 @@ def main() -> None:
     x = dataset.test_x
     results = {}
     for engine in ("dense", "event", "batched", "auto"):
-        network = SpikingNetwork(
-            model,
-            timesteps=TIMESTEPS,
-            engine=engine,
-            workers=args.workers,
-            shard_mode=args.shard_mode,
-        )
+        network = SpikingNetwork(model, timesteps=TIMESTEPS, engine=engine)
         # Warm up caches / BLAS threads on the full batch — for auto
         # this is the calibration pass (plans are keyed by the full
         # input shape), so the timed run executes the compiled plan.
@@ -193,7 +172,7 @@ def main() -> None:
         stats = network.last_run_stats
         print(
             f"\n{engine:>7} engine: {elapsed * 1e3:7.1f} ms for {len(x)} frames x T={TIMESTEPS}"
-            f" (workers={stats.workers})"
+            f" (lanes={stats.lanes})"
             f"\n         synaptic ops        {stats.total_synaptic_ops:,}"
             f"\n         overall spike rate  {stats.overall_spike_rate:.4f}"
         )

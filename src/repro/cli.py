@@ -42,12 +42,11 @@ from repro.eval import (
 )
 from repro.eval.experiments import INPUT_FORMATS
 from repro.snn.engines import ENGINES
-from repro.snn.engines.sharding import SHARD_MODES
 
-# argparse `choices` stays in lockstep with the engine registry and the
-# sharding substrate list, so a bad --engine/--shard-mode value dies at
-# the parser with the valid choices spelled out instead of surfacing as
-# a traceback from deep inside the engine factory.
+# argparse `choices` stays in lockstep with the engine registry, so a
+# bad --engine value dies at the parser with the valid choices spelled
+# out instead of surfacing as a traceback from deep inside the engine
+# factory.
 ENGINE_CHOICES = tuple(sorted(set(ENGINES)))
 
 HARDWARE_ARTEFACTS = ("tab1", "tab2", "tab3", "tab4", "asic", "dse")
@@ -148,8 +147,6 @@ def _curve_and_rates(model_name: str, args):
         finetune_epochs=max(1, args.epochs - 2),
         seed=args.seed,
         engine=args.engine,
-        workers=args.workers,
-        shard_mode=args.shard_mode,
     )
     return dataset, curve
 
@@ -512,8 +509,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
                         help="micro-batch coalescing ceiling")
     parser.add_argument("--max-queue", type=int, default=64, dest="max_queue",
                         help="queue depth beyond which requests shed (429)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="batch shards per engine run")
     parser.add_argument("--serve-workers", type=int, default=1,
                         dest="serve_workers",
                         help="process-backed engine replicas behind the "
@@ -523,8 +518,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
                         help="persisted execution-plan file for adaptive "
                         "engines (shared warm start across restarts and "
                         "replica pools)")
-    parser.add_argument("--shard-mode", choices=SHARD_MODES, default="auto",
-                        dest="shard_mode")
     parser.add_argument("--hang-timeout", type=float, default=30.0,
                         dest="hang_timeout",
                         help="seconds before a wedged engine run is abandoned "
@@ -573,10 +566,8 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         default_deadline_ms=args.default_deadline_ms,
         p99_budget_ms=args.p99_budget_ms,
         engine=args.engine,
-        workers=args.workers,
         serve_workers=args.serve_workers,
         plan_path=args.plan_path,
-        shard_mode=args.shard_mode,
         max_batch_size=args.max_batch,
         max_queue_depth=args.max_queue,
         hang_timeout_seconds=args.hang_timeout,
@@ -632,23 +623,6 @@ def build_parser() -> argparse.ArgumentParser:
         "time-batched layer-sequential execution, or the adaptive "
         "auto backend (profiles a calibration run, then picks "
         "GEMM vs COO row-subset per layer; fastest)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="batch shards per SNN inference run in parallel "
-        "(1 = in-process); statistics are merged and match a "
-        "single-worker run",
-    )
-    parser.add_argument(
-        "--shard-mode",
-        choices=SHARD_MODES,
-        default="auto",
-        dest="shard_mode",
-        help="parallel substrate for --workers > 1: forked processes, "
-        "a thread pool (works where fork is unavailable), or pick "
-        "automatically",
     )
     parser.add_argument(
         "--input-format",

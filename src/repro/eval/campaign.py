@@ -1,8 +1,8 @@
 """Resumable parameter-grid campaigns over the supervised substrate.
 
 The hardware-model extension experiments (weight/threshold fault
-sweeps, DSE grids, quantisation levels, T sweeps, model x engine x
-shard-mode matrices) are all the same shape: a deterministic function
+sweeps, DSE grids, quantisation levels, T sweeps, model x engine
+matrices) are all the same shape: a deterministic function
 evaluated over a cartesian parameter grid, one JSON record per point.
 This module makes that shape a first-class, failure-tolerant workload:
 
@@ -28,11 +28,12 @@ This module makes that shape a first-class, failure-tolerant workload:
   — records that are corrupt, truncated or schema-mismatched are
   discarded (one warning) and re-run.  The merged result equals an
   uninterrupted run.
-* **Supervised execution.**  Points fan out across the same
-  fork/thread/serial substrate as batch shards
-  (:func:`repro.snn.engines.sharding.run_supervised`), inheriting
-  per-point exception capture, wall-clock deadlines, bounded
-  retry/backoff and the degradation chain.
+* **Supervised execution.**  With ``workers > 1``, points fan out over
+  forked processes or threads under
+  :func:`repro.snn.engines.sharding.run_supervised` — the only parallel
+  user of the supervisor — with per-point exception capture,
+  wall-clock deadlines, bounded retry/backoff and the
+  fork→thread→serial degradation chain.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ POINT_FORMAT = "repro-campaign-point/v1"
 
 #: Execution substrates a campaign accepts; ``serial`` is first-class
 #: here (a campaign of heavyweight points often wants no parallelism),
-#: ``auto`` resolves like the engine layer's shard modes.
+#: ``auto`` picks fork where available and threads otherwise.
 CAMPAIGN_MODES = ("auto", "fork", "thread", "serial")
 
 

@@ -80,8 +80,6 @@ def accuracy_vs_timesteps_experiment(
     finetune_epochs: int = 6,
     seed: int = 0,
     engine: str = "dense",
-    workers: int = 1,
-    shard_mode: str = "auto",
 ) -> AccuracyCurve:
     """Run the full pipeline and return the accuracy-vs-T curve.
 
@@ -89,8 +87,7 @@ def accuracy_vs_timesteps_experiment(
     ``"event"``, ``"batched"`` or the adaptive ``"auto"``); accuracy is
     backend-independent, wall clock is not — the batched and auto
     backends compute the whole accuracy-vs-T curve from one
-    layer-sequential pass.  ``workers`` shards evaluation batches
-    across forked processes or threads (``shard_mode``).
+    layer-sequential pass.
     """
     dataset = dataset or SyntheticCIFAR(num_train=2000, num_test=500, noise=1.0, seed=seed)
     result = run_conversion_pipeline(
@@ -104,8 +101,6 @@ def accuracy_vs_timesteps_experiment(
         finetune_config=TrainConfig(epochs=finetune_epochs, lr=5e-4, seed=seed + 1),
         seed=seed,
         engine=engine,
-        workers=workers,
-        shard_mode=shard_mode,
     )
     match_t = None
     for t, acc in enumerate(result.snn_accuracy_per_step, start=1):

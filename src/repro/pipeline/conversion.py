@@ -149,18 +149,14 @@ def run_conversion_pipeline(
     seed: int = 0,
     progress: Optional[Callable[[str], None]] = None,
     engine: EngineSpec = "dense",
-    workers: int = 1,
-    shard_mode: str = "auto",
 ) -> ConversionResult:
     """Run the full 3-stage pipeline on ``dataset``.
 
     ``max_timesteps`` (default ``max(timesteps, 16)``) controls how far
     the per-step accuracy curve extends — paper Figs. 7/9 plot up to ~30.
     ``engine`` selects the SNN execution backend (``"dense"``,
-    ``"event"``, ``"batched"`` or the adaptive ``"auto"``), ``workers``
-    the number of batch shards per inference and ``shard_mode`` their
-    substrate (forked processes or threads); the accuracy numbers are
-    independent of all three.
+    ``"event"``, ``"batched"`` or the adaptive ``"auto"``); the accuracy
+    numbers are independent of it.
     """
     say = progress or (lambda message: None)
     ann_config = ann_config or TrainConfig(epochs=8, seed=seed)
@@ -210,13 +206,7 @@ def run_conversion_pipeline(
     snn_model = convert_to_snn(
         snn_twin, neuron=neuron, reset=reset, v_init_fraction=v_init_fraction
     )
-    snn = SpikingNetwork(
-        snn_model,
-        timesteps=timesteps,
-        engine=engine,
-        workers=workers,
-        shard_mode=shard_mode,
-    )
+    snn = SpikingNetwork(snn_model, timesteps=timesteps, engine=engine)
     per_step = snn.accuracy_per_step(test_x, test_y, timesteps=max_timesteps)
     snn_acc = per_step[timesteps - 1]
 

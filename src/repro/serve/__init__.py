@@ -3,7 +3,7 @@
 The paper's accelerator exists to serve inference at scale; this
 package is the reproduction's serving layer — the part that takes the
 engine stack (warm :class:`~repro.snn.engines.auto.AutoEngine` plans,
-supervised sharding) and puts a deadline-aware, failure-honest HTTP
+block lanes) and puts a deadline-aware, failure-honest HTTP
 service in front of it, stdlib-only:
 
 * :mod:`repro.serve.app` — the asyncio HTTP server, lifecycle and

@@ -19,7 +19,7 @@ Routes
 ``GET /metrics``
     One JSON snapshot: request rate, p50/p99 latency, queue depth,
     shed/reject counters, breaker state and trip count, engine-worker
-    restarts and absorbed shard failures.
+    restarts and observed re-plans.
 ``POST /v1/infer``
     The inference path: bearer auth (optional), JSON body with a
     single-sample ``input`` plus optional ``deadline_ms`` /
@@ -68,7 +68,6 @@ from repro.snn import convert_to_snn
 from repro.snn.engines import make_engine
 from repro.snn.engines.costmodel import CostModel, cost_model_path_for
 from repro.snn.engines.service import EngineWorker
-from repro.snn.engines.sharding import ShardPolicy
 from repro.tensor import Tensor, no_grad
 
 logger = logging.getLogger(__name__)
@@ -99,12 +98,8 @@ class ServeConfig:
     p99_budget_ms: Optional[float] = None  # None disables degradation
     degrade_cooldown_seconds: float = 2.0
     engine: str = "auto"
-    workers: int = 1
     serve_workers: int = 1                # engine replicas (1 = in-process)
     plan_path: Optional[str] = None       # persisted execution plans
-    shard_mode: str = "auto"
-    shard_timeout_seconds: Optional[float] = 10.0
-    shard_retries: int = 1
     max_batch_size: int = 8
     max_queue_depth: int = 64
     max_inflight_bytes: int = 64 * 1024 * 1024
@@ -166,9 +161,6 @@ class InferenceServer:
         cfg = self.config
         self.input_shape = tuple(int(s) for s in input_shape)
         self.metrics = ServingMetrics()
-        policy = ShardPolicy(
-            timeout=cfg.shard_timeout_seconds, retries=cfg.shard_retries
-        )
         engine = make_engine(cfg.engine)
         if cfg.plan_path and hasattr(engine, "load_plans"):
             # make_engine takes no kwargs; thread the plan file through
@@ -185,9 +177,6 @@ class InferenceServer:
             self.worker = EngineWorkerPool(
                 engine,
                 replicas=cfg.serve_workers,
-                policy=policy,
-                workers=cfg.workers,
-                shard_mode=cfg.shard_mode,
                 probe_shape=self.input_shape,
                 serve_timesteps=cfg.timesteps,
                 max_batch_size=cfg.max_batch_size,
@@ -199,13 +188,7 @@ class InferenceServer:
             self.metrics.set_section("pool", self.worker.snapshot)
         else:
             # serve_workers == 1 keeps today's in-process worker exactly.
-            self.worker = EngineWorker(
-                engine,
-                policy=policy,
-                workers=cfg.workers,
-                shard_mode=cfg.shard_mode,
-                probe_shape=self.input_shape,
-            )
+            self.worker = EngineWorker(engine, probe_shape=self.input_shape)
         self.breaker = CircuitBreaker(
             failure_threshold=cfg.breaker_failure_threshold,
             reset_timeout=cfg.breaker_reset_seconds,
@@ -431,8 +414,6 @@ class InferenceServer:
         snapshot["worker"] = {
             "restarts": self.worker.restarts,
             "runs_completed": self.worker.runs_completed,
-            "shard_failures": self.worker.shard_failures,
-            "degraded_shard_mode": self.worker.last_degraded_mode,
             "replans_seen": self.worker.replans_seen,
         }
         planner = self.worker.planner_snapshot()

@@ -30,8 +30,8 @@ Robustness decisions all happen here, at well-defined points:
   effective T with ``per_step=True`` and each entry is answered from
   the cumulative logits at *its* effective timestep, which makes a
   degraded answer exactly the prefix of the full-T answer.
-* **Breaker integration**: dispatch failures (shard-supervision
-  exhaustion, worker hang timeouts) feed the breaker; when it trips,
+* **Breaker integration**: dispatch failures (engine errors, worker
+  hang timeouts) feed the breaker; when it trips,
   everything still queued is fast-failed, and the half-open probe is a
   real single-entry batch.
 """
@@ -598,7 +598,3 @@ class MicroBatcher:
 
     def _export_worker_counters(self) -> None:
         self.metrics.set_gauge("worker_restarts", self.worker.restarts)
-        self.metrics.set_gauge("shard_failures", self.worker.shard_failures)
-        self.metrics.set_label(
-            "degraded_shard_mode", self.worker.last_degraded_mode
-        )

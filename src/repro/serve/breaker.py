@@ -1,26 +1,25 @@
 """Circuit breaker around the warm engine worker pool.
 
-When the execution substrate starts failing — consecutive
-``ShardExecutionError``s, engine-worker hang timeouts — continuing to
+When the execution substrate starts failing — consecutive engine
+errors, engine-worker hang timeouts — continuing to
 queue work onto it makes everything worse: every queued request rides
 the failure to its own deadline, and the backlog grows while the
 substrate thrashes.  The breaker converts that cascade into fast,
 honest failure:
 
 * **closed** — normal operation.  ``failure_threshold`` *consecutive*
-  dispatch failures trip it open (one success resets the count; a
-  healthy substrate with occasional faults never trips, because PR 7's
-  retry/degradation chain absorbs those inside the run).
+  dispatch failures trip it open (one success resets the count, so a
+  healthy substrate with occasional faults never trips).
 * **open** — every request is rejected immediately (HTTP 503 +
   ``Retry-After``) without touching the worker, for ``reset_timeout``
   seconds.  Fast-fail is the point: clients get an answer in
   microseconds instead of a queue slot on a dying substrate.
 * **half-open** — after the cooldown, exactly one probe dispatch is
-  admitted.  The probe is a real request riding the supervised
-  substrate (retry + fork→thread→serial degradation), so "the probe
-  succeeded" means the degradation chain found *some* working
-  substrate, not merely that a socket opened.  Success closes the
-  breaker; failure reopens it for another cooldown.
+  admitted.  The probe is a real request through the worker (a slot
+  rebuilt after a hang, or a pool replica), so "the probe succeeded"
+  means the engine completed real work, not merely that a socket
+  opened.  Success closes the breaker; failure reopens it for another
+  cooldown.
 
 Transitions are logged, counted, and exported through the shared
 metrics (``breaker_state`` label, ``breaker_trips`` /

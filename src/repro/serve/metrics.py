@@ -4,7 +4,7 @@ One :class:`ServingMetrics` instance is shared by every component of
 the request path — admission control increments shed counters, the
 micro-batcher observes end-to-end latencies and queue depth, the
 circuit breaker reports state transitions, the engine worker feeds
-shard-failure counts — and ``GET /metrics`` renders one snapshot.
+its restart count — and ``GET /metrics`` renders one snapshot.
 
 Everything is stdlib and thread-safe: observations arrive from the
 event loop *and* from engine worker threads.  Percentiles come from a
@@ -89,7 +89,7 @@ class ServingMetrics:
             self._gauges[name] = float(value)
 
     def set_label(self, name: str, value: str) -> None:
-        """A string-valued readout (breaker state, degraded shard mode)."""
+        """A string-valued readout (e.g. the breaker state)."""
         with self._lock:
             self._labels[name] = str(value)
 

@@ -125,9 +125,6 @@ def _replica_main(index: int, payload: dict, request_queue, response_queue) -> N
     if payload["mode"] == "fork":
         _drop_inherited_sockets()
     engine = _materialise_engine(payload)
-    policy = payload.get("policy")
-    workers = int(payload.get("workers", 1))
-    shard_mode = payload.get("shard_mode", "auto")
     while True:
         try:
             item = request_queue.get()
@@ -144,20 +141,11 @@ def _replica_main(index: int, payload: dict, request_queue, response_queue) -> N
             observe = getattr(engine, "observe_density_prior", None)
             if observe is not None and density is not None:
                 observe(item.get("kind", "dense"), float(density))
-            run = engine.run(
-                item["x"],
-                int(item["timesteps"]),
-                per_step=True,
-                workers=workers,
-                shard_mode=shard_mode,
-                shard_policy=policy,
-            )
+            run = engine.run(item["x"], int(item["timesteps"]), per_step=True)
             response.update(
                 ok=True,
                 per_step=np.stack(run.per_step),
                 stats={
-                    "shard_failures": len(run.stats.shard_failures),
-                    "degraded_shard_mode": run.stats.degraded_shard_mode or "",
                     "replan_triggered": bool(run.stats.replan_triggered),
                     "wall_clock_seconds": float(run.stats.wall_clock_seconds),
                 },
@@ -219,8 +207,6 @@ class _PoolStats:
     timesteps: int
     engine: str
     wall_clock_seconds: float
-    shard_failures: tuple = ()
-    degraded_shard_mode: str = ""
     replan_triggered: bool = False
 
 
@@ -246,9 +232,6 @@ class EngineWorkerPool:
         self,
         engine,
         replicas: int,
-        policy=None,
-        workers: int = 1,
-        shard_mode: str = "auto",
         probe_shape: Optional[Sequence[int]] = None,
         probe_timesteps: int = 2,
         serve_timesteps: Optional[int] = None,
@@ -265,9 +248,6 @@ class EngineWorkerPool:
         if probe_shape is None:
             raise ValueError("the pool needs probe_shape for its warm-up runs")
         self._engine = engine
-        self.policy = policy
-        self.workers = int(workers)
-        self.shard_mode = shard_mode
         self.probe_shape: Tuple[int, ...] = tuple(int(s) for s in probe_shape)
         self.probe_timesteps = int(probe_timesteps)
         self.capacity = int(replicas)
@@ -279,8 +259,6 @@ class EngineWorkerPool:
         # Worker-interface counters (the batcher and /metrics read these).
         self.restarts = 0
         self.runs_completed = 0
-        self.shard_failures = 0
-        self.last_degraded_mode = ""
         self.replans_seen = 0
 
         self._lock = threading.Lock()
@@ -327,23 +305,14 @@ class EngineWorkerPool:
     # ------------------------------------------------------------------
     def _replica_payload(self) -> dict:
         if self.start_method == "fork":
-            # Process args are not pickled under fork: the engine and
-            # policy ride into the child copy-on-write.
-            return {
-                "mode": "fork",
-                "engine": self._engine,
-                "policy": self.policy,
-                "workers": self.workers,
-                "shard_mode": self.shard_mode,
-            }
+            # Process args are not pickled under fork: the engine rides
+            # into the child copy-on-write.
+            return {"mode": "fork", "engine": self._engine}
         return {
             "mode": "spawn",
             "spec": self._spawn_spec or "auto",
             "model": self._engine.model,
             "plan_path": self._plan_path,
-            "policy": None,  # ShardPolicy is rebuilt as default on spawn
-            "workers": self.workers,
-            "shard_mode": self.shard_mode,
         }
 
     def _start_replica(self, replica: _Replica) -> None:
@@ -565,9 +534,6 @@ class EngineWorkerPool:
                     replica.completed += 1
                 stats = result.stats
                 self.runs_completed += 1
-                self.shard_failures += len(stats.shard_failures)
-                if stats.degraded_shard_mode:
-                    self.last_degraded_mode = stats.degraded_shard_mode
                 if stats.replan_triggered:
                     self.replans_seen += 1
         if dispatch.future.done():
@@ -586,8 +552,6 @@ class EngineWorkerPool:
             timesteps=dispatch.timesteps,
             engine=type(self._engine).__name__,
             wall_clock_seconds=float(raw.get("wall_clock_seconds", 0.0)),
-            shard_failures=tuple(range(int(raw.get("shard_failures", 0)))),
-            degraded_shard_mode=str(raw.get("degraded_shard_mode", "")),
             replan_triggered=bool(raw.get("replan_triggered", False)),
         )
         per_step = [stacked[t] for t in range(stacked.shape[0])]

@@ -15,9 +15,8 @@ COO-native gathers: one row-subset GEMM per layer covering all T
 timesteps, bitwise identical to ``"batched"`` and faster at low input
 density) or ``"auto"`` (profiles a calibration run and compiles a
 cached per-layer GEMM/event-batched plan, bitwise equal to
-``"batched"``) —
-optionally sharded over ``workers`` forked processes or threads
-(``shard_mode``) along the batch dimension.
+``"batched"``).  The time-stacked backends run a large batch as sample
+blocks in lanes, one per usable core.
 """
 
 from repro.snn.dynamics import (

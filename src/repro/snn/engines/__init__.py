@@ -36,15 +36,14 @@ spike rates, performed-vs-dense synaptic-op counts and (when
 ``profile_layers`` is on, the default) per-layer wall clock and input
 density — rendered by ``RunStats.profile_table()``.
 
-:meth:`SimulationEngine.run` additionally accepts ``workers=K`` to
-shard the batch dimension across forked processes or a thread pool
-(``shard_mode="fork" | "thread" | "auto"``, see
-:mod:`repro.snn.engines.sharding`); shard results are concatenated and
-their stats merged, so a K-worker run reports the same rates and op
-counts as a single-worker run.  Without shards, the time-stacked
-engines run a large call's sample blocks concurrently, one lane per
-usable core (:mod:`repro.snn.engines.lanes`), bit-identical to running
-them one after another.
+One engine run is one datapath, like the paper's SIA running one
+inference.  The only in-process parallelism is block lanes: the
+time-stacked engines run a large call's sample blocks concurrently,
+one lane per usable core (:mod:`repro.snn.engines.lanes`),
+bit-identical to running them one after another.  ``dense`` and
+``event`` use every core through multi-threaded BLAS instead.  The
+supervisor in :mod:`repro.snn.engines.sharding` parallelises campaign
+grid points, not engine runs.
 """
 
 from __future__ import annotations

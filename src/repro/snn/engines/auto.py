@@ -397,11 +397,9 @@ class AutoEngine(EventBatchedEngine):
         # The plan key every block of the current blocked call shares
         # (see _run_blocked); None outside a blocked call.
         self._block_key: Optional[Tuple] = None
-        # Single-writer guard for the plan/cost files: fork-pool children
-        # inherit this engine (and plan_path) copy-on-write, but only
-        # the owning process persists — children ship plans/evictions/
-        # observations back on the EngineRun for the parent to absorb
-        # and write.
+        # Single-writer guard for the plan/cost files: a forked process
+        # (a serving pool replica) inherits this engine and plan_path
+        # copy-on-write, but only the process that built it persists.
         self._owner_pid = os.getpid()
         if cost_model is not None:
             self.cost_model = cost_model
@@ -413,9 +411,9 @@ class AutoEngine(EventBatchedEngine):
             self.load_plans(plan_path, missing_ok=True)
 
     def _config(self) -> dict:
-        # plan_path is deliberately not inherited by thread-shard
-        # siblings: they share this engine's plan cache already, and
-        # the parent is the single writer of the persistence file.
+        # plan_path is deliberately not inherited by siblings: they
+        # share this engine's plan cache already, and the parent is the
+        # single writer of the persistence file.
         config = super()._config()
         config["margin"] = self.margin
         config["drift_threshold"] = self.drift_threshold
@@ -607,7 +605,7 @@ class AutoEngine(EventBatchedEngine):
                 best, best_distance = plan, distance
         return best
 
-    def _run_blocked(self, x, timesteps, per_step, lanes=True):
+    def _run_blocked(self, x, timesteps, per_step):
         bounds = self._sample_blocks(int(x.shape[0]), timesteps)
         if len(bounds) <= 1:
             return self._run_single(x, timesteps, per_step)
@@ -616,18 +614,14 @@ class AutoEngine(EventBatchedEngine):
         plan = self._plans.get(key)
         self._block_key = key
         try:
-            run = super()._run_blocked(x, timesteps, per_step, lanes)
+            run = super()._run_blocked(x, timesteps, per_step)
         finally:
             self._block_key = None
         # The post-run drift guard judges the whole call once, so a
         # block that drifted cannot evict the plan and make the next
         # block of the same call recalibrate.
-        if (
-            plan is not None
-            and not run.stats.replan_triggered
-            and self._check_drift(key, plan, run.stats)
-        ):
-            run.dropped_plan_key = key
+        if plan is not None and not run.stats.replan_triggered:
+            self._check_drift(key, plan, run.stats)
         return run
 
     def _lanes_ready(self) -> bool:
@@ -684,36 +678,22 @@ class AutoEngine(EventBatchedEngine):
                 self._plans.put(key, plan)
                 self.calibration_runs += 1
                 self._persist_plans()
-                # Ship the fresh plan back on the run: a fork-pool shard
-                # compiles in a throwaway child process, and only this
-                # payload (absorbed by the parent's _absorb_shard_runs)
-                # gets it into the surviving cache.
-                run.plan = plan
             elif self._replanned_at is not None:
                 # The mid-run guard already swapped and re-cached the
-                # plan; record the event and ship the new plan back.
+                # plan; record the event.
                 plan = self._active_plan
                 stats.replan_triggered = True
                 stats.plan_drift = self._replan_worst
                 stats.replanned_at = self._replanned_at
-                run.plan = plan
                 self._persist_plans()
             elif self._block_key is None:
-                if self._check_drift(key, plan, stats):
-                    # Like a fresh plan, an eviction must ride back to
-                    # the parent: a fork shard pops only its throwaway
-                    # copy-on-write cache, and thread siblings carry no
-                    # plan_path, so the parent re-drops and re-persists.
-                    run.dropped_plan_key = key
+                self._check_drift(key, plan, stats)
             stats.plan_source = (
                 "re-planned" if self._replanned_at is not None else plan.source
             )
             if self._run_observations:
-                # Calibration races feed the cost model; ship the raw
-                # samples too so fork-shard calibrations teach the
-                # parent's model.
+                # Calibration races feed the cost model.
                 self.cost_model.observe_many(self._run_observations)
-                run.observations = list(self._run_observations)
                 self._persist_cost_model()
             for layer in stats.layers:
                 if layer.kind == "neuron":
@@ -852,30 +832,6 @@ class AutoEngine(EventBatchedEngine):
             source="re-planned",
             predicted_ms=predicted,
         )
-
-    def _absorb_shard_runs(self, runs) -> None:
-        changed = False
-        learned = False
-        for run in runs:
-            if run is None:
-                continue
-            if run.plan is not None:
-                self._plans.put(run.plan.key, run.plan)
-                changed = True
-            if run.dropped_plan_key is not None:
-                # Re-drop in the surviving cache (a no-op for thread
-                # siblings, which share it) and rewrite the plan file.
-                self._plans.pop(run.dropped_plan_key)
-                changed = True
-            if run.observations:
-                # Fork children race in throwaway processes; their cost
-                # samples only reach the surviving model through here.
-                self.cost_model.observe_many(run.observations)
-                learned = True
-        if changed:
-            self._persist_plans()
-        if learned:
-            self._persist_cost_model()
 
     # ------------------------------------------------------------------
     def planner_snapshot(self) -> dict:

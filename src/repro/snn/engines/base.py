@@ -1,7 +1,7 @@
 """The engine interface: run schedule, instrumentation and shared caches.
 
 :class:`SimulationEngine` owns everything common to all backends — the
-timestep/shard orchestration in :meth:`SimulationEngine.run`, the
+block and lane orchestration in :meth:`SimulationEngine.run`, the
 per-run reset/install/execute/collect cycle in
 :meth:`SimulationEngine._run_single` (called once per sample block by
 :meth:`SimulationEngine._run_blocked`), and the per-layer wall-clock
@@ -15,7 +15,6 @@ layers), or the whole schedule via :meth:`SimulationEngine._execute`.
 from __future__ import annotations
 
 import abc
-import logging
 import threading
 import time
 from collections import OrderedDict
@@ -30,15 +29,6 @@ from repro.nn.quant import QuantConv2d, QuantLinear, _WeightFakeQuant
 from repro.snn.convert import reset_network_state
 from repro.snn.engines.lanes import lane_count, run_lanes
 from repro.snn.engines.profiling import profiled_call
-from repro.snn.engines.sharding import (
-    SHARD_MODES,
-    ShardPolicy,
-    resolve_shard_mode,
-    run_batch_shards,
-    split_bounds,
-)
-
-logger = logging.getLogger(__name__)
 from repro.snn.neurons import IFNeuron
 from repro.snn.spikes import SpikeStream
 from repro.snn.stats import LayerStats, RunStats
@@ -47,23 +37,11 @@ from repro.tensor import Tensor, no_grad
 
 @dataclass
 class EngineRun:
-    """Result of one engine invocation.
-
-    ``plan``, ``dropped_plan_key`` and ``observations`` are
-    engine-private payloads shipped back from shard workers (picklable,
-    so they survive the fork-pool return trip): the auto engine uses
-    them to hand a freshly compiled execution plan, a drift-guard
-    eviction, or the calibration's raw ``(backend, ops, ms)`` cost
-    samples from a worker back to the parent's surviving plan cache and
-    cost model.
-    """
+    """Result of one engine invocation."""
 
     logits: np.ndarray
     stats: RunStats
     per_step: Optional[List[np.ndarray]] = None
-    plan: Optional[object] = None
-    dropped_plan_key: Optional[Tuple] = None
-    observations: Optional[List[Tuple]] = None
 
 
 # ----------------------------------------------------------------------
@@ -75,8 +53,8 @@ class LRUCache:
     Long-lived processes bind engines to many models over time; every
     cross-run cache in the engine layer (effective weights, compiled
     execution plans) is bounded by one of these so memory cannot grow
-    without limit.  The lock makes it shareable between the thread-shard
-    sibling engines, which deduplicates work across shards.
+    without limit.  The lock makes it shareable between the sibling
+    engines lanes run on, which deduplicates work across lanes.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -190,10 +168,8 @@ def _dense_op_count(module: Module, x_shape: Sequence[int]) -> int:
 def _concat_runs(runs: List[EngineRun], timesteps: int, per_step: bool) -> EngineRun:
     """Join the runs of consecutive batch slices into one batch-order run.
 
-    Logits and per-step logits are concatenated, statistics merged into
-    the first run's record (:meth:`RunStats.merge`), and the engine
-    -private payloads carried along so a forked shard's blocks still
-    hand their plan, eviction and cost samples back to the parent.
+    Logits and per-step logits are concatenated and statistics merged
+    into the first run's record (:meth:`RunStats.merge`).
     """
     stats = runs[0].stats
     for run in runs[1:]:
@@ -204,16 +180,10 @@ def _concat_runs(runs: List[EngineRun], timesteps: int, per_step: bool) -> Engin
             np.concatenate([run.per_step[t] for run in runs], axis=0)
             for t in range(timesteps)
         ]
-    plans = [run.plan for run in runs if run.plan is not None]
-    dropped = [run.dropped_plan_key for run in runs if run.dropped_plan_key is not None]
-    observations = [o for run in runs for o in (run.observations or ())]
     return EngineRun(
         logits=np.concatenate([run.logits for run in runs], axis=0),
         stats=stats,
         per_step=outputs,
-        plan=plans[-1] if plans else None,
-        dropped_plan_key=dropped[-1] if dropped else None,
-        observations=observations or None,
     )
 
 
@@ -245,14 +215,10 @@ class SimulationEngine(abc.ABC):
         self._synapse_modules: List[Tuple[str, Module]] = []
         self._neuron_modules: List[Tuple[str, IFNeuron]] = []
         self._installed: List[Module] = []
-        # Thread-shard infrastructure, built lazily and reused across
-        # runs (see repro.snn.engines.sharding): sibling engines bound
-        # to persistent model clones keyed by shard count, plus one
-        # long-lived pool so worker threads (and their thread-local
-        # im2col pad workspaces) survive between runs.
+        # Lane peers, built lazily and reused across runs: sibling
+        # engines bound to persistent model clones, keyed by count
+        # (see repro.snn.engines.sharding._thread_peers_for).
         self._thread_peers: Dict[int, List["SimulationEngine"]] = {}
-        self._thread_pool = None
-        self._thread_pool_size = 0
 
     # ------------------------------------------------------------------
     def bind(self, model: Module) -> "SimulationEngine":
@@ -270,7 +236,7 @@ class SimulationEngine(abc.ABC):
         return self
 
     # ------------------------------------------------------------------
-    # Thread-shard siblings
+    # Lane siblings
     # ------------------------------------------------------------------
     def _config(self) -> dict:
         """Constructor kwargs that reproduce this engine's configuration."""
@@ -281,78 +247,35 @@ class SimulationEngine(abc.ABC):
         shared caches are thread-safe :class:`LRUCache` instances)."""
 
     def _sibling(self) -> "SimulationEngine":
-        """A same-configuration engine for one thread-shard worker.
+        """A same-configuration engine for one lane (or worker restart).
 
         Siblings share the thread-safe cross-run caches but nothing
         run-scoped, and each binds to its own structural clone of the
-        model, so concurrent shards never touch the same module state.
+        model, so concurrent lanes never touch the same module state.
         """
         peer = type(self)(**self._config())
         self._share_caches(peer)
         return peer
 
-    def _absorb_shard_runs(self, runs: List["EngineRun"]) -> None:
-        """Fold shard-worker payloads back into the parent engine.
-
-        Fork-pool workers are throwaway processes: anything they learn
-        (the auto engine's compiled plans) is lost unless it rides back
-        on the :class:`EngineRun`.  The base engine has nothing to
-        absorb.
-        """
-
     # ------------------------------------------------------------------
-    def run(
-        self,
-        x: np.ndarray,
-        timesteps: int,
-        per_step: bool = False,
-        workers: int = 1,
-        shard_mode: str = "auto",
-        shard_policy: Optional[ShardPolicy] = None,
-    ) -> EngineRun:
+    def run(self, x: np.ndarray, timesteps: int, per_step: bool = False) -> EngineRun:
         """Run a batch for T timesteps; accumulate logits in place.
 
-        ``workers > 1`` shards the batch dimension into contiguous
-        blocks executed in parallel; logits are concatenated in batch
-        order and per-shard statistics merged, so rates and op counts
-        match a single-worker run (up to float summation order at shard
-        boundaries — a shard is a smaller GEMM, the same caveat as any
-        BLAS reordering).  ``shard_mode`` picks the parallel substrate:
-        ``"fork"`` (processes sharing weights copy-on-write),
-        ``"thread"`` (a thread pool over model clones that share weight
-        arrays — BLAS releases the GIL on the hot GEMMs, and it works
-        where fork is unavailable), or ``"auto"`` (fork where the
-        platform has it, threads otherwise).
-
-        The time-stacked engines run a large call — and each shard its
-        own slice — as sample blocks (:meth:`_run_blocked`), so their
-        ``(T*N, ...)`` working set stays bounded; blocks are joined like
-        shards.  An unsharded call runs its blocks in lanes, one per
-        usable core (:mod:`repro.snn.engines.lanes`).
+        The time-stacked engines run a large call as sample blocks
+        (:meth:`_run_blocked`), so their ``(T*N, ...)`` working set
+        stays bounded, and run the blocks in lanes, one per usable core
+        (:mod:`repro.snn.engines.lanes`); blocks are joined in batch
+        order and their statistics merged.
 
         ``x`` may also be a COO :class:`repro.snn.spikes.SpikeStream`
         — per-timestep input planes instead of one direct-coded frame.
-        The stream's ``timesteps`` must match ``timesteps``, and shards
+        The stream's ``timesteps`` must match ``timesteps``, and blocks
         slice the stream's batch axis exactly like a dense batch.
-
-        Sharded runs execute under a supervisor (see
-        :mod:`repro.snn.engines.sharding`): a shard that crashes or
-        hangs past ``shard_policy.timeout`` is retried and, if
-        necessary, re-run down the ``fork -> thread -> serial``
-        degradation chain — logits stay bit-identical (same kernels,
-        same slices) and the failure trail lands on
-        ``RunStats.shard_failures`` / ``RunStats.degraded_shard_mode``.
         """
         if self.model is None:
             raise RuntimeError("engine is not bound to a model; call bind() first")
         if timesteps < 1:
             raise ValueError("timesteps must be >= 1")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if shard_mode not in SHARD_MODES:
-            raise ValueError(
-                f"unknown shard_mode {shard_mode!r}; choose from {SHARD_MODES}"
-            )
         if isinstance(x, SpikeStream):
             if timesteps != x.timesteps:
                 raise ValueError(
@@ -361,40 +284,7 @@ class SimulationEngine(abc.ABC):
                 )
         else:
             x = np.asarray(x)
-        requested = int(workers)
-        workers = min(requested, max(int(x.shape[0]), 1))
-        if workers < requested:
-            # Clamp instead of spawning empty shards; one warning so a
-            # mis-sized fleet is visible without spamming per shard.
-            logger.warning(
-                "workers=%d exceeds the batch size %d; clamping to %d "
-                "single-sample shard(s)",
-                requested,
-                int(x.shape[0]),
-                workers,
-            )
-        if workers == 1:
-            # No sharding happens: don't demand a working fork (a
-            # shard_mode="fork" request must not crash single-worker
-            # runs on fork-less platforms).
-            return self._run_blocked(x, timesteps, per_step)
-        mode = resolve_shard_mode(shard_mode)
-
-        started = time.perf_counter()
-        bounds = split_bounds(int(x.shape[0]), workers)
-        outcome = run_batch_shards(
-            self, x, timesteps, per_step, bounds, mode, policy=shard_policy
-        )
-        self._absorb_shard_runs(outcome.results)
-        merged = _concat_runs(outcome.results, timesteps, per_step)
-        stats = merged.stats
-        stats.workers = len(bounds)
-        stats.shard_mode = mode
-        stats.shard_failures = list(outcome.failures)
-        stats.degraded_shard_mode = outcome.degraded_mode
-        # Shard wall clocks overlap; report the parent-observed elapsed.
-        stats.wall_clock_seconds = time.perf_counter() - started
-        return EngineRun(logits=merged.logits, stats=stats, per_step=merged.per_step)
+        return self._run_blocked(x, timesteps, per_step)
 
     def _sample_blocks(self, batch: int, timesteps: int) -> List[Tuple[int, int]]:
         """Contiguous sample blocks one call runs as, in order.
@@ -405,25 +295,22 @@ class SimulationEngine(abc.ABC):
         """
         return [(0, batch)]
 
-    def _run_blocked(
-        self, x, timesteps: int, per_step: bool, lanes: bool = True
-    ) -> EngineRun:
-        """One call (or one shard's slice) as sample blocks.
+    def _run_blocked(self, x, timesteps: int, per_step: bool) -> EngineRun:
+        """One call as sample blocks.
 
         Every block is a plain :meth:`_run_single`; their logits are
-        concatenated in batch order and their statistics merged, exactly
-        like batch shards.  Blocks run concurrently in lanes, one per
-        usable core (:mod:`repro.snn.engines.lanes`), unless ``lanes``
-        is off (batch-shard tasks, which already own the cores), the
-        engine declines (:meth:`_lanes_ready`) or the machine cannot;
-        otherwise serially.  The bound model's stateful neurons keep the
-        membrane and spike state of the last block it ran.
+        concatenated in batch order and their statistics merged.  Blocks
+        run concurrently in lanes, one per usable core
+        (:mod:`repro.snn.engines.lanes`), unless the engine declines
+        (:meth:`_lanes_ready`) or the machine cannot; otherwise
+        serially.  The bound model's stateful neurons keep the membrane
+        and spike state of the last block it ran.
         """
         bounds = self._sample_blocks(int(x.shape[0]), timesteps)
         if len(bounds) <= 1:
             return self._run_single(x, timesteps, per_step)
         started = time.perf_counter()
-        count = lane_count(len(bounds)) if lanes and self._lanes_ready() else 1
+        count = lane_count(len(bounds)) if self._lanes_ready() else 1
         if count > 1:
             runs = run_lanes(self, x, timesteps, per_step, bounds, count)
         else:

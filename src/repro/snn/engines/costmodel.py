@@ -132,7 +132,7 @@ class CostModel:
             self._stale = True
 
     def observe_many(self, observations: Iterable[Tuple[str, float, float]]) -> None:
-        """Record ``(backend, ops, ms)`` triples (shard-run payloads)."""
+        """Record ``(backend, ops, ms)`` triples (a run's calibration races)."""
         for backend, ops, ms in observations:
             self.observe(backend, ops, ms)
 

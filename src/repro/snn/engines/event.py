@@ -230,37 +230,17 @@ def sparse_linear(
     bias: Optional[np.ndarray],
     active: Optional[np.ndarray] = None,
     performed: Optional[int] = None,
-    rows: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, int]:
     """Event-driven affine map over a sparse feature batch.
 
     ``active`` / ``performed`` accept the coordinate-derived feature
     selection of a carried spike stream (``unique(coords[:, 1])`` and
     ``events * out_features``); omitted, they are scanned from ``x``.
-
-    ``rows`` switches to the *bit-exact* batched event path: only the
-    given samples (rows with at least one event — for a t-major
-    stacked batch, ``unique(coords[:, 0])``) go through the GEMM, each
-    with its full feature vector, and silent samples come out exactly
-    zero (plus bias).  A row-subset GEMM reduces each output element
-    the same way the full GEMM would, so the result is bitwise
-    identical to the dense affine map — the feature-gather path above
-    regroups partial sums and is only summation-order equivalent.
+    Gathering the active features regroups partial sums, so the result
+    is only summation-order equivalent to the dense affine map.
     """
     if performed is None:
         performed = int(np.count_nonzero(x)) * weight.shape[0]
-    if rows is not None:
-        out = np.zeros(
-            (x.shape[0], weight.shape[0]),
-            dtype=np.result_type(x.dtype, weight.dtype),
-        )
-        if rows.size == x.shape[0]:
-            np.matmul(x, weight.T, out=out)
-        elif rows.size:
-            out[rows] = x[rows] @ weight.T
-        if bias is not None:
-            out += bias
-        return out, performed
     if active is None:
         active = np.flatnonzero(x.any(axis=0))
     if active.size == x.shape[1]:

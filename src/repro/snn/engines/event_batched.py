@@ -11,10 +11,12 @@ and its sparsity structure is carried across the layer graph alongside
 the dense planes at four levels of detail:
 
 * *exact coordinates* (stream input, COO pool outputs, site-neuron
-  outputs) — conv/linear run the bit-exact row-subset kernels
-  (:func:`repro.snn.engines.event.conv_rows`,
-  :func:`repro.snn.engines.event.sparse_linear` with ``rows``): one
-  gather + one GEMM covering all T timesteps;
+  outputs) — a conv runs the bit-exact row-subset kernel
+  (:func:`repro.snn.engines.event.conv_rows`): one gather + one GEMM
+  covering all T timesteps.  A linear runs the full GEMM over every
+  stack row, because a GEMM over a row subset may pick another BLAS
+  kernel and differ in the last bit; silent rows still come out as
+  the bias alone;
 * *site values* (gathered conv outputs that feed a proven
   ``Conv2d -> [BatchNorm2d ->] IFNeuron`` chain of a ``Sequential``) —
   the active rows, their ``(rows, C)`` output block and the per-channel
@@ -85,7 +87,6 @@ from repro.snn.engines.event import (
     conv_active_windows,
     conv_rows,
     pooled_coords,
-    sparse_linear,
 )
 from repro.snn.neurons import IFNeuron
 from repro.snn.spikes import SpikeStream, StepSpikes
@@ -422,9 +423,10 @@ class EventBatchedEngine(TimeBatchedEngine):
                     exact=False,
                 )
             return out, performed, gathered
-        rows = np.unique(step.coords[:, 0])
         performed = step.num_events * weight.shape[0]
-        out, _ = sparse_linear(data, weight, bias, performed=performed, rows=rows)
+        out = data @ weight.T
+        if bias is not None:
+            out += bias
         return out, performed, True
 
     def _make_interceptor(self, module, stat, orig):

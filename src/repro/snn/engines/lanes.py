@@ -10,7 +10,9 @@ unchanged block list is split into ``min(blocks, cores)`` contiguous
 * every other lane runs on one process-wide pool of ``cores - 1``
   threads, each on a sibling engine bound to a weight-sharing model
   clone (:func:`repro.snn.engines.sharding._thread_peers_for`), so
-  concurrent lanes never touch the same module state;
+  concurrent lanes never touch the same module state.  The clones are
+  rebuilt when the bound model rebinds anything they share, such as a
+  neuron's threshold or a BN buffer;
 * each lane runs its blocks serially, and the runs are joined in batch
   order exactly like serial blocks.
 
@@ -29,7 +31,6 @@ Blocks run serially, exactly as without lanes, when
   usable cores (``os.sched_getaffinity``);
 * the loaded BLAS does not export ``openblas_set_num_threads_local``
   (another BLAS, or an older OpenBLAS);
-* the call is a batch-shard task: the shards already own the cores;
 * the engine declines (:meth:`SimulationEngine._lanes_ready`): the auto
   engine does until the call's block key has a plan, so a cold call
   still calibrates serially.

@@ -14,8 +14,7 @@ give it:
   worker future for ``asyncio`` callers with an optional wall-clock
   timeout, so the event loop never blocks on a GEMM.
 * **A health probe and a poison recovery path.**  A worker thread stuck
-  inside a wedged run cannot be killed; what *can* be done — the same
-  move the shard supervisor makes when a thread shard hangs — is to
+  inside a wedged run cannot be killed; what *can* be done is to
   abandon the wedged thread together with the model whose interceptors
   it still holds, and rebuild the slot on a sibling engine bound to a
   weight-sharing clone (:func:`clone_for_inference`).  Weights are
@@ -25,12 +24,8 @@ give it:
   runs a tiny canary inference through the same slot so liveness means
   "the engine actually completes work", not "the process exists".
 
-Runs inside the worker still ride PR 7's supervised sharding: a
-``ShardPolicy`` passed at construction travels into every
-``engine.run``, so per-shard crashes and hangs retry and degrade
-fork→thread→serial *inside* the slot before the worker-level timeout
-ever fires.  The worker-level timeout is the outer net for what the
-supervisor cannot catch — a hang in serial execution itself.
+A run inside the slot is one plain ``engine.run``; a large batch still
+uses every core through the engine's block lanes.
 """
 
 from __future__ import annotations
@@ -47,7 +42,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.snn.engines.base import EngineRun, SimulationEngine
-from repro.snn.engines.sharding import ShardPolicy, clone_for_inference
+from repro.snn.engines.sharding import clone_for_inference
 
 logger = logging.getLogger(__name__)
 
@@ -77,11 +72,6 @@ class EngineWorker:
         A bound :class:`SimulationEngine` (``engine.model`` set).  The
         worker takes over execution scheduling; callers must not run
         the engine directly while the worker owns it.
-    policy:
-        Shard-level failure policy threaded into every run (retries,
-        per-attempt deadlines, the degradation chain).
-    workers / shard_mode:
-        Batch-shard fan-out applied to every dispatched batch.
     probe_shape:
         Single-sample input shape ``(C, H, W)`` for health-probe
         canaries; defaults to the shape of the first submitted batch.
@@ -93,9 +83,6 @@ class EngineWorker:
     def __init__(
         self,
         engine: SimulationEngine,
-        policy: Optional[ShardPolicy] = None,
-        workers: int = 1,
-        shard_mode: str = "auto",
         probe_shape: Optional[Sequence[int]] = None,
         probe_timesteps: int = 2,
     ) -> None:
@@ -103,9 +90,6 @@ class EngineWorker:
             raise ValueError("engine must be bound to a model (call bind() first)")
         self._engine = engine
         self._source_model = engine.model
-        self.policy = policy
-        self.workers = int(workers)
-        self.shard_mode = shard_mode
         self.probe_shape: Optional[Tuple[int, ...]] = (
             tuple(int(s) for s in probe_shape) if probe_shape is not None else None
         )
@@ -114,8 +98,6 @@ class EngineWorker:
         self._executor = self._fresh_executor()
         self.restarts = 0          # wedged slots abandoned and rebuilt
         self.runs_completed = 0
-        self.shard_failures = 0    # supervised failures absorbed inside runs
-        self.last_degraded_mode = ""
         self.replans_seen = 0      # planner drift events observed in runs
 
     # ------------------------------------------------------------------
@@ -144,19 +126,9 @@ class EngineWorker:
             # cold plan keys warm-start from real traffic (one
             # count_nonzero pass — noise next to a T-timestep run).
             observe("dense", float(np.count_nonzero(x)) / max(x.size, 1))
-        run = self._engine.run(
-            x,
-            timesteps,
-            per_step=per_step,
-            workers=self.workers,
-            shard_mode=self.shard_mode,
-            shard_policy=self.policy,
-        )
+        run = self._engine.run(x, timesteps, per_step=per_step)
         with self._lock:
             self.runs_completed += 1
-            self.shard_failures += len(run.stats.shard_failures)
-            if run.stats.degraded_shard_mode:
-                self.last_degraded_mode = run.stats.degraded_shard_mode
             if run.stats.replan_triggered:
                 self.replans_seen += 1
         return run

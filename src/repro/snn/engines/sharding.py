@@ -1,52 +1,39 @@
-"""Supervised batch sharding across forked processes or a thread pool.
+"""Supervised parallel tasks, and weight-sharing model clones.
 
-``SimulationEngine.run(workers=K)`` splits the batch into contiguous
-shards and runs them in parallel.  Two substrates are available:
+:func:`run_supervised` runs ``count`` independent tasks ``fn(index)``
+on one of two substrates:
 
 ``fork``
-    The classic path: worker processes forked from the parent inherit
-    the engine, model weights and input batch copy-on-write, so nothing
-    is pickled.  Only available where the platform has the ``fork``
-    start method (not Windows, not some embedded interpreters).
+    Worker processes forked from the parent inherit the task closure
+    copy-on-write, so nothing but the index and the result is pickled.
+    Only available where the platform has the ``fork`` start method.
 
 ``thread``
-    A thread pool.  Each shard gets a *sibling* engine (same
-    configuration, shared thread-safe cross-run caches) bound to a
-    structural clone of the model that shares every parameter and
-    buffer array but owns its own module objects — so concurrent shards
-    never race on interceptors, membrane state or spike counters.  The
-    hot work is BLAS GEMMs and large-array ufuncs, which release the
-    GIL, so threads parallelise the same way fork does and work
-    everywhere fork does not.
+    A fresh thread pool per attempt.
 
 ``resolve_shard_mode("auto")`` picks fork where available and threads
-otherwise, so ``workers=K`` never silently degrades to sequential
-execution.
+otherwise.  Every wave runs under a **supervisor**:
 
-Every parallel shard runs under a **supervisor** (:func:`run_supervised`):
-
-* a shard that raises comes back as a structured :class:`ShardFailure`
-  instead of tearing down the whole run;
-* a shard that hangs past :attr:`ShardPolicy.timeout` is detected
-  (``apply_async`` handles collected against a deadline), the wedged
-  pool is torn down, and the shard is treated as failed;
-* failed shards — and only the failed shards — are retried up to
+* a task that raises comes back as a structured :class:`ShardFailure`
+  instead of tearing down the whole wave;
+* a task that hangs past :attr:`ShardPolicy.timeout` is detected, its
+  substrate torn down (fork) or abandoned (thread), and the task is
+  treated as failed;
+* failed tasks — and only those — are retried up to
   :attr:`ShardPolicy.retries` times with exponential backoff, then the
-  run degrades down the substrate chain ``fork -> thread -> serial``.
-  A shard is the same ``_run_blocked`` over the same contiguous slice
-  (the same sample blocks) with the same kernels on every substrate,
-  so a degraded re-run produces bit-identical logits.
+  wave degrades down the substrate chain ``fork -> thread -> serial``.
 
 Only when the serial fallback itself fails does the supervisor raise
 (:class:`ShardExecutionError`, carrying every recorded failure).  The
-failure trail and the degraded substrate land on
-``RunStats.shard_failures`` / ``RunStats.degraded_shard_mode`` and one
-``WARNING`` log line.
+campaign runner (:mod:`repro.eval.campaign`) fans its grid points out
+this way.  Engine runs do not: their only in-process parallelism is
+block lanes (:mod:`repro.snn.engines.lanes`).
 
-The supervisor is deliberately generic — tasks are ``fn(index)``
-callables, not engine shards — so the campaign runner
-(:mod:`repro.eval.campaign`) fans its grid points over the same
-substrate with the same failure semantics.
+The module also holds what lanes and :class:`EngineWorker` restarts
+build on: :func:`clone_for_inference` (a structural model clone that
+shares every weight array), :func:`_thread_peers_for` (sibling engines
+over such clones, cached on the engine until the model changes under
+them) and :func:`split_bounds` (the contiguous split rule).
 """
 
 from __future__ import annotations
@@ -86,9 +73,7 @@ def split_bounds(total: int, shards: int) -> List[Tuple[int, int]]:
     """Contiguous ``(lo, hi)`` row bounds splitting ``total`` rows into
     at most ``shards`` near-equal blocks (empty blocks dropped).
 
-    The one splitting rule whole-batch shards in
-    :meth:`SimulationEngine.run` use, so a degraded re-run always
-    re-executes the exact same slices.
+    The one splitting rule lanes use to group a call's sample blocks.
     """
     if total < 1 or shards < 1:
         return []
@@ -111,7 +96,7 @@ def resolve_shard_mode(mode: str) -> str:
         if not fork_available():
             raise RuntimeError(
                 "the 'fork' start method is unavailable on this platform; "
-                "use shard_mode='thread' (or 'auto')"
+                "use mode 'thread' (or 'auto')"
             )
         return "fork"
     if mode == "auto":
@@ -127,11 +112,11 @@ class ShardPolicy:
     """Failure-handling knobs for one supervised parallel wave.
 
     ``timeout`` is the wall-clock budget (seconds) each attempt's wave
-    of shards gets; all shards of a wave start together, so a shard
-    still unfinished at the deadline is hung and its substrate is torn
-    down.  ``None`` disables hang detection (a clean run is never
+    of tasks gets; all tasks of a wave start together, so a task still
+    unfinished at the deadline is hung and its substrate is torn down.
+    ``None`` disables hang detection (a clean run is never
     interrupted).  ``retries`` is the number of *extra* attempts the
-    failed shards get on each substrate before the supervisor degrades
+    failed tasks get on each substrate before the supervisor degrades
     to the next one; ``backoff`` seconds are slept before the first
     retry and doubled for each further one (transient failures —
     memory pressure, a crashed child — often clear after a beat).
@@ -155,13 +140,12 @@ DEFAULT_SHARD_POLICY = ShardPolicy()
 
 @dataclass(frozen=True)
 class ShardFailure:
-    """One failed attempt of one supervised task (shard or grid point).
+    """One failed attempt of one supervised task (a campaign grid point).
 
     ``kind`` is ``"exception"`` (the task raised; ``error`` carries the
     exception's type and message) or ``"timeout"`` (the task was still
     running at the attempt deadline).  Instances are plain picklable
-    data so they ride back from fork children and onto merged
-    :class:`repro.snn.stats.RunStats` untouched.
+    data.
     """
 
     index: int
@@ -240,7 +224,7 @@ def _attempt_fork(
         breached = False
         for i, handle in handles.items():
             if breached:
-                # The deadline already fell: harvest shards that did
+                # The deadline already fell: harvest tasks that did
                 # finish, mark the rest hung — no further waiting.
                 if handle.ready():
                     outcomes[i] = _harvest_fork(handle, 0.0)
@@ -275,10 +259,11 @@ def _attempt_thread(
     fn: Callable[[int], object],
     indices: Sequence[int],
     timeout: Optional[float],
-    executor_factory: Callable[[int], ThreadPoolExecutor],
-    executor_discard: Callable[[], None],
+    label: str,
 ) -> Dict[int, Tuple[str, object]]:
-    pool = executor_factory(len(indices))
+    pool = ThreadPoolExecutor(
+        max_workers=len(indices), thread_name_prefix=f"{label}-supervised"
+    )
     futures = {i: pool.submit(fn, i) for i in indices}
     deadline = None if timeout is None else time.monotonic() + timeout
     breached = False
@@ -297,11 +282,10 @@ def _attempt_thread(
         outcomes[i] = _harvest_thread(future, remaining)
         if outcomes[i][0] == "timeout":
             breached = True
-    if breached:
-        # A thread cannot be killed: the hung worker keeps occupying its
-        # pool slot, so the pool itself is abandoned and the owner told
-        # to build a fresh one for any further attempt.
-        executor_discard()
+    # A thread cannot be killed: a hung task keeps its worker, which is
+    # abandoned with the pool (no waiting); any further attempt gets a
+    # fresh pool.
+    pool.shutdown(wait=False)
     return outcomes
 
 
@@ -335,11 +319,6 @@ def run_supervised(
     mode: str,
     policy: Optional[ShardPolicy],
     serial_fn: Callable[[int], object],
-    fork_fn: Optional[Callable[[int], object]] = None,
-    thread_fn: Optional[Callable[[int], object]] = None,
-    thread_prepare: Optional[Callable[[], None]] = None,
-    thread_executor_factory: Optional[Callable[[int], ThreadPoolExecutor]] = None,
-    thread_executor_discard: Optional[Callable[[], None]] = None,
     label: str = "shard",
 ) -> SupervisedOutcome:
     """Run ``count`` independent tasks on substrate ``mode`` under
@@ -347,14 +326,10 @@ def run_supervised(
     retries with backoff, and the fork->thread->serial degradation
     chain re-running only the failed tasks.
 
-    ``serial_fn`` is the canonical task body and the fallback of last
-    resort; ``fork_fn``/``thread_fn`` default to it (fork children
-    inherit the closure copy-on-write, threads call it directly).
-    ``thread_prepare`` runs once before each thread attempt — the place
-    to build per-task thread peers.  ``thread_executor_factory`` lets a
-    caller lend a cached pool; ``thread_executor_discard`` is invoked
-    when a hang poisons that pool.  Raises :class:`ShardExecutionError`
-    only when a task failed on every substrate in the chain.
+    ``serial_fn`` is the task body on every substrate: fork children
+    inherit it copy-on-write, threads and the serial fallback call it
+    directly.  Raises :class:`ShardExecutionError` only when a task
+    failed on every substrate in the chain.
     """
     if mode not in DEGRADATION_CHAIN:
         raise ValueError(
@@ -366,74 +341,43 @@ def run_supervised(
         return SupervisedOutcome(
             results=[], requested_mode=mode, completed_mode=mode
         )
-    fork_fn = serial_fn if fork_fn is None else fork_fn
-    thread_fn = serial_fn if thread_fn is None else thread_fn
-
-    owned_pools: List[ThreadPoolExecutor] = []
-    if thread_executor_factory is None:
-        def thread_executor_factory(n: int) -> ThreadPoolExecutor:
-            # A fresh pool per attempt: a breached attempt's hung
-            # workers stay stranded in their old pool, which the exit
-            # path below abandons without waiting.
-            pool = ThreadPoolExecutor(
-                max_workers=n, thread_name_prefix=f"{label}-supervised"
-            )
-            owned_pools.append(pool)
-            return pool
-
-    if thread_executor_discard is None:
-        def thread_executor_discard() -> None:
-            pass  # owned pools are shut down on exit below
-
     results: List = [None] * count
     failures: List[ShardFailure] = []
     pending = list(range(count))
     completed_mode = mode
-    try:
-        for substrate in DEGRADATION_CHAIN[mode]:
-            attempts = 1 + max(policy.retries, 0)
-            for attempt in range(1, attempts + 1):
-                if attempt > 1 and policy.backoff > 0:
-                    time.sleep(policy.backoff * (2 ** (attempt - 2)))
-                if substrate == "fork":
-                    outcomes = _attempt_fork(fork_fn, pending, policy.timeout)
-                elif substrate == "thread":
-                    if thread_prepare is not None:
-                        thread_prepare()
-                    outcomes = _attempt_thread(
-                        thread_fn,
-                        pending,
-                        policy.timeout,
-                        thread_executor_factory,
-                        thread_executor_discard,
-                    )
+    for substrate in DEGRADATION_CHAIN[mode]:
+        attempts = 1 + max(policy.retries, 0)
+        for attempt in range(1, attempts + 1):
+            if attempt > 1 and policy.backoff > 0:
+                time.sleep(policy.backoff * (2 ** (attempt - 2)))
+            if substrate == "fork":
+                outcomes = _attempt_fork(serial_fn, pending, policy.timeout)
+            elif substrate == "thread":
+                outcomes = _attempt_thread(serial_fn, pending, policy.timeout, label)
+            else:
+                outcomes = _attempt_serial(serial_fn, pending)
+            still_pending: List[int] = []
+            for i in pending:
+                tag, value = outcomes[i]
+                if tag == "ok":
+                    results[i] = value
                 else:
-                    outcomes = _attempt_serial(serial_fn, pending)
-                still_pending: List[int] = []
-                for i in pending:
-                    tag, value = outcomes[i]
-                    if tag == "ok":
-                        results[i] = value
-                    else:
-                        failures.append(
-                            ShardFailure(
-                                index=i,
-                                mode=substrate,
-                                attempt=attempt,
-                                kind=tag,
-                                error=str(value),
-                            )
+                    failures.append(
+                        ShardFailure(
+                            index=i,
+                            mode=substrate,
+                            attempt=attempt,
+                            kind=tag,
+                            error=str(value),
                         )
-                        still_pending.append(i)
-                pending = still_pending
-                if not pending:
-                    break
+                    )
+                    still_pending.append(i)
+            pending = still_pending
             if not pending:
-                completed_mode = substrate
                 break
-    finally:
-        for pool in owned_pools:
-            pool.shutdown(wait=False)
+        if not pending:
+            completed_mode = substrate
+            break
     if pending:
         raise ShardExecutionError(label, failures)
     if failures:
@@ -461,7 +405,7 @@ def run_supervised(
 
 
 # ----------------------------------------------------------------------
-# Thread sharding
+# Weight-sharing clones (block lanes, worker restarts)
 # ----------------------------------------------------------------------
 def clone_for_inference(module: Module) -> Module:
     """Structurally clone a module tree, sharing all parameters/buffers.
@@ -499,22 +443,58 @@ def clone_for_inference(module: Module) -> Module:
     return clone
 
 
+#: ``Module.__dict__`` entries :func:`clone_for_inference` rebuilds for
+#: the clone instead of sharing them.
+_CLONE_OWNED = frozenset({"_modules", "_parameters", "_buffers", "forward"})
+
+
 def _peers_stale(engine, peers) -> bool:
     """Detect model changes the weight-sharing clones cannot mirror.
 
-    Shared Parameter objects track ``param.data`` rebinds for free, but
-    a rebound *buffer* (``load_state_dict`` on BN running stats) or a
-    train/eval flip only lands on the original modules — either one
-    means the cached clones must be rebuilt.
+    A clone shares every attribute of its source by reference, so a
+    change made in place (a ``param.data`` rebind on a shared Parameter,
+    an in-place array update) reaches every peer for free.  A *rebind*
+    on an original module — a neuron's ``threshold`` scaled, a BN buffer
+    replaced by ``load_state_dict``, a train/eval flip, a child swapped
+    — lands on the original only, and any one of them means the cached
+    clones must be rebuilt.  The per-run state a module names in
+    ``RUN_STATE`` (a neuron's membrane and spike counters) belongs to
+    each clone and is not compared.
     """
     for peer in peers:
-        if peer.model is None or peer.model.training != engine.model.training:
+        if peer.model is None:
             return True
-        for (_, original), (_, cloned) in zip(
-            engine.model.named_buffers(), peer.model.named_buffers()
-        ):
-            if original is not cloned:
+        for original, cloned in zip(engine.model.modules(), peer.model.modules()):
+            if _clone_diverged(original, cloned):
                 return True
+    return False
+
+
+def _clone_diverged(original: Module, cloned: Module) -> bool:
+    """Whether ``original`` rebound anything ``cloned`` took from it."""
+    if type(original) is not type(cloned):
+        return True
+    if original._modules.keys() != cloned._modules.keys():
+        return True
+    # Parameters and buffers are attributes too, so this loop sees them.
+    run_state = getattr(original, "RUN_STATE", ())
+    copied = cloned.__dict__
+    for key, value in original.__dict__.items():
+        if key in _CLONE_OWNED or key in run_state or isinstance(value, Module):
+            continue  # child modules are compared through _modules
+        if key not in copied:
+            return True
+        if isinstance(value, (list, tuple)):
+            # Clones hold a remapped copy of a list or tuple: compare
+            # its items, except the child modules in it.
+            if len(value) != len(copied[key]) or any(
+                item is not other
+                for item, other in zip(value, copied[key])
+                if not isinstance(item, Module)
+            ):
+                return True
+        elif value is not copied[key]:
+            return True
     return False
 
 
@@ -535,96 +515,3 @@ def _thread_peers_for(engine, count: int) -> List:
             peers.append(peer)
         engine._thread_peers[count] = peers
     return peers
-
-
-def _thread_pool_for(engine, count: int) -> ThreadPoolExecutor:
-    """One long-lived pool per engine, grown when more shards appear.
-
-    Persistent worker threads keep their thread-local im2col pad
-    workspaces warm across runs; Python's executor machinery drains and
-    joins the threads at interpreter exit.
-    """
-    if engine._thread_pool is None or engine._thread_pool_size < count:
-        if engine._thread_pool is not None:
-            engine._thread_pool.shutdown(wait=False)
-        engine._thread_pool = ThreadPoolExecutor(
-            max_workers=count, thread_name_prefix="snn-shard"
-        )
-        engine._thread_pool_size = count
-    return engine._thread_pool
-
-
-def _discard_thread_pool(engine) -> None:
-    """Abandon the engine's cached pool after a hang poisoned it.
-
-    The wedged worker thread cannot be joined; the executor is shut
-    down without waiting (its threads die with the process) and the
-    cache cleared so the next thread attempt gets fresh workers.
-    """
-    if engine._thread_pool is not None:
-        engine._thread_pool.shutdown(wait=False)
-    engine._thread_pool = None
-    engine._thread_pool_size = 0
-
-
-# ----------------------------------------------------------------------
-def run_batch_shards(
-    engine,
-    x,
-    timesteps: int,
-    per_step: bool,
-    bounds: List[Tuple[int, int]],
-    mode: str,
-    policy: Optional[ShardPolicy] = None,
-) -> SupervisedOutcome:
-    """Run contiguous batch shards in parallel on the resolved substrate.
-
-    ``mode`` must already be resolved (``"fork"`` or ``"thread"``).
-    Every substrate — including a supervised degradation re-run —
-    produces the same per-shard results and merged statistics: a shard
-    is the same ``_run_blocked`` on the same contiguous slice with the
-    same kernels, so it runs its slice as the same sample blocks.  A
-    shard runs its blocks serially, never in lanes: the shards already
-    own the cores.
-    """
-    if len(bounds) <= 1:
-        runs = [
-            engine._run_blocked(x[lo:hi], timesteps, per_step, lanes=False)
-            for lo, hi in bounds
-        ]
-        return SupervisedOutcome(
-            results=runs, requested_mode=mode, completed_mode=mode
-        )
-
-    def serial_fn(index: int):
-        lo, hi = bounds[index]
-        return engine._run_blocked(x[lo:hi], timesteps, per_step, lanes=False)
-
-    # Thread shards run on per-shard sibling engines over model clones
-    # so concurrent shards never race on module state.  The peers are
-    # built lazily (a fork-first run only pays for clones if it actually
-    # degrades to threads) and indexed by shard, so a retry wave of only
-    # the failed shards still lands on each shard's own peer.
-    peers_box: List[List] = []
-
-    def thread_prepare() -> None:
-        peers_box[:] = [_thread_peers_for(engine, len(bounds))]
-
-    def thread_fn(index: int):
-        lo, hi = bounds[index]
-        return peers_box[0][index]._run_blocked(
-            x[lo:hi], timesteps, per_step, lanes=False
-        )
-
-    return run_supervised(
-        count=len(bounds),
-        mode=mode,
-        policy=policy,
-        serial_fn=serial_fn,
-        thread_fn=thread_fn,
-        thread_prepare=thread_prepare,
-        thread_executor_factory=lambda n: _thread_pool_for(engine, n),
-        thread_executor_discard=lambda: _discard_thread_pool(engine),
-        label="batch-shard",
-    )
-

@@ -13,8 +13,8 @@ per-timestep cost scales with spike rate, like the paper's hardware,
 ``engine="batched"`` time-batches all T timesteps into one
 layer-sequential pass, and ``engine="auto"`` profiles a calibration
 run and compiles a cached per-layer GEMM/event plan (the fastest
-software path).  ``workers=K`` shards every batch across K forked
-processes or threads (``shard_mode``).  Every run leaves a
+software path).  The time-stacked engines run a large batch as sample
+blocks in lanes, one per usable core.  Every run leaves a
 :class:`repro.snn.stats.RunStats` on ``last_run_stats`` with per-layer
 spike rates, synaptic-op counts and the wall-clock/density profile
 behind ``RunStats.profile_table()``.
@@ -29,7 +29,6 @@ import numpy as np
 from repro.nn.module import Module
 from repro.snn.convert import spiking_layers
 from repro.snn.engines import EngineSpec, SimulationEngine, make_engine
-from repro.snn.engines.sharding import SHARD_MODES, ShardPolicy
 from repro.snn.spikes import SpikeStream
 from repro.snn.stats import RunStats
 
@@ -48,21 +47,6 @@ class SpikingNetwork:
         Execution backend: ``"dense"``, ``"event"``, ``"batched"``,
         ``"auto"`` or a bound-ready
         :class:`repro.snn.engines.SimulationEngine` instance.
-    workers:
-        Default number of batch shards run in parallel per inference
-        (1 = in-process).  Statistics of a sharded run are merged and
-        match a single-worker run.
-    shard_mode:
-        Parallel substrate for ``workers > 1``: ``"fork"`` (worker
-        processes sharing weights copy-on-write), ``"thread"`` (a
-        thread pool over weight-sharing model clones; works where fork
-        is unavailable) or ``"auto"`` (fork where available, threads
-        otherwise).
-    shard_policy:
-        Failure-handling knobs for sharded runs
-        (:class:`repro.snn.engines.sharding.ShardPolicy`: per-attempt
-        timeout, bounded retries, backoff).  ``None`` uses the default
-        policy (capture + retry + degradation, no hang deadline).
     """
 
     def __init__(
@@ -70,26 +54,14 @@ class SpikingNetwork:
         model: Module,
         timesteps: int = 8,
         engine: EngineSpec = "dense",
-        workers: int = 1,
-        shard_mode: str = "auto",
-        shard_policy: Optional[ShardPolicy] = None,
     ) -> None:
         if timesteps < 1:
             raise ValueError("timesteps must be >= 1")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if shard_mode not in SHARD_MODES:
-            raise ValueError(
-                f"unknown shard_mode {shard_mode!r}; choose from {SHARD_MODES}"
-            )
         if not spiking_layers(model):
             raise ValueError("model has no spiking layers; convert it first")
         self.model = model
         self.model.eval()
         self.timesteps = timesteps
-        self.workers = int(workers)
-        self.shard_mode = shard_mode
-        self.shard_policy = shard_policy
         self.engine: SimulationEngine = make_engine(engine)
         if self.engine.model is not None and self.engine.model is not model:
             # Rebinding would silently redirect the other network's
@@ -116,45 +88,20 @@ class SpikingNetwork:
             raise ValueError("timesteps must be >= 1")
         return steps
 
-    def _resolve_workers(self, workers: Optional[int]) -> int:
-        count = self.workers if workers is None else workers
-        if count < 1:
-            raise ValueError("workers must be >= 1")
-        return count
-
-    def _resolve_shard_mode(self, shard_mode: Optional[str]) -> str:
-        return self.shard_mode if shard_mode is None else shard_mode
-
-    def forward(
-        self,
-        x: np.ndarray,
-        timesteps: Optional[int] = None,
-        workers: Optional[int] = None,
-        shard_mode: Optional[str] = None,
-    ) -> np.ndarray:
+    def forward(self, x: np.ndarray, timesteps: Optional[int] = None) -> np.ndarray:
         """Accumulated logits after T timesteps for a batch ``x``.
 
         ``x`` is a dense direct-coded batch (N, C, H, W) or a COO
         :class:`repro.snn.spikes.SpikeStream` (event-driven input).
         """
-        run = self.engine.run(
-            x,
-            self._resolve_timesteps(timesteps, x),
-            workers=self._resolve_workers(workers),
-            shard_mode=self._resolve_shard_mode(shard_mode),
-            shard_policy=self.shard_policy,
-        )
+        run = self.engine.run(x, self._resolve_timesteps(timesteps, x))
         self.last_run_stats = run.stats
         return run.logits
 
     __call__ = forward
 
     def forward_per_step(
-        self,
-        x: np.ndarray,
-        timesteps: Optional[int] = None,
-        workers: Optional[int] = None,
-        shard_mode: Optional[str] = None,
+        self, x: np.ndarray, timesteps: Optional[int] = None
     ) -> List[np.ndarray]:
         """Cumulative logits after each timestep (for accuracy-vs-T curves).
 
@@ -165,14 +112,7 @@ class SpikingNetwork:
         and the time-batched engine produces the whole curve from its
         single layer-sequential pass.
         """
-        run = self.engine.run(
-            x,
-            self._resolve_timesteps(timesteps, x),
-            per_step=True,
-            workers=self._resolve_workers(workers),
-            shard_mode=self._resolve_shard_mode(shard_mode),
-            shard_policy=self.shard_policy,
-        )
+        run = self.engine.run(x, self._resolve_timesteps(timesteps, x), per_step=True)
         self.last_run_stats = run.stats
         return run.per_step
 

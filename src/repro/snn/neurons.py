@@ -54,6 +54,9 @@ class IFNeuron(Module):
         0.5).
     """
 
+    #: Attributes every run rebinds: a weight-sharing clone keeps its own.
+    RUN_STATE = frozenset({"v", "spike_count", "neuron_steps", "last_spikes"})
+
     def __init__(
         self,
         threshold: float,

@@ -188,7 +188,7 @@ class SpikeStream:
         """Construct without validation — for data derived from an
         already-validated stream (batch slices preserve sortedness,
         in-range coordinates and uniqueness), where re-running the
-        O(E log E) duplicate scan per shard/batch would be pure waste."""
+        O(E log E) duplicate scan per block/batch would be pure waste."""
         stream = object.__new__(cls)
         object.__setattr__(stream, "coords", coords)
         object.__setattr__(stream, "timestep", timestep)
@@ -335,7 +335,7 @@ class SpikeStream:
         )
 
     def batch_slice(self, start: int, stop: int) -> "SpikeStream":
-        """The sub-stream of samples ``start <= n < stop`` (shards)."""
+        """The sub-stream of samples ``start <= n < stop`` (sample blocks)."""
         start, stop = max(int(start), 0), min(int(stop), self.batch_size)
         if stop <= start:
             raise ValueError(f"empty batch slice [{start}, {stop})")

@@ -162,20 +162,10 @@ class RunStats:
     layers: List[LayerStats] = field(default_factory=list)
     engine: str = ""
     wall_clock_seconds: float = 0.0
-    workers: int = 1  # batch shards merged into this record
-    shard_mode: str = ""  # "fork" | "thread" when workers > 1
     # Block lanes the run's sample blocks ran in concurrently (1 when
     # serial).  Per-layer wall clock is busy time summed over lanes, so
     # with lanes > 1 it can exceed the run's elapsed wall clock.
     lanes: int = 1
-    # Supervised-sharding failure trail: every captured per-shard
-    # failure (crash or hang, see
-    # :class:`repro.snn.engines.sharding.ShardFailure`) of the run, and
-    # the substrate that ultimately completed the work when the
-    # fork->thread->serial degradation chain had to leave the requested
-    # one ("" for a clean, undegraded run).
-    shard_failures: List = field(default_factory=list)
-    degraded_shard_mode: str = ""
     # Adaptive-engine drift guard: the worst relative deviation of an
     # observed layer density from the executed plan's calibration
     # density, and whether it crossed the re-plan threshold (the next
@@ -292,20 +282,6 @@ class RunStats:
             spike_rate=self.overall_spike_rate,
         )
 
-    def failure_summary(self) -> dict:
-        """The run's supervision trail as one JSON-ready summary.
-
-        The single shape every downstream consumer of shard failures
-        uses — the serving metrics endpoint accumulates these per
-        dispatched batch, and campaign records embed the same keys —
-        so "how broken was the substrate" reads identically whether it
-        came from a request path or a grid point.
-        """
-        return {
-            "shard_failures": len(self.shard_failures),
-            "degraded_shard_mode": self.degraded_shard_mode,
-        }
-
     # ------------------------------------------------------------------
     def merge(self, other: "RunStats") -> "RunStats":
         """Accumulate another run over the same network (batched eval)."""
@@ -320,14 +296,11 @@ class RunStats:
         self.lanes = max(self.lanes, other.lanes)
         self.plan_drift = max(self.plan_drift, other.plan_drift)
         self.replan_triggered = self.replan_triggered or other.replan_triggered
-        # A shard that re-planned mid-run outranks siblings that did not.
+        # A block that re-planned mid-run outranks blocks that did not.
         if other.plan_source == "re-planned" or not self.plan_source:
             self.plan_source = other.plan_source or self.plan_source
         if not self.replanned_at:
             self.replanned_at = other.replanned_at
-        self.shard_failures.extend(other.shard_failures)
-        if not self.degraded_shard_mode:
-            self.degraded_shard_mode = other.degraded_shard_mode
         return self
 
     def layer_table(self) -> str:
@@ -394,7 +367,7 @@ class RunStats:
         lines.append(
             f"run wall clock {self.wall_clock_seconds * 1e3:.3f} ms "
             f"({attributed * 1e3:.3f} ms attributed to layers); "
-            f"engine {self.engine or '?'}, workers {self.workers}, lanes {self.lanes}"
+            f"engine {self.engine or '?'}, lanes {self.lanes}"
         )
         if self.plan_source:
             replanned = (

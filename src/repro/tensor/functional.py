@@ -34,7 +34,7 @@ def _conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
 # pathological shape churn (e.g. a DSE sweep) cannot grow it unboundedly
 # while the hot working set survives; plans are immutable, so one lock
 # around the OrderedDict bookkeeping makes lookups safe under the
-# engines' thread-based batch sharding.
+# engines' block lanes, which run on threads.
 _PLAN_CACHE: "OrderedDict[Tuple[int, int, int, int, int, int], Tuple[np.ndarray, int, int]]" = OrderedDict()
 _PLAN_CACHE_CAPACITY = 64
 _PLAN_CACHE_LOCK = threading.Lock()
@@ -81,7 +81,7 @@ def _im2col_plan(
 # re-allocate, re-zero and walk its per-axis edge machinery on every
 # unfold.  Callers never see the buffer: im2col's gather copies out of
 # it immediately.  The cache is *per thread* (threading.local): two
-# sharding threads unfolding the same layer shape concurrently must not
+# lane threads unfolding the same layer shape concurrently must not
 # scribble over one shared workspace.  Each thread's dict is a bounded
 # LRU, and large arrays skip the cache entirely (the per-call overhead
 # is amortised there and pinning multi-hundred-MB activations at module

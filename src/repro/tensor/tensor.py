@@ -21,8 +21,8 @@ import numpy as np
 Number = Union[int, float]
 ArrayLike = Union[Number, Sequence, np.ndarray, "Tensor"]
 
-# Grad mode is per-thread: the simulation engines run inference shards
-# on worker threads, and one thread leaving its no_grad block must not
+# Grad mode is per-thread: the simulation engines run block lanes on
+# worker threads, and one thread leaving its no_grad block must not
 # re-enable (or keep disabled) graph construction for the others.
 _GRAD_STATE = threading.local()
 

@@ -27,24 +27,32 @@ class TestParser:
         assert args.timesteps == 8
         assert args.width == 0.125
         assert args.engine == "dense"
-        assert args.workers == 1
-        assert args.shard_mode == "auto"
         assert args.profile is False
 
     def test_batched_engine_and_workers(self):
-        args = build_parser().parse_args(
-            ["fig7", "--engine", "batched", "--workers", "2"]
-        )
+        """Batch shards are gone: the engine's lanes use every core, and
+        no figure or serve run takes --workers any more."""
+        from repro.cli import build_serve_parser
+
+        args = build_parser().parse_args(["fig7", "--engine", "batched"])
         assert args.engine == "batched"
-        assert args.workers == 2
+        assert not hasattr(args, "workers")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["fig7", "--workers", "2"])
+        with pytest.raises(SystemExit):
+            build_serve_parser().parse_args(["--workers", "2"])
 
     def test_auto_engine_profile_and_shard_mode(self):
-        args = build_parser().parse_args(
-            ["fig9", "--engine", "auto", "--shard-mode", "thread", "--profile"]
-        )
+        from repro.cli import build_serve_parser
+
+        args = build_parser().parse_args(["fig9", "--engine", "auto", "--profile"])
         assert args.engine == "auto"
-        assert args.shard_mode == "thread"
         assert args.profile is True
+        assert not hasattr(args, "shard_mode")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["fig9", "--shard-mode", "thread"])
+        with pytest.raises(SystemExit):
+            build_serve_parser().parse_args(["--shard-mode", "thread"])
 
     def test_rejects_unknown_engine(self):
         with pytest.raises(SystemExit):
@@ -65,14 +73,6 @@ class TestParser:
         for name in ("dense", "event", "batched", "auto"):
             assert name in err
 
-    def test_unknown_shard_mode_error_lists_valid_choices(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["fig7", "--shard-mode", "quantum"])
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        for mode in ("auto", "fork", "thread"):
-            assert mode in err
-
     def test_engine_choices_track_registry(self):
         """The CLI accepts exactly the engine registry, aliases included,
         so a new backend never needs a second hand-maintained list."""
@@ -84,11 +84,14 @@ class TestParser:
         assert args.engine == "adaptive"
 
     def test_shard_mode_choices_track_registry(self):
+        """The campaign's --mode, the supervisor's one user, accepts
+        every shard mode plus serial."""
+        from repro.cli import build_campaign_parser
         from repro.snn.engines.sharding import SHARD_MODES
 
-        parser = build_parser()
-        for mode in SHARD_MODES:
-            assert parser.parse_args(["fig7", "--shard-mode", mode]).shard_mode == mode
+        parser = build_campaign_parser()
+        for mode in SHARD_MODES + ("serial",):
+            assert parser.parse_args(["dse", "--out", "x", "--mode", mode]).mode == mode
 
     def test_input_format_flag(self):
         args = build_parser().parse_args(["fig8", "--input-format", "events"])

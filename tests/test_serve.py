@@ -285,8 +285,6 @@ class StubWorker:
         self.fail_times = fail_times
         self.calls = []
         self.restarts = 0
-        self.shard_failures = 0
-        self.last_degraded_mode = ""
 
     async def run_async(self, x, timesteps, per_step=False, timeout=None):
         self.calls.append((int(x.shape[0]), int(timesteps)))

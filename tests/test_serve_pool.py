@@ -323,8 +323,6 @@ class StubCapacityWorker:
     def __init__(self, capacity=1):
         self.capacity = capacity
         self.restarts = 0
-        self.shard_failures = 0
-        self.last_degraded_mode = ""
 
     async def run_async(self, x, timesteps, per_step=False, timeout=None):
         await asyncio.sleep(3600)  # never completes: queue stays full

@@ -16,7 +16,12 @@ from repro.snn import AutoEngine, SpikingNetwork, make_engine
 from repro.snn.engines import ExecutionPlan
 from repro.snn.engines.auto import BITWISE_BACKENDS
 
-from test_snn_engine import converted_pooled_toy, converted_resnet, converted_toy
+from test_snn_engine import (
+    converted_pooled_toy,
+    converted_resnet,
+    converted_toy,
+    force_lanes,
+)
 
 
 def _dense_vs_auto(model_factory, x, timesteps, atol):
@@ -196,36 +201,6 @@ class TestProfile:
         assert stats.spike_rates()
 
 
-class TestSharding:
-    def test_auto_with_thread_workers(self):
-        model = converted_toy()
-        net = SpikingNetwork(model, timesteps=4, engine="auto")
-        x = np.random.default_rng(80).normal(size=(6, 2, 4, 4)).astype(np.float32)
-        single = net.forward(x)
-        threaded = net.forward(x, workers=2, shard_mode="thread")
-        assert np.allclose(single, threaded, atol=1e-5)
-        assert net.last_run_stats.shard_mode == "thread"
-
-    def test_auto_with_fork_workers(self):
-        model = converted_toy()
-        net = SpikingNetwork(model, timesteps=4, engine="auto")
-        x = np.random.default_rng(81).normal(size=(6, 2, 4, 4)).astype(np.float32)
-        single = net.forward(x)
-        forked = net.forward(x, workers=2, shard_mode="auto")
-        assert np.allclose(single, forked, atol=1e-5)
-
-    def test_sharded_calibration_populates_parent_plan_cache(self):
-        """Plans compiled inside shard workers must survive into the
-        parent engine's cache (fork children are throwaway processes),
-        so the next sharded inference skips calibration."""
-        model = converted_toy()
-        engine = AutoEngine()
-        net = SpikingNetwork(model, timesteps=4, engine=engine)
-        x = np.random.default_rng(82).normal(size=(6, 2, 4, 4)).astype(np.float32)
-        net.forward(x, workers=2)  # two (3, 2, 4, 4) shards
-        assert engine.plan_for((3, 2, 4, 4), 4) is not None
-
-
 class TestDriftGuard:
     """The plan's calibration densities are compared against every
     planned run's observed densities; drifting past the threshold drops
@@ -294,26 +269,28 @@ class TestDriftGuard:
         assert engine._check_drift(plan.key, plan, stats) is False
         assert stats.replan_triggered is False
 
-    def test_sharded_drift_evicts_parent_plan_and_plan_file(self, tmp_path):
-        """Fork children drop plans only in their throwaway cache and
-        thread siblings carry no plan_path, so the eviction must ride
-        back on the EngineRun for the parent to re-drop and re-persist
-        — otherwise 'next run recalibrates' silently never happens."""
+    def test_laned_drift_evicts_plan_and_plan_file(self, tmp_path, monkeypatch):
+        """A call whose blocks ran in lanes is judged for drift once, on
+        the parent engine — the lane siblings carry no plan_path — so
+        the drifted plan must leave both the cache and the plan file,
+        or 'next run recalibrates' silently never happens."""
+        force_lanes(monkeypatch, 2)
         path = str(tmp_path / "plans.json")
-        engine = AutoEngine(drift_threshold=0.3, plan_path=path)
+        engine = AutoEngine(drift_threshold=0.3, plan_path=path, midrun_replan=False)
         net = SpikingNetwork(converted_toy(), timesteps=4, engine=engine)
         rng = np.random.default_rng(96)
         x = rng.normal(size=(6, 2, 4, 4)).astype(np.float32)
-        net.forward(x, workers=2)  # calibrates per-shard (3, 2, 4, 4) plans
-        assert engine.plan_for((3, 2, 4, 4), 4) is not None
+        net.forward(x)  # calibrates the (2, 2, 4, 4) block key serially
+        assert engine.plan_for(x.shape, 4) is not None
         shifted = np.abs(rng.normal(size=(6, 2, 4, 4))).astype(np.float32) * 10
-        net.forward(shifted, workers=2)  # drifted planned shards
-        assert net.last_run_stats.replan_triggered  # merged from shards
-        assert engine.plan_for((3, 2, 4, 4), 4) is None  # parent cache too
+        net.forward(shifted)  # drifted planned blocks, in lanes
+        assert net.last_run_stats.lanes == 2
+        assert net.last_run_stats.replan_triggered
+        assert engine.plan_for(x.shape, 4) is None
         # The persisted file lost the plan as well: a fresh process
         # must recalibrate rather than reload the drifted plan.
         reloaded = AutoEngine(plan_path=path)
-        assert reloaded.plan_for((3, 2, 4, 4), 4) is None
+        assert reloaded.plan_for(x.shape, 4) is None
 
 
 class TestPlanPersistence:

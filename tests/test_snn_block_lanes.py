@@ -8,10 +8,12 @@ The contracts under test:
   batch (the serial side has the BLAS setter stubbed out, which is the
   serial fallback);
 * blocks run serially, with no lane pool thread created, when the BLAS
-  setter is missing or one core is usable, inside batch shards, and for
-  an ``auto`` call whose key has no plan (it calibrates exactly once)
-  or whose plan row-shards a layer;
+  setter is missing or one core is usable, and for an ``auto`` call
+  whose key has no plan (it calibrates exactly once);
 * lane peers fold their planner counters into the parent;
+* lane peers are rebuilt when the bound model rebinds something their
+  clones share (a neuron threshold, a BN buffer, a train/eval flip),
+  and only then;
 * a lane that raises joins the other lanes before the error
   propagates, BLAS is unpinned, and the next call succeeds;
 * a forked child never reuses the parent's lane pool.
@@ -29,16 +31,17 @@ import time
 import numpy as np
 import pytest
 
-from repro.snn import SpikingNetwork
+from repro import nn
+from repro.data import rate_encode_stream
+from repro.snn import IFNeuron, SpikingNetwork
 from repro.snn.engines import AutoEngine, fork_available, make_engine
-from repro.snn.engines import base as base_module
 from repro.snn.engines import batched as batched_module
 from repro.snn.engines import lanes as lanes_module
 from repro.snn.engines.batched import TimeBatchedEngine
 from repro.snn.engines.sharding import clone_for_inference
 
 from test_snn_blocked_runs import converted_vgg, frames
-from test_snn_engine import converted_resnet, converted_toy
+from test_snn_engine import converted_resnet, converted_toy, force_lanes
 from test_snn_planner import ready_cost_model
 
 TIMESTEPS = 4
@@ -55,10 +58,7 @@ def models():
 @pytest.fixture
 def lanes_on(monkeypatch):
     """Two usable cores; blocks of 16 samples at T=4 (64 stack rows)."""
-    monkeypatch.setattr(lanes_module, "usable_cores", lambda: 2)
-    monkeypatch.setattr(batched_module, "STACK_BLOCK_ROWS", 16 * TIMESTEPS)
-    if lanes_module.blas_thread_setter() is None:
-        monkeypatch.setattr(lanes_module, "blas_thread_setter", lambda: (lambda n: 1))
+    force_lanes(monkeypatch, 16, TIMESTEPS)
 
 
 def serial_run(monkeypatch, engine, x, **kwargs):
@@ -201,21 +201,6 @@ class TestSerialFallback:
         monkeypatch.setattr(lanes_module, "blas_thread_setter", lambda: (lambda n: 1))
         assert [lanes_module.lane_count(b) for b in (1, 2, 3, 8)] == [1, 2, 3, 4]
 
-    @pytest.mark.parametrize("shard_mode", ["thread", "fork"])
-    def test_batch_shards_never_lane(self, models, lanes_on, monkeypatch, shard_mode):
-        if shard_mode == "fork" and not fork_available():
-            pytest.skip("fork unavailable")
-        calls = []
-        real = base_module.run_lanes
-        monkeypatch.setattr(
-            base_module, "run_lanes", lambda *a: calls.append(1) or real(*a)
-        )
-        x = frames(64, seed=45)  # two 32-sample shards of two blocks each
-        engine = make_engine("batched").bind(models["vgg"])
-        sharded = engine.run(x, TIMESTEPS, per_step=True, workers=2, shard_mode=shard_mode)
-        assert sharded.stats.lanes == 1  # a forked shard's stats ride back
-        assert calls == []
-
     def test_cold_auto_call_calibrates_once_serially(self, models, lanes_on):
         engine = make_engine("auto").bind(models["vgg"])
         x = frames(32, seed=46)
@@ -270,6 +255,53 @@ class TestPlannerCounters:
         assert engine.replans_triggered == len(replans)
         assert engine.planner_snapshot()["replans_triggered"] == len(replans)
         assert engine.calibration_runs == 1
+
+
+def _scale_thresholds(model):
+    for module in model.modules():
+        if isinstance(module, IFNeuron):
+            module.threshold = module.threshold * 2.0
+
+
+def _batch_norm(model):
+    return next(m for m in model.modules() if isinstance(m, nn.BatchNorm2d))
+
+
+def _rebind_bn_buffer(model):
+    bn = _batch_norm(model)
+    bn.load_state_dict({"running_mean": bn.running_mean + 0.5})
+
+
+def _flip_bn_to_train(model):
+    # Only the submodule flips; the root stays in eval mode.
+    _batch_norm(model).train()
+
+
+class TestStalePeers:
+    @pytest.mark.parametrize(
+        "rebind", [_scale_thresholds, _rebind_bn_buffer, _flip_bn_to_train]
+    )
+    def test_rebind_rebuilds_peers(self, lanes_on, monkeypatch, rebind):
+        model = converted_toy()
+        x = np.random.default_rng(54).normal(size=(64, 2, 4, 4)).astype(np.float32)
+        engine = make_engine("batched").bind(model)
+        assert engine.run(x, TIMESTEPS).stats.lanes == 2
+        stale = engine._thread_peers[1]
+        rebind(model)
+        lanes = engine.run(x, TIMESTEPS, per_step=True)
+        assert lanes.stats.lanes == 2
+        assert_bitwise(lanes, serial_run(monkeypatch, engine, x))
+        assert engine._thread_peers[1] is not stale
+
+    def test_unchanged_model_keeps_peers(self, models, lanes_on):
+        engine = make_engine("event-batched").bind(models["resnet"])
+        x = frames(32, seed=55)
+        stream = rate_encode_stream(x, TIMESTEPS, rng=np.random.default_rng(55))
+        for call in (x, stream):
+            engine.run(call, TIMESTEPS)
+            peers = engine._thread_peers[1]
+            assert engine.run(call, TIMESTEPS).stats.lanes == 2
+            assert engine._thread_peers[1] is peers
 
 
 class TestLaneFailure:

@@ -12,7 +12,9 @@ The contracts under test:
   stay bitwise equal to the unblocked ``dense`` reference;
 * ``auto`` keys every block of one call to one plan, so a call
   calibrates at most once, and ``plan_for(full_shape)`` finds it;
-* batch shards block their own slices, bitwise equal to a serial run;
+* the same blocks run off the calling thread (in lanes) or in a forked
+  process (as a serving pool replica runs them) stay bitwise equal to
+  the serial run;
 * small calls are left alone.
 
 Most tests shrink ``STACK_BLOCK_ROWS`` so tiny batches form blocks.
@@ -20,6 +22,8 @@ Most tests shrink ``STACK_BLOCK_ROWS`` so tiny batches form blocks.
 small GEMMs in another order, so an 8-row stack differs from the dense
 engine's per-step GEMM in the last bit even without blocking.
 """
+
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -32,7 +36,7 @@ from repro.snn.engines import batched as batched_module
 from repro.snn.engines import lanes as lanes_module
 from repro.tensor import Tensor, no_grad
 
-from test_snn_engine import converted_resnet
+from test_snn_engine import converted_resnet, force_lanes
 
 TIMESTEPS = 4
 BLOCKED_ENGINES = ["batched", "event-batched", "auto"]
@@ -194,24 +198,52 @@ class TestAutoBlockedPlans:
         assert engine.plan_for(x.shape, TIMESTEPS).key[1] == x.shape
 
 
+def _child_run(engine, x, conn):
+    conn.send(engine.run(x, TIMESTEPS, per_step=True))
+    conn.close()
+
+
+def run_in_fork(engine, x):
+    """The same call, run by a forked child process."""
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+    child = context.Process(target=_child_run, args=(engine, x, sender))
+    child.start()
+    sender.close()
+    try:
+        assert receiver.poll(120), "forked child hung"
+        run = receiver.recv()
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
+    return run
+
+
 class TestBlockedShards:
+    """A call's blocks split over lane threads, or the whole call in a
+    forked process, give the serial run's bits."""
+
     @pytest.mark.parametrize("shard_mode", ["thread", "fork"])
     @pytest.mark.parametrize("engine_name", BLOCKED_ENGINES)
     def test_shards_bitwise_equal_to_serial(
-        self, models, two_sample_blocks, engine_name, shard_mode
+        self, models, monkeypatch, engine_name, shard_mode
     ):
         if shard_mode == "fork" and not fork_available():
             pytest.skip("fork unavailable")
-        # 8 samples: serial blocks 2,2,2,2; each 4-sample shard blocks
-        # its own slice as 2,2 — the same blocks.
+        # 8 samples: blocks 2,2,2,2, as two lanes of two blocks each.
+        force_lanes(monkeypatch, 2, TIMESTEPS)
         x = frames(8, seed=7)
         engine = engine_for(engine_name, models["vgg"])
-        serial = engine.run(x, TIMESTEPS, per_step=True)
-        sharded = engine.run(
-            x, TIMESTEPS, per_step=True, workers=2, shard_mode=shard_mode
-        )
-        assert sharded.stats.workers == 2
-        assert sharded.stats.shard_mode == shard_mode
+        with monkeypatch.context() as patch:
+            patch.setattr(lanes_module, "blas_thread_setter", lambda: None)
+            serial = engine.run(x, TIMESTEPS, per_step=True)  # auto plans here
+        if shard_mode == "thread":
+            sharded = engine.run(x, TIMESTEPS, per_step=True)
+        else:
+            sharded = run_in_fork(engine, x)
+        assert (serial.stats.lanes, sharded.stats.lanes) == (1, 2)
         assert_same_run(sharded, serial)
 
 

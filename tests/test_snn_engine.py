@@ -208,93 +208,46 @@ class TestEquivalenceBatched:
             assert "forward" not in module.__dict__
 
 
-class TestWorkerSharding:
-    """workers=K forks the batch into shards; results and merged stats
-    must match the single-worker run exactly."""
+def force_lanes(monkeypatch, block_samples, timesteps=4):
+    """Two usable cores and ``block_samples``-sample blocks at T, so
+    lanes run on any machine; returns the lanes module."""
+    from repro.snn.engines import batched as batched_module
+    from repro.snn.engines import lanes as lanes_module
 
-    def test_logits_match_single_worker(self):
-        model = converted_toy()
-        x = np.random.default_rng(30).normal(size=(6, 2, 4, 4)).astype(np.float32)
-        net = SpikingNetwork(model, timesteps=4, engine="batched")
-        single = net.forward(x, workers=1)
-        sharded = net.forward(x, workers=2)
-        # Shards are smaller GEMMs; BLAS blocking may differ by ulps.
-        assert np.allclose(single, sharded, atol=1e-5)
-        assert np.array_equal(single.argmax(1), sharded.argmax(1))
+    monkeypatch.setattr(lanes_module, "usable_cores", lambda: 2)
+    monkeypatch.setattr(batched_module, "STACK_BLOCK_ROWS", block_samples * timesteps)
+    if lanes_module.blas_thread_setter() is None:
+        monkeypatch.setattr(lanes_module, "blas_thread_setter", lambda: (lambda n: 1))
+    return lanes_module
 
-    def test_merged_stats_match_single_worker(self):
-        model = converted_toy()
-        x = np.random.default_rng(31).normal(size=(6, 2, 4, 4)).astype(np.float32)
-        net = SpikingNetwork(model, timesteps=4, engine="dense")
-        net.forward(x, workers=1)
-        one = net.last_run_stats
-        net.forward(x, workers=2)
-        two = net.last_run_stats
-        assert two.workers == 2
-        assert two.batch_size == one.batch_size
-        assert two.total_synaptic_ops == one.total_synaptic_ops
-        assert two.spike_rates() == one.spike_rates()
-        for a, b in zip(one.layers, two.layers):
-            assert a.name == b.name
-            assert a.spike_count == b.spike_count
-            assert a.synaptic_ops == b.synaptic_ops
 
-    def test_per_step_sharded(self):
-        model = converted_toy()
-        x = np.random.default_rng(32).normal(size=(5, 2, 4, 4)).astype(np.float32)
-        net = SpikingNetwork(model, timesteps=3, engine="batched")
-        single = net.forward_per_step(x, workers=1)
-        sharded = net.forward_per_step(x, workers=3)
-        for a, b in zip(single, sharded):
-            assert np.allclose(a, b, atol=1e-5)
+@pytest.fixture
+def lanes_on(monkeypatch):
+    """Blocks of 2 samples at T=4 (8 stack rows), in two lanes."""
+    return force_lanes(monkeypatch, 2)
 
-    def test_workers_capped_at_batch_size(self):
-        net = SpikingNetwork(converted_toy(), timesteps=2, engine="dense")
-        x = np.random.default_rng(33).normal(size=(2, 2, 4, 4)).astype(np.float32)
-        net.forward(x, workers=8)  # only 2 samples -> 2 shards
-        assert net.last_run_stats.workers == 2
-        assert net.last_run_stats.batch_size == 2
 
-    def test_invalid_workers_rejected(self):
-        net = SpikingNetwork(converted_toy(), timesteps=2)
-        x = np.zeros((1, 2, 4, 4), np.float32)
-        with pytest.raises(ValueError):
-            net.forward(x, workers=0)
-        with pytest.raises(ValueError):
-            SpikingNetwork(converted_toy(), timesteps=2, workers=0)
-
-    def test_network_default_workers(self):
-        net = SpikingNetwork(converted_toy(), timesteps=2, workers=2)
-        x = np.random.default_rng(34).normal(size=(4, 2, 4, 4)).astype(np.float32)
-        net.forward(x)
-        assert net.last_run_stats.workers == 2
+def serial_blocks(monkeypatch, lanes_module, call):
+    """``call()`` with the BLAS setter missing: the blocks run serially."""
+    with monkeypatch.context() as patch:
+        patch.setattr(lanes_module, "blas_thread_setter", lambda: None)
+        return call()
 
 
 class TestThreadSharding:
-    """shard_mode="thread" routes shards through a pool of sibling
-    engines bound to weight-sharing model clones; results and merged
-    statistics must match the single-worker (and fork) runs exactly."""
+    """Block lanes run one call's sample blocks on threads, each lane on
+    a sibling engine bound to a weight-sharing model clone; results and
+    merged statistics must match the serial blocked run bit for bit."""
 
-    @pytest.mark.parametrize("engine", ["dense", "event", "batched"])
-    def test_logits_match_single_worker(self, engine):
-        model = converted_toy()
-        x = np.random.default_rng(40).normal(size=(6, 2, 4, 4)).astype(np.float32)
-        net = SpikingNetwork(model, timesteps=4, engine=engine)
-        single = net.forward(x, workers=1)
-        threaded = net.forward(x, workers=2, shard_mode="thread")
-        assert np.allclose(single, threaded, atol=1e-5)
-        assert np.array_equal(single.argmax(1), threaded.argmax(1))
-        assert net.last_run_stats.shard_mode == "thread"
-        assert net.last_run_stats.workers == 2
-
-    def test_merged_stats_match_single_worker(self):
-        model = converted_toy()
+    def test_merged_stats_match_single_worker(self, lanes_on, monkeypatch):
         x = np.random.default_rng(41).normal(size=(6, 2, 4, 4)).astype(np.float32)
-        net = SpikingNetwork(model, timesteps=4, engine="batched")
-        net.forward(x, workers=1)
-        one = net.last_run_stats
-        net.forward(x, workers=2, shard_mode="thread")
+        net = SpikingNetwork(converted_toy(), timesteps=4, engine="batched")
+        lanes = net.forward(x)
         two = net.last_run_stats
+        serial = serial_blocks(monkeypatch, lanes_on, lambda: net.forward(x))
+        one = net.last_run_stats
+        assert (two.lanes, one.lanes) == (2, 1)
+        assert np.array_equal(lanes, serial)
         assert two.batch_size == one.batch_size
         assert two.total_synaptic_ops == one.total_synaptic_ops
         assert two.spike_rates() == one.spike_rates()
@@ -303,58 +256,54 @@ class TestThreadSharding:
             assert a.spike_count == b.spike_count
             assert a.synaptic_ops == b.synaptic_ops
 
-    def test_thread_sharding_is_deterministic(self):
-        model = converted_toy()
+    def test_thread_sharding_is_deterministic(self, lanes_on):
         x = np.random.default_rng(42).normal(size=(5, 2, 4, 4)).astype(np.float32)
-        net = SpikingNetwork(model, timesteps=3, engine="batched")
-        first = net.forward(x, workers=2, shard_mode="thread")
-        second = net.forward(x, workers=2, shard_mode="thread")
+        net = SpikingNetwork(converted_toy(), timesteps=4, engine="batched")
+        first = net.forward(x)
+        second = net.forward(x)
+        assert net.last_run_stats.lanes == 2
         assert np.array_equal(first, second)
 
-    def test_per_step_threaded(self):
-        model = converted_toy()
+    def test_per_step_threaded(self, lanes_on, monkeypatch):
         x = np.random.default_rng(43).normal(size=(5, 2, 4, 4)).astype(np.float32)
-        net = SpikingNetwork(model, timesteps=3, engine="batched")
-        single = net.forward_per_step(x, workers=1)
-        threaded = net.forward_per_step(x, workers=3, shard_mode="thread")
-        for a, b in zip(single, threaded):
-            assert np.allclose(a, b, atol=1e-5)
+        net = SpikingNetwork(converted_toy(), timesteps=4, engine="batched")
+        lanes = net.forward_per_step(x)
+        assert net.last_run_stats.lanes == 2
+        serial = serial_blocks(monkeypatch, lanes_on, lambda: net.forward_per_step(x))
+        for a, b in zip(lanes, serial):
+            assert np.array_equal(a, b)
 
-    def test_parent_model_untouched(self):
-        """Thread shards run on clones: the bound model keeps no
-        interceptors and the engine stays usable in-process after."""
+    def test_parent_model_untouched(self, lanes_on):
+        """Lanes run on clones: neither the bound model nor a clone keeps
+        an interceptor, and the engine stays usable after."""
         model = converted_toy()
-        net = SpikingNetwork(model, timesteps=3, engine="event")
+        net = SpikingNetwork(model, timesteps=4, engine="event-batched")
         x = np.random.default_rng(44).normal(size=(4, 2, 4, 4)).astype(np.float32)
-        net.forward(x, workers=2, shard_mode="thread")
-        for _, module in model.named_modules():
-            assert "forward" not in module.__dict__
-        net.forward(x, workers=1)  # still runs in-process
+        net.forward(x)
+        assert net.last_run_stats.lanes == 2
+        clones = [peer.model for peer in net.engine._thread_peers[1]]
+        for tree in [model] + clones:
+            for _, module in tree.named_modules():
+                assert "forward" not in module.__dict__
+        net.forward(x[:1])  # one block, on the bound model itself
 
-    def test_thread_peers_and_pool_reused_across_runs(self):
-        """Sibling engines, model clones and the worker pool persist
+    def test_thread_peers_and_pool_reused_across_runs(self, lanes_on):
+        """Sibling engines, model clones and the lane pool persist
         between runs, so per-module caches (effective weights, pad
         workspaces) keep hitting instead of refilling every forward."""
-        net = SpikingNetwork(converted_toy(), timesteps=3, engine="batched")
+        net = SpikingNetwork(converted_toy(), timesteps=4, engine="batched")
         x = np.random.default_rng(45).normal(size=(4, 2, 4, 4)).astype(np.float32)
-        net.forward(x, workers=2, shard_mode="thread")
+        net.forward(x)
         engine = net.engine
-        peers = engine._thread_peers[2]
-        pool = engine._thread_pool
-        net.forward(x, workers=2, shard_mode="thread")
-        assert engine._thread_peers[2] is peers
-        assert engine._thread_pool is pool
+        peers = engine._thread_peers[1]
+        pool = lanes_on._pool
+        net.forward(x)
+        assert net.last_run_stats.lanes == 2
+        assert engine._thread_peers[1] is peers
+        assert lanes_on._pool is pool
         # Peers share the parent's thread-safe weight cache.
         for peer in peers:
             assert peer._weight_cache is engine._weight_cache
-
-    def test_invalid_shard_mode_rejected(self):
-        net = SpikingNetwork(converted_toy(), timesteps=2)
-        x = np.zeros((2, 2, 4, 4), np.float32)
-        with pytest.raises(ValueError):
-            net.forward(x, workers=2, shard_mode="quantum")
-        with pytest.raises(ValueError):
-            SpikingNetwork(converted_toy(), timesteps=2, shard_mode="quantum")
 
     def test_clone_shares_weights_and_remaps_children(self):
         from repro.snn.engines import clone_for_inference
@@ -523,7 +472,7 @@ class TestProfileFormatting:
         assert "run wall clock" in footer
         assert "attributed to layers" in footer
         assert f"engine {stats.engine}" in footer
-        assert f"workers {stats.workers}" in footer
+        assert footer.endswith(f"lanes {stats.lanes}")
 
     def test_density_column_bounds(self, stats):
         for row in stats.profile_records():

@@ -387,10 +387,20 @@ class TestBitwiseMenu:
 
     def test_calibration_observes_only_the_menu(self):
         engine = AutoEngine().bind(converted_pooled_toy())
+        samples = []
+        observe_many = engine.cost_model.observe_many
+
+        def recording(observations):
+            observations = list(observations)
+            samples.extend(observations)
+            observe_many(observations)
+
+        engine.cost_model.observe_many = recording
         x = np.random.default_rng(82).normal(size=(4, 2, 8, 8)).astype(np.float32)
-        run = engine.run(x, 4)
-        assert run.observations
-        assert {backend for backend, _, _ in run.observations} == set(BITWISE_BACKENDS)
+        engine.run(x, 4)
+        assert samples
+        assert {backend for backend, _, _ in samples} == set(BITWISE_BACKENDS)
+        assert len(engine.cost_model) == len(samples)
 
     @pytest.mark.parametrize("source", ["raced", "cost-model", "re-planned"])
     @pytest.mark.parametrize("family", sorted(MENU_MODELS))

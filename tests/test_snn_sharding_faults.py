@@ -1,14 +1,13 @@
-"""Fault tolerance of sharded execution: supervision, degradation, stats.
+"""Fault tolerance of the supervisor: capture, retry, degradation.
 
-Injects failures into child shards — a layer that raises only when
-executed off the main process/thread, and one that hangs past the
-attempt deadline — and asserts the supervisor's contract: failed shards
-retry, then degrade fork -> thread -> serial, the final logits are
-bit-identical to an unsharded run, and every failure lands on
-``RunStats.shard_failures``.
+Runs generic tasks through :func:`run_supervised` — the substrate the
+campaign runner fans its grid points over — and injects failures that
+fire only off the supervising process/thread (a crash) or only in a
+fork child (a hang).  The contract: failed tasks retry, then degrade
+fork -> thread -> serial, the final results are bit-identical to
+calling the tasks directly, and every failure is recorded.
 """
 
-import logging
 import os
 import threading
 import time
@@ -16,19 +15,20 @@ import time
 import numpy as np
 import pytest
 
-from repro import nn
-from repro.snn import SpikingNetwork, convert_to_snn
 from repro.snn.engines import sharding
 from repro.snn.engines.sharding import (
     ShardExecutionError,
     ShardFailure,
     ShardPolicy,
     fork_available,
+    resolve_shard_mode,
     run_supervised,
 )
-from repro.tensor import Tensor, no_grad
 
 MAIN_PID = os.getpid()
+
+#: "off" | "crash" | "hang"; fork children inherit it copy-on-write.
+POISON = {"mode": "off"}
 
 
 def _in_child() -> bool:
@@ -43,54 +43,31 @@ def _in_fork_child() -> bool:
     return os.getpid() != MAIN_PID
 
 
-class PoisonLayer(nn.Module):
-    """Pass-through layer that misbehaves only inside child shards.
-
-    The switch lives on the *class* so it survives both shard
-    substrates: fork children inherit the class state copy-on-write and
-    thread-shard model clones (``clone_for_inference``) preserve the
-    type.  The supervisor's serial fallback runs on the main
-    process/thread, where the predicate is false — exactly the
-    situation the degradation chain exists for.
-    """
-
-    mode = "off"  # "off" | "crash" | "hang"
-
-    def forward(self, x):
-        if type(self).mode == "crash" and _in_child():
-            raise RuntimeError("injected shard poison")
-        if type(self).mode == "hang" and _in_fork_child():
-            time.sleep(60.0)
-        return x
-
-
 @pytest.fixture(autouse=True)
 def _disarm_poison():
     yield
-    PoisonLayer.mode = "off"
+    POISON["mode"] = "off"
 
 
-def poisoned_network(timesteps=3):
-    model = nn.Sequential(
-        PoisonLayer(),
-        nn.Conv2d(2, 4, 3, padding=1, rng=np.random.default_rng(0)),
-        nn.BatchNorm2d(4),
-        nn.QuantReLU(levels=2, init_step=2.0),
-        nn.Flatten(),
-        nn.Linear(4 * 4 * 4, 5, rng=np.random.default_rng(1)),
-    )
-    rng = np.random.default_rng(2)
-    model.train()
-    with no_grad():
-        for _ in range(4):
-            model(Tensor(rng.normal(size=(8, 2, 4, 4)).astype(np.float32)))
-    model.eval()
-    return convert_to_snn(model)
+def task(index: int) -> np.ndarray:
+    """A deterministic numpy task that misbehaves when poisoned."""
+    if POISON["mode"] == "crash" and _in_child():
+        raise RuntimeError("injected task poison")
+    if POISON["mode"] == "hang" and _in_fork_child():
+        time.sleep(60.0)
+    rng = np.random.default_rng(index)
+    a = rng.normal(size=(16, 16)).astype(np.float32)
+    return a @ a.T
 
 
-def batch(n=4, seed=3):
-    rng = np.random.default_rng(seed)
-    return rng.normal(size=(n, 2, 4, 4)).astype(np.float32)
+def direct(count: int):
+    return [task(i) for i in range(count)]
+
+
+def assert_results(outcome, count):
+    assert len(outcome.results) == count
+    for got, want in zip(outcome.results, direct(count)):
+        np.testing.assert_array_equal(got, want)
 
 
 class TestPolicyValidation:
@@ -111,77 +88,53 @@ class TestPolicyValidation:
 @pytest.mark.skipif(not fork_available(), reason="needs the fork start method")
 class TestCrashDegradation:
     def test_crash_degrades_to_serial_bit_identical(self):
-        x = batch()
-        model = poisoned_network()
-        # Reference: a *clean* sharded run with the same shard bounds.
-        # Bit-identity holds across substrates because every substrate
-        # runs the same kernels on the same contiguous slice; it does
-        # not hold against a different batch split (BLAS may differ in
-        # the last ulp between a batch-4 and a batch-2 GEMM).
-        reference = SpikingNetwork(model, timesteps=3, workers=2,
-                                   shard_mode="thread").forward(x)
-
-        PoisonLayer.mode = "crash"
-        net = SpikingNetwork(
-            model,
-            timesteps=3,
-            workers=2,
-            shard_mode="fork",
-            shard_policy=ShardPolicy(retries=1, backoff=0.01),
+        POISON["mode"] = "crash"
+        outcome = run_supervised(
+            count=2,
+            mode="fork",
+            policy=ShardPolicy(retries=1, backoff=0.01),
+            serial_fn=task,
         )
-        logits = net.forward(x)
-
         # The poison kills fork children AND thread workers, so only the
         # serial fallback can finish — and it must match exactly.
-        assert np.array_equal(logits, reference)
-        stats = net.last_run_stats
-        assert stats.degraded_shard_mode == "serial"
-        failures = stats.shard_failures
-        assert failures, "failures must land on RunStats"
+        assert_results(outcome, 2)
+        assert outcome.degraded_mode == "serial"
+        failures = outcome.failures
         assert all(isinstance(f, ShardFailure) for f in failures)
         assert {f.kind for f in failures} == {"exception"}
         assert {f.mode for f in failures} == {"fork", "thread"}
-        # retries=1 => two attempts per substrate for both shards.
+        # retries=1 => two attempts per substrate for both tasks.
         assert len([f for f in failures if f.mode == "fork"]) == 4
-        assert all("injected shard poison" in f.error for f in failures)
+        assert len([f for f in failures if f.mode == "thread"]) == 4
+        assert all("injected task poison" in f.error for f in failures)
 
     def test_clean_run_records_nothing(self):
-        x = batch()
-        net = SpikingNetwork(poisoned_network(), timesteps=3, workers=2,
-                             shard_mode="fork")
-        net.forward(x)
-        assert net.last_run_stats.shard_failures == []
-        assert net.last_run_stats.degraded_shard_mode == ""
+        outcome = run_supervised(count=3, mode="fork", policy=None, serial_fn=task)
+        assert_results(outcome, 3)
+        assert outcome.failures == []
+        assert outcome.degraded_mode == ""
 
 
 @pytest.mark.skipif(not fork_available(), reason="needs the fork start method")
 class TestHangDegradation:
     def test_hang_is_detected_and_degrades(self):
-        x = batch()
-        model = poisoned_network()
-        reference = SpikingNetwork(model, timesteps=3, workers=2,
-                                   shard_mode="thread").forward(x)
-
-        PoisonLayer.mode = "hang"
-        net = SpikingNetwork(
-            model,
-            timesteps=3,
-            workers=2,
-            shard_mode="fork",
-            shard_policy=ShardPolicy(timeout=1.0, retries=0, backoff=0.01),
-        )
+        POISON["mode"] = "hang"
         start = time.monotonic()
-        logits = net.forward(x)
+        outcome = run_supervised(
+            count=2,
+            mode="fork",
+            policy=ShardPolicy(timeout=1.0, retries=0, backoff=0.01),
+            serial_fn=task,
+        )
         elapsed = time.monotonic() - start
 
         # The hang only triggers in fork children, so threads recover.
-        assert np.array_equal(logits, reference)
-        stats = net.last_run_stats
-        assert stats.degraded_shard_mode == "thread"
-        assert {f.kind for f in stats.shard_failures} == {"timeout"}
-        assert {f.mode for f in stats.shard_failures} == {"fork"}
+        assert_results(outcome, 2)
+        assert outcome.degraded_mode == "thread"
+        assert {f.kind for f in outcome.failures} == {"timeout"}
+        assert {f.mode for f in outcome.failures} == {"fork"}
         # Hang detection means the deadline bounds the wait, not the
-        # 60 s sleep; generous slack for pool setup and the retry wave.
+        # 60 s sleep; generous slack for pool setup.
         assert elapsed < 30.0
 
 
@@ -222,51 +175,30 @@ class TestSupervisor:
         assert len(outcome.failures) == 3
         assert all(f.attempt == 1 for f in outcome.failures)
 
-    def test_thread_timeout_poisons_lent_pool(self):
-        discarded = []
+    def test_thread_timeout_degrades_to_serial(self):
+        released = threading.Event()
 
-        def slow_then_fine(i):
-            if not discarded:  # first attempt only
-                time.sleep(1.5)
+        def slow_off_main(i):
+            if threading.current_thread() is not threading.main_thread():
+                released.wait(5.0)  # hung until the test releases it
             return i
 
-        outcome = run_supervised(
-            count=1,
-            mode="thread",
-            policy=ShardPolicy(timeout=0.2, retries=0, backoff=0.0),
-            serial_fn=slow_then_fine,
-            thread_executor_discard=lambda: discarded.append(True),
-        )
+        start = time.monotonic()
+        try:
+            outcome = run_supervised(
+                count=1,
+                mode="thread",
+                policy=ShardPolicy(timeout=0.2, retries=0, backoff=0.0),
+                serial_fn=slow_off_main,
+            )
+        finally:
+            released.set()
+        # The supervisor abandons the hung thread instead of joining it.
+        assert time.monotonic() - start < 4.0
         assert outcome.results == [0]
-        assert discarded, "a hung thread must poison the cached pool"
-        assert outcome.failures[0].kind == "timeout"
+        assert [f.kind for f in outcome.failures] == ["timeout"]
+        assert outcome.failures[0].mode == "thread"
         assert outcome.degraded_mode == "serial"
-
-
-class TestWorkerClamp:
-    def test_workers_beyond_batch_clamp_with_one_warning(self, caplog):
-        x = batch(n=2)
-        model = poisoned_network()
-        # workers=8 on a 2-sample batch clamps to 2 single-sample
-        # shards — the same bounds an explicit workers=2 run produces.
-        reference = SpikingNetwork(model, timesteps=3, workers=2,
-                                   shard_mode="thread").forward(x)
-        net = SpikingNetwork(model, timesteps=3)
-        with caplog.at_level(logging.WARNING, logger="repro.snn.engines.base"):
-            logits = net.forward(x, workers=8, shard_mode="thread")
-        clamp_warnings = [
-            r for r in caplog.records if "clamping" in r.getMessage()
-        ]
-        assert len(clamp_warnings) == 1
-        assert np.array_equal(logits, reference)
-        # Merged stats must look like a normal run: no phantom shards.
-        assert net.last_run_stats.shard_failures == []
-
-    def test_single_sample_batch_runs_inline(self):
-        x = batch(n=1)
-        net = SpikingNetwork(poisoned_network(), timesteps=3)
-        logits = net.forward(x, workers=4, shard_mode="thread")
-        assert logits.shape == (1, 5)
 
 
 class TestForklessAuto:
@@ -278,11 +210,15 @@ class TestForklessAuto:
 
     def test_auto_run_on_forkless_platform(self, monkeypatch):
         monkeypatch.setattr(sharding, "fork_available", lambda: False)
-        x = batch()
-        model = poisoned_network()
-        reference = SpikingNetwork(model, timesteps=3, workers=2,
-                                   shard_mode="thread").forward(x)
-        net = SpikingNetwork(model, timesteps=3, workers=2, shard_mode="auto")
-        logits = net.forward(x)
-        assert np.array_equal(logits, reference)
-        assert net.last_run_stats.shard_failures == []
+        ran_on = set()
+
+        def recording(i):
+            ran_on.add(threading.current_thread() is threading.main_thread())
+            return task(i)
+
+        outcome = run_supervised(
+            count=2, mode=resolve_shard_mode("auto"), policy=None, serial_fn=recording
+        )
+        assert_results(outcome, 2)
+        assert outcome.failures == []
+        assert ran_on == {False}  # worker threads, never the serial path

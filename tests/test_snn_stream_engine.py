@@ -17,7 +17,7 @@ from repro.snn import SpikingNetwork, convert_to_snn
 from repro.snn.spikes import SpikeStream
 from repro.tensor import Tensor, no_grad
 
-from test_snn_engine import converted_pooled_toy, converted_resnet
+from test_snn_engine import converted_pooled_toy, converted_resnet, force_lanes
 
 TIMESTEPS = 4
 
@@ -301,8 +301,8 @@ def _shared_conv_chain(seed):
 
 def _with_head(body):
     """``body`` followed by a readout of its pooled output.  No linear
-    layer: a row-subset GEMM with few rows may pick another BLAS kernel
-    than the full one (ROADMAP), and these tests pin the chain itself."""
+    layer: these tests pin the chain itself
+    (``test_linear_head_bitwise`` covers a linear readout)."""
     from repro import nn
 
     return nn.Sequential(body, nn.AvgPool2d(2), nn.Flatten())
@@ -336,6 +336,31 @@ class TestSiteValuedChains:
         stats = net.last_run_stats
         assert {l.name: l.backend for l in stats.layers}[layer] == "event-batched"
         return logits, stats
+
+    def test_linear_head_bitwise(self):
+        """A linear readout over a carried stream multiplies every stack
+        row: a GEMM over the rows with events alone may pick another
+        BLAS kernel for the smaller M and differ in the last bit."""
+        from repro import nn
+        from repro.snn.neurons import IFNeuron
+
+        for seed in range(40):
+            model = nn.Sequential(
+                nn.Conv2d(2, 2, 3, padding=1, rng=np.random.default_rng(seed)),
+                _bn(2, seed),
+                IFNeuron(threshold=1.0),
+                nn.Conv2d(2, 2, 3, padding=1, rng=np.random.default_rng(seed + 1)),
+                _bn(2, seed + 1),
+                IFNeuron(threshold=1.0),
+                nn.AvgPool2d(2),
+                nn.Flatten(),
+                nn.Linear(72, 5, rng=np.random.default_rng(seed + 2)),
+            )
+            stream = _sparse_stream((4, 2, 12, 12), 4, 0.01, seed=seed)
+            ref, _ = self._run(model, stream, "batched")
+            logits, stats = self._run(model, stream, "event-batched")
+            assert stats.layers[-1].backend == "event-batched"
+            assert np.array_equal(ref, logits), f"seed {seed}"
 
     def test_biased_conv_bn_background(self):
         """A biased conv's background is its bias, so BN must map that,
@@ -598,26 +623,42 @@ class TestAllEnginesAcceptStreams:
 
 
 class TestStreamSharding:
-    def test_thread_shards_match_single(self, converted_vgg, frames):
-        net = SpikingNetwork(converted_vgg, timesteps=TIMESTEPS, engine="event")
-        stream = rate_encode_stream(frames, TIMESTEPS, rng=np.random.default_rng(7))
-        single = net.forward(stream)
-        ops = net.last_run_stats.total_synaptic_ops
-        sharded = net.forward(stream, workers=2, shard_mode="thread")
-        assert np.allclose(single, sharded, atol=1e-5)
-        assert net.last_run_stats.total_synaptic_ops == ops
-        assert net.last_run_stats.workers == 2
+    """Lanes and forked processes slice a stream's batch axis like a
+    dense batch: 4 samples in 2-sample blocks, two lanes."""
 
-    def test_fork_shards_match_single(self, converted_vgg, frames):
-        from repro.snn.engines import fork_available
+    @pytest.fixture
+    def lanes_on(self, monkeypatch):
+        return force_lanes(monkeypatch, 2, TIMESTEPS)
+
+    def _serial(self, monkeypatch, lanes_module, engine, stream):
+        with monkeypatch.context() as patch:
+            patch.setattr(lanes_module, "blas_thread_setter", lambda: None)
+            return engine.run(stream, TIMESTEPS)
+
+    def test_thread_shards_match_single(self, converted_vgg, frames, lanes_on, monkeypatch):
+        from repro.snn.engines import make_engine
+
+        stream = rate_encode_stream(frames, TIMESTEPS, rng=np.random.default_rng(7))
+        for name in ("event-batched", "auto"):
+            engine = make_engine(name).bind(converted_vgg)
+            single = self._serial(monkeypatch, lanes_on, engine, stream)
+            sharded = engine.run(stream, TIMESTEPS)
+            assert (single.stats.lanes, sharded.stats.lanes) == (1, 2)
+            assert np.array_equal(single.logits, sharded.logits), name
+            assert sharded.stats.total_synaptic_ops == single.stats.total_synaptic_ops
+
+    def test_fork_shards_match_single(self, converted_vgg, frames, lanes_on, monkeypatch):
+        from repro.snn.engines import fork_available, make_engine
+        from test_snn_blocked_runs import run_in_fork
 
         if not fork_available():
             pytest.skip("fork unavailable")
-        net = SpikingNetwork(converted_vgg, timesteps=TIMESTEPS, engine="event")
         stream = rate_encode_stream(frames, TIMESTEPS, rng=np.random.default_rng(8))
-        single = net.forward(stream)
-        sharded = net.forward(stream, workers=2, shard_mode="fork")
-        assert np.allclose(single, sharded, atol=1e-5)
+        engine = make_engine("event-batched").bind(converted_vgg)
+        single = self._serial(monkeypatch, lanes_on, engine, stream)
+        forked = run_in_fork(engine, stream)
+        assert forked.stats.lanes == 2
+        assert np.array_equal(single.logits, forked.logits)
 
 
 class TestHardwareAcceptsStreams:
