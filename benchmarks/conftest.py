@@ -11,6 +11,9 @@ and need no training.
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
 from repro.data import SyntheticCIFAR
@@ -18,6 +21,23 @@ from repro.eval import accuracy_vs_timesteps_experiment
 
 ACCURACY_WIDTH = 0.125
 MAX_TIMESTEPS = 16
+
+
+@pytest.fixture
+def bench_dir(tmp_path) -> Path:
+    """Where a benchmark writes its ``BENCH_*.json`` record.
+
+    ``$REPRO_BENCH_DIR`` when set (CI sets it, and so does anyone who
+    wants a record to snapshot with ``record_history.py``); otherwise
+    the test's own temp directory, so a plain test run writes nothing
+    into the checkout.
+    """
+    chosen = os.environ.get("REPRO_BENCH_DIR")
+    if not chosen:
+        return tmp_path
+    out = Path(chosen)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _dataset(seed: int) -> SyntheticCIFAR:

@@ -2,7 +2,12 @@
 
 Usage::
 
+    REPRO_BENCH_DIR=. PYTHONPATH=src python -m pytest -q benchmarks/test_serving.py
     python benchmarks/record_history.py [label] [bench_path]
+
+The benchmarks write their ``BENCH_*.json`` into ``$REPRO_BENCH_DIR``
+(a plain test run keeps them in a temp directory), and ``bench_path``
+defaults to ``BENCH_engines.json`` at the repo root.
 
 History records are the *committed* baselines the perf trend gate
 (``compare_bench.py``) measures new runs against, so taking one is a

@@ -21,14 +21,14 @@ on wall clock while staying bit-identical on logits — sparsity winning
 time, not just op counts.  It records the full engine trajectory —
 including the auto engine's per-layer (name, wall clock, density,
 chosen backend) profile and the DVS scenario — in
-``BENCH_engines.json`` at the repo root, whose schema is asserted here
-so the uploaded CI artifact stays machine-readable.
+``BENCH_engines.json`` (in ``$REPRO_BENCH_DIR`` when set, else a temp
+directory), whose schema is asserted here so the uploaded CI artifact
+stays machine-readable.
 """
 
 import json
 import platform
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,7 +42,6 @@ from repro.pipeline.trainer import TrainConfig, Trainer
 from repro.snn import AutoEngine, SpikingNetwork, convert_to_snn
 
 TIMESTEPS = 8
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_engines.json"
 
 
 def _converted_vgg(width):
@@ -286,7 +285,9 @@ def _paired_ratio(samples, numerator, denominator):
 _assert_bench_schema = assert_engines_schema
 
 
-def test_engines_wall_clock_and_auto_plan(converted_vgg_bench, converted_dvs):
+def test_engines_wall_clock_and_auto_plan(
+    converted_vgg_bench, converted_dvs, bench_dir
+):
     """Engine wall clock on frame + DVS-stream workloads + artifact.
 
     The frame scenario is the hardware's own workload: one 32x32 frame,
@@ -453,7 +454,8 @@ def test_engines_wall_clock_and_auto_plan(converted_vgg_bench, converted_dvs):
     # Dated snapshots land in benchmarks/history/ via record_history.py,
     # a deliberate step — not here, or the trend gate would compare each
     # fresh record against itself.
-    atomic_write_json(BENCH_PATH, record, fsync=True)
+    bench_path = bench_dir / "BENCH_engines.json"
+    atomic_write_json(bench_path, record, fsync=True)
     print(f"\nwall clock (ms): " + ", ".join(
         f"{k} {v['wall_clock_ms']}" for k, v in results.items()
     ))
@@ -466,7 +468,7 @@ def test_engines_wall_clock_and_auto_plan(converted_vgg_bench, converted_dvs):
         f"({coo_layers} layers on the COO kernel); "
         f"DVS density {dvs_stream.density:.4f}: "
         f"event-batched {dvs_speedup:.2f}x vs batched, "
-        f"auto/best-fixed {dvs_auto_ratio:.3f} -> {BENCH_PATH}"
+        f"auto/best-fixed {dvs_auto_ratio:.3f} -> {bench_path}"
     )
 
     # All engines agree on the frame's prediction and logits.

@@ -2,7 +2,8 @@
 
 Drives a real :class:`repro.serve.app.InferenceServer` (ephemeral port,
 tiny calibrated demo SNN, AutoEngine backend) through the full
-robustness gauntlet and emits ``BENCH_serving.json``:
+robustness gauntlet and emits ``BENCH_serving.json`` (into
+``$REPRO_BENCH_DIR`` when set, else a temp directory):
 
 1. **Serial baseline** — requests one at a time; every response is
    checked bit-identical against a direct run on the server's own
@@ -53,8 +54,6 @@ from repro.utils.io import atomic_write_json
 
 from bench_schema import assert_serving_schema
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_serving.json"
-
 SHAPE = (2, 8, 8)
 TIMESTEPS = 8
 SERIAL_REQUESTS = 10
@@ -88,7 +87,6 @@ def build_server():
         timesteps=TIMESTEPS,
         max_batch_size=8,
         max_queue_depth=8,
-        gather_window_seconds=5e-3,
         hang_timeout_seconds=0.5,
         breaker_failure_threshold=2,
         breaker_reset_seconds=0.3,
@@ -374,7 +372,7 @@ def run_pool_phase():
     }
 
 
-def test_serving_load_and_failure_semantics():
+def test_serving_load_and_failure_semantics(bench_dir):
     handle = build_server()
     try:
         sequential_rps, bit_identical = run_serial_phase(handle)
@@ -427,7 +425,8 @@ def test_serving_load_and_failure_semantics():
         "machine": platform.machine(),
     }
     assert_serving_schema(record)
-    atomic_write_json(BENCH_PATH, record, fsync=True)
+    bench_path = bench_dir / "BENCH_serving.json"
+    atomic_write_json(bench_path, record, fsync=True)
     print(
         f"\nserving: serial {sequential_rps:.1f} req/s, concurrent "
         f"{concurrent_rps:.1f} req/s (gain {gain:.2f}x), p50 "
@@ -436,7 +435,7 @@ def test_serving_load_and_failure_semantics():
         f"{breaker['trips']}, pool x{POOL_REPLICAS} "
         f"{pool['pool_scaling_gain']:.2f}x on {pool['cores']} core(s) "
         f"({'gated' if pool['gate_eligible'] else 'recorded'}) "
-        f"-> {BENCH_PATH}"
+        f"-> {bench_path}"
     )
 
 

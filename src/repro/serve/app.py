@@ -104,7 +104,7 @@ class ServeConfig:
     max_queue_depth: int = 64
     max_inflight_bytes: int = 64 * 1024 * 1024
     max_body_bytes: int = 8 * 1024 * 1024
-    gather_window_seconds: float = 2e-3
+    gather_window_seconds: float = 2e-3   # pool only: in-process never holds
     hang_timeout_seconds: float = 30.0
     breaker_failure_threshold: int = 3
     breaker_reset_seconds: float = 2.0

@@ -16,14 +16,21 @@ Robustness decisions all happen here, at well-defined points:
   *or* by queued payload bytes — sheds load (429 + ``Retry-After``);
   a deadline that the current backlog provably cannot meet is rejected
   up front (504) rather than wasting a queue slot on a doomed request.
-* **The gather window** is computed from deadlines, not a fixed timer:
-  the batch dispatches at the *latest start time* that still meets its
-  most urgent member's budget, given the estimated service time for
-  the batch that would result.  Idle servers dispatch singles almost
-  immediately; loaded servers coalesce aggressively.
+* **Work-conserving dispatch**: an in-process worker (capacity 1) gets
+  whatever is queued the moment it is idle — no timer holds a lone
+  request for co-riders.  Requests that arrive while a batch runs
+  coalesce in the queue, and the next gather takes up to
+  ``max_batch_size`` of them, so batches grow with load on their own.
+* **The pool's dispatch hold**: a process pool (capacity > 1) has free
+  replicas while work trickles in, and a singleton per replica pays a
+  process hop per sample, so there a batch waits up to
+  ``gather_window_seconds`` for co-riders — bounded by the slack its
+  most urgent member's deadline leaves after the estimated service
+  time.
 * **Culling**: disconnected and deadline-expired entries are dropped
   *before* dispatch so the engine never spends cycles on an answer
-  nobody is waiting for.
+  nobody is waiting for.  Every dropped entry's future is cancelled
+  (or failed) and counted, so no handler awaits it forever.
 * **Degradation**: when observed p99 exceeds the configured budget,
   :class:`DegradePolicy` halves the timestep ceiling.  Degraded
   requests still ride the same batch — the engine runs to the largest
@@ -197,7 +204,7 @@ class BatcherConfig:
     max_queue_depth: int = 64
     max_inflight_bytes: int = 64 * 1024 * 1024
     safety_factor: float = 2.0          # estimate multiplier for feasibility
-    gather_window_seconds: float = 2e-3  # max extra wait to coalesce
+    gather_window_seconds: float = 2e-3  # pool only: max hold to coalesce
     hang_timeout_seconds: float = 30.0   # worker-level wedge deadline
     idle_tick_seconds: float = 0.05      # queue poll cadence when idle
 
@@ -399,14 +406,18 @@ class MicroBatcher:
         self.metrics.set_gauge("queue_depth", 0)
         self.metrics.set_gauge("queued_bytes", 0)
 
+    def _cancel_dropped(self, entry: InferenceRequest) -> None:
+        """Resolve and count an entry dropped because nobody awaits it."""
+        if not entry.future.done():
+            entry.future.cancel()
+        self.metrics.inc("cancelled_in_queue")
+
     def _cull(self, now: float) -> None:
         """Drop disconnected / already-doomed entries before dispatch."""
         for entry in list(self._queue):
             if not entry.alive():
                 self._remove(entry)
-                if not entry.future.done():
-                    entry.future.cancel()
-                self.metrics.inc("cancelled_in_queue")
+                self._cancel_dropped(entry)
                 continue
             effective_t = min(entry.timesteps, self.degrade.current)
             min_service = self.estimator.estimate(1, effective_t)
@@ -476,11 +487,9 @@ class MicroBatcher:
                     self._dispatch_tasks.add(task)
                     task.add_done_callback(self._dispatch_tasks.discard)
                 continue
+            # Capacity 1 or a half-open probe: nothing is in flight, so
+            # the worker is idle and a hold would only delay this batch.
             members = self._gather(1 if mode == "probe" else cfg.max_batch_size)
-            if not members:
-                continue
-            if mode != "probe":
-                members = await self._hold_gather_window(members)
             if members:
                 await self._dispatch_and_observe(members, probe=(mode == "probe"))
 
@@ -498,6 +507,8 @@ class MicroBatcher:
             self._queued_bytes -= entry.nbytes
             if entry.alive():
                 members.append(entry)
+            else:
+                self._cancel_dropped(entry)
         self.metrics.set_gauge("queue_depth", len(self._queue))
         self.metrics.set_gauge("queued_bytes", self._queued_bytes)
         return members
@@ -505,12 +516,13 @@ class MicroBatcher:
     async def _hold_gather_window(
         self, members: List[InferenceRequest]
     ) -> List[InferenceRequest]:
-        """Wait — bounded by the most urgent deadline — for co-riders.
+        """Pool only: wait, bounded by the most urgent deadline, for co-riders.
 
         The latest admissible start time is ``earliest deadline - safety
         * estimated service``; if that leaves slack and the batch is not
         full, hold briefly so concurrent arrivals coalesce instead of
-        paying one engine dispatch each.
+        each paying a replica's process hop.  Members whose client left
+        during the hold are dropped and counted.
         """
         cfg = self.config
         if len(members) >= cfg.max_batch_size or cfg.gather_window_seconds <= 0:
@@ -525,7 +537,13 @@ class MicroBatcher:
         if hold > 1e-4:
             await asyncio.sleep(hold)
             members.extend(self._gather(cfg.max_batch_size - len(members)))
-        return [e for e in members if e.alive()]
+        alive = []
+        for entry in members:
+            if entry.alive():
+                alive.append(entry)
+            else:
+                self._cancel_dropped(entry)
+        return alive
 
     async def _dispatch(
         self, members: List[InferenceRequest], probe: bool = False

@@ -280,9 +280,12 @@ class StubRun:
 class StubWorker:
     """Duck-typed EngineWorker: scripted delays and failures."""
 
-    def __init__(self, delay: float = 0.0, fail_times: int = 0) -> None:
+    def __init__(
+        self, delay: float = 0.0, fail_times: int = 0, capacity: int = 1
+    ) -> None:
         self.delay = delay
         self.fail_times = fail_times
+        self.capacity = capacity  # > 1 makes the batcher treat it as a pool
         self.calls = []
         self.restarts = 0
 
@@ -455,6 +458,88 @@ class TestMicroBatcher:
         expired, calls = asyncio.run(scenario())
         assert expired == 1
         assert sum(n for n, _ in calls) == 1  # the doomed entry never ran
+
+
+class TestDispatchRule:
+    """In-process dispatch is work-conserving; only a pool holds."""
+
+    def test_lone_request_is_not_held_for_the_window(self):
+        async def scenario():
+            worker = StubWorker()
+            batcher, _, _ = make_batcher(worker, gather=2.0)
+            batcher.start()
+            started = time.monotonic()
+            result = await batcher.submit(
+                sample(), timesteps=4, deadline_ms=10_000.0
+            )
+            elapsed = time.monotonic() - started
+            await batcher.close()
+            return elapsed, result, worker.calls
+
+        elapsed, result, calls = asyncio.run(scenario())
+        assert elapsed < 0.5  # the 2 s window would hold it otherwise
+        assert result["batch_size"] == 1 and calls == [(1, 4)]
+
+    def test_arrivals_during_a_dispatch_ride_the_next_batch(self):
+        async def scenario():
+            worker = StubWorker(delay=0.05)
+            batcher, _, _ = make_batcher(worker)
+            batcher.start()
+            futures = [batcher.submit(sample(), timesteps=4, deadline_ms=10_000.0)]
+            while not worker.calls:  # wait until the first batch is in flight
+                await asyncio.sleep(0.001)
+            futures += [
+                batcher.submit(sample(), timesteps=4, deadline_ms=10_000.0)
+                for _ in range(3)
+            ]
+            results = await asyncio.gather(*futures)
+            await batcher.close()
+            return worker.calls, results
+
+        calls, results = asyncio.run(scenario())
+        assert calls == [(1, 4), (3, 4)]
+        assert [r["batch_size"] for r in results] == [1, 3, 3, 3]
+
+    def test_pool_holds_to_coalesce_spaced_arrivals(self):
+        async def scenario():
+            worker = StubWorker(capacity=2)
+            batcher, _, _ = make_batcher(worker, gather=0.3)
+            batcher.start()
+            futures = []
+            for _ in range(3):
+                futures.append(
+                    batcher.submit(sample(), timesteps=4, deadline_ms=10_000.0)
+                )
+                await asyncio.sleep(0.02)
+            results = await asyncio.gather(*futures)
+            await batcher.close()
+            return worker.calls, results
+
+        calls, results = asyncio.run(scenario())
+        assert calls == [(3, 4)]
+        assert {r["batch_size"] for r in results} == {3}
+
+    def test_client_leaving_during_pool_hold_is_cancelled_and_counted(self):
+        async def scenario():
+            worker = StubWorker(capacity=2)
+            batcher, _, metrics = make_batcher(worker, gather=0.2)
+            batcher.start()
+            gone = {"flag": False}
+            future = batcher.submit(
+                sample(), timesteps=4, deadline_ms=10_000.0,
+                is_disconnected=lambda: gone["flag"],
+            )
+            await asyncio.sleep(0.05)  # gathered; the hold is running
+            gone["flag"] = True
+            # The hold ends and drops it; at worst the wait times out.
+            await asyncio.wait([future], timeout=5.0)
+            await batcher.close()
+            return future, metrics.counter("cancelled_in_queue"), worker.calls
+
+        future, cancelled, calls = asyncio.run(scenario())
+        assert future.cancelled()
+        assert cancelled == 1
+        assert calls == []
 
 
 # ----------------------------------------------------------------------
