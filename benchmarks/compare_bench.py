@@ -19,7 +19,11 @@ least-squares slope to each tracked metric over the last
 individually-within-noise drifts that compounds into a sustained
 slide (adverse slope beyond ``TREND_SLOPE_LIMIT`` per snapshot *and*
 the fresh value adverse vs the window's start) also fails the gate —
-the one-baseline comparison cannot see it by construction.
+the one-baseline comparison cannot see it by construction.  A record
+that carries a ``"rebaseline"`` reason (``record_history.py
+--rebaseline``) starts the trend afresh: the window never reaches past
+the newest such record, because a benchmark whose measurement was
+deliberately changed cannot slide against figures of the old one.
 
 For *wall clock* only ratio metrics are compared — speedups,
 auto-vs-best-fixed, the serving layer's batching throughput gain —
@@ -52,8 +56,8 @@ MIN_BATCHED_SPEEDUP = 3.0
 MIN_DVS_EVENT_SPEEDUP = 1.0
 MAX_AUTO_RATIO = 1.1
 # Coalescing must clearly beat serial dispatch for the batching layer
-# to justify existing; measured ~5x on a single-core box, so 1.5 is a
-# conservative floor well outside timing noise.
+# to justify existing; measured ~4.3x at the batcher on a 2-core box,
+# so 1.5 is a conservative floor well outside timing noise.
 MIN_BATCHING_GAIN = 1.5
 # Planner v2 gates: a cost-model-predicted cold start must at least
 # halve calibration wall clock, and the predicted plan must execute
@@ -79,9 +83,10 @@ TREND_MIN_POINTS = 3
 OPS_TOLERANCE = 0.02
 
 SNAPSHOT_REMINDER = (
-    "if this change is intentional, snapshot the fresh record with "
-    "`python benchmarks/record_history.py <label>` and commit the dated "
-    "file under benchmarks/history/ in the same PR"
+    "if this change is intentional, rerun the benchmark with "
+    "`REPRO_BENCH_DIR=.`, snapshot its record with `python "
+    "benchmarks/record_history.py <label> BENCH_<kind>.json` and commit "
+    "the dated file under benchmarks/history/ in the same PR"
 )
 
 
@@ -227,14 +232,20 @@ def latest_history(history_dir, suffix):
 
 
 def load_history_window(history_dir, suffix, window=TREND_WINDOW):
-    """The last ``window`` same-kind history records, oldest first."""
+    """The last ``window`` same-kind history records, oldest first,
+    none older than the newest record marked ``rebaseline``."""
     loaded = []
-    for path in history_records(history_dir, suffix)[-window:]:
+    for path in history_records(history_dir, suffix):
         try:
-            loaded.append((path.name, json.loads(path.read_text())))
+            record = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError):
             print(f"  (skipping unreadable history record {path.name})")
-    return loaded
+            continue
+        if record.get("rebaseline"):
+            print(f"  (trend restarts at {path.name}: {record['rebaseline']})")
+            loaded = []
+        loaded.append((path.name, record))
+    return loaded[-window:]
 
 
 def _slope(values):

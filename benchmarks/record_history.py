@@ -3,11 +3,14 @@
 Usage::
 
     REPRO_BENCH_DIR=. PYTHONPATH=src python -m pytest -q benchmarks/test_serving.py
-    python benchmarks/record_history.py [label] [bench_path]
+    python benchmarks/record_history.py [label] [bench_path] [--rebaseline REASON]
 
 The benchmarks write their ``BENCH_*.json`` into ``$REPRO_BENCH_DIR``
-(a plain test run keeps them in a temp directory), and ``bench_path``
-defaults to ``BENCH_engines.json`` at the repo root.
+(a plain test run keeps them in a temp directory); ``bench_path``
+defaults to ``BENCH_engines.json`` there (the repo root when the
+variable is unset).  ``--rebaseline`` stamps the reason into the
+record, and the trend view of ``compare_bench.py`` then starts at it:
+use it when a change deliberately alters what a benchmark measures.
 
 History records are the *committed* baselines the perf trend gate
 (``compare_bench.py``) measures new runs against, so taking one is a
@@ -25,8 +28,10 @@ kind sort chronologically and the gate can glob per kind.
 
 from __future__ import annotations
 
+import argparse
 import datetime
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -40,13 +45,22 @@ from repro.utils.io import atomic_write_json  # noqa: E402
 KIND_SUFFIXES = {"engines_wall_clock": "engines", "serving_load": "serving"}
 
 
-def record(label: str = "manual", bench_path: Path | None = None) -> Path:
+def record(
+    label: str = "manual",
+    bench_path: Path | None = None,
+    rebaseline: str | None = None,
+    history: Path | None = None,
+) -> Path:
     root = Path(__file__).resolve().parent.parent
-    bench_path = bench_path or root / "BENCH_engines.json"
+    if bench_path is None:
+        bench_dir = os.environ.get("REPRO_BENCH_DIR")
+        bench_path = (Path(bench_dir) if bench_dir else root) / "BENCH_engines.json"
     payload = json.loads(bench_path.read_text())
     assert_bench_schema(payload)
+    if rebaseline:
+        payload["rebaseline"] = rebaseline
     suffix = KIND_SUFFIXES[payload["benchmark"]]
-    history = Path(__file__).resolve().parent / "history"
+    history = history or Path(__file__).resolve().parent / "history"
     history.mkdir(parents=True, exist_ok=True)
     stamp = datetime.date.today().isoformat()
     out = history / f"{stamp}-{label}-{suffix}.json"
@@ -55,13 +69,17 @@ def record(label: str = "manual", bench_path: Path | None = None) -> Path:
 
 
 def main(argv: list) -> int:
-    if len(argv) > 2:
-        print("usage: record_history.py [label] [bench_path]", file=sys.stderr)
-        return 2
-    label = argv[0] if argv else "manual"
-    bench = Path(argv[1]) if len(argv) > 1 else None
+    parser = argparse.ArgumentParser(prog="record_history.py")
+    parser.add_argument("label", nargs="?", default="manual")
+    parser.add_argument("bench_path", nargs="?", type=Path, default=None)
+    parser.add_argument(
+        "--rebaseline",
+        metavar="REASON",
+        help="why this record restarts the trend (the measurement changed)",
+    )
+    args = parser.parse_args(argv)
     try:
-        out = record(label, bench)
+        out = record(args.label, args.bench_path, args.rebaseline)
     except FileNotFoundError as error:
         print(f"no benchmark record to snapshot: {error}", file=sys.stderr)
         return 1

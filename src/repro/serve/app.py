@@ -515,6 +515,14 @@ class ServerHandle:
                 )
         self._thread.join(timeout)
 
+    def run_in_loop(self, coroutine, timeout: float = 30.0):
+        """Run ``coroutine`` on the server's event loop and block for its
+        result — how a benchmark drives the batcher without HTTP."""
+        assert self._loop is not None, "server is not running"
+        return asyncio.run_coroutine_threadsafe(coroutine, self._loop).result(
+            timeout
+        )
+
     def __enter__(self) -> "ServerHandle":
         return self
 

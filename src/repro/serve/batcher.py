@@ -21,12 +21,13 @@ Robustness decisions all happen here, at well-defined points:
   request for co-riders.  Requests that arrive while a batch runs
   coalesce in the queue, and the next gather takes up to
   ``max_batch_size`` of them, so batches grow with load on their own.
-* **The pool's dispatch hold**: a process pool (capacity > 1) has free
-  replicas while work trickles in, and a singleton per replica pays a
-  process hop per sample, so there a batch waits up to
-  ``gather_window_seconds`` for co-riders — bounded by the slack its
-  most urgent member's deadline leaves after the estimated service
-  time.
+* **The pool's dispatch hold**: a process pool (capacity > 1) waits
+  up to ``gather_window_seconds`` for co-riders before a batch goes to
+  a free replica — bounded by the slack its most urgent member's
+  deadline leaves after the estimated service time.  The aim is to
+  spare each replica a process hop per singleton; on a 2-core box the
+  hold measured as a cost, so it is kept only until it is measured
+  where the pool is meant to pay (README, "Mechanism decisions").
 * **Culling**: disconnected and deadline-expired entries are dropped
   *before* dispatch so the engine never spends cycles on an answer
   nobody is waiting for.  Every dropped entry's future is cancelled
