@@ -900,10 +900,7 @@ class AutoEngine(EventBatchedEngine):
                 plan.decisions[name] = self._predict_decision(name, capture)
                 continue
             backend, chosen_seconds = "gemm", capture.gemm_seconds
-            if (
-                capture.coo_seconds is not None
-                and capture.coo_seconds < capture.gemm_seconds * self.margin
-            ):
+            if self._coo_won(capture):
                 backend, chosen_seconds = "event-batched", capture.coo_seconds
             plan.decisions[name] = LayerDecision(
                 name=name,
@@ -918,6 +915,13 @@ class AutoEngine(EventBatchedEngine):
         if seeded_any:
             self.warm_starts += 1
         return plan
+
+    def _coo_won(self, capture: _Capture) -> bool:
+        """Whether a raced COO kernel beat the GEMM by the margin."""
+        return (
+            capture.coo_seconds is not None
+            and capture.coo_seconds < capture.gemm_seconds * self.margin
+        )
 
     def _predict_decision(self, name: str, capture: _Capture) -> LayerDecision:
         """Price one layer's kernels from the fitted cost model."""
@@ -972,8 +976,10 @@ class AutoEngine(EventBatchedEngine):
             else:
                 density = np.count_nonzero(data) / max(data.size, 1)
             dense_ops = _dense_op_count(module, data.shape)
+            # A planned GEMM reads the dense plane, so building it from
+            # a placeholder is part of the GEMM's time.
             started = time.perf_counter()
-            out = gemm(x)
+            out = gemm(Tensor(self._materialize(data)))
             gemm_seconds = time.perf_counter() - started
             coo_seconds: Optional[float] = None
             seeded: Optional[LayerDecision] = None
@@ -1006,12 +1012,13 @@ class AutoEngine(EventBatchedEngine):
                 # whenever the single GEMM sample lands high.
                 for _ in range(CALIBRATION_REPEATS - 1):
                     trial = time.perf_counter()
+                    dense = self._materialize(data)
                     if is_conv:
                         dense_conv2d(
-                            data, weight, bias, module.stride, module.padding
+                            dense, weight, bias, module.stride, module.padding
                         )
                     else:
-                        redo = data @ weight.T
+                        redo = dense @ weight.T
                         if bias is not None:
                             redo += bias
                     gemm_seconds = min(
@@ -1040,7 +1047,7 @@ class AutoEngine(EventBatchedEngine):
                         ("event-batched", sparse_ops, coo_seconds * 1e3),
                     ]
                 )
-            self._calibration[name] = _Capture(
+            capture = _Capture(
                 density=density,
                 gemm_seconds=gemm_seconds,
                 coo_seconds=coo_seconds,
@@ -1048,6 +1055,22 @@ class AutoEngine(EventBatchedEngine):
                 raceable=raceable,
                 seeded=seeded,
             )
+            self._calibration[name] = capture
+            coo = (
+                seeded.backend == "event-batched"
+                if seeded is not None
+                else self._coo_won(capture)
+            )
+            if coo and not constant:
+                # Hand on what the planned run will: the COO output
+                # (bitwise the GEMM's) carries its coordinates, so the
+                # layers downstream race on them, not on a plane scan
+                # the planned run never pays.
+                weight = _effective_weight(module, self._weight_cache)
+                bias = module.bias.data if module.bias is not None else None
+                out = Tensor(
+                    self._coo_synapse(module, data, coords_of(data), weight, bias)[0]
+                )
             return out
 
         def forward(x: Tensor) -> Tensor:
@@ -1078,7 +1101,7 @@ class AutoEngine(EventBatchedEngine):
                     plan = self._replan_mid_run(plan, name, observed)
                     decision = plan.decisions.get(name)
             if decision is None or decision.backend == "gemm" or constant:
-                return gemm(x)
+                return gemm(Tensor(self._materialize(data)))
             # Planned COO layer: one row-subset gather over the whole
             # (T*N, ...) stack; bills performed (per-spike) ops, with
             # the dense MAC count as the baseline.

@@ -132,6 +132,16 @@ def pooled_coords(
     return np.stack(np.unravel_index(uniq, out_shape), axis=1).astype(np.int64)
 
 
+#: Output elements (rows x C_out) a row-subset GEMM is padded up to.
+#: A smaller product may take another BLAS kernel than the full GEMM,
+#: summing in another order: with OpenBLAS 0.3.31 on an AVX-512 Xeon,
+#: ``sub @ w.T`` differed from the same rows of the full product in the
+#: last bit whenever rows x C_out <= 1200 (measured for C*K*K = 36..288
+#: taps and 4..64 outputs), and matched at every larger row count and
+#: row position.  Padding with zero rows costs a few small GEMMs.
+MIN_GEMM_OUTPUTS = 4096
+
+
 def conv_rows(
     x: np.ndarray,
     weight: np.ndarray,
@@ -139,6 +149,7 @@ def conv_rows(
     stride: int,
     padding: int,
     rows: np.ndarray,
+    events: Optional[Tuple[np.ndarray, object]] = None,
 ) -> np.ndarray:
     """Bit-exact convolution output at the given im2col rows only.
 
@@ -148,16 +159,35 @@ def conv_rows(
     (:func:`repro.tensor.functional.im2col_rows` — the dense column
     matrix is never built), each keeping its full ``C*K*K`` tap vector.
     A row-subset GEMM computes each output row with the same reduction
-    the full GEMM would use, so every value — bias added last, as the
-    dense kernel does — is bitwise identical to the dense convolution's
-    at that window.  Cost scales with the rows, and at low density the
-    gather itself is the dominant saving: the full unfold is
+    the full GEMM would use once both are large enough to take the same
+    BLAS kernel (:data:`MIN_GEMM_OUTPUTS`; a small subset is padded with
+    zero rows, and when the full product is that small itself the rows
+    are multiplied at their own positions in a full-size matrix), so
+    every value — bias added last, as the dense kernel does — is
+    bitwise identical to the dense convolution's at that window.  Cost
+    scales with the rows, and at low density the gather itself is the
+    dominant saving: the full unfold is
     ``O(N·OH·OW·C·K²)`` regardless of sparsity.  Every other window of
-    the dense output is exactly ``0 + bias``.
+    the dense output is exactly ``0 + bias``.  ``events`` (the input's
+    nonzeros, see :func:`repro.tensor.functional.im2col_rows`) lets the
+    gather read them instead of ``x``, which may then be a placeholder.
     """
     c_out, _, k, _ = weight.shape
-    sub, _, _ = im2col_rows(x, k, stride, padding, rows)
-    values = sub @ weight.reshape(c_out, -1).T
+    sub, oh, ow = im2col_rows(x, k, stride, padding, rows, events)
+    w = weight.reshape(c_out, -1)
+    floor = -(-MIN_GEMM_OUTPUTS // c_out)
+    total = x.shape[0] * oh * ow
+    if 0 < sub.shape[0] < floor:
+        if total <= floor:
+            lhs = np.zeros((total, sub.shape[1]), dtype=sub.dtype)
+            lhs[rows] = sub
+            values = (lhs @ w.T)[rows]
+        else:
+            lhs = np.zeros((floor, sub.shape[1]), dtype=sub.dtype)
+            lhs[: sub.shape[0]] = sub
+            values = (lhs @ w.T)[: sub.shape[0]]
+    else:
+        values = sub @ w.T
     if bias is not None:
         values += bias
     return values

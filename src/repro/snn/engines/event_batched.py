@@ -13,10 +13,15 @@ the dense planes at four levels of detail:
 * *exact coordinates* (stream input, COO pool outputs, site-neuron
   outputs) — a conv runs the bit-exact row-subset kernel
   (:func:`repro.snn.engines.event.conv_rows`): one gather + one GEMM
-  covering all T timesteps.  A linear runs the full GEMM over every
+  covering all T timesteps, gathering its rows from a workspace the
+  events are scattered into.  A linear runs the full GEMM over every
   stack row, because a GEMM over a row subset may pick another BLAS
   kernel and differ in the last bit; silent rows still come out as
-  the bias alone;
+  the bias alone.  Where the consumer is proven at bind time
+  (:func:`_coordinate_handoffs`: a neuron feeding a pool, a pool or
+  the model input feeding a conv, in a plain ``Sequential``) only the
+  coordinates travel, behind an all-NaN placeholder, and no dense
+  plane is built between the layers;
 * *site values* (gathered conv outputs that feed a proven
   ``Conv2d -> [BatchNorm2d ->] IFNeuron`` chain of a ``Sequential``) —
   the active rows, their ``(rows, C)`` output block and the per-channel
@@ -68,11 +73,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.nn.layers import BatchNorm2d, Conv2d, MaxPool2d
+from repro.nn.layers import AvgPool2d, BatchNorm2d, Conv2d, MaxPool2d
 from repro.nn.module import Module
 from repro.nn.sequential import Sequential
 from repro.snn.dynamics import ResetMode, initial_membrane
@@ -120,6 +126,22 @@ class _Sites:
     values: Optional[np.ndarray] = None
 
 
+def _slot_counts(model: Module) -> Counter:
+    """How many child slots of the tree hold each module (by id)."""
+    return Counter(
+        id(child) for module in model.modules() for child in module._modules.values()
+    )
+
+
+def _plain_sequential(module: Module) -> bool:
+    """A :class:`repro.nn.Sequential` whose ``forward`` hands each
+    child's output to the next child and to nothing else."""
+    return (
+        isinstance(module, Sequential)
+        and type(module).forward is Sequential.forward
+    )
+
+
 def _site_chains(model: Module) -> Dict[int, Optional[BatchNorm2d]]:
     """Convs whose output only a site-aware consumer reads.
 
@@ -132,15 +154,10 @@ def _site_chains(model: Module) -> Dict[int, Optional[BatchNorm2d]]:
     from elsewhere, so chains through one are left out, as are
     ``Sequential`` subclasses with their own ``forward``.
     """
-    slots = Counter(
-        id(child) for module in model.modules() for child in module._modules.values()
-    )
+    slots = _slot_counts(model)
     chains: Dict[int, Optional[BatchNorm2d]] = {}
     for parent in model.modules():
-        if (
-            not isinstance(parent, Sequential)
-            or type(parent).forward is not Sequential.forward
-        ):
+        if not _plain_sequential(parent):
             continue
         children = list(parent._modules.values())
         for conv, after, third in zip(children, children[1:], children[2:] + [None]):
@@ -153,6 +170,42 @@ def _site_chains(model: Module) -> Dict[int, Optional[BatchNorm2d]]:
             ):
                 chains[id(conv)] = bn
     return chains
+
+
+_POOLS = (MaxPool2d, AvgPool2d)
+
+
+def _coordinate_handoffs(model: Module) -> Tuple[Set[int], bool]:
+    """Producers whose output may travel as coordinates alone.
+
+    Returns the ids of every ``IFNeuron`` directly followed by a
+    ``MaxPool2d``/``AvgPool2d``, and of every such pool directly followed
+    by a ``Conv2d``, among the children of a plain ``Sequential`` (the
+    proof :func:`_site_chains` makes: neither module sits in another
+    slot), plus whether the model's input reaches a ``Conv2d`` first
+    the same way.  Those consumers read a coordinate plane through the
+    registry, so its producer may hand them a NaN placeholder instead
+    of building the dense plane.
+    """
+    slots = _slot_counts(model)
+    handoffs: Set[int] = set()
+    for parent in model.modules():
+        if not _plain_sequential(parent):
+            continue
+        children = list(parent._modules.values())
+        for producer, consumer in zip(children, children[1:]):
+            if slots[id(producer)] != 1 or slots[id(consumer)] != 1:
+                continue
+            if (
+                isinstance(producer, IFNeuron) and isinstance(consumer, _POOLS)
+            ) or (isinstance(producer, _POOLS) and isinstance(consumer, Conv2d)):
+                handoffs.add(id(producer))
+    first = model
+    while _plain_sequential(first) and first._modules:
+        first = next(iter(first._modules.values()))
+        if slots[id(first)] != 1:
+            return handoffs, False
+    return handoffs, isinstance(first, Conv2d)
 
 
 def _screen(
@@ -198,6 +251,89 @@ def _dense_plane(shape: Tuple[int, ...], sites: _Sites) -> np.ndarray:
     return out.reshape(shape)
 
 
+def _spike_planes(
+    pattern: np.ndarray,
+    fired: List[np.ndarray],
+    thr: np.ndarray,
+    sample: np.ndarray,
+    spatial: np.ndarray,
+    shape: Tuple[int, ...],
+) -> np.ndarray:
+    """The site neuron's ``(steps, N, C, H, W)`` spike output: each
+    step's background pattern broadcast, then its stepped sites' block
+    (``thr`` at the fired cells) scattered at ``(sample, spatial)``."""
+    n, c, hh, ww = shape
+    out = np.empty((len(fired), n, c, hh * ww), dtype=np.float32)
+    out[:] = (pattern * thr)[:, np.newaxis, :, np.newaxis]
+    for step, cell in enumerate(fired):
+        block = np.zeros(sample.size * c, dtype=np.float32)
+        block[cell] = thr
+        out[step][sample, :, spatial] = block.reshape(sample.size, c)
+    return out.reshape((len(fired),) + shape)
+
+
+def _last_spike_plane(
+    pattern, fired, thr, sample, spatial, shape, threshold: float
+) -> np.ndarray:
+    """``last_spikes`` of the site neuron: its last step's output plane
+    over the threshold, as the stepped engines compute it."""
+    plane = _spike_planes(pattern[-1:], fired[-1:], thr, sample, spatial, shape)
+    return plane[0] / threshold
+
+
+def _site_membrane(
+    vbg: np.ndarray,
+    v: np.ndarray,
+    sample: np.ndarray,
+    spatial: np.ndarray,
+    shape: Tuple[int, ...],
+) -> np.ndarray:
+    """The site neuron's membrane: the background trajectory's final
+    ``(C,)`` value broadcast, the sites' values ``v`` scattered."""
+    n, c, hh, ww = shape
+    membrane = np.empty((n, c, hh * ww), dtype=v.dtype)
+    membrane[:] = vbg[np.newaxis, :, np.newaxis]
+    membrane[sample, :, spatial] = v.reshape(sample.size, c)
+    return membrane.reshape(shape)
+
+
+def _avg_pool_values(
+    step: StepSpikes,
+    coords: np.ndarray,
+    k: int,
+    out_shape: Tuple[int, ...],
+    dtype: np.dtype,
+) -> np.ndarray:
+    """Average-pooled values at the sorted output ``coords`` of a ``k``
+    by ``k`` non-overlapping pool over uniform-amplitude events.
+
+    Tap ``(i, j)`` of every output window is a row of a ``(k*k, outputs)``
+    block holding the amplitude where an event sits and zero elsewhere
+    — exactly the plane's value there — summed in the dense kernel's
+    tap order and sequence, then scaled, so the values are its bits.
+    """
+    if not coords.shape[0]:
+        return np.zeros(0, dtype=dtype)
+    events = step.coords
+    outputs = np.ravel_multi_index(tuple(coords.T), out_shape)
+    owner = np.ravel_multi_index(
+        (events[:, 0], events[:, 1], events[:, 2] // k, events[:, 3] // k),
+        out_shape,
+    )
+    taps = np.zeros((k * k, coords.shape[0]), dtype=dtype)
+    taps[
+        (events[:, 2] % k) * k + events[:, 3] % k,
+        np.searchsorted(outputs, owner),
+    ] = step.scale
+    if k == 1:
+        acc = taps[0].copy()
+    else:
+        acc = taps[0] + taps[1]
+        for tap in taps[2:]:
+            np.add(acc, tap, out=acc)
+    return acc * np.asarray(1.0 / (k * k), dtype=acc.dtype)
+
+
 class EventBatchedEngine(TimeBatchedEngine):
     """Time-batched schedule with COO-native layer execution.
 
@@ -237,17 +373,23 @@ class EventBatchedEngine(TimeBatchedEngine):
         # coordinates; ``_sites`` the active-window superset of conv
         # outputs (with their values, for placeholders); ``_counts``
         # nonzero counts (exact flag) for planes whose structure is
-        # unknown but whose magnitude is.
-        self._coords: Dict[int, Tuple[np.ndarray, StepSpikes]] = {}
+        # unknown but whose magnitude is.  A coordinate entry flagged
+        # deferred is a placeholder: only its coordinates exist.
+        self._coords: Dict[int, Tuple[np.ndarray, StepSpikes, bool]] = {}
         self._sites: Dict[int, Tuple[np.ndarray, _Sites]] = {}
         self._counts: Dict[int, Tuple[np.ndarray, int, bool]] = {}
-        # Bound-model structure: the convs that may hand site values to
-        # their neuron (see _site_chains); rebuilt per bind, not per run.
+        # Bound-model structure, rebuilt per bind, not per run: the convs
+        # that may hand site values to their neuron (see _site_chains),
+        # the neurons and pools that may hand on coordinates alone and
+        # whether the model input may (see _coordinate_handoffs).
         self._chains: Dict[int, Optional[BatchNorm2d]] = {}
+        self._handoffs: Set[int] = set()
+        self._defer_input = False
 
     def bind(self, model: Module) -> "EventBatchedEngine":
         super().bind(model)
         self._chains = _site_chains(model)
+        self._handoffs, self._defer_input = _coordinate_handoffs(model)
         return self
 
     def _config(self) -> dict:
@@ -258,8 +400,12 @@ class EventBatchedEngine(TimeBatchedEngine):
     # ------------------------------------------------------------------
     # Carried-structure registry
     # ------------------------------------------------------------------
-    def _register_coords(self, plane: np.ndarray, step: StepSpikes) -> None:
-        self._coords[id(plane)] = (plane, step)
+    def _register_coords(
+        self, plane: np.ndarray, step: StepSpikes, deferred: bool = False
+    ) -> None:
+        """Register ``plane``'s exact nonzeros (coordinates and values);
+        ``deferred`` marks ``plane`` as a placeholder for them."""
+        self._coords[id(plane)] = (plane, step, deferred)
         self._counts[id(plane)] = (plane, step.num_events, True)
 
     def _register_sites(self, plane: np.ndarray, sites: _Sites) -> None:
@@ -320,11 +466,15 @@ class EventBatchedEngine(TimeBatchedEngine):
         return out
 
     def _materialize(self, data: np.ndarray) -> np.ndarray:
-        """The dense plane of a placeholder; any other plane unchanged."""
+        """The dense plane a placeholder stands for, built from its site
+        values or coordinates; any other plane unchanged."""
         entry = self._sites.get(id(data))
-        if entry is None or entry[1].values is None:
-            return data
-        return self._emit(data.shape, entry[1], defer=False)
+        if entry is not None and entry[1].values is not None:
+            return _dense_plane(data.shape, entry[1])
+        entry = self._coords.get(id(data))
+        if entry is not None and entry[2]:
+            return entry[1].to_dense(data.dtype)
+        return data
 
     def _defers(self, conv: Conv2d) -> bool:
         """Whether ``conv``'s gathered output may stay site values."""
@@ -345,10 +495,16 @@ class EventBatchedEngine(TimeBatchedEngine):
 
     # ------------------------------------------------------------------
     def _stack_stream(self, stream: SpikeStream) -> np.ndarray:
-        tiled = super()._stack_stream(stream)
         # The whole stream becomes one stacked coordinate batch: every
-        # layer's gather covers all T timesteps in a single call.
-        self._register_coords(tiled, stream.stacked())
+        # layer's gather covers all T timesteps in a single call.  A
+        # model whose input provably reaches a conv first gets only the
+        # coordinates, behind a placeholder.
+        stacked = stream.stacked()
+        if self._defer_input:
+            tiled = _placeholder(stacked.shape)
+        else:
+            tiled = super()._stack_stream(stream)
+        self._register_coords(tiled, stacked, deferred=self._defer_input)
         return tiled
 
     def _install(self, synapse_stats, neuron_stats) -> None:
@@ -386,8 +542,11 @@ class EventBatchedEngine(TimeBatchedEngine):
         sites are registered for the downstream BN/neuron site paths.
         A gathered conv whose consumer is a proven site chain
         (:func:`_site_chains`) returns a placeholder carrying the site
-        values instead of a dense plane.  ``register=False`` skips
-        registration (calibration trials whose outputs are discarded).
+        values instead of a dense plane.  The gather reads a plane with
+        registered coordinates from its events, so ``data`` may be a
+        coordinate placeholder; every dense kernel reads its dense plane.
+        ``register=False`` skips registration (calibration trials whose
+        outputs are discarded).
         """
         if isinstance(module, Conv2d):
             k, s_, p = module.kernel_size, module.stride, module.padding
@@ -405,7 +564,13 @@ class EventBatchedEngine(TimeBatchedEngine):
                 background = background + bias  # a silent window's 0 + bias
             gathered = active_rows.size <= self.gather_limit * shape[0] * oh * ow
             if gathered:
-                values = conv_rows(data, weight, bias, s_, p, active_rows)
+                # Registered coordinates are exact, amplitudes included,
+                # so the gather may read them instead of the plane.
+                events = None
+                if self._carried_coords(data) is step:
+                    amplitude = step.scale if step.values is None else step.values
+                    events = (step.coords, amplitude)
+                values = conv_rows(data, weight, bias, s_, p, active_rows, events)
                 out = self._emit(
                     shape,
                     _Sites(active_rows, background, values),
@@ -413,7 +578,7 @@ class EventBatchedEngine(TimeBatchedEngine):
                     register,
                 )
             else:
-                out = dense_conv2d(data, weight, bias, s_, p)
+                out = dense_conv2d(self._materialize(data), weight, bias, s_, p)
                 if register:
                     self._register_sites(out, _Sites(active_rows, background))
             if register:
@@ -424,7 +589,7 @@ class EventBatchedEngine(TimeBatchedEngine):
                 )
             return out, performed, gathered
         performed = step.num_events * weight.shape[0]
-        out = data @ weight.T
+        out = self._materialize(data) @ weight.T
         if bias is not None:
             out += bias
         return out, performed, True
@@ -447,7 +612,7 @@ class EventBatchedEngine(TimeBatchedEngine):
                 count, exact = info
             if count >= self.density_threshold * data.size:
                 stat.backend = "gemm"
-                return gemm(x)
+                return gemm(Tensor(self._materialize(data)))
             if is_conv:
                 k, s_, p = module.kernel_size, module.stride, module.padding
                 oh = _conv_out_size(data.shape[2], k, s_, p)
@@ -457,7 +622,7 @@ class EventBatchedEngine(TimeBatchedEngine):
                     # O(1) rejection: even the loosest bound on the
                     # active-window fraction says one GEMM wins.
                     stat.backend = "gemm"
-                    return gemm(x)
+                    return gemm(Tensor(self._materialize(data)))
             step = self._carried_coords(data)
             if step is None:
                 coords = np.stack(np.nonzero(data), axis=1)
@@ -540,22 +705,30 @@ class EventBatchedEngine(TimeBatchedEngine):
                 out = self._coo_pool(module, data, step)
                 if out is not None:
                     return Tensor(out)
-            result = base(x)
+            result = base(Tensor(self._materialize(data)))
             rdata = result.data
             if id(rdata) in self._constant_arrays:
                 return result
             if step is not None:
                 # COO construction didn't apply, but the coordinates can
                 # still map through non-overlapping windows for the
-                # layers downstream.
+                # layers downstream.  Registered coordinates are exact,
+                # values included: an average carries its pooled values,
+                # a max its (positive) amplitude.
                 coords = pooled_coords(step, kernel, stride, rdata.shape)
-                if coords is not None:
-                    self._register_coords(
-                        rdata,
-                        StepSpikes(
-                            coords=coords, shape=rdata.shape, scale=step.scale
-                        ),
+                pooled = None
+                if coords is not None and isinstance(module, AvgPool2d):
+                    pooled = StepSpikes(
+                        coords=coords,
+                        shape=rdata.shape,
+                        values=rdata[tuple(coords.T)],
                     )
+                elif coords is not None and step.scale > 0:
+                    pooled = StepSpikes(
+                        coords=coords, shape=rdata.shape, scale=step.scale
+                    )
+                if pooled is not None:
+                    self._register_coords(rdata, pooled)
                     return result
             info = self._carried_count(data)
             if info is not None:
@@ -573,12 +746,15 @@ class EventBatchedEngine(TimeBatchedEngine):
         Applies to non-overlapping pools of planes with exact carried
         coordinates and positive uniform amplitude, on dimensions the
         dense tiled kernel also handles (evenly divisible).  Max pooling
-        scatters the amplitude at the mapped coordinates (the max over a
+        puts the amplitude at the mapped coordinates (the max over a
         window of ``{0, s}`` values is exactly ``s``); average pooling
-        gathers the window taps in the dense kernel's tap order and
-        replicates its summation sequence, so both are bitwise identical
-        to the reference kernels.  The output's coordinates are
-        registered, keeping the stream alive with no plane scan.
+        builds each output's window taps from the input events, in the
+        dense kernel's tap order, and replicates its summation sequence,
+        so both are bitwise identical to the reference kernels.  Only
+        the coordinates are read, never ``data``.  The output's
+        coordinates are registered, keeping the stream alive with no
+        plane scan; a pool whose consumer is a proven conv
+        (:func:`_coordinate_handoffs`) hands on a placeholder for them.
         """
         k, stride = module.kernel_size, module.stride
         n, c, h, w = data.shape
@@ -594,34 +770,17 @@ class EventBatchedEngine(TimeBatchedEngine):
         coords = pooled_coords(step, k, stride, out_shape)
         if coords is None:
             return None
-        out = np.zeros(out_shape, dtype=data.dtype)
-        idx = tuple(coords.T)
         if isinstance(module, MaxPool2d):
-            out[idx] = step.scale
-            self._register_coords(
-                out, StepSpikes(coords=coords, shape=out_shape, scale=step.scale)
-            )
-            return out
-        if coords.shape[0]:
-            bi, ci, oy, ox = idx
-            taps = [
-                data[bi, ci, oy * k + i, ox * k + j]
-                for i in range(k)
-                for j in range(k)
-            ]
-            if len(taps) == 1:
-                acc = taps[0].copy()
-            else:
-                acc = taps[0] + taps[1]
-                for tap in taps[2:]:
-                    np.add(acc, tap, out=acc)
-            vals = acc * np.asarray(1.0 / (k * k), dtype=acc.dtype)
-            out[idx] = vals
+            pooled = StepSpikes(coords=coords, shape=out_shape, scale=step.scale)
         else:
-            vals = np.zeros(0, dtype=data.dtype)
-        self._register_coords(
-            out, StepSpikes(coords=coords, shape=out_shape, values=vals)
-        )
+            pooled = StepSpikes(
+                coords=coords,
+                shape=out_shape,
+                values=_avg_pool_values(step, coords, k, out_shape, data.dtype),
+            )
+        defer = id(module) in self._handoffs
+        out = _placeholder(out_shape) if defer else pooled.to_dense(data.dtype)
+        self._register_coords(out, pooled, deferred=defer)
         return out
 
     # ------------------------------------------------------------------
@@ -677,8 +836,11 @@ class EventBatchedEngine(TimeBatchedEngine):
         When the background trajectory never fires (the common case:
         the zero-input response cannot climb to threshold), the fired
         cells are the output's exact coordinates, which re-enter the
-        carried stream at no scan cost.  Returns None when nearly every
-        site is touched (a dense step is cheaper).
+        carried stream at no scan cost; a neuron feeding a proven pool
+        (:func:`_coordinate_handoffs`) hands on only them, behind a
+        placeholder.  The membrane and ``last_spikes`` are deferred
+        (:meth:`repro.snn.neurons.IFNeuron.defer_state`).  Returns None
+        when nearly every site is touched (a dense step is cheaper).
         """
         t = self._run_timesteps
         b, c, hh, ww = data.shape
@@ -725,18 +887,15 @@ class EventBatchedEngine(TimeBatchedEngine):
         sample, spatial = np.divmod(ind, s)
         spikes = sum(int(f.size) for f in fired)
         spikes += int(pattern.sum(dtype=np.int64)) * (n * s - ind.size)
-        out = np.zeros(data.shape, dtype=np.float32)
+        shape = (n, c, hh, ww)
         if pattern.any():
-            stepped = out.reshape(t, n, c, s)
-            stepped[:] = (pattern * thr)[:, np.newaxis, :, np.newaxis]
-            for step, cell in enumerate(fired):
-                block = np.zeros(ind.size * c, dtype=np.float32)
-                block[cell] = thr
-                stepped[step][sample, :, spatial] = block.reshape(ind.size, c)
+            out = _spike_planes(pattern, fired, thr, sample, spatial, shape)
+            out = out.reshape(data.shape)
             self._register_count(out, spikes, exact=True)
         else:
             # Fired cells are the output's nonzeros — assemble the
-            # stacked coordinates O(spikes), no plane scan.
+            # stacked coordinates O(spikes), no plane scan.  A proven
+            # pool consumer reads only them, so no plane is built.
             site, channel = np.divmod(np.concatenate(fired), c)
             coords = np.stack(
                 (
@@ -748,18 +907,26 @@ class EventBatchedEngine(TimeBatchedEngine):
                 ),
                 axis=1,
             )
-            out[tuple(coords.T)] = thr
-            self._register_coords(
-                out,
-                StepSpikes(
-                    coords=coords, shape=out.shape, scale=float(module.threshold)
-                ),
+            emitted = StepSpikes(
+                coords=coords, shape=data.shape, scale=float(module.threshold)
             )
-        membrane = np.empty((n, c, s), dtype=dtype)
-        membrane[:] = vbg[np.newaxis, :, np.newaxis]
-        membrane[sample, :, spatial] = v.reshape(ind.size, c)
-        module.v = membrane.reshape((n, c, hh, ww))
+            defer = id(module) in self._handoffs
+            out = _placeholder(data.shape) if defer else emitted.to_dense(np.float32)
+            self._register_coords(out, emitted, deferred=defer)
+        # The dense membrane and last spike plane are built on first read.
+        module.defer_state(
+            v=partial(_site_membrane, vbg, v, sample, spatial, shape),
+            last_spikes=partial(
+                _last_spike_plane,
+                pattern,
+                fired,
+                thr,
+                sample,
+                spatial,
+                shape,
+                module.threshold,
+            ),
+        )
         module.spike_count += spikes
-        module.neuron_steps += int(out.size)
-        module.last_spikes = out[(t - 1) * n :] / module.threshold
+        module.neuron_steps += int(data.size)
         return Tensor(out)

@@ -19,7 +19,7 @@ optimum that centres the quantisation error).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -55,7 +55,18 @@ class IFNeuron(Module):
     """
 
     #: Attributes every run rebinds: a weight-sharing clone keeps its own.
-    RUN_STATE = frozenset({"v", "spike_count", "neuron_steps", "last_spikes"})
+    #: ``v`` and ``last_spikes`` live in ``_v``/``_last_spikes``, each with
+    #: an optional deferred builder (:meth:`defer_state`).
+    RUN_STATE = frozenset(
+        {
+            "_v",
+            "_v_builder",
+            "spike_count",
+            "neuron_steps",
+            "_last_spikes",
+            "_last_spikes_builder",
+        }
+    )
 
     def __init__(
         self,
@@ -74,6 +85,51 @@ class IFNeuron(Module):
         self.spike_count = 0
         self.neuron_steps = 0
         self.last_spikes: Optional[np.ndarray] = None
+
+    @property
+    def v(self) -> Optional[np.ndarray]:
+        """Membrane potential; None until the first step after a reset.
+        A deferred membrane (:meth:`defer_state`) is built on first read."""
+        if self._v_builder is not None:
+            self._v, self._v_builder = self._v_builder(), None
+        return self._v
+
+    @v.setter
+    def v(self, value: Optional[np.ndarray]) -> None:
+        self._v, self._v_builder = value, None
+
+    @property
+    def last_spikes(self) -> Optional[np.ndarray]:
+        """Binary spike plane of the last step; built on first read when
+        deferred, like :attr:`v`."""
+        if self._last_spikes_builder is not None:
+            self._last_spikes = self._last_spikes_builder()
+            self._last_spikes_builder = None
+        return self._last_spikes
+
+    @last_spikes.setter
+    def last_spikes(self, value: Optional[np.ndarray]) -> None:
+        self._last_spikes, self._last_spikes_builder = value, None
+
+    def defer_state(
+        self,
+        v: Callable[[], np.ndarray],
+        last_spikes: Callable[[], np.ndarray],
+    ) -> None:
+        """Bind the membrane and last spike plane as builders.
+
+        An engine that never builds these dense arrays during a run
+        hands over functions that build them instead; the first read of
+        :attr:`v` or :attr:`last_spikes` calls its builder once and keeps
+        the result, so a caller that never reads them never pays.
+        """
+        self._v, self._v_builder = None, v
+        self._last_spikes, self._last_spikes_builder = None, last_spikes
+
+    def __getstate__(self) -> dict:
+        # Builders are closures: build the state so the module pickles.
+        _ = self.v, self.last_spikes
+        return self.__dict__
 
     def reset_state(self) -> None:
         """Re-arm the membrane for a new input sample."""

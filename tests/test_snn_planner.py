@@ -29,6 +29,7 @@ from repro.snn.engines.costmodel import CostModel
 from repro.snn.engines.sharding import split_bounds
 from repro.tensor import Tensor, no_grad
 
+from test_snn_coo_handoffs import converted_coo_cnn, sparse_stream
 from test_snn_engine import converted_pooled_toy, converted_resnet, converted_toy
 
 
@@ -429,3 +430,36 @@ class TestBitwiseMenu:
         outputs.append(net.forward(x))  # the settled plan
         for out in outputs:
             assert np.array_equal(out, reference)
+
+
+class TestRaceOnCarriedCoordinates:
+    def test_downstream_race_reads_carried_coordinates(self, monkeypatch):
+        """A calibration call hands on what the planned run will: once
+        conv ``0`` is decided COO, its output carries coordinates through
+        BN, neuron and pool, so conv ``4`` races on them instead of
+        paying a plane scan the planned run never pays."""
+        model = converted_coo_cnn(nn.MaxPool2d(2), seed=1)
+        stream = sparse_stream((4, 2, 24, 24), 4, 0.004, seed=1)
+        names = {id(m): name for name, m in model.named_modules()}
+        raced = {}
+        coo_synapse = AutoEngine._coo_synapse
+
+        def spy(self, module, data, step, weight, bias, register=True):
+            if not register:
+                carried = self._carried_coords(data) is step
+                raced.setdefault(names[id(module)], set()).add(carried)
+            return coo_synapse(self, module, data, step, weight, bias, register)
+
+        monkeypatch.setattr(AutoEngine, "_coo_synapse", spy)
+        # Every raced COO kernel wins, whatever the timings say.
+        monkeypatch.setattr(
+            AutoEngine,
+            "_coo_won",
+            lambda self, capture: capture.coo_seconds is not None,
+        )
+        reference = SpikingNetwork(model, timesteps=4, engine="batched").forward(stream)
+        engine = AutoEngine()
+        logits = SpikingNetwork(model, timesteps=4, engine=engine).forward(stream)
+        assert engine.calibration_runs == 1
+        assert raced["0"] == {True} and raced["4"] == {True}
+        assert np.array_equal(logits, reference)
