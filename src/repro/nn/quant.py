@@ -109,8 +109,12 @@ def quantize_weight_int8(
     qmax = 2 ** (bits - 1) - 1
     qmin = -(2 ** (bits - 1))
     if scale is None:
-        max_abs = float(np.abs(weight).max())
-        scale = max_abs / qmax if max_abs > 0 else 1.0
+        scale = float(np.abs(weight).max()) / qmax
+        if np.float32(scale) == 0:
+            # All zeros, or magnitudes whose scale underflows the
+            # float32 that dequantize_weight (and a float32 division
+            # below) applies it in: 0/0 would cast NaN to an integer.
+            scale = 1.0
     w_int = np.clip(np.round(weight / scale), qmin, qmax).astype(np.int32)
     return w_int, float(scale)
 

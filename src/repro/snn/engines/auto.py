@@ -80,7 +80,7 @@ from repro.snn.engines.costmodel import (
     sparse_feature_ops,
 )
 from repro.snn.engines.dense import dense_conv2d
-from repro.snn.engines.event_batched import EventBatchedEngine
+from repro.snn.engines.event_batched import EventBatchedEngine, _scanned_events
 from repro.snn.spikes import SpikeStream, StepSpikes
 from repro.tensor import Tensor
 from repro.utils.io import atomic_write_json
@@ -956,11 +956,7 @@ class AutoEngine(EventBatchedEngine):
 
         def coords_of(data) -> StepSpikes:
             carried = self._carried_coords(data)
-            if carried is not None:
-                return carried
-            return StepSpikes(
-                coords=np.stack(np.nonzero(data), axis=1), shape=data.shape
-            )
+            return carried if carried is not None else _scanned_events(data)
 
         def calibrate(x: Tensor, data) -> Tensor:
             # Calibration: time the GEMM path, then (unless the cost

@@ -37,7 +37,68 @@ from repro.snn.engines.base import (
 from repro.snn.engines.dense import dense_conv2d
 from repro.snn.spikes import SpikeStream, StepSpikes
 from repro.tensor import Tensor
-from repro.tensor.functional import im2col, im2col_rows
+from repro.tensor.functional import im2col
+
+
+def _covering_windows(
+    coords: np.ndarray,
+    x_shape: Tuple[int, ...],
+    kernel: int,
+    stride: int,
+    padding: int,
+    columns: bool = False,
+) -> Tuple[int, np.ndarray, Optional[np.ndarray], np.ndarray]:
+    """Every (event, covering window) pair of a coordinate batch.
+
+    An event at padded pixel ``y + p`` sits at tap row ``ky`` of the
+    window with origin row ``oy = (y + p - ky) / S`` whenever that is a
+    whole number on the output grid (likewise for columns), so trying
+    all ``K x K`` taps at once enumerates every covering window.  The
+    candidate grid is laid out ``(K, K, events)``: each broadcast then
+    runs over the long event axis instead of a tiny tap axis.
+
+    Returns ``(windows, rows, cols, pick)``: the window count
+    ``N*OH*OW``; each pair's flattened window row ``n * OH * OW + oy *
+    OW + ox``; with ``columns``, each pair's im2col column ``c * K² +
+    ky * K + kx`` — where the event sits in that window's tap vector —
+    else None; and the ``(K, K, events)`` mask of real pairs, which
+    orders the pairs.
+    """
+    n, _, h, w = x_shape
+    oh = _conv_out_size(h, kernel, stride, padding)
+    ow = _conv_out_size(w, kernel, stride, padding)
+    taps = np.arange(kernel)[:, np.newaxis]
+    ty = coords[:, 2] + (padding - taps)  # (K, E): oy * S for tap row ky
+    tx = coords[:, 3] + (padding - taps)
+    if stride == 1:
+        oy, ox = ty, tx
+        in_y = (ty >= 0) & (ty < oh)
+        in_x = (tx >= 0) & (tx < ow)
+    else:
+        oy, ox = ty // stride, tx // stride
+        in_y = (ty >= 0) & (ty % stride == 0) & (oy < oh)
+        in_x = (tx >= 0) & (tx % stride == 0) & (ox < ow)
+    pick = in_y[:, np.newaxis, :] & in_x[np.newaxis, :, :]
+    rows = (
+        (coords[:, 0] * (oh * ow) + oy * ow)[:, np.newaxis, :]
+        + ox[np.newaxis, :, :]
+    )[pick]
+    cols = None
+    if columns:
+        cols = (
+            ((coords[:, 1] * kernel + taps) * kernel)[:, np.newaxis, :]
+            + taps[np.newaxis, :, :]
+        )[pick]
+    return n * oh * ow, rows, cols, pick
+
+
+def _distinct(rows: np.ndarray, windows: int) -> np.ndarray:
+    """The sorted distinct ``rows`` — via a bounded scatter mask: the row
+    domain is known, and this is an order of magnitude faster than a
+    sort-based ``np.unique`` at these sizes."""
+    mask = np.zeros(windows, dtype=bool)
+    mask[rows] = True
+    return np.flatnonzero(mask)
 
 
 def conv_active_windows(
@@ -56,7 +117,7 @@ def conv_active_windows(
     one entry per covering window).  Both quantities equal what a scan
     of the densified im2col matrix (``cols.any(axis=1)`` /
     ``count_nonzero(cols)``) would report — computed in
-    ``O(events · (K/stride)²)`` instead of ``O(windows · C·K²)``.
+    ``O(events · K²)`` instead of ``O(windows · C·K²)``.
 
     The coordinates may equally be a *multi-step batch*: a whole
     stream's events stacked t-major over a ``(T*N, C, H, W)`` plane
@@ -65,44 +126,53 @@ def conv_active_windows(
     of all T timesteps' convolutions at once — the index arithmetic is
     amortised over the batch instead of paid per step.
     """
-    n, c, h, w = x_shape
-    oh = _conv_out_size(h, kernel, stride, padding)
-    ow = _conv_out_size(w, kernel, stride, padding)
-    if coords.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64), 0
-    ys = coords[:, 2] + padding
-    xs = coords[:, 3] + padding
-    # Window origins covering a padded pixel p: ceil((p-K+1)/S) .. p//S,
-    # clipped to the output grid (floor-division ceil trick for the
-    # possibly-negative numerator).
-    lo_y = np.maximum(0, -((kernel - 1 - ys) // stride))
-    hi_y = np.minimum(oh - 1, ys // stride)
-    lo_x = np.maximum(0, -((kernel - 1 - xs) // stride))
-    hi_x = np.minimum(ow - 1, xs // stride)
-    ny = np.maximum(hi_y - lo_y + 1, 0)
-    nx = np.maximum(hi_x - lo_x + 1, 0)
-    entries = int((ny * nx).sum())
-    if entries == 0:
-        return np.zeros(0, dtype=np.int64), 0
-    base = coords[:, 0] * (oh * ow)
-    # Enumerate every event's covering windows in one broadcast: the
-    # (events, max-dy, max-dx) candidate grid is tiny (events x
-    # (K/stride)^2) and avoids a Python loop over window offsets.
-    oy = lo_y[:, np.newaxis] + np.arange(int(ny.max()), dtype=lo_y.dtype)
-    ox = lo_x[:, np.newaxis] + np.arange(int(nx.max()), dtype=lo_x.dtype)
-    ok = (oy <= hi_y[:, np.newaxis])[:, :, np.newaxis] & (
-        ox <= hi_x[:, np.newaxis]
-    )[:, np.newaxis, :]
-    rows = (
-        (base[:, np.newaxis] + oy * ow)[:, :, np.newaxis]
-        + ox[:, np.newaxis, :]
-    )[ok]
-    # Sorted dedup via a bounded scatter mask — the row domain is known
-    # (N*OH*OW), and this is an order of magnitude faster than a
-    # sort-based ``np.unique`` at these sizes.
-    mask = np.zeros(n * oh * ow, dtype=bool)
-    mask[rows] = True
-    return np.flatnonzero(mask), entries
+    windows, rows, _, _ = _covering_windows(coords, x_shape, kernel, stride, padding)
+    return _distinct(rows, windows), int(rows.size)
+
+
+def conv_event_rows(
+    coords: np.ndarray,
+    amplitude,
+    x_shape: Tuple[int, ...],
+    kernel: int,
+    stride: int,
+    padding: int,
+    dtype,
+    max_rows: Optional[float] = None,
+) -> Tuple[np.ndarray, int, Optional[np.ndarray]]:
+    """Active im2col rows, their entry count and their row block, from
+    events alone — the event-built unfold.
+
+    ``coords`` are the distinct ``(E, 4)`` coordinates of every nonzero
+    of an ``x_shape`` plane and ``amplitude`` their values (an ``(E,)``
+    array or one scalar).  Returns ``(rows, entries, block)``: ``rows``
+    and ``entries`` as :func:`conv_active_windows` reports them, and the
+    ``(rows, C*K*K)`` block whose row ``i`` is bitwise row ``rows[i]``
+    of :func:`repro.tensor.functional.im2col` of the dense plane.  The
+    block starts as zeros and each event's amplitude (cast to
+    ``dtype``) is scattered to its tap in every window covering it, so
+    the same amplitudes sit at the same places and every other entry is
+    ``+0.0`` (a ``-0.0`` of the plane is not an event, so it reads
+    ``+0.0`` here).  The cost is one pass over ``events · K²``
+    candidate taps plus the zeroed block — not ``O(rows · C·K²)``
+    gathers, as reading every tap of every active window would be, when
+    about 1 tap in 10 to 60 is nonzero.  Above ``max_rows`` active rows
+    the block is not built and None is returned in its place.
+    """
+    windows, rows, cols, pick = _covering_windows(
+        coords, x_shape, kernel, stride, padding, columns=True
+    )
+    active = _distinct(rows, windows)
+    if max_rows is not None and active.size > max_rows:
+        return active, int(rows.size), None
+    taps = x_shape[1] * kernel * kernel
+    rank = np.empty(windows, dtype=np.intp)
+    rank[active] = np.arange(active.size)
+    if np.ndim(amplitude):
+        amplitude = np.broadcast_to(amplitude, pick.shape)[pick]
+    block = np.zeros((active.size, taps), dtype=dtype)
+    block.reshape(-1)[rank[rows] * taps + cols] = amplitude
+    return active, int(rows.size), block
 
 
 def pooled_coords(
@@ -143,51 +213,43 @@ MIN_GEMM_OUTPUTS = 4096
 
 
 def conv_rows(
-    x: np.ndarray,
+    block: np.ndarray,
     weight: np.ndarray,
     bias: Optional[np.ndarray],
-    stride: int,
-    padding: int,
     rows: np.ndarray,
-    events: Optional[Tuple[np.ndarray, object]] = None,
+    windows: int,
 ) -> np.ndarray:
     """Bit-exact convolution output at the given im2col rows only.
 
-    Returns the ``(rows, C_out)`` block whose row ``i`` is the output
-    vector of window ``rows[i]`` (flattened ``n * OH * OW + oy * OW +
-    ox``).  Only those windows are unfolded
-    (:func:`repro.tensor.functional.im2col_rows` — the dense column
-    matrix is never built), each keeping its full ``C*K*K`` tap vector.
-    A row-subset GEMM computes each output row with the same reduction
-    the full GEMM would use once both are large enough to take the same
-    BLAS kernel (:data:`MIN_GEMM_OUTPUTS`; a small subset is padded with
-    zero rows, and when the full product is that small itself the rows
-    are multiplied at their own positions in a full-size matrix), so
-    every value — bias added last, as the dense kernel does — is
-    bitwise identical to the dense convolution's at that window.  Cost
-    scales with the rows, and at low density the gather itself is the
-    dominant saving: the full unfold is
-    ``O(N·OH·OW·C·K²)`` regardless of sparsity.  Every other window of
-    the dense output is exactly ``0 + bias``.  ``events`` (the input's
-    nonzeros, see :func:`repro.tensor.functional.im2col_rows`) lets the
-    gather read them instead of ``x``, which may then be a placeholder.
+    ``block`` is the ``(rows, C*K*K)`` slice of the im2col matrix at
+    the sorted window ``rows`` (flattened ``n * OH * OW + oy * OW +
+    ox``, out of ``windows = N*OH*OW``), as :func:`conv_event_rows`
+    builds it from the input's events; the dense column matrix is never
+    built.  Returns the ``(rows, C_out)`` block whose row ``i`` is the
+    output vector of window ``rows[i]``.  A row-subset GEMM computes
+    each output row with the same reduction the full GEMM would use
+    once both are large enough to take the same BLAS kernel
+    (:data:`MIN_GEMM_OUTPUTS`; a small subset is padded with zero rows,
+    and when the full product is that small itself the rows are
+    multiplied at their own positions in a full-size matrix), so every
+    value — bias added last, as the dense kernel does — is bitwise
+    identical to the dense convolution's at that window.  Every other
+    window of the dense output is exactly ``0 + bias``.
     """
-    c_out, _, k, _ = weight.shape
-    sub, oh, ow = im2col_rows(x, k, stride, padding, rows, events)
+    c_out = weight.shape[0]
     w = weight.reshape(c_out, -1)
     floor = -(-MIN_GEMM_OUTPUTS // c_out)
-    total = x.shape[0] * oh * ow
-    if 0 < sub.shape[0] < floor:
-        if total <= floor:
-            lhs = np.zeros((total, sub.shape[1]), dtype=sub.dtype)
-            lhs[rows] = sub
+    if 0 < block.shape[0] < floor:
+        if windows <= floor:
+            lhs = np.zeros((windows, block.shape[1]), dtype=block.dtype)
+            lhs[rows] = block
             values = (lhs @ w.T)[rows]
         else:
-            lhs = np.zeros((floor, sub.shape[1]), dtype=sub.dtype)
-            lhs[: sub.shape[0]] = sub
-            values = (lhs @ w.T)[: sub.shape[0]]
+            lhs = np.zeros((floor, block.shape[1]), dtype=block.dtype)
+            lhs[: block.shape[0]] = block
+            values = (lhs @ w.T)[: block.shape[0]]
     else:
-        values = sub @ w.T
+        values = block @ w.T
     if bias is not None:
         values += bias
     return values

@@ -12,16 +12,16 @@ the dense planes at four levels of detail:
 
 * *exact coordinates* (stream input, COO pool outputs, site-neuron
   outputs) — a conv runs the bit-exact row-subset kernel
-  (:func:`repro.snn.engines.event.conv_rows`): one gather + one GEMM
-  covering all T timesteps, gathering its rows from a workspace the
-  events are scattered into.  A linear runs the full GEMM over every
-  stack row, because a GEMM over a row subset may pick another BLAS
-  kernel and differ in the last bit; silent rows still come out as
-  the bias alone.  Where the consumer is proven at bind time
-  (:func:`_coordinate_handoffs`: a neuron feeding a pool, a pool or
-  the model input feeding a conv, in a plain ``Sequential``) only the
-  coordinates travel, behind an all-NaN placeholder, and no dense
-  plane is built between the layers;
+  (:func:`repro.snn.engines.event.conv_rows`): one GEMM covering all
+  T timesteps over rows built by scattering each event into the
+  windows it feeds (:func:`repro.snn.engines.event.conv_event_rows`).
+  A linear runs the full GEMM over every stack row, because a GEMM
+  over a row subset may pick another BLAS kernel and differ in the
+  last bit; silent rows still come out as the bias alone.  Where the
+  consumer is proven at bind time (:func:`_coordinate_handoffs`: a
+  neuron feeding a pool, a pool or the model input feeding a conv, in
+  a plain ``Sequential``) only the coordinates travel, behind an
+  all-NaN placeholder, and no dense plane is built between the layers;
 * *site values* (gathered conv outputs that feed a proven
   ``Conv2d -> [BatchNorm2d ->] IFNeuron`` chain of a ``Sequential``) —
   the active rows, their ``(rows, C)`` output block and the per-channel
@@ -90,7 +90,7 @@ from repro.snn.engines.base import (
 from repro.snn.engines.batched import TimeBatchedEngine
 from repro.snn.engines.dense import dense_conv2d
 from repro.snn.engines.event import (
-    conv_active_windows,
+    conv_event_rows,
     conv_rows,
     pooled_coords,
 )
@@ -227,6 +227,14 @@ def _screen(
         v += x[step]
         np.maximum(peak, v, out=peak)
     return v, np.flatnonzero(peak >= threshold)
+
+
+def _scanned_events(data: np.ndarray) -> StepSpikes:
+    """The nonzeros of a dense plane as events, amplitudes included."""
+    nonzero = np.nonzero(data)
+    return StepSpikes(
+        coords=np.stack(nonzero, axis=1), shape=data.shape, values=data[nonzero]
+    )
 
 
 def _placeholder(shape: Tuple[int, ...]) -> np.ndarray:
@@ -536,41 +544,38 @@ class EventBatchedEngine(TimeBatchedEngine):
         Returns ``(output, performed_ops, gathered)``; the output is
         bitwise identical to the dense kernel's either way.  For convs
         the enumerated active-window fraction decides between the
-        row-subset gather (:func:`repro.snn.engines.event.conv_rows`)
-        and one dense GEMM (``gathered`` records which); performed ops
-        are billed from the coordinates in both cases, and the active
-        sites are registered for the downstream BN/neuron site paths.
-        A gathered conv whose consumer is a proven site chain
-        (:func:`_site_chains`) returns a placeholder carrying the site
-        values instead of a dense plane.  The gather reads a plane with
-        registered coordinates from its events, so ``data`` may be a
-        coordinate placeholder; every dense kernel reads its dense plane.
-        ``register=False`` skips registration (calibration trials whose
-        outputs are discarded).
+        row-subset GEMM (:func:`repro.snn.engines.event.conv_rows`) and
+        one dense GEMM (``gathered`` records which); performed ops are
+        billed from the coordinates in both cases, and the active sites
+        are registered for the downstream BN/neuron site paths.  The
+        subset's rows are built from ``step``'s events and amplitudes
+        (:func:`repro.snn.engines.event.conv_event_rows`), so ``data``
+        may be a coordinate placeholder; every dense kernel reads its
+        dense plane.  A gathered conv whose consumer is a proven site
+        chain (:func:`_site_chains`) returns a placeholder carrying the
+        site values instead of a dense plane.  ``register=False`` skips
+        registration (calibration trials whose outputs are discarded).
         """
         if isinstance(module, Conv2d):
             k, s_, p = module.kernel_size, module.stride, module.padding
-            active_rows, entries = conv_active_windows(
-                step.coords, data.shape, k, s_, p
-            )
-            performed = entries * module.out_channels
             oh = _conv_out_size(data.shape[2], k, s_, p)
             ow = _conv_out_size(data.shape[3], k, s_, p)
             shape = (data.shape[0], module.out_channels, oh, ow)
+            windows = shape[0] * oh * ow
+            amplitude = step.scale if step.values is None else step.values
+            active_rows, entries, block = conv_event_rows(
+                step.coords, amplitude, data.shape, k, s_, p, data.dtype,
+                max_rows=self.gather_limit * windows,
+            )
+            performed = entries * module.out_channels
             background = np.zeros(
                 module.out_channels, dtype=np.result_type(data.dtype, weight.dtype)
             )
             if bias is not None:
                 background = background + bias  # a silent window's 0 + bias
-            gathered = active_rows.size <= self.gather_limit * shape[0] * oh * ow
+            gathered = block is not None
             if gathered:
-                # Registered coordinates are exact, amplitudes included,
-                # so the gather may read them instead of the plane.
-                events = None
-                if self._carried_coords(data) is step:
-                    amplitude = step.scale if step.values is None else step.values
-                    events = (step.coords, amplitude)
-                values = conv_rows(data, weight, bias, s_, p, active_rows, events)
+                values = conv_rows(block, weight, bias, active_rows, windows)
                 out = self._emit(
                     shape,
                     _Sites(active_rows, background, values),
@@ -625,8 +630,7 @@ class EventBatchedEngine(TimeBatchedEngine):
                     return gemm(Tensor(self._materialize(data)))
             step = self._carried_coords(data)
             if step is None:
-                coords = np.stack(np.nonzero(data), axis=1)
-                step = StepSpikes(coords=coords, shape=data.shape)
+                step = _scanned_events(data)
             stat.dense_synaptic_ops += _dense_op_count(module, data.shape)
             weight = _effective_weight(module, self._weight_cache)
             bias = module.bias.data if module.bias is not None else None

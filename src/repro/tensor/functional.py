@@ -80,18 +80,15 @@ def _im2col_plan(
 # (zeros) and stays zero for the buffer's lifetime.  np.pad would
 # re-allocate, re-zero and walk its per-axis edge machinery on every
 # unfold.  Callers never see the buffer: im2col's gather copies out of
-# it immediately.  Event scatters (``im2col_rows(events=...)``) borrow
-# the same buffer with an all-zero interior: each entry records whether
-# its interior is still zero, and a dense copy clears the flag.  The
-# cache is *per thread* (threading.local): two lane threads unfolding
-# the same layer shape concurrently must not scribble over one shared
-# workspace.  Each thread's dict is a bounded LRU, and large arrays
-# skip the cache entirely (the per-call overhead is amortised there and
-# pinning multi-hundred-MB activations at module scope is not).
+# it immediately.  The cache is *per thread* (threading.local): two
+# lane threads unfolding the same layer shape concurrently must not
+# scribble over one shared workspace.  Each thread's dict is a bounded
+# LRU, and large arrays skip the cache entirely (the per-call overhead
+# is amortised there and pinning multi-hundred-MB activations at module
+# scope is not).
 class _PadWorkspaces(threading.local):
     def __init__(self) -> None:
-        # key -> [buffer, interior is all zeros]
-        self.buffers: "OrderedDict[tuple, list]" = OrderedDict()
+        self.buffers: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
 
 
 _PAD_CACHE = _PadWorkspaces()
@@ -99,55 +96,22 @@ _PAD_CACHE_CAPACITY = 16
 _PAD_CACHE_MAX_BYTES = 16 * 1024 * 1024
 
 
-def _workspace(
-    shape: Tuple[int, int, int, int], padding: int, dtype: np.dtype
-) -> Optional[list]:
-    """This thread's cached ``[buffer, interior is zero]`` entry for a
-    padded ``shape``, or None above the size cap."""
-    n, c, h, w = shape
+def _padded_workspace(x: np.ndarray, padding: int) -> np.ndarray:
+    n, c, h, w = x.shape
     hp, wp = h + 2 * padding, w + 2 * padding
-    if n * c * hp * wp * dtype.itemsize > _PAD_CACHE_MAX_BYTES:
-        return None
-    key = (n, c, h, w, padding, dtype.str)
+    if n * c * hp * wp * x.dtype.itemsize > _PAD_CACHE_MAX_BYTES:
+        return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    key = (n, c, h, w, padding, x.dtype.str)
     buffers = _PAD_CACHE.buffers
-    entry = buffers.get(key)
-    if entry is None:
-        entry = [np.zeros((n, c, hp, wp), dtype=dtype), True]
-        buffers[key] = entry
+    buf = buffers.get(key)
+    if buf is None:
+        buf = np.zeros((n, c, hp, wp), dtype=x.dtype)
+        buffers[key] = buf
     buffers.move_to_end(key)
     while len(buffers) > _PAD_CACHE_CAPACITY:
         buffers.popitem(last=False)
-    return entry
-
-
-def _padded_workspace(x: np.ndarray, padding: int) -> np.ndarray:
-    entry = _workspace(x.shape, padding, x.dtype)
-    if entry is None:
-        return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    buf = entry[0]
     buf[:, :, padding:-padding, padding:-padding] = x
-    entry[1] = False
     return buf
-
-
-def _event_workspace(
-    shape: Tuple[int, int, int, int], padding: int, dtype: np.dtype
-) -> np.ndarray:
-    """An all-zero ``(N, C, H+2p, W+2p)`` buffer for an event scatter.
-
-    The borrower scatters its events in, gathers, and clears exactly
-    those cells again, so the cached buffer stays zero; one a dense
-    copy last wrote is zeroed first.  Above the size cap a fresh zero
-    buffer is returned instead.
-    """
-    entry = _workspace(shape, padding, dtype)
-    if entry is None:
-        n, c, h, w = shape
-        return np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=dtype)
-    if not entry[1]:
-        entry[0].fill(0)
-        entry[1] = True
-    return entry[0]
 
 
 def im2col(
@@ -167,66 +131,6 @@ def im2col(
     flat = x.reshape(n, -1)
     cols = np.take(flat, indices, axis=1).reshape(n * oh * ow, c * kernel * kernel)
     return cols, oh, ow
-
-
-def im2col_rows(
-    x: np.ndarray,
-    kernel: int,
-    stride: int,
-    padding: int,
-    rows: np.ndarray,
-    events: Optional[Tuple[np.ndarray, object]] = None,
-) -> Tuple[np.ndarray, int, int]:
-    """Gather only the requested im2col rows — the event-driven unfold.
-
-    ``rows`` indexes the ``(N*OH*OW)`` window axis of the full column
-    matrix (e.g. the active windows from
-    :func:`repro.snn.engines.event.conv_active_windows`); the result's
-    row *i* is bitwise-identical to row ``rows[i]`` of
-    :func:`im2col` — same cached index plan, same padded workspace,
-    one fancy-indexed gather — but the cost is
-    ``O(len(rows) * C*K*K)`` instead of ``O(N*OH*OW * C*K*K)``.  This
-    is what lets a sparse convolution pay only for windows that carry
-    at least one spike while every computed row (and hence the GEMM it
-    feeds) stays bitwise equal to the dense reference.
-
-    ``events`` — ``(coords, amplitude)``: the ``(E, 4)`` coordinates of
-    every nonzero of ``x`` and their values (an ``(E,)`` array or one
-    scalar) — replaces reading ``x``: the events are scattered into a
-    cached zero workspace, gathered from, and cleared again, so ``x``
-    need only have the plane's shape and dtype (it may be a
-    placeholder) and no dense plane is copied.  The scattered workspace
-    holds exactly the padded dense plane, so the rows are the same
-    bits.
-    """
-    n, c, h, w = x.shape
-    indices, oh, ow = _im2col_plan(c, h, w, kernel, stride, padding)
-    if events is not None:
-        x = _event_workspace(x.shape, padding, x.dtype)
-    elif padding > 0:
-        x = _padded_workspace(x, padding)
-    flat = x.reshape(n, -1)
-    windows = indices.reshape(oh * ow, c * kernel * kernel)
-    rows = np.asarray(rows, dtype=np.int64)
-    # One flat gather instead of a two-axis fancy index: fold the sample
-    # offset into the window indices and take from the raveled
-    # workspace.  Same elements, same order — bitwise identical — but
-    # measurably faster at the low row fractions this path is gated to.
-    itype = np.int32 if flat.size < 2**31 else np.int64
-    gidx = windows.astype(itype)[rows % (oh * ow)]
-    gidx += (rows // (oh * ow)).astype(itype)[:, np.newaxis] * itype(flat.shape[1])
-    if events is None:
-        return np.take(flat.reshape(-1), gidx), oh, ow
-    coords, amplitude = events
-    cells = np.ravel_multi_index(
-        (coords[:, 0], coords[:, 1], coords[:, 2] + padding, coords[:, 3] + padding),
-        x.shape,
-    )
-    x.reshape(-1)[cells] = amplitude
-    try:
-        return np.take(flat.reshape(-1), gidx), oh, ow
-    finally:
-        x.reshape(-1)[cells] = 0
 
 
 def col2im(

@@ -3,8 +3,9 @@
 On a sparse stream, ``event-batched`` and ``auto`` hand spikes from a
 neuron to a proven pool, and from a pool or the input stream to a proven
 conv, as registered coordinates behind a NaN placeholder: no dense plane
-is built between those layers, the conv gathers its rows from a
-workspace the events are scattered into, and the neurons' membrane and
+is built between those layers, the conv builds its im2col rows by
+scattering the events into the windows they feed, and the neurons'
+membrane and
 ``last_spikes`` are built only when read.  Every one of these handoffs
 must be bitwise equal to ``batched`` — logits, per-step outputs, spike
 counts, membranes, ``last_spikes`` — and bill the same per-layer ops as
@@ -129,8 +130,9 @@ def _ops_without_handoffs(model, stream, engine, monkeypatch):
 @pytest.fixture
 def placeholders(monkeypatch):
     """Records, per consumer kind, whether each input was a placeholder,
-    and which coordinate placeholders were densified."""
-    seen = {"pool": [], "conv": [], "materialized": []}
+    how each conv's rows were built, and which coordinate placeholders
+    were densified."""
+    seen = {"pool": [], "conv": [], "rows": [], "materialized": []}
 
     def placeholder(data):
         return not any(data.strides) and bool(np.isnan(data).all())
@@ -141,11 +143,18 @@ def placeholders(monkeypatch):
         seen["pool"].append(placeholder(data))
         return coo_pool(self, module, data, step)
 
-    rows = functional.im2col_rows
+    coo_synapse = eb_mod.EventBatchedEngine._coo_synapse
 
-    def rows_spy(x, kernel, stride, padding, rows_, events=None):
-        seen["conv"].append((placeholder(x), events is not None))
-        return rows(x, kernel, stride, padding, rows_, events)
+    def synapse_spy(self, module, data, step, weight, bias, register=True):
+        if isinstance(module, nn.Conv2d):
+            seen["conv"].append(placeholder(data))
+        return coo_synapse(self, module, data, step, weight, bias, register)
+
+    event_rows = eb_mod.conv_event_rows
+
+    def rows_spy(coords, amplitude, *args, **kwargs):
+        seen["rows"].append("valued" if np.ndim(amplitude) else "scalar")
+        return event_rows(coords, amplitude, *args, **kwargs)
 
     materialize = eb_mod.EventBatchedEngine._materialize
 
@@ -157,7 +166,8 @@ def placeholders(monkeypatch):
         return out
 
     monkeypatch.setattr(eb_mod.EventBatchedEngine, "_coo_pool", pool_spy)
-    monkeypatch.setattr("repro.snn.engines.event.im2col_rows", rows_spy)
+    monkeypatch.setattr(eb_mod.EventBatchedEngine, "_coo_synapse", synapse_spy)
+    monkeypatch.setattr(eb_mod, "conv_event_rows", rows_spy)
     monkeypatch.setattr(eb_mod.EventBatchedEngine, "_materialize", materialize_spy)
     return seen
 
@@ -211,8 +221,11 @@ class TestNeuronToPool:
         stream = sparse_stream((4, 2, 24, 24), TIMESTEPS, 0.004, seed=2)
         stats = _assert_bitwise(model, stream)
         assert placeholders["pool"] and all(placeholders["pool"])
-        # The averaged plane reaches the second conv as valued events.
-        assert (True, True) in placeholders["conv"][1:]
+        # The averaged plane reaches the second conv as valued events,
+        # behind a placeholder: its rows are built from the events.
+        assert placeholders["conv"] and all(placeholders["conv"])
+        assert len(placeholders["rows"]) == len(placeholders["conv"])
+        assert "valued" in placeholders["rows"][1:]
         assert {l.name: l.backend for l in stats.layers}["4"] == "event-batched"
         assert [(l.name, l.synaptic_ops) for l in stats.layers] == (
             _ops_without_handoffs(model, stream, "event-batched", monkeypatch)
@@ -235,50 +248,66 @@ class TestConvGatherFromCoordinates:
             "event-batched",
             "event-batched",
         ]
-        # Both convs gathered from events behind a placeholder (the
-        # stream input, then the pooled spikes) and never copied a dense
-        # plane into the workspace.
+        # Both convs read only coordinates behind a placeholder (the
+        # stream input, then the pooled spikes), built their rows from
+        # the events, and never copied a dense plane into a workspace.
         placeholders["conv"].clear()
+        placeholders["rows"].clear()
         monkeypatch.setattr(functional, "_padded_workspace", padded_spy)
         net = SpikingNetwork(model, timesteps=TIMESTEPS, engine="event-batched")
         net.forward(stream)
-        assert placeholders["conv"] == [(True, True)] * 2
+        assert placeholders["conv"] == [True] * 2
+        assert placeholders["rows"] == ["scalar"] * 2
         assert dense_copies == []
 
     @pytest.mark.parametrize("count", [1, 7, 60, 150, 700])
     def test_small_row_subsets_bitwise(self, count):
-        """A few rows of a conv still get the full GEMM's bits: a small
-        BLAS product may take another kernel and sum in another order."""
+        """A few rows of a conv, built from events, still get the full
+        GEMM's bits: a small BLAS product may take another kernel and
+        sum in another order."""
         from repro.snn.engines.dense import dense_conv2d
-        from repro.snn.engines.event import conv_rows
+        from repro.snn.engines.event import conv_event_rows, conv_rows
 
         rng = np.random.default_rng(count)
         for shape, c_out in (((2, 4, 20, 20), 8), ((3, 16, 6, 6), 32)):
-            x = rng.normal(size=shape).astype(np.float32)
+            spikes = rng.random(shape) < 0.3
+            x = np.where(spikes, rng.normal(size=shape), 0).astype(np.float32)
+            nonzero = np.nonzero(spikes)
+            active, _, block = conv_event_rows(
+                np.stack(nonzero, axis=1), x[nonzero], shape, 3, 1, 1, x.dtype
+            )
+            keep = rng.choice(active.size, min(count, active.size), replace=False)
+            keep.sort()
+            rows = active[keep]
             weight = rng.normal(size=(c_out, shape[1], 3, 3)).astype(np.float32)
             s = shape[2] * shape[3]
-            windows = shape[0] * s
-            rows = np.sort(rng.choice(windows, min(count, windows), replace=False))
             dense = dense_conv2d(x, weight, None, 1, 1)
             expected = dense.reshape(shape[0], c_out, s)[rows // s, :, rows % s]
-            assert np.array_equal(conv_rows(x, weight, None, 1, 1, rows), expected)
+            got = conv_rows(block[keep], weight, None, rows, shape[0] * s)
+            assert np.array_equal(got, expected)
 
-    def test_workspace_stays_zero(self):
+    def test_event_rows_equal_gathered_rows(self):
+        """Rows built from events alone are the dense unfold's rows, bit
+        for bit, and give the dense convolution's outputs."""
+        from repro.snn.engines.dense import dense_conv2d
+        from repro.snn.engines.event import conv_event_rows, conv_rows
+
         rng = np.random.default_rng(4)
-        dense = (rng.random((3, 2, 6, 6)) < 0.1).astype(np.float32)
-        coords = np.stack(np.nonzero(dense), axis=1)
-        rows = np.arange(0, 3 * 36, 5)
-        expected, _, _ = functional.im2col_rows(dense, 3, 1, 1, rows)
-        placeholder = np.broadcast_to(np.float32(np.nan), dense.shape)
-        for _ in range(2):
-            got, _, _ = functional.im2col_rows(
-                placeholder, 3, 1, 1, rows, (coords, np.float32(1.0))
-            )
-            assert np.array_equal(expected, got)
-        # The dense call above left the shared buffer dirty; the event
-        # call zeroed it first and cleared its events after.
-        buf, clean = functional._PAD_CACHE.buffers[(3, 2, 6, 6, 1, "<f4")]
-        assert clean and not buf.any()
+        spikes = rng.random((3, 2, 6, 6)) < 0.1
+        dense = np.where(spikes, rng.normal(size=spikes.shape), 0).astype(np.float32)
+        nonzero = np.nonzero(dense)
+        coords = np.stack(nonzero, axis=1)
+        rows, entries, block = conv_event_rows(
+            coords, dense[nonzero], dense.shape, 3, 1, 1, dense.dtype
+        )
+        cols = functional.im2col(dense, 3, 1, 1)[0]
+        assert np.array_equal(rows, np.flatnonzero(cols.any(axis=1)))
+        assert entries == np.count_nonzero(cols)
+        assert block.tobytes() == cols[rows].tobytes()
+        weight = rng.normal(size=(5, 2, 3, 3)).astype(np.float32)
+        out = dense_conv2d(dense, weight, None, 1, 1).transpose(0, 2, 3, 1)
+        got = conv_rows(block, weight, None, rows, cols.shape[0])
+        assert np.array_equal(got, out.reshape(-1, 5)[rows])
 
 
 class TestMaterializeFallback:

@@ -17,6 +17,7 @@ from repro.data import (
     rate_encode_stream,
 )
 from repro.snn.engines import conv_active_windows, pooled_coords
+from repro.snn.engines.event import conv_event_rows
 from repro.snn.spikes import SpikeStream, SpikeTrace, StepSpikes
 from repro.tensor.functional import im2col
 
@@ -186,6 +187,72 @@ class TestConvActiveWindows:
             np.zeros((0, 4), np.int64), (1, 2, 4, 4), 3, 1, 1
         )
         assert rows.size == 0 and entries == 0
+
+
+class TestConvEventRows:
+    """Rows built by scattering events equal the dense unfold's rows."""
+
+    @staticmethod
+    def _planes(rng, shape):
+        """(name, dense plane, coords, amplitude) cases over ``shape``."""
+        n, c, h, w = shape
+        spikes = rng.random(shape) < rng.uniform(0.02, 0.3)
+        border = np.zeros(shape, dtype=bool)
+        border[:, :, [0, -1], :] = True
+        border[:, :, :, [0, -1]] = True
+        values = rng.normal(size=shape)
+        for name, mask, amplitude in (
+            ("scalar", spikes, 0.7),
+            ("valued", spikes, values),
+            ("border", border, values),
+            ("empty", np.zeros(shape, dtype=bool), 1.0),
+        ):
+            dense = np.where(mask, amplitude, 0).astype(np.float32)
+            nonzero = np.nonzero(mask)
+            coords = np.stack(nonzero, axis=1)
+            if np.ndim(amplitude):
+                amplitude = amplitude[nonzero]
+            yield name, dense, coords, amplitude
+
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 5])
+    def test_matches_dense_unfold(self, kernel):
+        rng = np.random.default_rng(kernel)
+        for stride in (1, 2, 3):
+            for padding in (0, 1, 2):
+                for _ in range(3):
+                    shape = (
+                        int(rng.integers(1, 4)),
+                        int(rng.integers(1, 5)),
+                        int(rng.integers(max(1, kernel - 2 * padding), 13)),
+                        int(rng.integers(max(1, kernel - 2 * padding), 13)),
+                    )
+                    for name, dense, coords, amplitude in self._planes(rng, shape):
+                        case = (name, shape, kernel, stride, padding)
+                        cols, _, _ = im2col(dense, kernel, stride, padding)
+                        rows, entries, block = conv_event_rows(
+                            coords, amplitude, shape, kernel, stride, padding,
+                            dense.dtype,
+                        )
+                        expected = conv_active_windows(
+                            coords, shape, kernel, stride, padding
+                        )
+                        assert np.array_equal(rows, expected[0]), case
+                        assert np.array_equal(
+                            rows, np.flatnonzero(cols.any(axis=1))
+                        ), case
+                        assert entries == expected[1], case
+                        assert entries == np.count_nonzero(cols), case
+                        assert block.dtype == cols.dtype, case
+                        assert block.tobytes() == cols[rows].tobytes(), case
+
+    def test_row_limit_skips_the_block(self):
+        rng = np.random.default_rng(11)
+        dense = (rng.random((2, 3, 8, 8)) < 0.2).astype(np.float32)
+        coords = np.stack(np.nonzero(dense), axis=1)
+        rows, entries, block = conv_event_rows(
+            coords, 1.0, dense.shape, 3, 1, 1, dense.dtype, max_rows=0
+        )
+        assert rows.size and entries and block is None
 
 
 class TestPooledCoords:
