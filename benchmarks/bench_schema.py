@@ -23,7 +23,6 @@ TOP_LEVEL_KEYS = (
     "auto_vs_best_fixed",
     "batch16_wall_clock_ms",
     "dvs",
-    "planner",
     "python",
     "machine",
 )
@@ -50,27 +49,15 @@ PROFILE_ROW_KEYS = (
     "backend",
     "source",
     "wall_clock_ms",
-    "predicted_ms",
     "density",
     "synaptic_ops",
 )
 
-PROFILE_BACKENDS = ("gemm", "event", "event-batched", "stepped")
+PROFILE_BACKENDS = ("gemm", "event", "event-batched")
 
-#: Planner provenance a profile row may carry ("" on neuron rows and
-#: fixed-backend engines).
-PROFILE_SOURCES = ("", "raced", "cost-model", "re-planned")
-
-#: The Planner-v2 section: cold-start calibration cost with full kernel
-#: racing vs a fitted cost model, and the quality of the predicted plan.
-PLANNER_KEYS = (
-    "calibration_ms_racing",
-    "calibration_ms_cost_model",
-    "calibration_speedup",
-    "model_plan_vs_best_fixed",
-    "plan_source",
-    "cost_model",
-)
+#: The gate of the density rule a profile row names ("" on neuron rows
+#: and fixed-backend engines).
+PROFILE_SOURCES = ("", "constant", "density", "pregate", "rows", "linear")
 
 
 def assert_engines_schema(record: dict) -> None:
@@ -99,22 +86,6 @@ def assert_engines_schema(record: dict) -> None:
         assert row["source"] in PROFILE_SOURCES, row["source"]
         assert 0.0 <= row["density"] <= 1.0
     assert isinstance(record["auto_vs_best_fixed"], (int, float))
-    planner = record["planner"]
-    for key in PLANNER_KEYS:
-        assert key in planner, f"missing planner key {key!r}"
-    for key in (
-        "calibration_ms_racing",
-        "calibration_ms_cost_model",
-        "calibration_speedup",
-        "model_plan_vs_best_fixed",
-    ):
-        value = planner[key]
-        assert isinstance(value, (int, float)) and value > 0, f"planner.{key}"
-    assert planner["plan_source"] == "cost-model", (
-        "the predicted cold start must compile its plan from the model, "
-        f"not {planner['plan_source']!r}"
-    )
-    assert planner["cost_model"]["plan_ready"] is True
     dvs = record["dvs"]
     for key in DVS_KEYS:
         assert key in dvs, f"missing dvs key {key!r}"

@@ -59,11 +59,6 @@ MAX_AUTO_RATIO = 1.1
 # to justify existing; measured ~4.3x at the batcher on a 2-core box,
 # so 1.5 is a conservative floor well outside timing noise.
 MIN_BATCHING_GAIN = 1.5
-# Planner v2 gates: a cost-model-predicted cold start must at least
-# halve calibration wall clock, and the predicted plan must execute
-# within the same bound a raced plan is held to.
-MIN_CALIBRATION_SPEEDUP = 2.0
-MAX_MODEL_PLAN_RATIO = 1.1
 # The N-replica process pool must at least double single-worker
 # throughput — but only on runners with enough cores for process
 # parallelism to exist (the record's own gate_eligible flag).
@@ -102,22 +97,6 @@ def _engines_metrics(record):
         ),
         ("dvs.auto_vs_best_fixed", record["dvs"]["auto_vs_best_fixed"], False),
     ]
-    planner = record.get("planner")
-    if planner is not None:  # records predating Planner v2 lack the section
-        metrics.extend(
-            [
-                (
-                    "planner.calibration_speedup",
-                    planner["calibration_speedup"],
-                    True,
-                ),
-                (
-                    "planner.model_plan_vs_best_fixed",
-                    planner["model_plan_vs_best_fixed"],
-                    False,
-                ),
-            ]
-        )
     return metrics
 
 
@@ -129,14 +108,6 @@ def _engines_floors(record):
             rows.append((name, value, MIN_BATCHED_SPEEDUP, value >= MIN_BATCHED_SPEEDUP))
         elif name == "dvs.event_batched_speedup_vs_batched":
             rows.append((name, value, MIN_DVS_EVENT_SPEEDUP, value > MIN_DVS_EVENT_SPEEDUP))
-        elif name == "planner.calibration_speedup":
-            rows.append(
-                (name, value, MIN_CALIBRATION_SPEEDUP, value >= MIN_CALIBRATION_SPEEDUP)
-            )
-        elif name == "planner.model_plan_vs_best_fixed":
-            rows.append(
-                (name, value, MAX_MODEL_PLAN_RATIO, value <= MAX_MODEL_PLAN_RATIO)
-            )
         else:
             rows.append((name, value, MAX_AUTO_RATIO, value <= MAX_AUTO_RATIO))
     return rows
@@ -146,9 +117,8 @@ def _engines_ops(record):
     """Absolute synaptic-op counts for the *fixed* engines.
 
     Fixed backends bill deterministically (same model, same seeds), so
-    these are gated near-exactly.  The auto engine is excluded: its ops
-    follow whichever plan the timing races picked on this box, which is
-    legitimately machine-dependent.
+    these are gated near-exactly.  ``auto`` is skipped: it is the
+    event-batched engine under another name, gated through that row.
     """
     rows = []
     for name, entry in sorted(record["engines"].items()):
@@ -368,8 +338,8 @@ def compare_ops(current, baseline, ops_fn):
 def stale_history(current, baseline, metrics_fn, ops_fn):
     """A failure string when the fresh record tracks things history lacks.
 
-    A perf PR that grows the benchmark (new sections like ``planner``,
-    new scenarios, new engines) makes the committed history stale: the
+    A perf PR that grows the benchmark (new sections, new scenarios,
+    new engines) makes the committed history stale: the
     new metrics would silently escape the regression gate on every
     future run.  Detect it from the tracked names themselves — anything
     the fresh record gates that the newest history record does not know

@@ -9,10 +9,10 @@ fewer synaptic operations than the dense reference at sub-50% spike
 rates — while producing the same predictions; that the time-batched
 engine beats the dense reference by >= 3x wall-clock on the
 hardware-faithful frame-at-a-time workload (the PYNQ-Z2 runs batch-1
-inference; Table I latencies are per frame); that the adaptive auto
-engine, once its calibrated per-layer plan is cached, stays within
-1.1x of the best fixed backend; and that the always-on per-layer
-profiler costs < 5% of an unprofiled batched run.
+inference; Table I latencies are per frame); that ``auto`` (the
+event-batched engine's per-layer density rule) stays within 1.1x of
+the best fixed backend; and that the always-on per-layer profiler
+costs < 5% of an unprofiled batched run.
 
 It also pins the low-density crossover the paper's premise lives on:
 on a synthetic DVS stream (<5% input density, batch > 1) the COO-native
@@ -20,7 +20,7 @@ on a synthetic DVS stream (<5% input density, batch > 1) the COO-native
 on wall clock while staying bit-identical on logits — sparsity winning
 time, not just op counts.  It records the full engine trajectory —
 including the auto engine's per-layer (name, wall clock, density,
-chosen backend) profile and the DVS scenario — in
+chosen backend and deciding gate) profile and the DVS scenario — in
 ``BENCH_engines.json`` (in ``$REPRO_BENCH_DIR`` when set, else a temp
 directory), whose schema is asserted here so the uploaded CI artifact
 stays machine-readable.
@@ -39,7 +39,7 @@ from repro.utils.io import atomic_write_json
 from repro.data.events import SyntheticDVS
 from repro.pipeline import build_quantized_twin
 from repro.pipeline.trainer import TrainConfig, Trainer
-from repro.snn import AutoEngine, SpikingNetwork, convert_to_snn
+from repro.snn import SpikingNetwork, convert_to_snn
 
 TIMESTEPS = 8
 
@@ -293,14 +293,14 @@ def test_engines_wall_clock_and_auto_plan(
     The frame scenario is the hardware's own workload: one 32x32 frame,
     T=8, the repo's standard VGG-11 geometry.  The dense engine re-runs
     the full model eight times; the time-batched engine runs each layer
-    once over the (T, ...) stack, which must be >= 3x faster; the auto
-    engine calibrates on the warm-up pass and must then stay within
-    1.1x of the best fixed backend.  The DVS scenario is the <5%
+    once over the (T, ...) stack, which must be >= 3x faster; auto
+    (the event-batched density rule, which picks each layer's kernel on
+    every call) must stay within 1.1x of the best fixed backend.  The DVS scenario is the <5%
     density regime where the COO-native event-batched backend must beat
     the dense GEMM on wall clock with bit-identical logits, and auto
     must again stay within 1.1x of the best fixed choice.  The measured
     trajectory of every engine (with the auto engine's per-layer
-    plan/profile, and a small-batch point) is recorded in
+    profile, and a small-batch point) is recorded in
     BENCH_engines.json.
     """
     model, x = converted_vgg_bench
@@ -348,43 +348,6 @@ def test_engines_wall_clock_and_auto_plan(
         for engine, s in _interleaved_samples(batch_nets, x[:16], repeats=3).items()
     }
 
-    # Planner v2: cold-start calibration cost, racing vs cost model.
-    # A fresh engine races every kernel on the VGG frame (the pre-PR-9
-    # cold start); its measurements fit the analytic cost model, and a
-    # second fresh engine sharing that model compiles its plan from
-    # predictions — one plain batched pass, no races.  The gates: the
-    # predicted cold start must be >= 2x cheaper, and the predicted
-    # plan must stay within 1.1x of the best fixed backend.
-    racing_engine = AutoEngine()
-    racing_net = SpikingNetwork(model, timesteps=TIMESTEPS, engine=racing_engine)
-    started = time.perf_counter()
-    racing_logits = racing_net.forward(frame)
-    calibration_s_racing = time.perf_counter() - started
-    # A second key (batch 2) widens the ops spread the fit sees, the
-    # same way real traffic with varied shapes would.
-    racing_net.forward(np.concatenate([frame, frame], axis=0))
-    assert racing_engine.cost_model.plan_ready()
-    predicted_engine = AutoEngine(cost_model=racing_engine.cost_model)
-    predicted_net = SpikingNetwork(
-        model, timesteps=TIMESTEPS, engine=predicted_engine
-    )
-    started = time.perf_counter()
-    predicted_logits = predicted_net.forward(frame)
-    calibration_s_model = time.perf_counter() - started
-    predicted_stats = predicted_net.last_run_stats
-    assert predicted_stats.plan_source == "cost-model"
-    assert np.allclose(racing_logits, predicted_logits, atol=1e-4)
-    calibration_speedup = calibration_s_racing / calibration_s_model
-    planner_samples = _interleaved_samples(
-        {
-            "best_fixed": networks[best_fixed_name],
-            "model_plan": predicted_net,
-        },
-        frame,
-        repeats=24,
-    )
-    model_plan_ratio = _paired_ratio(planner_samples, "model_plan", "best_fixed")
-
     dvs_model, dvs_stream = converted_dvs
     dvs_nets = {
         engine: SpikingNetwork(dvs_model, timesteps=TIMESTEPS, engine=engine)
@@ -421,14 +384,6 @@ def test_engines_wall_clock_and_auto_plan(
         "batched_speedup_vs_dense": round(speedup, 3),
         "auto_vs_best_fixed": round(auto_ratio, 3),
         "batch16_wall_clock_ms": batch16,
-        "planner": {
-            "calibration_ms_racing": round(calibration_s_racing * 1e3, 3),
-            "calibration_ms_cost_model": round(calibration_s_model * 1e3, 3),
-            "calibration_speedup": round(calibration_speedup, 3),
-            "model_plan_vs_best_fixed": round(model_plan_ratio, 3),
-            "plan_source": predicted_stats.plan_source,
-            "cost_model": predicted_engine.cost_model.snapshot(),
-        },
         "dvs": {
             "scenario": {
                 "model": "dvs-frontend-cnn",
@@ -460,7 +415,9 @@ def test_engines_wall_clock_and_auto_plan(
         f"{k} {v['wall_clock_ms']}" for k, v in results.items()
     ))
     coo_layers = sum(
-        1 for row in results["auto"]["profile"] if row["backend"] == "event-batched"
+        1
+        for row in results["auto"]["profile"]
+        if row["kind"] != "neuron" and row["backend"] == "event-batched"
     )
     print(
         f"batched speedup vs dense: {speedup:.2f}x; "
@@ -481,19 +438,8 @@ def test_engines_wall_clock_and_auto_plan(
     assert results["batched"]["synaptic_ops"] == results["dense"]["synaptic_ops"]
     # ...but delivers the acceptance-criterion wall-clock win.
     assert speedup >= 3.0
-    # The calibrated plan keeps auto at (or below) the best fixed backend.
+    # The density rule keeps auto at (or below) the best fixed backend.
     assert auto_ratio <= 1.1
-    # Planner v2 gates: predicting the plan from the fitted cost model
-    # must cut the cold-start calibration wall clock at least in half,
-    # and the predicted plan must execute as well as a raced one.
-    print(
-        f"planner: racing calibration {calibration_s_racing * 1e3:.1f} ms, "
-        f"cost-model calibration {calibration_s_model * 1e3:.1f} ms "
-        f"({calibration_speedup:.2f}x); model plan vs best fixed "
-        f"{model_plan_ratio:.3f}"
-    )
-    assert calibration_speedup >= 2.0
-    assert model_plan_ratio <= 1.1
 
     # The low-density crossover: at <5% input density the COO-native
     # path must win wall clock, not just op counts, with logits

@@ -1,13 +1,13 @@
 """Serving load benchmark: throughput, tail latency, failure semantics.
 
 Drives a real :class:`repro.serve.app.InferenceServer` (ephemeral port,
-tiny calibrated demo SNN, AutoEngine backend) through the full
+tiny calibrated demo SNN, ``auto`` engine) through the full
 robustness gauntlet and emits ``BENCH_serving.json`` (into
 ``$REPRO_BENCH_DIR`` when set, else a temp directory):
 
 1. **Serial baseline** — HTTP requests one at a time; every response
    is checked bit-identical against a direct run on the server's own
-   engine (same plan cache, same kernels), which pins down that the
+   engine (same caches, same kernels), which pins down that the
    serving path adds *no* numerical drift.
 2. **Coalescing** — closed-loop clients submit straight to the
    server's batcher (no HTTP), one client, then ``CONCURRENCY``.  The
@@ -29,9 +29,8 @@ robustness gauntlet and emits ``BENCH_serving.json`` (into
    at the degraded step (prefix consistency).
 6. **Graceful drain** — stop() with a request in flight: the request
    completes, the drain flushes.
-7. **Process pool scale-out** — two servers over a *shared plan
-   file*: a 3-replica ``--serve-workers`` pool and a single in-process
-   worker.  Serial responses must be bit-identical across the two
+7. **Process pool scale-out** — two servers: a 3-replica
+   ``--serve-workers`` pool and a single in-process worker.  Serial responses must be bit-identical across the two
    (the queue transport and fork replication are invisible in the
    numbers).  Concurrent HTTP load alternates between them over
    ``POOL_ROUNDS`` rounds, and on a >=4-core runner the median ratio
@@ -47,11 +46,9 @@ import gc
 import os
 import platform
 import statistics
-import tempfile
 import threading
 import time
 from contextlib import contextmanager
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -329,9 +326,8 @@ def run_drain_phase(handle):
     return {"flushed": True, "inflight_completed": inflight_completed}
 
 
-def _pool_server(serve_workers, plan_path):
-    """A fresh demo server; all pool-phase servers share ``plan_path``
-    so every one executes the identical compiled plans."""
+def _pool_server(serve_workers):
+    """A fresh demo server with ``serve_workers`` engine replicas."""
     core, shape = build_demo_network(input_shape=SHAPE, classes=10, seed=0)
     config = ServeConfig(
         port=0,
@@ -343,7 +339,6 @@ def _pool_server(serve_workers, plan_path):
         hang_timeout_seconds=30.0,
         drain_timeout_seconds=30.0,
         serve_workers=serve_workers,
-        plan_path=plan_path,
     )
     return ServerHandle(core, shape, config)
 
@@ -386,7 +381,7 @@ def _serve_serial(handle, samples):
 
 
 def run_pool_phase():
-    """Single worker vs POOL_REPLICAS-process pool on a shared plan file.
+    """Single worker vs a POOL_REPLICAS-process pool.
 
     The pool starts first, so its replicas fork before any other
     server's threads exist; then both stay up and their load rounds
@@ -397,31 +392,29 @@ def run_pool_phase():
     serial_samples = make_samples(SERIAL_REQUESTS, seed=7)
     load_samples = make_samples(CONCURRENCY * REQUESTS_PER_CLIENT, seed=8)
 
-    with tempfile.TemporaryDirectory() as tmp:
-        plan_path = str(Path(tmp) / "plans.json")
-        pool = _pool_server(POOL_REPLICAS, plan_path)
-        single = None
-        try:
-            pool_metrics = pool.request("GET", "/metrics")[1]
-            assert pool_metrics["pool"]["replicas"] == POOL_REPLICAS
-            start_method = pool_metrics["pool"]["start_method"]
-            single = _pool_server(1, plan_path)
-            bit_identical = all(
-                np.array_equal(a, b)
-                for a, b in zip(
-                    _serve_serial(single, serial_samples),
-                    _serve_serial(pool, serial_samples),
-                )
+    pool = _pool_server(POOL_REPLICAS)
+    single = None
+    try:
+        pool_metrics = pool.request("GET", "/metrics")[1]
+        assert pool_metrics["pool"]["replicas"] == POOL_REPLICAS
+        start_method = pool_metrics["pool"]["start_method"]
+        single = _pool_server(1)
+        bit_identical = all(
+            np.array_equal(a, b)
+            for a, b in zip(
+                _serve_serial(single, serial_samples),
+                _serve_serial(pool, serial_samples),
             )
-            single_rps, pool_rps, ratios = [], [], []
-            for _ in range(POOL_ROUNDS):
-                single_rps.append(_measure_rps(single, load_samples))
-                pool_rps.append(_measure_rps(pool, load_samples))
-                ratios.append(pool_rps[-1] / single_rps[-1])
-        finally:
-            if single is not None:
-                single.stop(timeout=60.0)
-            pool.stop(timeout=60.0)
+        )
+        single_rps, pool_rps, ratios = [], [], []
+        for _ in range(POOL_ROUNDS):
+            single_rps.append(_measure_rps(single, load_samples))
+            pool_rps.append(_measure_rps(pool, load_samples))
+            ratios.append(pool_rps[-1] / single_rps[-1])
+    finally:
+        if single is not None:
+            single.stop(timeout=60.0)
+        pool.stop(timeout=60.0)
 
     gain = statistics.median(ratios)
     assert bit_identical, (

@@ -1,4 +1,4 @@
-"""Dense vs event-driven vs time-batched vs adaptive SNN engines.
+"""Dense vs event-driven vs time-batched vs auto SNN engines.
 
 The paper's accelerator is fast because it only pays for spikes that
 actually fire.  ``repro.snn.engines`` brings the same structure to the
@@ -6,11 +6,10 @@ software simulator: the ``event`` backend propagates only active spike
 events, so its synaptic-operation count scales with the observed spike
 rate; the ``batched`` backend restructures execution from time-outer to
 layer-outer — every stateless layer runs once over a ``(T*N, ...)``
-stack; and the ``auto`` backend profiles a calibration run (per-layer
-wall clock + observed density) and compiles a cached per-layer plan
-that mixes batched GEMM and the COO row-subset kernel (bitwise equal
-to ``batched``), the same measure-then-specialise loop the paper's
-mapper applies in hardware.  The time-stacked backends run a large
+stack; and the ``auto`` backend (``event-batched``) decides each layer's
+kernel from the spikes that layer receives, on every call, as the
+paper's accelerator does: a density rule picks batched GEMM or the COO
+row-subset kernel (bitwise equal to ``batched``).  The time-stacked backends run a large
 batch as sample blocks in lanes, one per usable core (the ``lanes``
 count printed per backend).
 
@@ -98,7 +97,7 @@ def run_density_scenario(density: float, profile: bool) -> None:
     }
     logits = {}
     for engine, network in networks.items():
-        logits[engine] = network.forward(stream)  # warm-up / calibration
+        logits[engine] = network.forward(stream)  # warm-up
     seconds = {engine: float("inf") for engine in networks}
     for _ in range(12):
         for engine, network in networks.items():
@@ -161,9 +160,7 @@ def main() -> None:
     results = {}
     for engine in ("dense", "event", "batched", "auto"):
         network = SpikingNetwork(model, timesteps=TIMESTEPS, engine=engine)
-        # Warm up caches / BLAS threads on the full batch — for auto
-        # this is the calibration pass (plans are keyed by the full
-        # input shape), so the timed run executes the compiled plan.
+        # Warm up caches / BLAS threads on the full batch.
         network.forward(x)
         started = time.perf_counter()
         logits = network.forward(x)
@@ -190,15 +187,13 @@ def main() -> None:
             f"speedup {dense_s / elapsed:.2f}x"
         )
     auto_stats = results["auto"][1]
-    chosen = {
-        layer.name: layer.backend
-        for layer in auto_stats.layers
-        if layer.kind in ("conv", "linear")
-    }
-    coo_layers = sum(1 for backend in chosen.values() if backend == "event-batched")
+    chosen = [layer for layer in auto_stats.layers if layer.kind in ("conv", "linear")]
+    coo_layers = sum(1 for layer in chosen if layer.backend == "event-batched")
+    gates = sorted({layer.backend_source for layer in chosen})
     print(
-        f"\nauto engine plan: {coo_layers}/{len(chosen)} synapse layers "
-        f"routed to the COO row-subset kernel, the rest stay on the batched GEMM"
+        f"\nauto engine rule: {coo_layers}/{len(chosen)} synapse layers "
+        f"routed to the COO row-subset kernel, the rest stay on the batched "
+        f"GEMM (deciding gates: {', '.join(gates)})"
     )
     print(
         f"\nevent-driven op saving: {event_stats.synaptic_op_saving:.1%} "

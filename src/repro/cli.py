@@ -161,30 +161,9 @@ def _print_profile(curve, args) -> None:
         return
     print("\nper-layer profile (last evaluation batch):")
     print(stats.profile_table())
-    planner = getattr(snn.engine, "planner_snapshot", None)
-    if planner is None:
-        return
-    snapshot = planner()
-    model = snapshot["cost_model"]
-    print(
-        "planner: {} plan(s) cached; {} calibration(s), {} re-plan(s), "
-        "{} warm start(s); cost model {}".format(
-            len(snapshot["plans"]),
-            snapshot["calibration_runs"],
-            snapshot["replans_triggered"],
-            snapshot["warm_starts"],
-            "ready" if model["plan_ready"] else "not fitted yet",
-        )
-    )
-    for backend, residual in sorted(model.get("residuals", {}).items()):
-        print(
-            "  {:<14} {:>4} obs  rms {:.3f} ms  mean |err| {:.1f}%".format(
-                backend,
-                residual["observations"],
-                residual["rms_ms"],
-                residual["mean_abs_pct"],
-            )
-        )
+    rule = getattr(snn.engine, "rule", None)
+    if rule is not None:
+        print(f"rule: {rule()}")
 
 
 def _run_fig7(args) -> None:
@@ -514,10 +493,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
                         help="process-backed engine replicas behind the "
                         "batcher (1 = today's in-process worker; N > 1 "
                         "scales across cores)")
-    parser.add_argument("--plan-path", default=None, dest="plan_path",
-                        help="persisted execution-plan file for adaptive "
-                        "engines (shared warm start across restarts and "
-                        "replica pools)")
     parser.add_argument("--hang-timeout", type=float, default=30.0,
                         dest="hang_timeout",
                         help="seconds before a wedged engine run is abandoned "
@@ -567,7 +542,6 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         p99_budget_ms=args.p99_budget_ms,
         engine=args.engine,
         serve_workers=args.serve_workers,
-        plan_path=args.plan_path,
         max_batch_size=args.max_batch,
         max_queue_depth=args.max_queue,
         hang_timeout_seconds=args.hang_timeout,
@@ -620,9 +594,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="dense",
         help="SNN simulation backend for training artefacts: full dense "
         "recompute per timestep, sparse event propagation, "
-        "time-batched layer-sequential execution, or the adaptive "
-        "auto backend (profiles a calibration run, then picks "
-        "GEMM vs COO row-subset per layer; fastest)",
+        "time-batched layer-sequential execution, or auto "
+        "(event-batched: a density rule picks GEMM or COO row-subset "
+        "per layer on every call; fastest)",
     )
     parser.add_argument(
         "--input-format",

@@ -84,7 +84,7 @@ def accuracy_vs_timesteps_experiment(
     """Run the full pipeline and return the accuracy-vs-T curve.
 
     ``engine`` selects the SNN simulation backend (``"dense"``,
-    ``"event"``, ``"batched"`` or the adaptive ``"auto"``); accuracy is
+    ``"event"``, ``"batched"`` or ``"auto"``); accuracy is
     backend-independent, wall clock is not — the batched and auto
     backends compute the whole accuracy-vs-T curve from one
     layer-sequential pass.

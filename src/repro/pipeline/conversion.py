@@ -155,7 +155,7 @@ def run_conversion_pipeline(
     ``max_timesteps`` (default ``max(timesteps, 16)``) controls how far
     the per-step accuracy curve extends — paper Figs. 7/9 plot up to ~30.
     ``engine`` selects the SNN execution backend (``"dense"``,
-    ``"event"``, ``"batched"`` or the adaptive ``"auto"``); the accuracy
+    ``"event"``, ``"batched"`` or ``"auto"``); the accuracy
     numbers are independent of it.
     """
     say = progress or (lambda message: None)

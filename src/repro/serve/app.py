@@ -19,7 +19,7 @@ Routes
 ``GET /metrics``
     One JSON snapshot: request rate, p50/p99 latency, queue depth,
     shed/reject counters, breaker state and trip count, engine-worker
-    restarts and observed re-plans.
+    restarts.
 ``POST /v1/infer``
     The inference path: bearer auth (optional), JSON body with a
     single-sample ``input`` plus optional ``deadline_ms`` /
@@ -66,7 +66,6 @@ from repro.serve.middleware import (
 from repro.serve.pool import EngineWorkerPool
 from repro.snn import convert_to_snn
 from repro.snn.engines import make_engine
-from repro.snn.engines.costmodel import CostModel, cost_model_path_for
 from repro.snn.engines.service import EngineWorker
 from repro.tensor import Tensor, no_grad
 
@@ -99,7 +98,6 @@ class ServeConfig:
     degrade_cooldown_seconds: float = 2.0
     engine: str = "auto"
     serve_workers: int = 1                # engine replicas (1 = in-process)
-    plan_path: Optional[str] = None       # persisted execution plans
     max_batch_size: int = 8
     max_queue_depth: int = 64
     max_inflight_bytes: int = 64 * 1024 * 1024
@@ -162,15 +160,6 @@ class InferenceServer:
         self.input_shape = tuple(int(s) for s in input_shape)
         self.metrics = ServingMetrics()
         engine = make_engine(cfg.engine)
-        if cfg.plan_path and hasattr(engine, "load_plans"):
-            # make_engine takes no kwargs; thread the plan file through
-            # post-construction.  Plans and the sibling cost model are
-            # caches — missing files just mean a cold calibration.
-            engine.plan_path = cfg.plan_path
-            engine.load_plans(missing_ok=True)
-            engine.cost_model = CostModel.load(
-                cost_model_path_for(cfg.plan_path)
-            )
         engine.bind(model)
         if cfg.serve_workers > 1:
             # Process-parallel engine replicas.
@@ -183,7 +172,6 @@ class InferenceServer:
                 breaker_failure_threshold=cfg.breaker_failure_threshold,
                 breaker_reset_seconds=cfg.breaker_reset_seconds,
                 spawn_spec=cfg.engine,
-                plan_path=cfg.plan_path,
             )
             self.metrics.set_section("pool", self.worker.snapshot)
         else:
@@ -414,13 +402,7 @@ class InferenceServer:
         snapshot["worker"] = {
             "restarts": self.worker.restarts,
             "runs_completed": self.worker.runs_completed,
-            "replans_seen": self.worker.replans_seen,
         }
-        planner = self.worker.planner_snapshot()
-        if planner is not None:
-            # Adaptive engines only: current plans, calibration/re-plan
-            # counters and cost-model residuals for drift diagnosis.
-            snapshot["planner"] = planner
         snapshot["degrade"] = {
             "current_timesteps": self.batcher.degrade.current,
             "full_timesteps": self.batcher.degrade.full_timesteps,

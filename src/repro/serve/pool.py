@@ -5,7 +5,7 @@ batch through a single GIL-bound thread, so serving throughput is
 capped at one core.  :class:`EngineWorkerPool` replicates the engine
 across **N worker processes** and keeps the rest of the serving stack
 unchanged: it duck-types the worker's surface (``run_async`` /
-``submit`` / counters / ``planner_snapshot`` / ``health_probe`` /
+``submit`` / counters / ``health_probe`` /
 ``shutdown``) plus a ``capacity`` attribute the micro-batcher uses to
 keep up to N batches in flight.
 
@@ -18,12 +18,10 @@ mechanism-decision table records the cost of that pickling.
 Replication strategy:
 
 * **fork** (Linux/macOS): replicas are forked *after* the parent probes
-  the engine, so model weights, compiled execution plans and the cost
-  model are inherited copy-on-write — zero weight copies, and every
-  replica starts from the identical plan cache (which is what keeps
-  pool responses bit-identical to the single-worker path).  The
-  inherited ``AutoEngine`` owner-pid guard means replicas never write
-  the plan file.
+  the engine, so model weights and the effective-weight cache are
+  inherited copy-on-write — zero weight copies.  Every engine is
+  bitwise equal to its own single-worker run, so pool responses are
+  bit-identical to the single-worker path.
 * **spawn** (elsewhere): the model and engine spec are pickled once per
   replica at start — a one-time weight broadcast, never per-request.
 
@@ -75,20 +73,13 @@ def pool_start_method() -> str:
 def _materialise_engine(payload: dict):
     """Build the replica's bound engine from the start-method payload."""
     if payload["mode"] == "fork":
-        # Nothing was pickled: the engine (weights, plan cache, cost
-        # model) arrived copy-on-write through fork.
+        # Nothing was pickled: the engine (weights, caches) arrived
+        # copy-on-write through fork.
         return payload["engine"]
     from repro.snn.engines import make_engine
 
     engine = make_engine(payload["spec"])
     engine.bind(payload["model"])
-    plan_path = payload.get("plan_path")
-    loader = getattr(engine, "load_plans", None)
-    if plan_path and loader is not None:
-        try:
-            loader(plan_path, missing_ok=True)
-        except Exception:  # noqa: BLE001 - plans are a cache, never required
-            logger.warning("replica could not load plans from %s", plan_path)
     return engine
 
 
@@ -137,18 +128,11 @@ def _replica_main(index: int, payload: dict, request_queue, response_queue) -> N
             "attempt": item.get("attempt"),
         }
         try:
-            density = item.get("density")
-            observe = getattr(engine, "observe_density_prior", None)
-            if observe is not None and density is not None:
-                observe(item.get("kind", "dense"), float(density))
             run = engine.run(item["x"], int(item["timesteps"]), per_step=True)
             response.update(
                 ok=True,
                 per_step=np.stack(run.per_step),
-                stats={
-                    "replan_triggered": bool(run.stats.replan_triggered),
-                    "wall_clock_seconds": float(run.stats.wall_clock_seconds),
-                },
+                stats={"wall_clock_seconds": float(run.stats.wall_clock_seconds)},
             )
         except BaseException as error:  # noqa: BLE001 - replica must answer
             response.update(ok=False, error=f"{type(error).__name__}: {error}")
@@ -207,7 +191,6 @@ class _PoolStats:
     timesteps: int
     engine: str
     wall_clock_seconds: float
-    replan_triggered: bool = False
 
 
 @dataclass
@@ -225,7 +208,7 @@ class EngineWorkerPool:
     Parameters mirror :class:`EngineWorker` where they overlap; the
     engine must already be bound.  The parent runs warm-up probes
     through its own engine *before* starting replicas so fork children
-    inherit compiled plans.
+    inherit its warm caches.
     """
 
     def __init__(
@@ -239,7 +222,6 @@ class EngineWorkerPool:
         breaker_failure_threshold: int = 3,
         breaker_reset_seconds: float = 2.0,
         spawn_spec: Optional[str] = None,
-        plan_path: Optional[str] = None,
     ) -> None:
         if engine.model is None:
             raise ValueError("engine must be bound to a model (call bind() first)")
@@ -254,12 +236,10 @@ class EngineWorkerPool:
         self.max_batch_size = int(max_batch_size)
         self.start_method = pool_start_method()
         self._spawn_spec = spawn_spec
-        self._plan_path = plan_path
 
         # Worker-interface counters (the batcher and /metrics read these).
         self.restarts = 0
         self.runs_completed = 0
-        self.replans_seen = 0
 
         self._lock = threading.Lock()
         self._closed = False
@@ -270,8 +250,8 @@ class EngineWorkerPool:
         self._rid_counter = 0
         self._dispatches: Dict[int, _Dispatch] = {}
 
-        # Warm the parent engine before forking: compiles plans for the
-        # single-sample and full-batch keys, inherited by replicas.
+        # Warm the parent engine before forking: the single-sample and
+        # full-batch runs fill the caches replicas inherit.
         probe = np.zeros((1,) + self.probe_shape, dtype=np.float32)
         serve_t = int(serve_timesteps or self.probe_timesteps)
         self._engine.run(probe, serve_t, per_step=True)
@@ -312,7 +292,6 @@ class EngineWorkerPool:
             "mode": "spawn",
             "spec": self._spawn_spec or "auto",
             "model": self._engine.model,
-            "plan_path": self._plan_path,
         }
 
     def _start_replica(self, replica: _Replica) -> None:
@@ -410,22 +389,12 @@ class EngineWorkerPool:
                 raise RuntimeError("the worker pool is shut down")
             self._rid_counter += 1
             rid = self._rid_counter
-            density = float(np.count_nonzero(x)) / max(x.size, 1)
-            # Feed the parent engine's density prior too: /metrics
-            # reports the parent's planner snapshot, and replicas built
-            # after a rebuild fork from the parent — so a fresh replica
-            # warm-starts from the traffic observed so far.
-            observe = getattr(self._engine, "observe_density_prior", None)
-            if observe is not None:
-                observe("dense", density)
             dispatch = _Dispatch(
                 rid=rid,
                 descriptor={
                     "req": rid,
                     "x": x,
                     "timesteps": timesteps,
-                    "density": density,
-                    "kind": "dense",
                 },
                 work=int(x.shape[0]) * timesteps,
                 timesteps=timesteps,
@@ -532,10 +501,7 @@ class EngineWorkerPool:
                 if replica is not None:
                     replica.breaker.record_success()
                     replica.completed += 1
-                stats = result.stats
                 self.runs_completed += 1
-                if stats.replan_triggered:
-                    self.replans_seen += 1
         if dispatch.future.done():
             return
         if error is not None:
@@ -552,7 +518,6 @@ class EngineWorkerPool:
             timesteps=dispatch.timesteps,
             engine=type(self._engine).__name__,
             wall_clock_seconds=float(raw.get("wall_clock_seconds", 0.0)),
-            replan_triggered=bool(raw.get("replan_triggered", False)),
         )
         per_step = [stacked[t] for t in range(stacked.shape[0])]
         return PoolRun(
@@ -609,14 +574,6 @@ class EngineWorkerPool:
     def pending(self) -> int:
         with self._lock:
             return len(self._dispatches)
-
-    def planner_snapshot(self) -> Optional[dict]:
-        """The parent engine's planner state (replicas inherit it at
-        start; their in-process learning stays replica-local)."""
-        snapshot = getattr(self._engine, "planner_snapshot", None)
-        if snapshot is None:
-            return None
-        return snapshot()
 
     def health_probe(self, timeout: Optional[float] = 5.0) -> ProbeResult:
         """One canary batch through the pool's normal scheduling path."""

@@ -13,9 +13,8 @@ with spike rate, like the paper's hardware), ``"batched"``
 all T timesteps), ``"event-batched"`` (the time-batched schedule with
 COO-native gathers: one row-subset GEMM per layer covering all T
 timesteps, bitwise identical to ``"batched"`` and faster at low input
-density) or ``"auto"`` (profiles a calibration run and compiles a
-cached per-layer GEMM/event-batched plan, bitwise equal to
-``"batched"``).  The time-stacked backends run a large batch as sample
+density; ``"auto"`` is another name for it: a per-layer density rule
+picks GEMM or the row-subset kernel on every call).  The time-stacked backends run a large batch as sample
 blocks in lanes, one per usable core.
 """
 
@@ -31,7 +30,6 @@ from repro.snn.convert import convert_to_snn, spiking_layers
 from repro.snn.spikes import SpikeStream, SpikeTrace, StepSpikes
 from repro.snn.stats import LayerStats, RunStats
 from repro.snn.engines import (
-    AutoEngine,
     DenseEngine,
     EventBatchedEngine,
     SimulationEngine,
@@ -74,7 +72,6 @@ __all__ = [
     "spiking_layers",
     "SpikingNetwork",
     "SimulationEngine",
-    "AutoEngine",
     "DenseEngine",
     "EventBatchedEngine",
     "SparseEventEngine",

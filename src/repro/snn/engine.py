@@ -2,7 +2,7 @@
 
 The engine layer grew from one 800-line module into the
 ``repro.snn.engines`` package (``base`` / ``dense`` / ``event`` /
-``batched`` / ``auto`` plus the ``profiling`` and ``sharding``
+``batched`` / ``event_batched`` plus the ``profiling`` and ``sharding``
 infrastructure).  Every public name that ever lived here keeps
 importing from this module unchanged::
 
@@ -15,16 +15,13 @@ New code should import from :mod:`repro.snn.engines` directly.
 from __future__ import annotations
 
 from repro.snn.engines import (
-    AutoEngine,
     DenseEngine,
     ENGINES,
     conv_active_windows,
     pooled_coords,
     EngineRun,
     EngineSpec,
-    ExecutionPlan,
     LRUCache,
-    LayerDecision,
     SHARD_MODES,
     SimulationEngine,
     SparseEventEngine,
@@ -42,14 +39,11 @@ from repro.snn.engines import (
 from repro.snn.engines.base import _dense_op_count, _effective_weight
 
 __all__ = [
-    "AutoEngine",
     "DenseEngine",
     "ENGINES",
     "EngineRun",
     "EngineSpec",
-    "ExecutionPlan",
     "LRUCache",
-    "LayerDecision",
     "SHARD_MODES",
     "SimulationEngine",
     "SparseEventEngine",

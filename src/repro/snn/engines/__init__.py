@@ -18,14 +18,14 @@ behind one :class:`SimulationEngine` interface:
     The wall-clock backend: layer-outer/time-inner execution, one GEMM
     per stateless layer over a ``(T*N, ...)`` stack.
 
-``AutoEngine`` (:mod:`repro.snn.engines.auto`)
-    The adaptive backend: profiles a calibration run (per-layer wall
-    clock + observed density) and compiles a cached per-layer plan —
-    batched GEMM where dense arithmetic wins, the COO row-subset kernel
-    where the measured sparsity pays, the same measure-then-specialise
-    loop the paper's mapper applies in hardware.  Both kernels compute
-    the same floats, so every plan is bitwise equal to the batched
-    engine.
+``EventBatchedEngine`` (:mod:`repro.snn.engines.event_batched`)
+    The time-stacked schedule with COO-native layers, and the default
+    (``"auto"`` is its name too).  Like the paper's accelerator, it
+    decides each synapse layer's kernel from the spikes that layer
+    receives: one deterministic density rule picks the batched GEMM or
+    the COO row-subset kernel per layer and per call, and both compute
+    the same floats, so it is bitwise equal to the batched engine.
+    ``LayerStats.backend_source`` names the gate that decided.
 
 All engines run the *same* module graph — backends install
 per-instance forward interceptors for the duration of a run — so
@@ -50,14 +50,6 @@ from __future__ import annotations
 
 from typing import Union
 
-from repro.snn.engines.auto import (
-    AutoEngine,
-    DENSITY_BUCKET_EDGES,
-    ExecutionPlan,
-    LayerDecision,
-    PLAN_CACHE_CAPACITY,
-    density_bucket,
-)
 from repro.snn.engines.base import (
     EngineRun,
     LRUCache,
@@ -67,11 +59,6 @@ from repro.snn.engines.base import (
     _effective_weight,
 )
 from repro.snn.engines.batched import TimeBatchedEngine
-from repro.snn.engines.costmodel import (
-    CostModel,
-    cost_model_path_for,
-    sparse_feature_ops,
-)
 from repro.snn.engines.dense import DenseEngine, dense_conv2d
 from repro.snn.engines.event import (
     SparseEventEngine,
@@ -112,8 +99,8 @@ ENGINES = {
     "time-batched": TimeBatchedEngine,  # alias
     "event-batched": EventBatchedEngine,
     "coo": EventBatchedEngine,  # alias
-    "auto": AutoEngine,
-    "adaptive": AutoEngine,  # alias
+    "auto": EventBatchedEngine,  # the default name: the density rule
+    "adaptive": EventBatchedEngine,  # alias
 }
 
 EngineSpec = Union[str, SimulationEngine]
@@ -134,9 +121,6 @@ def make_engine(spec: EngineSpec = "dense") -> SimulationEngine:
 
 
 __all__ = [
-    "AutoEngine",
-    "CostModel",
-    "DENSITY_BUCKET_EDGES",
     "DenseEngine",
     "ENGINES",
     "EngineRun",
@@ -145,10 +129,7 @@ __all__ = [
     "ProbeResult",
     "WorkerTimeout",
     "EventBatchedEngine",
-    "ExecutionPlan",
     "LRUCache",
-    "LayerDecision",
-    "PLAN_CACHE_CAPACITY",
     "DEFAULT_SHARD_POLICY",
     "SHARD_MODES",
     "ShardExecutionError",
@@ -163,15 +144,12 @@ __all__ = [
     "run_supervised",
     "split_bounds",
     "conv_active_windows",
-    "cost_model_path_for",
     "dense_conv2d",
-    "density_bucket",
     "fork_available",
     "make_engine",
     "pooled_coords",
     "profiled_call",
     "resolve_shard_mode",
-    "sparse_feature_ops",
     "sparse_linear",
     "sparse_conv2d",
 ]

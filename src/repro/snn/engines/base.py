@@ -51,9 +51,8 @@ class LRUCache:
     """A small thread-safe least-recently-used mapping.
 
     Long-lived processes bind engines to many models over time; every
-    cross-run cache in the engine layer (effective weights, compiled
-    execution plans) is bounded by one of these so memory cannot grow
-    without limit.  The lock makes it shareable between the sibling
+    cross-run cache in the engine layer (effective weights) is bounded
+    by one of these so memory cannot grow without limit.  The lock makes it shareable between the sibling
     engines lanes run on, which deduplicates work across lanes.
     """
 
@@ -79,7 +78,7 @@ class LRUCache:
                 self._data.popitem(last=False)
 
     def pop(self, key, default=None):
-        """Remove and return an entry (drift-triggered plan invalidation)."""
+        """Remove and return an entry."""
         with self._lock:
             return self._data.pop(key, default)
 
@@ -203,8 +202,7 @@ class SimulationEngine(abc.ABC):
     near-zero-overhead ``perf_counter`` pair that attributes wall clock
     (and, for synapse layers, observed input density) to each layer's
     :class:`repro.snn.stats.LayerStats` — the data behind
-    :meth:`repro.snn.stats.RunStats.profile_table` and the adaptive
-    engine's calibration.
+    :meth:`repro.snn.stats.RunStats.profile_table`.
     """
 
     name: str = "abstract"
@@ -301,16 +299,15 @@ class SimulationEngine(abc.ABC):
         Every block is a plain :meth:`_run_single`; their logits are
         concatenated in batch order and their statistics merged.  Blocks
         run concurrently in lanes, one per usable core
-        (:mod:`repro.snn.engines.lanes`), unless the engine declines
-        (:meth:`_lanes_ready`) or the machine cannot; otherwise
-        serially.  The bound model's stateful neurons keep the membrane
-        and spike state of the last block it ran.
+        (:mod:`repro.snn.engines.lanes`), unless the machine cannot;
+        otherwise serially.  The bound model's stateful neurons keep the
+        membrane and spike state of the last block it ran.
         """
         bounds = self._sample_blocks(int(x.shape[0]), timesteps)
         if len(bounds) <= 1:
             return self._run_single(x, timesteps, per_step)
         started = time.perf_counter()
-        count = lane_count(len(bounds)) if self._lanes_ready() else 1
+        count = lane_count(len(bounds))
         if count > 1:
             runs = run_lanes(self, x, timesteps, per_step, bounds, count)
         else:
@@ -319,16 +316,6 @@ class SimulationEngine(abc.ABC):
         merged.stats.wall_clock_seconds = time.perf_counter() - started
         merged.stats.lanes = count
         return merged
-
-    def _lanes_ready(self) -> bool:
-        """Whether the current blocked call may run its blocks in lanes."""
-        return True
-
-    def _enter_lane(self, peer: "SimulationEngine") -> None:
-        """Hand ``peer`` the call-scoped state it needs to run a lane."""
-
-    def _absorb_lanes(self, peers: List["SimulationEngine"]) -> None:
-        """Fold what the lane ``peers`` learned back into this engine."""
 
     def _run_single(self, x: np.ndarray, timesteps: int, per_step: bool) -> EngineRun:
         """One in-process run: reset, instrument, execute, collect stats."""

@@ -186,7 +186,7 @@ class TimeBatchedEngine(SimulationEngine):
         # accounting already computed; a constant T-fold tiling needs
         # only its (N, ...) prefix scanned, scaled by T.  Both are exact
         # — identical numbers to a full count_nonzero pass — so billing
-        # and the adaptive engine's drift decisions are unchanged.
+        # and the event-batched density rule are unchanged.
         known = self._known_nonzero.get(id(data))
         if known is not None and known[0]() is data:
             return known[1]

@@ -15,13 +15,14 @@ the dense planes at four levels of detail:
   (:func:`repro.snn.engines.event.conv_rows`): one GEMM covering all
   T timesteps over rows built by scattering each event into the
   windows it feeds (:func:`repro.snn.engines.event.conv_event_rows`).
-  A linear runs the full GEMM over every stack row, because a GEMM
-  over a row subset may pick another BLAS kernel and differ in the
-  last bit; silent rows still come out as the bias alone.  Where the
-  consumer is proven at bind time (:func:`_coordinate_handoffs`: a
-  neuron feeding a pool, a pool or the model input feeding a conv, in
-  a plain ``Sequential``) only the coordinates travel, behind an
-  all-NaN placeholder, and no dense plane is built between the layers;
+  A linear never reads coordinates: it runs the full GEMM over every
+  stack row, because a GEMM over a row subset may pick another BLAS
+  kernel and differ in the last bit, and bills from the event count.
+  Where the consumer is proven at bind time
+  (:func:`_coordinate_handoffs`: a neuron feeding a pool, a pool or the
+  model input feeding a conv, in a plain ``Sequential``) only the
+  coordinates travel, behind an all-NaN placeholder, and no dense plane
+  is built between the layers;
 * *site values* (gathered conv outputs that feed a proven
   ``Conv2d -> [BatchNorm2d ->] IFNeuron`` chain of a ``Sequential``) —
   the active rows, their ``(rows, C)`` output block and the per-channel
@@ -44,10 +45,12 @@ The count layer is what makes the backend safe at moderate density:
 full-plane coordinate scans cost milliseconds at the sizes where dense
 GEMM wins anyway, so the engine budgets them.  A conv first bounds its
 active-window fraction from the carried count (``events x windows-per-
-event / output rows``); only if the bound passes ``window_pregate``
-does it enumerate windows, and only if the enumerated fraction passes
-``gather_limit`` does it gather — otherwise it falls back to the dense
-kernel having spent O(1) or O(events), not O(plane).
+event / output rows``); only if the bound stays under ``window_pregate``
+does it enumerate windows, and only if the enumerated fraction stays
+under ``gather_limit`` does it gather — otherwise it falls back to the
+dense kernel having spent O(1) or O(events), not O(plane).  These
+gates are the engine's whole per-layer rule (see
+:class:`EventBatchedEngine`).
 
 Every fast path is *bitwise identical* to the dense time-batched
 reference: row-subset GEMMs reduce each output element with the same
@@ -60,8 +63,9 @@ on every cell it keeps (a screened-out cell provably never spikes).
 Logits, per-step outputs, spike counts, membranes and recorded
 densities all match ``TimeBatchedEngine`` exactly; op billing
 matches the event engine (performed ops) on layers that took a
-coordinate path and the dense engines (full MACs) on layers that fell
-back — ``LayerStats.backend`` records which.
+coordinate path or are sparse linears, and the dense engines (full
+MACs) on layers a gate sent to the GEMM first — ``LayerStats.backend``
+and ``LayerStats.backend_source`` record which.
 
 Dense inputs (analog frames) keep the inherited GEMM path per layer, so
 the engine never loses to ``batched`` by more than the O(1) checks; at
@@ -345,28 +349,51 @@ def _avg_pool_values(
 class EventBatchedEngine(TimeBatchedEngine):
     """Time-batched schedule with COO-native layer execution.
 
-    See the module docstring for the dataflow.  ``density_threshold``
-    gates the coordinate paths exactly like the event engine's: a plane
-    whose nonzero fraction reaches it runs the inherited dense GEMM
-    path (and bills dense MACs).  The class-level ``window_pregate``
-    (O(1) bound on the active-window fraction before enumerating) and
-    ``gather_limit`` (enumerated fraction above which one BLAS GEMM
-    beats the row gather) encode this machine's measured crossover; all
-    paths are bitwise identical to :class:`TimeBatchedEngine`, so the
-    thresholds trade wall clock only.
+    See the module docstring for the dataflow.  Registered as
+    ``"event-batched"`` and as ``"auto"``: one deterministic per-layer
+    density rule picks each synapse layer's kernel from the spikes that
+    layer receives on this call, as the paper's accelerator does.  Its
+    gates, in order, each send the layer to the plain GEMM, and
+    ``LayerStats.backend_source`` records the one that decided:
+
+    * ``constant`` — the input is the tiled constant frame;
+    * ``density`` — the nonzero fraction reaches ``density_threshold``
+      (the GEMM bills dense MACs);
+    * ``linear`` — a linear always runs the GEMM over every stack row
+      and bills one op per input event and output feature;
+    * ``pregate`` — the O(1) bound on a conv's active-window fraction
+      reaches ``window_pregate``;
+    * ``rows`` — the enumerated active-row fraction decides: under
+      ``gather_limit`` the conv runs the COO row-subset kernel
+      (backend ``event-batched``), above it one dense GEMM.
+
+    Every path is bitwise identical to :class:`TimeBatchedEngine`, so
+    the thresholds trade wall clock only.
     """
 
     name = "event-batched"
 
     #: Reject the conv gather in O(1) when ``events * windows-per-event``
-    #: reaches this fraction of the output rows (the bound overcounts
-    #: overlaps ~2x at low density, hence > ``gather_limit``).
-    window_pregate = 0.75
+    #: reaches this multiple of the output rows.  The bound counts every
+    #: event of every channel as a separate window, so it overcounts
+    #: badly: the DVS benchmark's third conv (16 input channels, ~0.5%
+    #: dense) reads 0.84-0.95 (seeds 1-3) yet enumerates under
+    #: ``gather_limit`` and runs about 0.8 ms on COO against 6.1 ms on
+    #: GEMM, while every conv of the VGG frame benchmark past the input
+    #: frame reads 18-123.  Any cut from about 1.5 to 10 separates them.
+    window_pregate = 2.0
     #: Row gather + subset GEMM beat one dense GEMM below roughly this
     #: active-row fraction (measured crossover ~0.3 on OpenBLAS).
     gather_limit = 0.3
     #: Build pooled planes in COO form below this input density.
     pool_coo_limit = 0.25
+
+    # perfbench reads these three on every engine run; a rule has no plan.
+    calibration_runs = 0
+    replans_triggered = 0
+
+    def plan_for(self, input_shape, timesteps, kind="dense"):
+        return None
 
     def __init__(
         self, density_threshold: float = 0.6, profile_layers: bool = True
@@ -404,6 +431,14 @@ class EventBatchedEngine(TimeBatchedEngine):
         config = super()._config()
         config["density_threshold"] = self.density_threshold
         return config
+
+    def rule(self) -> str:
+        """The density rule's thresholds, as one line (``--profile``)."""
+        return (
+            f"gemm at input density >= {self.density_threshold}, conv window "
+            f"bound >= {self.window_pregate} or active rows >= "
+            f"{self.gather_limit}; linears always gemm; else event-batched"
+        )
 
     # ------------------------------------------------------------------
     # Carried-structure registry
@@ -457,9 +492,7 @@ class EventBatchedEngine(TimeBatchedEngine):
         values = data.reshape(n, c, s)[sites.rows // s, :, sites.rows % s]
         return _Sites(rows=sites.rows, background=sites.background, values=values)
 
-    def _emit(
-        self, shape: Tuple[int, ...], sites: _Sites, defer: bool, register: bool = True
-    ) -> np.ndarray:
+    def _emit(self, shape: Tuple[int, ...], sites: _Sites, defer: bool) -> np.ndarray:
         """Hand on site values: as a placeholder carrying them when
         ``defer`` (the consumer is proven site-aware), else as their
         dense plane with the sites registered for the dense-plane site
@@ -469,8 +502,7 @@ class EventBatchedEngine(TimeBatchedEngine):
         else:
             out = _dense_plane(shape, sites)
             sites = _Sites(rows=sites.rows, background=sites.background)
-        if register:
-            self._register_sites(out, sites)
+        self._register_sites(out, sites)
         return out
 
     def _materialize(self, data: np.ndarray) -> np.ndarray:
@@ -530,20 +562,19 @@ class EventBatchedEngine(TimeBatchedEngine):
     # ------------------------------------------------------------------
     # Synapse layers
     # ------------------------------------------------------------------
-    def _coo_synapse(
+    def _coo_conv(
         self,
-        module: Module,
+        module: Conv2d,
         data: np.ndarray,
         step: StepSpikes,
         weight: np.ndarray,
         bias: Optional[np.ndarray],
-        register: bool = True,
     ) -> Tuple[np.ndarray, int, bool]:
-        """Run a conv/linear from a coordinate batch.
+        """Run a conv from a coordinate batch.
 
         Returns ``(output, performed_ops, gathered)``; the output is
-        bitwise identical to the dense kernel's either way.  For convs
-        the enumerated active-window fraction decides between the
+        bitwise identical to the dense kernel's either way.  The
+        enumerated active-window fraction decides between the
         row-subset GEMM (:func:`repro.snn.engines.event.conv_rows`) and
         one dense GEMM (``gathered`` records which); performed ops are
         billed from the coordinates in both cases, and the active sites
@@ -553,61 +584,52 @@ class EventBatchedEngine(TimeBatchedEngine):
         may be a coordinate placeholder; every dense kernel reads its
         dense plane.  A gathered conv whose consumer is a proven site
         chain (:func:`_site_chains`) returns a placeholder carrying the
-        site values instead of a dense plane.  ``register=False`` skips
-        registration (calibration trials whose outputs are discarded).
+        site values instead of a dense plane.
         """
-        if isinstance(module, Conv2d):
-            k, s_, p = module.kernel_size, module.stride, module.padding
-            oh = _conv_out_size(data.shape[2], k, s_, p)
-            ow = _conv_out_size(data.shape[3], k, s_, p)
-            shape = (data.shape[0], module.out_channels, oh, ow)
-            windows = shape[0] * oh * ow
-            amplitude = step.scale if step.values is None else step.values
-            active_rows, entries, block = conv_event_rows(
-                step.coords, amplitude, data.shape, k, s_, p, data.dtype,
-                max_rows=self.gather_limit * windows,
-            )
-            performed = entries * module.out_channels
-            background = np.zeros(
-                module.out_channels, dtype=np.result_type(data.dtype, weight.dtype)
-            )
-            if bias is not None:
-                background = background + bias  # a silent window's 0 + bias
-            gathered = block is not None
-            if gathered:
-                values = conv_rows(block, weight, bias, active_rows, windows)
-                out = self._emit(
-                    shape,
-                    _Sites(active_rows, background, values),
-                    self._defers(module),
-                    register,
-                )
-            else:
-                out = dense_conv2d(self._materialize(data), weight, bias, s_, p)
-                if register:
-                    self._register_sites(out, _Sites(active_rows, background))
-            if register:
-                self._register_count(
-                    out,
-                    min(active_rows.size * module.out_channels, out.size),
-                    exact=False,
-                )
-            return out, performed, gathered
-        performed = step.num_events * weight.shape[0]
-        out = self._materialize(data) @ weight.T
+        k, s_, p = module.kernel_size, module.stride, module.padding
+        oh = _conv_out_size(data.shape[2], k, s_, p)
+        ow = _conv_out_size(data.shape[3], k, s_, p)
+        shape = (data.shape[0], module.out_channels, oh, ow)
+        windows = shape[0] * oh * ow
+        amplitude = step.scale if step.values is None else step.values
+        active_rows, entries, block = conv_event_rows(
+            step.coords, amplitude, data.shape, k, s_, p, data.dtype,
+            max_rows=self.gather_limit * windows,
+        )
+        performed = entries * module.out_channels
+        background = np.zeros(
+            module.out_channels, dtype=np.result_type(data.dtype, weight.dtype)
+        )
         if bias is not None:
-            out += bias
-        return out, performed, True
+            background = background + bias  # a silent window's 0 + bias
+        gathered = block is not None
+        if gathered:
+            values = conv_rows(block, weight, bias, active_rows, windows)
+            out = self._emit(
+                shape, _Sites(active_rows, background, values), self._defers(module)
+            )
+        else:
+            out = dense_conv2d(self._materialize(data), weight, bias, s_, p)
+            self._register_sites(out, _Sites(active_rows, background))
+        self._register_count(
+            out, min(active_rows.size * module.out_channels, out.size), exact=False
+        )
+        return out, performed, gathered
 
     def _make_interceptor(self, module, stat, orig):
         gemm = super()._make_interceptor(module, stat, orig)
         is_conv = isinstance(module, Conv2d)
 
+        def on_gemm(source: str, x: Tensor) -> Tensor:
+            stat.backend, stat.backend_source = "gemm", source
+            return gemm(x)
+
         def forward(x: Tensor) -> Tensor:
+            # The density rule: each gate below may send the layer to the
+            # GEMM; ``backend_source`` records the one that decided.
             data = x.data
             if id(data) in self._constant_arrays:
-                stat.backend = "gemm"
-                return gemm(x)
+                return on_gemm("constant", x)
             info = self._carried_count(data)
             if info is None:
                 # Unknown plane (flattened features, residual sums):
@@ -616,32 +638,50 @@ class EventBatchedEngine(TimeBatchedEngine):
             else:
                 count, exact = info
             if count >= self.density_threshold * data.size:
-                stat.backend = "gemm"
-                return gemm(Tensor(self._materialize(data)))
-            if is_conv:
-                k, s_, p = module.kernel_size, module.stride, module.padding
-                oh = _conv_out_size(data.shape[2], k, s_, p)
-                ow = _conv_out_size(data.shape[3], k, s_, p)
-                nwin = (1 + (k - 1) // s_) ** 2
-                if count * nwin >= self.window_pregate * data.shape[0] * oh * ow:
-                    # O(1) rejection: even the loosest bound on the
-                    # active-window fraction says one GEMM wins.
-                    stat.backend = "gemm"
-                    return gemm(Tensor(self._materialize(data)))
+                return on_gemm("density", Tensor(self._materialize(data)))
+            if not is_conv:
+                return self._sparse_linear(module, stat, data, count, exact)
+            k, s_, p = module.kernel_size, module.stride, module.padding
+            oh = _conv_out_size(data.shape[2], k, s_, p)
+            ow = _conv_out_size(data.shape[3], k, s_, p)
+            nwin = (1 + (k - 1) // s_) ** 2
+            if count * nwin >= self.window_pregate * data.shape[0] * oh * ow:
+                # O(1) rejection: even the loosest bound on the
+                # active-window fraction says one GEMM wins.
+                return on_gemm("pregate", Tensor(self._materialize(data)))
             step = self._carried_coords(data)
             if step is None:
                 step = _scanned_events(data)
             stat.dense_synaptic_ops += _dense_op_count(module, data.shape)
             weight = _effective_weight(module, self._weight_cache)
             bias = module.bias.data if module.bias is not None else None
-            out, performed, gathered = self._coo_synapse(
-                module, data, step, weight, bias
-            )
+            out, performed, gathered = self._coo_conv(module, data, step, weight, bias)
             stat.synaptic_ops += performed
             stat.backend = "event-batched" if gathered else "gemm"
+            stat.backend_source = "rows"
             return Tensor(out)
 
         return forward
+
+    def _sparse_linear(self, module, stat, data, count: int, exact: bool) -> Tensor:
+        """A sparse linear: the plain GEMM over every stack row, billed
+        one op per (input event, output feature).
+
+        A GEMM over the rows with events alone may pick another BLAS
+        kernel for the smaller M and differ in the last bit, so the
+        coordinates buy nothing here; only a bounded count is rescanned
+        for the exact one.
+        """
+        dense = self._materialize(data)
+        if not exact:
+            count = int(np.count_nonzero(dense))
+        stat.synaptic_ops += count * module.out_features
+        stat.dense_synaptic_ops += _dense_op_count(module, data.shape)
+        stat.backend, stat.backend_source = "gemm", "linear"
+        out = dense @ _effective_weight(module, self._weight_cache).T
+        if module.bias is not None:
+            out += module.bias.data
+        return Tensor(out)
 
     # ------------------------------------------------------------------
     # Stateless layers: BN at active sites, COO pooling

@@ -30,10 +30,7 @@ Blocks run serially, exactly as without lanes, when
 * the call forms fewer than 2 blocks, or the process has fewer than 2
   usable cores (``os.sched_getaffinity``);
 * the loaded BLAS does not export ``openblas_set_num_threads_local``
-  (another BLAS, or an older OpenBLAS);
-* the engine declines (:meth:`SimulationEngine._lanes_ready`): the auto
-  engine does until the call's block key has a plan, so a cold call
-  still calibrates serially.
+  (another BLAS, or an older OpenBLAS).
 """
 
 from __future__ import annotations
@@ -193,8 +190,7 @@ def run_lanes(
 
     Returns the blocks' :class:`EngineRun` records in batch order.
     Every lane joins before an error propagates (the first in batch
-    order wins), and the sibling engines' payloads are folded back into
-    ``engine`` (:meth:`SimulationEngine._absorb_lanes`) either way.
+    order wins).
     """
     groups = [bounds[lo:hi] for lo, hi in split_bounds(len(bounds), lanes)]
     peers = _thread_peers_for(engine, len(groups) - 1)
@@ -203,15 +199,12 @@ def run_lanes(
         return [runner._run_single(x[lo:hi], timesteps, per_step) for lo, hi in blocks]
 
     with one_blas_thread(blas_thread_setter()):
-        for peer in peers:
-            engine._enter_lane(peer)
         pool = _lane_pool(max(usable_cores(), len(groups)) - 1)
         futures = [pool.submit(lane, peer, blocks) for peer, blocks in zip(peers, groups[1:])]
         try:
             runs = lane(engine, groups[0])
         finally:
             wait(futures)
-            engine._absorb_lanes(peers)
         for future in futures:
             runs.extend(future.result())
     return runs

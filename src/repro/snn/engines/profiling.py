@@ -8,8 +8,7 @@ layer *call* (one call per run on the batched schedule, one per
 timestep on the time-outer engines), accumulated straight onto the
 layer's :class:`repro.snn.stats.LayerStats`.  Synapse layers
 additionally record the observed input density (nonzero fraction),
-which is what sets event-driven cost and is the second axis of the
-adaptive engine's execution plan.
+which is what sets event-driven cost.
 
 The wrapper is only installed when ``SimulationEngine.profile_layers``
 is on (the default); the overhead is a few hundred nanoseconds plus one
@@ -39,11 +38,7 @@ def profiled_call(
 
     The timer brackets only ``fn`` itself; the density count runs
     outside the timed region so profiling overhead is never billed to
-    the layer.  Density is recorded *before* the layer executes: the
-    adaptive engine's mid-run drift guard reads the current layer's
-    observed density off ``stat`` inside the interceptor to decide
-    whether to swap the plan at this very layer boundary, so the number
-    must already be there when ``fn`` runs.  ``nonzero_of`` lets the
+    the layer.  ``nonzero_of`` lets the
     engine answer the nonzero count from metadata it already carries
     (COO stream coordinates) — a ``None`` return falls back to scanning
     the plane.

@@ -18,8 +18,7 @@ give it:
   abandon the wedged thread together with the model whose interceptors
   it still holds, and rebuild the slot on a sibling engine bound to a
   weight-sharing clone (:func:`clone_for_inference`).  Weights are
-  never copied, warm cross-run caches (effective weights, compiled
-  execution plans) are shared with the replacement, and the stuck
+  never copied, warm cross-run caches (effective weights) are shared with the replacement, and the stuck
   thread dies with the process.  :meth:`EngineWorker.health_probe`
   runs a tiny canary inference through the same slot so liveness means
   "the engine actually completes work", not "the process exists".
@@ -98,7 +97,6 @@ class EngineWorker:
         self._executor = self._fresh_executor()
         self.restarts = 0          # wedged slots abandoned and rebuilt
         self.runs_completed = 0
-        self.replans_seen = 0      # planner drift events observed in runs
 
     # ------------------------------------------------------------------
     def _fresh_executor(self) -> ThreadPoolExecutor:
@@ -120,17 +118,9 @@ class EngineWorker:
     def _run(self, x, timesteps: int, per_step: bool) -> EngineRun:
         if self.probe_shape is None and hasattr(x, "shape"):
             self.probe_shape = tuple(int(s) for s in x.shape[1:])
-        observe = getattr(self._engine, "observe_density_prior", None)
-        if observe is not None and isinstance(x, np.ndarray):
-            # Serving-observed density feeds the planner's EWMA prior so
-            # cold plan keys warm-start from real traffic (one
-            # count_nonzero pass — noise next to a T-timestep run).
-            observe("dense", float(np.count_nonzero(x)) / max(x.size, 1))
         run = self._engine.run(x, timesteps, per_step=per_step)
         with self._lock:
             self.runs_completed += 1
-            if run.stats.replan_triggered:
-                self.replans_seen += 1
         return run
 
     def submit(self, x, timesteps: int, per_step: bool = False) -> Future:
@@ -170,9 +160,8 @@ class EngineWorker:
         The old executor is shut down without waiting — its thread, if
         stuck, keeps the *old* model's interceptors and dies with the
         process.  The replacement engine is a sibling (same
-        configuration, shared thread-safe cross-run caches, so compiled
-        plans and effective weights stay warm) bound to a fresh
-        structural clone that shares every weight array with the
+        configuration, shared thread-safe cross-run caches, so
+        effective weights stay warm) bound to a fresh structural clone that shares every weight array with the
         original model.
         """
         with self._lock:
@@ -187,20 +176,6 @@ class EngineWorker:
             "abandoned, engine rebuilt on a weight-sharing model clone",
             self.restarts,
         )
-
-    # ------------------------------------------------------------------
-    def planner_snapshot(self) -> Optional[dict]:
-        """The engine's planner state, when the engine has a planner.
-
-        ``AutoEngine.planner_snapshot()`` passed through (cached plans,
-        calibration/re-plan counters, cost-model fit quality); ``None``
-        for fixed-backend engines.  Slot restarts preserve it: sibling
-        engines share the plan cache and cost model.
-        """
-        snapshot = getattr(self._engine, "planner_snapshot", None)
-        if snapshot is None:
-            return None
-        return snapshot()
 
     # ------------------------------------------------------------------
     def health_probe(self, timeout: Optional[float] = 5.0) -> ProbeResult:

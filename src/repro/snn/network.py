@@ -11,9 +11,9 @@ backend: ``engine="dense"`` re-runs the full model every timestep (the
 reference), ``engine="event"`` propagates only active spike events so
 per-timestep cost scales with spike rate, like the paper's hardware,
 ``engine="batched"`` time-batches all T timesteps into one
-layer-sequential pass, and ``engine="auto"`` profiles a calibration
-run and compiles a cached per-layer GEMM/event plan (the fastest
-software path).  The time-stacked engines run a large batch as sample
+layer-sequential pass, and ``engine="auto"`` (``"event-batched"``)
+adds COO-native layers that a per-layer density rule picks on every
+call (the fastest software path).  The time-stacked engines run a large batch as sample
 blocks in lanes, one per usable core.  Every run leaves a
 :class:`repro.snn.stats.RunStats` on ``last_run_stats`` with per-layer
 spike rates, synaptic-op counts and the wall-clock/density profile

@@ -20,9 +20,9 @@ Conventions:
   that layer's forward across the run (near-zero-overhead
   ``perf_counter`` deltas recorded by the engine interceptors);
   ``input_nonzero`` / ``input_size`` accumulate the observed input
-  density of synapse layers — together these are the profile the
-  adaptive engine's per-layer plan is compiled from, rendered by
-  :meth:`RunStats.profile_table`.
+  density of synapse layers — together with each synapse layer's
+  ``backend`` and the gate that chose it (``backend_source``) this is
+  the profile rendered by :meth:`RunStats.profile_table`.
 * Cycle fields are only filled by the hardware model.
 """
 
@@ -51,13 +51,11 @@ class LayerStats:
     wall_clock_seconds: float = 0.0  # time spent inside this layer's forward
     input_nonzero: int = 0       # nonzero input elements seen (synapse layers)
     input_size: int = 0          # total input elements seen (synapse layers)
-    backend: str = ""            # per-layer backend chosen by the auto engine
-    # Planner v2 provenance: how the backend choice was made ("raced" |
-    # "cost-model" | "re-planned", "" when no planner ran) and the wall
-    # clock the planner expected for the chosen backend, so
-    # predicted-vs-actual ms reads straight off the profile.
+    backend: str = ""            # per-layer kernel the event-batched rule chose
+    # Which gate of that rule decided ("constant" | "density" |
+    # "pregate" | "rows" | "linear"; "" for engines without a per-layer
+    # choice): why this kernel ran for this layer.
     backend_source: str = ""
-    predicted_ms: float = 0.0
 
     @property
     def spike_rate(self) -> float:
@@ -104,7 +102,6 @@ class LayerStats:
             self.backend = other.backend
         if not self.backend_source:
             self.backend_source = other.backend_source
-        self.predicted_ms += other.predicted_ms
         return self
 
 
@@ -166,18 +163,6 @@ class RunStats:
     # serial).  Per-layer wall clock is busy time summed over lanes, so
     # with lanes > 1 it can exceed the run's elapsed wall clock.
     lanes: int = 1
-    # Adaptive-engine drift guard: the worst relative deviation of an
-    # observed layer density from the executed plan's calibration
-    # density, and whether it crossed the re-plan threshold (the next
-    # run for this key recalibrates).
-    plan_drift: float = 0.0
-    replan_triggered: bool = False
-    # Planner v2 provenance: where the executed plan came from ("raced"
-    # | "cost-model" | "re-planned", "" for engines without a planner)
-    # and, when a mid-run re-plan fired, the layer boundary it swapped
-    # at.
-    plan_source: str = ""
-    replanned_at: str = ""
 
     # ------------------------------------------------------------------
     # Aggregates
@@ -294,13 +279,6 @@ class RunStats:
         self.batch_size += other.batch_size
         self.wall_clock_seconds += other.wall_clock_seconds
         self.lanes = max(self.lanes, other.lanes)
-        self.plan_drift = max(self.plan_drift, other.plan_drift)
-        self.replan_triggered = self.replan_triggered or other.replan_triggered
-        # A block that re-planned mid-run outranks blocks that did not.
-        if other.plan_source == "re-planned" or not self.plan_source:
-            self.plan_source = other.plan_source or self.plan_source
-        if not self.replanned_at:
-            self.replanned_at = other.replanned_at
         return self
 
     def layer_table(self) -> str:
@@ -324,16 +302,13 @@ class RunStats:
         density and performed ops.
 
         This is the machine-readable form embedded in the engine
-        benchmark artifact (``BENCH_engines.json``) and the data the
-        adaptive engine's execution plan is compiled from.  ``density``
-        is the layer's input density for synapse layers (what sets
+        benchmark artifact (``BENCH_engines.json``).  ``density`` is the
+        layer's input density for synapse layers (what sets
         event-driven cost) and the spike rate for neuron layers;
         ``backend`` is the per-layer backend the run actually used
         (falling back to the engine name when the engine makes no
-        per-layer choice); ``source`` is how the planner chose it
-        (``"raced"`` | ``"cost-model"`` | ``"re-planned"``, ``""``
-        without a planner) and ``predicted_ms`` the planner's expected
-        wall clock, so predicted-vs-actual reads off each row.
+        per-layer choice); ``source`` is the gate of the event-batched
+        rule that chose it (``""`` without a per-layer choice).
         """
         return [
             {
@@ -342,7 +317,6 @@ class RunStats:
                 "backend": layer.backend or self.engine,
                 "source": layer.backend_source,
                 "wall_clock_ms": round(layer.wall_clock_seconds * 1e3, 3),
-                "predicted_ms": round(layer.predicted_ms, 3),
                 "density": round(layer.density, 6),
                 "synaptic_ops": int(layer.synaptic_ops),
             }
@@ -352,15 +326,12 @@ class RunStats:
     def profile_table(self) -> str:
         """Aligned text table of the per-layer wall-clock profile."""
         lines = [
-            "layer                          kind     backend        source        wall_ms   pred_ms   density    synaptic_ops"
+            "layer                          kind     backend        source        wall_ms   density    synaptic_ops"
         ]
         for row in self.profile_records():
-            predicted = (
-                f"{row['predicted_ms']:>9.3f}" if row["predicted_ms"] else f"{'-':>9}"
-            )
             lines.append(
                 f"{row['name']:<30} {row['kind']:<8} {row['backend']:<13} "
-                f"{row['source'] or '-':<12} {row['wall_clock_ms']:>9.3f} {predicted}  "
+                f"{row['source'] or '-':<12} {row['wall_clock_ms']:>9.3f}  "
                 f"{row['density']:>8.4f}  {row['synaptic_ops']:>14d}"
             )
         attributed = sum(l.wall_clock_seconds for l in self.layers)
@@ -369,14 +340,4 @@ class RunStats:
             f"({attributed * 1e3:.3f} ms attributed to layers); "
             f"engine {self.engine or '?'}, lanes {self.lanes}"
         )
-        if self.plan_source:
-            replanned = (
-                f"; re-planned mid-run at {self.replanned_at}"
-                if self.replanned_at
-                else ""
-            )
-            lines.append(
-                f"plan source {self.plan_source}; drift {self.plan_drift:.3f}"
-                f"{replanned}"
-            )
         return "\n".join(lines)

@@ -1,9 +1,8 @@
 """Crash-safe file writes shared across the repo.
 
-Every JSON artefact a process may be killed while writing — persisted
-execution plans (``AutoEngine.save_plans``), benchmark records
-(``BENCH_engines.json`` / ``BENCH_serving.json`` and the dated files
-under ``benchmarks/history/``), campaign manifests and per-point
+Every JSON artefact a process may be killed while writing — benchmark
+records (``BENCH_engines.json`` / ``BENCH_serving.json`` and the dated
+files under ``benchmarks/history/``), campaign manifests and per-point
 results (``repro.eval.campaign``) — goes through
 :func:`atomic_write_text`: the payload lands in a same-directory temp
 file first and is moved into place with ``os.replace``, which POSIX
@@ -22,9 +21,7 @@ before the rename and the containing directory is fsynced after it, so
 once the call returns the record survives a crash of the whole box.
 Durability costs a couple of disk round-trips per write, so it is opt-in
 — the resumable-campaign records and benchmark history snapshots (the
-artefacts whose entire point is surviving a kill) pass it; hot-path
-cache files like execution plans, which can always be recalibrated, do
-not.
+artefacts whose entire point is surviving a kill) pass it.
 """
 
 from __future__ import annotations

@@ -8,9 +8,7 @@ The contracts under test:
   batch (the serial side has the BLAS setter stubbed out, which is the
   serial fallback);
 * blocks run serially, with no lane pool thread created, when the BLAS
-  setter is missing or one core is usable, and for an ``auto`` call
-  whose key has no plan (it calibrates exactly once);
-* lane peers fold their planner counters into the parent;
+  setter is missing or one core is usable;
 * lane peers are rebuilt when the bound model rebinds something their
   clones share (a neuron threshold, a BN buffer, a train/eval flip),
   and only then;
@@ -33,8 +31,8 @@ import pytest
 
 from repro import nn
 from repro.data import rate_encode_stream
-from repro.snn import IFNeuron, SpikingNetwork
-from repro.snn.engines import AutoEngine, fork_available, make_engine
+from repro.snn import IFNeuron
+from repro.snn.engines import EventBatchedEngine, fork_available, make_engine
 from repro.snn.engines import batched as batched_module
 from repro.snn.engines import lanes as lanes_module
 from repro.snn.engines.batched import TimeBatchedEngine
@@ -42,7 +40,6 @@ from repro.snn.engines.sharding import clone_for_inference
 
 from test_snn_blocked_runs import converted_vgg, frames
 from test_snn_engine import converted_resnet, converted_toy, force_lanes
-from test_snn_planner import ready_cost_model
 
 TIMESTEPS = 4
 ENGINES = ["batched", "event-batched", "auto"]
@@ -100,8 +97,6 @@ class TestLanesMatchSerialBlocks:
         # 37 samples -> blocks 13, 12, 12 -> lanes [13, 12] and [12].
         x = frames(37, seed=40)
         engine = make_engine(engine_name).bind(models[model_name])
-        if engine_name == "auto":
-            engine.run(x, TIMESTEPS)  # the cold call plans the key
         lanes = engine.run(x, TIMESTEPS, per_step=True)
         serial = serial_run(monkeypatch, engine, x)
         assert lanes.stats.lanes == 2
@@ -201,61 +196,6 @@ class TestSerialFallback:
         monkeypatch.setattr(lanes_module, "blas_thread_setter", lambda: (lambda n: 1))
         assert [lanes_module.lane_count(b) for b in (1, 2, 3, 8)] == [1, 2, 3, 4]
 
-    def test_cold_auto_call_calibrates_once_serially(self, models, lanes_on):
-        engine = make_engine("auto").bind(models["vgg"])
-        x = frames(32, seed=46)
-        cold = engine.run(x, TIMESTEPS)
-        assert cold.stats.lanes == 1
-        assert engine.calibration_runs == 1
-        warm = engine.run(x, TIMESTEPS)
-        assert warm.stats.lanes == 2
-        assert engine.calibration_runs == 1
-
-
-class TestPlannerCounters:
-    def test_peer_counters_fold_into_parent(self, models, lanes_on, monkeypatch):
-        engine = make_engine("auto").bind(models["vgg"])
-        x = frames(64, seed=48)  # four blocks: two lanes of two
-        engine.run(x, TIMESTEPS)
-        before = engine.planner_snapshot()
-        real = AutoEngine._run_single
-
-        def counting(self, *args):
-            for name in ("replans_triggered", "warm_starts", "prior_warm_starts"):
-                setattr(self, name, getattr(self, name) + 1)
-            return real(self, *args)
-
-        monkeypatch.setattr(AutoEngine, "_run_single", counting)
-        assert engine.run(x, TIMESTEPS).stats.lanes == 2
-        after = engine.planner_snapshot()
-        for name in ("replans_triggered", "warm_starts", "prior_warm_starts"):
-            assert after[name] - before[name] == 4, name
-        assert after["calibration_runs"] == before["calibration_runs"] == 1
-
-    def test_mid_run_replans_in_lanes_are_counted(self, lanes_on, monkeypatch):
-        monkeypatch.setattr(batched_module, "STACK_BLOCK_ROWS", 2 * TIMESTEPS)
-        engine = AutoEngine(drift_threshold=0.3, cost_model=ready_cost_model())
-        net = SpikingNetwork(converted_toy(), timesteps=TIMESTEPS, engine=engine)
-        rng = np.random.default_rng(49)
-        net.forward(rng.normal(size=(8, 2, 4, 4)).astype(np.float32))
-        replans = []
-        real = AutoEngine._replan_mid_run
-
-        def recording(self, *args):
-            replans.append(self)
-            return real(self, *args)
-
-        monkeypatch.setattr(AutoEngine, "_replan_mid_run", recording)
-        shifted = np.abs(rng.normal(size=(8, 2, 4, 4))).astype(np.float32) * 10.0
-        net.forward(shifted)
-        stats = net.last_run_stats
-        assert stats.lanes == 2
-        assert stats.replan_triggered
-        assert len(replans) >= 1
-        assert engine.replans_triggered == len(replans)
-        assert engine.planner_snapshot()["replans_triggered"] == len(replans)
-        assert engine.calibration_runs == 1
-
 
 def _scale_thresholds(model):
     for module in model.modules():
@@ -335,21 +275,18 @@ class TestLaneFailure:
     def test_peer_error_propagates(self, models, lanes_on, monkeypatch):
         x = frames(32, seed=51)
         engine = make_engine("auto").bind(models["vgg"])
-        engine.run(x, TIMESTEPS)
-        real = AutoEngine._run_single
+        real = EventBatchedEngine._run_single
 
         def failing(self, *args):
             if self is not engine:
                 raise ValueError("peer lane failed")
             return real(self, *args)
 
-        monkeypatch.setattr(AutoEngine, "_run_single", failing)
+        monkeypatch.setattr(EventBatchedEngine, "_run_single", failing)
         with pytest.raises(ValueError, match="peer lane failed"):
             engine.run(x, TIMESTEPS)
-        monkeypatch.setattr(AutoEngine, "_run_single", real)
-        assert all(peer._block_key is None for peer in engine._thread_peers[1])
+        monkeypatch.setattr(EventBatchedEngine, "_run_single", real)
         assert engine.run(x, TIMESTEPS).stats.lanes == 2
-        assert engine.calibration_runs == 1
 
 
 def _child_call(engine, x, conn):

@@ -10,8 +10,6 @@ The contracts under test:
   batches and for COO spike streams;
 * at the production block size, blocked ``batched`` and ``auto`` runs
   stay bitwise equal to the unblocked ``dense`` reference;
-* ``auto`` keys every block of one call to one plan, so a call
-  calibrates at most once, and ``plan_for(full_shape)`` finds it;
 * the same blocks run off the calling thread (in lanes) or in a forked
   process (as a serving pool replica runs them) stay bitwise equal to
   the serial run;
@@ -34,6 +32,7 @@ from repro.snn import convert_to_snn
 from repro.snn.engines import fork_available, make_engine
 from repro.snn.engines import batched as batched_module
 from repro.snn.engines import lanes as lanes_module
+from repro.snn.engines.sharding import split_bounds
 from repro.tensor import Tensor, no_grad
 
 from test_snn_engine import converted_resnet, force_lanes
@@ -138,17 +137,14 @@ class TestBlockedMatchesPerBlockRuns:
         assert run.stats.batch_size == sum(blocks)
         assert [l.spike_count for l in run.stats.layers] == spikes
         assert [l.dense_synaptic_ops for l in run.stats.layers] == dense_ops
-        return engine
 
     @pytest.mark.parametrize("engine_name", BLOCKED_ENGINES)
     @pytest.mark.parametrize("model_name", sorted(MODELS))
     @pytest.mark.parametrize("n, blocks", [(8, [2, 2, 2, 2]), (7, [2, 2, 2, 1])])
     def test_frames(self, models, two_sample_blocks, monkeypatch,
                     engine_name, model_name, n, blocks):
-        engine = self._check(engine_name, models[model_name], frames(n, seed=n),
-                             blocks, monkeypatch)
-        if engine_name == "auto":
-            assert engine.calibration_runs == 1
+        self._check(engine_name, models[model_name], frames(n, seed=n),
+                    blocks, monkeypatch)
 
     @pytest.mark.parametrize("engine_name", BLOCKED_ENGINES)
     def test_spike_stream(self, models, two_sample_blocks, monkeypatch, engine_name):
@@ -175,27 +171,6 @@ class TestBlockedMatchesDense:
         run = engine.run(x, TIMESTEPS, per_step=True)
         assert sizes == [44, 43, 43]
         assert_same_run(run, reference)
-
-
-class TestAutoBlockedPlans:
-    def test_one_call_calibrates_once_and_plan_for_finds_it(
-        self, models, two_sample_blocks
-    ):
-        engine = make_engine("auto").bind(models["vgg"])
-        x = frames(7, seed=5)
-        engine.run(x, TIMESTEPS)
-        assert engine.calibration_runs == 1
-        plan = engine.plan_for(x.shape, TIMESTEPS)
-        assert plan is not None
-        assert plan.key[1] == (2,) + x.shape[1:]  # the first block's shape
-        engine.run(x, TIMESTEPS)
-        assert engine.calibration_runs == 1
-
-    def test_unblocked_call_keys_full_shape(self, models):
-        engine = make_engine("auto").bind(models["vgg"])
-        x = frames(3, seed=6)
-        engine.run(x, TIMESTEPS)
-        assert engine.plan_for(x.shape, TIMESTEPS).key[1] == x.shape
 
 
 def _child_run(engine, x, conn):
@@ -238,7 +213,7 @@ class TestBlockedShards:
         engine = engine_for(engine_name, models["vgg"])
         with monkeypatch.context() as patch:
             patch.setattr(lanes_module, "blas_thread_setter", lambda: None)
-            serial = engine.run(x, TIMESTEPS, per_step=True)  # auto plans here
+            serial = engine.run(x, TIMESTEPS, per_step=True)
         if shard_mode == "thread":
             sharded = engine.run(x, TIMESTEPS, per_step=True)
         else:
@@ -268,3 +243,24 @@ class TestUnblocked:
         assert [hi - lo for lo, hi in engine._sample_blocks(256, 8)] == [32] * 8
         # Balanced: 33 samples at 32 per block is 17 + 16, never 32 + 1.
         assert [hi - lo for lo, hi in engine._sample_blocks(33, 8)] == [17, 16]
+
+
+class TestSplitBounds:
+    def test_partition_covers_range(self):
+        bounds = split_bounds(10, 3)
+        assert bounds[0][0] == 0 and bounds[-1][1] == 10
+        for (_, hi), (lo, _) in zip(bounds, bounds[1:]):
+            assert hi == lo
+
+    def test_near_equal_blocks(self):
+        sizes = [hi - lo for lo, hi in split_bounds(11, 4)]
+        assert sorted(sizes) == [2, 3, 3, 3]
+
+    def test_more_shards_than_rows(self):
+        bounds = split_bounds(2, 5)
+        assert len(bounds) == 2
+        assert bounds == [(0, 1), (1, 2)]
+
+    def test_degenerate_inputs(self):
+        assert split_bounds(0, 4) == []
+        assert split_bounds(4, 0) == []

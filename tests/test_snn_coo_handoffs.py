@@ -1,12 +1,11 @@
 """Coordinate-only handoffs between layers of the COO pipeline.
 
-On a sparse stream, ``event-batched`` and ``auto`` hand spikes from a
-neuron to a proven pool, and from a pool or the input stream to a proven
-conv, as registered coordinates behind a NaN placeholder: no dense plane
-is built between those layers, the conv builds its im2col rows by
-scattering the events into the windows they feed, and the neurons'
-membrane and
-``last_spikes`` are built only when read.  Every one of these handoffs
+On a sparse stream, ``event-batched`` (also named ``auto``) hands spikes
+from a neuron to a proven pool, and from a pool or the input stream to a
+proven conv, as registered coordinates behind a NaN placeholder: no
+dense plane is built between those layers, the conv builds its im2col
+rows by scattering the events into the windows they feed, and the
+neurons' membrane and ``last_spikes`` are built only when read.  Every one of these handoffs
 must be bitwise equal to ``batched`` — logits, per-step outputs, spike
 counts, membranes, ``last_spikes`` — and bill the same per-layer ops as
 a run that builds every plane.  A consumer the handoff does not cover
@@ -21,7 +20,7 @@ import pytest
 
 from repro import nn
 from repro.data.events import SyntheticDVS
-from repro.snn import AutoEngine, SpikingNetwork, convert_to_snn
+from repro.snn import SpikingNetwork, convert_to_snn
 from repro.snn.engines import event_batched as eb_mod
 from repro.snn.neurons import IFNeuron
 from repro.snn.spikes import SpikeStream
@@ -108,17 +107,6 @@ def _assert_bitwise(model, stream, engine="event-batched"):
     return stats
 
 
-def _planned_auto(model, stream, gemm):
-    """A calibrated auto engine whose plan runs the ``gemm`` layers on
-    GEMM and every other synapse layer on COO."""
-    engine = AutoEngine(midrun_replan=False)
-    SpikingNetwork(model, timesteps=stream.timesteps, engine=engine).forward(stream)
-    plan = engine.plan_for(stream.shape, stream.timesteps, "stream")
-    for name, decision in plan.decisions.items():
-        decision.backend = "gemm" if name in gemm else "event-batched"
-    return engine
-
-
 def _ops_without_handoffs(model, stream, engine, monkeypatch):
     """Per-layer billed ops of a run whose producers build every plane."""
     with monkeypatch.context() as patch:
@@ -143,12 +131,11 @@ def placeholders(monkeypatch):
         seen["pool"].append(placeholder(data))
         return coo_pool(self, module, data, step)
 
-    coo_synapse = eb_mod.EventBatchedEngine._coo_synapse
+    coo_conv = eb_mod.EventBatchedEngine._coo_conv
 
-    def synapse_spy(self, module, data, step, weight, bias, register=True):
-        if isinstance(module, nn.Conv2d):
-            seen["conv"].append(placeholder(data))
-        return coo_synapse(self, module, data, step, weight, bias, register)
+    def conv_spy(self, module, data, step, weight, bias):
+        seen["conv"].append(placeholder(data))
+        return coo_conv(self, module, data, step, weight, bias)
 
     event_rows = eb_mod.conv_event_rows
 
@@ -166,7 +153,7 @@ def placeholders(monkeypatch):
         return out
 
     monkeypatch.setattr(eb_mod.EventBatchedEngine, "_coo_pool", pool_spy)
-    monkeypatch.setattr(eb_mod.EventBatchedEngine, "_coo_synapse", synapse_spy)
+    monkeypatch.setattr(eb_mod.EventBatchedEngine, "_coo_conv", conv_spy)
     monkeypatch.setattr(eb_mod, "conv_event_rows", rows_spy)
     monkeypatch.setattr(eb_mod.EventBatchedEngine, "_materialize", materialize_spy)
     return seen
@@ -199,16 +186,10 @@ class TestHandoffProof:
 
 
 class TestNeuronToPool:
-    @pytest.mark.parametrize("auto", [False, True], ids=["event-batched", "auto"])
-    def test_max_pool(self, auto, placeholders, monkeypatch):
+    @pytest.mark.parametrize("engine", ["event-batched", "auto"])
+    def test_max_pool(self, engine, placeholders, monkeypatch):
         model = converted_coo_cnn(nn.MaxPool2d(2), seed=1)
         stream = sparse_stream((4, 2, 24, 24), TIMESTEPS, 0.004, seed=1)
-        engine = "event-batched"
-        if auto:
-            # A calibrated all-COO plan; the calibration call itself
-            # densifies planes to time the GEMMs.
-            engine = _planned_auto(model, stream, gemm=())
-            placeholders["materialized"].clear()
         stats = _assert_bitwise(model, stream, engine)
         assert placeholders["pool"] and all(placeholders["pool"])
         assert not placeholders["materialized"]
@@ -323,15 +304,22 @@ class TestMaterializeFallback:
         assert placeholders["materialized"] and all(placeholders["materialized"])
 
     @pytest.mark.parametrize("layer", ["0", "4"], ids=["stream", "pooled"])
-    def test_planned_gemm_conv(self, layer, placeholders):
-        """The stream input, or the pooled spikes, reach a conv planned
-        on GEMM densified, once per run."""
+    def test_planned_gemm_conv(self, layer, placeholders, monkeypatch):
+        """The stream input, or the pooled spikes, reach a conv whose
+        rows gate refuses the gather densified, once per run."""
         model = converted_coo_cnn(nn.MaxPool2d(2), seed=6)
         stream = sparse_stream((4, 2, 24, 24), TIMESTEPS, 0.004, seed=6)
-        engine = _planned_auto(model, stream, gemm=(layer,))
-        placeholders["materialized"].clear()
-        stats = _assert_bitwise(model, stream, engine)
-        assert {l.name: l.backend for l in stats.layers}[layer] == "gemm"
+        channels = model[int(layer)].in_channels
+        event_rows = eb_mod.conv_event_rows
+
+        def refuse(coords, amplitude, shape, *args, **kwargs):
+            rows, entries, block = event_rows(coords, amplitude, shape, *args, **kwargs)
+            return rows, entries, None if shape[1] == channels else block
+
+        monkeypatch.setattr(eb_mod, "conv_event_rows", refuse)
+        stats = _assert_bitwise(model, stream, "auto")
+        layers = {l.name: l for l in stats.layers}
+        assert (layers[layer].backend, layers[layer].backend_source) == ("gemm", "rows")
         assert placeholders["materialized"] == [True] * 2
 
     def test_escaped_placeholder_fails_loudly(self, monkeypatch):
@@ -426,9 +414,43 @@ def test_dvs_model_bitwise(engine):
     _assert_bitwise(dvs_model(), dvs_stream(), engine)
 
 
-#: tracemalloc peak of one warm all-COO ``auto`` call on the DVS model,
-#: batch 8, T=8: 9.7 MB measured (x86_64, numpy 2.4), pinned with 25%
-#: headroom.  Building every plane between layers, the same call peaked
+def vgg_frames():
+    """One direct-coded CIFAR-shaped frame batch for the converted VGG."""
+    return np.random.default_rng(12).normal(size=(4, 3, 32, 32)).astype(np.float32)
+
+
+@pytest.mark.parametrize("engine", ["event-batched", "auto"])
+@pytest.mark.parametrize("case", ["dvs", "vgg-frames"])
+def test_rule_picks_the_benchmark_kernels(case, engine):
+    """The density rule on the benchmark shapes.  On the DVS stream every
+    conv runs COO — the third conv too (16 input channels, 3x3, about
+    0.5% dense input), whose loose window bound reads about 0.9 — and on
+    frames every conv stays on the GEMM.  Each linear runs the GEMM and
+    bills one op per input event and output feature."""
+    from test_snn_blocked_runs import converted_vgg
+
+    if case == "dvs":
+        model, x, timesteps = dvs_model(), dvs_stream(), 8
+    else:
+        model, x, timesteps = converted_vgg(), vgg_frames(), TIMESTEPS
+    reference = SpikingNetwork(model, timesteps=timesteps, engine="batched").forward(x)
+    net = SpikingNetwork(model, timesteps=timesteps, engine=engine)
+    assert np.array_equal(net.forward(x), reference)
+    layers = net.last_run_stats.layers
+    convs = [l.backend for l in layers if l.kind == "conv"]
+    want = "event-batched" if case == "dvs" else "gemm"
+    assert convs == [want] * len(convs)
+    linears = [l for l in layers if l.kind == "linear"]
+    modules = [m for m in model.modules() if isinstance(m, nn.Linear)]
+    assert linears and len(linears) == len(modules)
+    for layer, module in zip(linears, modules):
+        assert (layer.backend, layer.backend_source) == ("gemm", "linear")
+        assert layer.synaptic_ops == layer.input_nonzero * module.out_features
+
+
+#: tracemalloc peak of one warm ``auto`` call on the DVS model (every conv
+#: on COO), batch 8, T=8: 9.7 MB measured (x86_64, numpy 2.4), pinned
+#: with 25% headroom.  Building every plane between layers, the same call peaked
 #: at 30.1 MB, and ``batched`` at 37.8 MB.
 DVS_CALL_PEAK_MB = 12.1
 
@@ -437,13 +459,11 @@ def test_dvs_call_allocation_peak():
     model = dvs_model()
     stream = dvs_stream()
     reference = SpikingNetwork(model, timesteps=8, engine="batched").forward(stream)
-    engine = AutoEngine(midrun_replan=False)
-    net = SpikingNetwork(model, timesteps=8, engine=engine)
+    net = SpikingNetwork(model, timesteps=8, engine="auto")
     net.forward(stream)
-    plan = engine.plan_for(stream.shape, 8, "stream")
-    for name, decision in plan.decisions.items():
-        decision.backend = "gemm" if name == "13" else "event-batched"
-    net.forward(stream)
+    assert [l.backend for l in net.last_run_stats.layers if l.kind == "conv"] == [
+        "event-batched"
+    ] * 3
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()

@@ -450,10 +450,10 @@ class TestProfileFormatting:
         for row, layer in zip(records, stats.layers):
             assert set(row) == {
                 "name", "kind", "backend", "source", "wall_clock_ms",
-                "predicted_ms", "density", "synaptic_ops",
+                "density", "synaptic_ops",
             }
             assert row["backend"] == "event"  # fixed engine: no per-layer choice
-            assert row["source"] == ""  # fixed engine: no planner provenance
+            assert row["source"] == ""  # fixed engine: no gate decided
             assert row["wall_clock_ms"] == round(layer.wall_clock_seconds * 1e3, 3)
             assert row["density"] == round(layer.density, 6)
             assert isinstance(row["synaptic_ops"], int)

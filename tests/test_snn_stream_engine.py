@@ -323,24 +323,11 @@ class TestSiteValuedChains:
 
         return [m.v.copy() for m in model.modules() if isinstance(m, IFNeuron)]
 
-    def _forced_coo_auto(self, model, stream, layer):
-        """An auto engine whose cached plan runs ``layer`` on COO."""
-        from repro.snn.engines import AutoEngine
-
-        engine = AutoEngine(midrun_replan=False)
-        net = SpikingNetwork(model, timesteps=stream.timesteps, engine=engine)
-        net.forward(stream)  # calibrates
-        plan = engine.plan_for(stream.shape, stream.timesteps, "stream")
-        plan.decisions[layer].backend = "event-batched"
-        logits = net.forward(stream)
-        stats = net.last_run_stats
-        assert {l.name: l.backend for l in stats.layers}[layer] == "event-batched"
-        return logits, stats
-
     def test_linear_head_bitwise(self):
         """A linear readout over a carried stream multiplies every stack
         row: a GEMM over the rows with events alone may pick another
-        BLAS kernel for the smaller M and differ in the last bit."""
+        BLAS kernel for the smaller M and differ in the last bit.  The
+        rule's ``linear`` gate runs it and bills the events."""
         from repro import nn
         from repro.snn.neurons import IFNeuron
 
@@ -359,14 +346,15 @@ class TestSiteValuedChains:
             stream = _sparse_stream((4, 2, 12, 12), 4, 0.01, seed=seed)
             ref, _ = self._run(model, stream, "batched")
             logits, stats = self._run(model, stream, "event-batched")
-            assert stats.layers[-1].backend == "event-batched"
+            head = stats.layers[-1]
+            assert (head.backend, head.backend_source) == ("gemm", "linear")
             assert np.array_equal(ref, logits), f"seed {seed}"
 
     def test_biased_conv_bn_background(self):
         """A biased conv's background is its bias, so BN must map that,
         not zero: the serve demo net (Conv2d with bias -> BN -> IF) with
-        a nonzero bias, on event-batched and on auto with the conv
-        forced onto COO."""
+        a nonzero bias, on event-batched (also named auto), whose rule
+        runs the conv on COO."""
         from repro.serve.app import build_demo_network
 
         model, shape = build_demo_network((2, 16, 16))
@@ -374,16 +362,13 @@ class TestSiteValuedChains:
         stream = _sparse_stream((4,) + shape, 8, 0.01, seed=0)
         ref, ref_stats = self._run(model, stream, "batched")
         ref_v = self._membranes(model)
-        _, eb_stats = self._run(model, stream, "event-batched")
+        logits, eb_stats = self._run(model, stream, "auto")
         assert [l.backend for l in eb_stats.layers][0] == "event-batched"
+        assert np.array_equal(ref, logits)
         for a, b in zip(ref_v, self._membranes(model)):
             assert np.array_equal(a, b)
         for a, b in zip(ref_stats.layers, eb_stats.layers):
             assert a.spike_count == b.spike_count, a.name
-        logits, _ = self._forced_coo_auto(model, stream, "0")
-        assert np.array_equal(ref, logits)
-        for a, b in zip(ref_v, self._membranes(model)):
-            assert np.array_equal(a, b)
 
     def test_chain_hands_a_nan_placeholder(self, monkeypatch):
         """In a Sequential chain no dense conv plane is built: the neuron
