@@ -112,7 +112,7 @@ SERVING_TOP_LEVEL_KEYS = (
     "throughput",
     "latency_ms",
     "robustness",
-    "pool",
+    "http",
     "counters",
     "python",
     "machine",
@@ -144,23 +144,6 @@ SERVING_OVERLOAD_KEYS = (
 )
 
 SERVING_BREAKER_KEYS = ("trips", "recoveries", "worker_restarts", "recovered")
-
-#: The process-pool scale-out section.  ``gate_eligible`` records
-#: whether the runner had enough cores (>=4) for the 2x scaling floor
-#: to be meaningful; on eligible runners the floor is enforced here
-#: too, so a pool regression can't hide behind a small local box.
-SERVING_POOL_KEYS = (
-    "replicas",
-    "cores",
-    "gate_eligible",
-    "start_method",
-    "single_worker_rps",
-    "pool_rps",
-    "pool_scaling_gain",
-    "bit_identical_vs_single_worker",
-)
-
-MIN_POOL_SCALING_GAIN = 2.0
 
 
 def assert_serving_schema(record: dict) -> None:
@@ -201,22 +184,8 @@ def assert_serving_schema(record: dict) -> None:
     assert robustness["degraded_prefix_consistent"] is True
     drain = robustness["drain"]
     assert drain["flushed"] is True and drain["inflight_completed"] is True
-    pool = record["pool"]
-    for key in SERVING_POOL_KEYS:
-        assert key in pool, f"missing pool key {key!r}"
-    assert isinstance(pool["replicas"], int) and pool["replicas"] >= 2
-    assert isinstance(pool["cores"], int) and pool["cores"] >= 1
-    assert pool["start_method"] in ("fork", "spawn")
-    for key in ("single_worker_rps", "pool_rps", "pool_scaling_gain"):
-        assert isinstance(pool[key], (int, float)) and pool[key] > 0, f"pool.{key}"
-    assert pool["bit_identical_vs_single_worker"] is True, (
-        "pool responses must be bit-identical to the single-worker path"
-    )
-    if pool["gate_eligible"]:
-        assert pool["pool_scaling_gain"] >= MIN_POOL_SCALING_GAIN, (
-            f"pool scaling gain {pool['pool_scaling_gain']} < "
-            f"{MIN_POOL_SCALING_GAIN} on a {pool['cores']}-core runner"
-        )
+    rps = record["http"].get("single_worker_rps")
+    assert isinstance(rps, (int, float)) and rps > 0, "http.single_worker_rps"
     assert isinstance(record["counters"], dict)
 
 

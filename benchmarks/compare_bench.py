@@ -59,10 +59,6 @@ MAX_AUTO_RATIO = 1.1
 # to justify existing; measured ~4.3x at the batcher on a 2-core box,
 # so 1.5 is a conservative floor well outside timing noise.
 MIN_BATCHING_GAIN = 1.5
-# The N-replica process pool must at least double single-worker
-# throughput — but only on runners with enough cores for process
-# parallelism to exist (the record's own gate_eligible flag).
-MIN_POOL_SCALING_GAIN = 2.0
 
 # Trend gate: how many committed snapshots (newest-first) the slope is
 # fitted over, and the adverse normalized slope (fraction of the
@@ -139,19 +135,14 @@ def _serving_ops(record):
 
 
 def _serving_metrics(record):
+    # Older records also carry a ``pool`` section; it is not tracked.
     gain = record["throughput"]["batching_throughput_gain"]
-    metrics = [("throughput.batching_throughput_gain", gain, True)]
-    pool = record.get("pool")
-    if pool is not None:  # records predating the process pool lack it
-        metrics.append(
-            ("pool.pool_scaling_gain", pool["pool_scaling_gain"], True)
-        )
-    return metrics
+    return [("throughput.batching_throughput_gain", gain, True)]
 
 
 def _serving_floors(record):
     gain = record["throughput"]["batching_throughput_gain"]
-    rows = [
+    return [
         (
             "throughput.batching_throughput_gain",
             gain,
@@ -159,20 +150,6 @@ def _serving_floors(record):
             gain >= MIN_BATCHING_GAIN,
         )
     ]
-    pool = record.get("pool")
-    if pool is not None and pool.get("gate_eligible"):
-        # The 2x floor only means something with >=4 cores; smaller
-        # runners record the gain (and the trend view tracks it) but
-        # cannot be held to a parallel-speedup bound.
-        rows.append(
-            (
-                "pool.pool_scaling_gain",
-                pool["pool_scaling_gain"],
-                MIN_POOL_SCALING_GAIN,
-                pool["pool_scaling_gain"] >= MIN_POOL_SCALING_GAIN,
-            )
-        )
-    return rows
 
 
 #: record["benchmark"] -> (metrics fn, floors fn, ops fn, history suffix)

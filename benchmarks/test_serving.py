@@ -29,13 +29,11 @@ robustness gauntlet and emits ``BENCH_serving.json`` (into
    at the degraded step (prefix consistency).
 6. **Graceful drain** — stop() with a request in flight: the request
    completes, the drain flushes.
-7. **Process pool scale-out** — two servers: a 3-replica
-   ``--serve-workers`` pool and a single in-process worker.  Serial responses must be bit-identical across the two
-   (the queue transport and fork replication are invisible in the
-   numbers).  Concurrent HTTP load alternates between them over
-   ``POOL_ROUNDS`` rounds, and on a >=4-core runner the median ratio
-   must reach ``pool_scaling_gain >= 2.0``.  On smaller runners the
-   gain is recorded but not gated (``gate_eligible``).
+
+Between phases 2 and 3, ``CONCURRENCY`` closed-loop HTTP clients load
+the server for ``HTTP_ROUNDS`` rounds; the median req/s is recorded
+(not gated) as ``http.single_worker_rps``, the figure that shows what
+the request path outside the engine costs.
 
 Ratio metrics only feed the trend gate (compare_bench.py); counts and
 booleans are asserted here and schema-checked in CI.
@@ -43,7 +41,6 @@ booleans are asserted here and schema-checked in CI.
 
 import asyncio
 import gc
-import os
 import platform
 import statistics
 import threading
@@ -70,20 +67,12 @@ BATCHER_REQUESTS = 192
 #: rounds; tracked ratios are medians of per-round ratios, so one slow
 #: phase on a shared box cannot move them.
 THROUGHPUT_ROUNDS = 5
-#: Single-worker and pool HTTP loads alternate over this many rounds:
-#: that ratio runs four processes on as few as two cores and swings
-#: ~1.5x round to round, so its median needs more of them.
-POOL_ROUNDS = 15
+#: Rounds of the concurrent HTTP load; the record keeps their median.
+HTTP_ROUNDS = 5
 #: CONCURRENCY closed-loop clients against a work-conserving worker
 #: must ride shared batches: while one batch runs, the clients it
 #: does not hold queue up for the next.
 MIN_CONCURRENT_MEAN_BATCH = 2.0
-
-POOL_REPLICAS = 3
-#: Cores below which the >=2x pool scaling floor is recorded, not
-#: gated — process parallelism cannot beat one worker on one core.
-POOL_GATE_MIN_CORES = 4
-MIN_POOL_SCALING_GAIN = 2.0
 
 
 class BenchStall(nn.Module):
@@ -326,23 +315,6 @@ def run_drain_phase(handle):
     return {"flushed": True, "inflight_completed": inflight_completed}
 
 
-def _pool_server(serve_workers):
-    """A fresh demo server with ``serve_workers`` engine replicas."""
-    core, shape = build_demo_network(input_shape=SHAPE, classes=10, seed=0)
-    config = ServeConfig(
-        port=0,
-        engine="auto",
-        timesteps=TIMESTEPS,
-        max_batch_size=8,
-        max_queue_depth=64,
-        gather_window_seconds=5e-3,
-        hang_timeout_seconds=30.0,
-        drain_timeout_seconds=30.0,
-        serve_workers=serve_workers,
-    )
-    return ServerHandle(core, shape, config)
-
-
 def _measure_rps(handle, samples):
     """CONCURRENCY client threads over ``samples``; all must 200."""
     statuses = []
@@ -371,70 +343,12 @@ def _measure_rps(handle, samples):
     return len(statuses) / elapsed
 
 
-def _serve_serial(handle, samples):
-    answers = []
-    for x in samples:
-        status, body = handle.infer(x, deadline_ms=120_000, timeout=120.0)
-        assert status == 200, (status, body)
-        answers.append(np.asarray(body["logits"], dtype=np.float32))
-    return answers
-
-
-def run_pool_phase():
-    """Single worker vs a POOL_REPLICAS-process pool.
-
-    The pool starts first, so its replicas fork before any other
-    server's threads exist; then both stay up and their load rounds
-    alternate, and the gain is the median of per-round ratios.
-    """
-    cores = os.cpu_count() or 1
-    gate_eligible = cores >= POOL_GATE_MIN_CORES
-    serial_samples = make_samples(SERIAL_REQUESTS, seed=7)
-    load_samples = make_samples(CONCURRENCY * REQUESTS_PER_CLIENT, seed=8)
-
-    pool = _pool_server(POOL_REPLICAS)
-    single = None
-    try:
-        pool_metrics = pool.request("GET", "/metrics")[1]
-        assert pool_metrics["pool"]["replicas"] == POOL_REPLICAS
-        start_method = pool_metrics["pool"]["start_method"]
-        single = _pool_server(1)
-        bit_identical = all(
-            np.array_equal(a, b)
-            for a, b in zip(
-                _serve_serial(single, serial_samples),
-                _serve_serial(pool, serial_samples),
-            )
-        )
-        single_rps, pool_rps, ratios = [], [], []
-        for _ in range(POOL_ROUNDS):
-            single_rps.append(_measure_rps(single, load_samples))
-            pool_rps.append(_measure_rps(pool, load_samples))
-            ratios.append(pool_rps[-1] / single_rps[-1])
-    finally:
-        if single is not None:
-            single.stop(timeout=60.0)
-        pool.stop(timeout=60.0)
-
-    gain = statistics.median(ratios)
-    assert bit_identical, (
-        "pool responses diverged bitwise from the single-worker path"
+def run_http_phase(handle):
+    """Median req/s of HTTP_ROUNDS rounds of concurrent HTTP load."""
+    samples = make_samples(CONCURRENCY * REQUESTS_PER_CLIENT, seed=8)
+    return statistics.median(
+        _measure_rps(handle, samples) for _ in range(HTTP_ROUNDS)
     )
-    if gate_eligible:
-        assert gain >= MIN_POOL_SCALING_GAIN, (
-            f"pool gain {gain:.2f}x < {MIN_POOL_SCALING_GAIN}x on a "
-            f"{cores}-core runner"
-        )
-    return {
-        "replicas": POOL_REPLICAS,
-        "cores": cores,
-        "gate_eligible": gate_eligible,
-        "start_method": start_method,
-        "single_worker_rps": round(statistics.median(single_rps), 3),
-        "pool_rps": round(statistics.median(pool_rps), 3),
-        "pool_scaling_gain": round(gain, 3),
-        "bit_identical_vs_single_worker": bool(bit_identical),
-    }
 
 
 def test_serving_load_and_failure_semantics(bench_dir):
@@ -450,6 +364,7 @@ def test_serving_load_and_failure_semantics(bench_dir):
             f"the batcher is not coalescing"
         )
         snapshot = handle.request("GET", "/metrics")[1]
+        http_rps = run_http_phase(handle)
         overload = run_overload_phase(handle)
         breaker = run_hung_worker_phase(handle)
         degraded_ok = run_degraded_phase(handle)
@@ -459,7 +374,6 @@ def test_serving_load_and_failure_semantics(bench_dir):
         handle.stop()
         raise
     drain = run_drain_phase(handle)
-    pool = run_pool_phase()
 
     record = {
         "benchmark": "serving_load",
@@ -491,7 +405,7 @@ def test_serving_load_and_failure_semantics(bench_dir):
             "degraded_prefix_consistent": bool(degraded_ok),
             "drain": drain,
         },
-        "pool": pool,
+        "http": {"single_worker_rps": round(http_rps, 3), "rounds": HTTP_ROUNDS},
         "counters": final_metrics["counters"],
         "python": platform.python_version(),
         "machine": platform.machine(),
@@ -505,10 +419,8 @@ def test_serving_load_and_failure_semantics(bench_dir):
         f"{mean_batch:.2f}), p50 "
         f"{record['latency_ms']['p50']:.1f}ms p99 "
         f"{record['latency_ms']['p99']:.1f}ms, breaker trips "
-        f"{breaker['trips']}, pool x{POOL_REPLICAS} "
-        f"{pool['pool_scaling_gain']:.2f}x on {pool['cores']} core(s) "
-        f"({'gated' if pool['gate_eligible'] else 'recorded'}) "
-        f"-> {bench_path}"
+        f"{breaker['trips']}, HTTP {http_rps:.1f} req/s over "
+        f"{CONCURRENCY} clients -> {bench_path}"
     )
 
 

@@ -41,6 +41,7 @@ from repro.eval import (
     table4_experiment,
 )
 from repro.eval.experiments import INPUT_FORMATS
+from repro.pipeline.conversion import TimestepRangeError
 from repro.snn.engines import ENGINES
 
 # argparse `choices` stays in lockstep with the engine registry, so a
@@ -488,11 +489,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
                         help="micro-batch coalescing ceiling")
     parser.add_argument("--max-queue", type=int, default=64, dest="max_queue",
                         help="queue depth beyond which requests shed (429)")
-    parser.add_argument("--serve-workers", type=int, default=1,
-                        dest="serve_workers",
-                        help="process-backed engine replicas behind the "
-                        "batcher (1 = today's in-process worker; N > 1 "
-                        "scales across cores)")
     parser.add_argument("--hang-timeout", type=float, default=30.0,
                         dest="hang_timeout",
                         help="seconds before a wedged engine run is abandoned "
@@ -541,7 +537,6 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         default_deadline_ms=args.default_deadline_ms,
         p99_budget_ms=args.p99_budget_ms,
         engine=args.engine,
-        serve_workers=args.serve_workers,
         max_batch_size=args.max_batch,
         max_queue_depth=args.max_queue,
         hang_timeout_seconds=args.hang_timeout,
@@ -631,7 +626,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return campaign_main(argv[1:])
     if argv and argv[0] == "serve":
         return serve_main(argv[1:])
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     artefacts: List[str] = []
     for item in args.artefacts:
         if item == "all":
@@ -645,7 +641,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         if artefact in seen:
             continue
         seen.add(artefact)
-        _RUNNERS[artefact](args)
+        try:
+            _RUNNERS[artefact](args)
+        except TimestepRangeError as error:
+            parser.error(f"--max-timesteps is too small: {error}")
     return 0
 
 

@@ -111,6 +111,10 @@ def calibrate_quant_steps(
     return [float(layer.step.data) for layer in quant_layers]
 
 
+class TimestepRangeError(ValueError):
+    """The per-step accuracy curve stops before the evaluated T."""
+
+
 @dataclass
 class ConversionResult:
     """Everything the accuracy experiments need from one pipeline run."""
@@ -153,7 +157,9 @@ def run_conversion_pipeline(
     """Run the full 3-stage pipeline on ``dataset``.
 
     ``max_timesteps`` (default ``max(timesteps, 16)``) controls how far
-    the per-step accuracy curve extends — paper Figs. 7/9 plot up to ~30.
+    the per-step accuracy curve extends — paper Figs. 7/9 plot up to ~30;
+    it must reach ``timesteps``, or :class:`TimestepRangeError` is raised
+    before any training.
     ``engine`` selects the SNN execution backend (``"dense"``,
     ``"event"``, ``"batched"`` or ``"auto"``); the accuracy
     numbers are independent of it.
@@ -162,6 +168,11 @@ def run_conversion_pipeline(
     ann_config = ann_config or TrainConfig(epochs=8, seed=seed)
     finetune_config = finetune_config or TrainConfig(epochs=4, lr=5e-4, seed=seed + 1)
     max_timesteps = max_timesteps or max(timesteps, 16)
+    if max_timesteps < timesteps:
+        raise TimestepRangeError(
+            f"max_timesteps={max_timesteps} is below timesteps={timesteps}: "
+            f"the per-step accuracy curve must reach the evaluated T"
+        )
 
     train_x, train_y = dataset.train_split()
     test_x, test_y = dataset.test_split()

@@ -12,10 +12,11 @@ service in front of it, stdlib-only:
 * :mod:`repro.serve.breaker` — circuit breaker over the engine worker;
 * :mod:`repro.serve.metrics` — the JSON ``/metrics`` snapshot;
 * :mod:`repro.serve.middleware` — error taxonomy, auth, request
-  decoding;
-* :mod:`repro.serve.pool` — N process-backed engine replicas behind
-  the worker interface (``--serve-workers N``); batches and per-step
-  logits travel pickled on the replicas' queues.
+  decoding.
+
+One in-process :class:`~repro.snn.engines.service.EngineWorker` runs
+every batch; scaling out means independent server processes behind a
+front.
 
 Start one with ``python -m repro.cli serve`` or programmatically via
 :class:`~repro.serve.app.InferenceServer` /
@@ -39,7 +40,6 @@ from repro.serve.batcher import (
 )
 from repro.serve.breaker import CLOSED, CircuitBreaker, HALF_OPEN, OPEN
 from repro.serve.metrics import LatencyReservoir, ServingMetrics, percentile
-from repro.serve.pool import EngineWorkerPool, PoolRun, pool_start_method
 from repro.serve.middleware import (
     AuthError,
     BadRequestError,
@@ -63,14 +63,12 @@ __all__ = [
     "DeadlineError",
     "DegradePolicy",
     "DrainingError",
-    "EngineWorkerPool",
     "HALF_OPEN",
     "InferenceRequest",
     "InferenceServer",
     "LatencyReservoir",
     "MicroBatcher",
     "OPEN",
-    "PoolRun",
     "ServeConfig",
     "ServeError",
     "ServerHandle",
@@ -82,5 +80,4 @@ __all__ = [
     "build_demo_network",
     "decode_infer_request",
     "percentile",
-    "pool_start_method",
 ]

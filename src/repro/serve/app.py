@@ -63,7 +63,6 @@ from repro.serve.middleware import (
     decode_infer_request,
     retry_after_header,
 )
-from repro.serve.pool import EngineWorkerPool
 from repro.snn import convert_to_snn
 from repro.snn.engines import make_engine
 from repro.snn.engines.service import EngineWorker
@@ -97,12 +96,10 @@ class ServeConfig:
     p99_budget_ms: Optional[float] = None  # None disables degradation
     degrade_cooldown_seconds: float = 2.0
     engine: str = "auto"
-    serve_workers: int = 1                # engine replicas (1 = in-process)
     max_batch_size: int = 8
     max_queue_depth: int = 64
     max_inflight_bytes: int = 64 * 1024 * 1024
     max_body_bytes: int = 8 * 1024 * 1024
-    gather_window_seconds: float = 2e-3   # pool only: in-process never holds
     hang_timeout_seconds: float = 30.0
     breaker_failure_threshold: int = 3
     breaker_reset_seconds: float = 2.0
@@ -161,22 +158,7 @@ class InferenceServer:
         self.metrics = ServingMetrics()
         engine = make_engine(cfg.engine)
         engine.bind(model)
-        if cfg.serve_workers > 1:
-            # Process-parallel engine replicas.
-            self.worker = EngineWorkerPool(
-                engine,
-                replicas=cfg.serve_workers,
-                probe_shape=self.input_shape,
-                serve_timesteps=cfg.timesteps,
-                max_batch_size=cfg.max_batch_size,
-                breaker_failure_threshold=cfg.breaker_failure_threshold,
-                breaker_reset_seconds=cfg.breaker_reset_seconds,
-                spawn_spec=cfg.engine,
-            )
-            self.metrics.set_section("pool", self.worker.snapshot)
-        else:
-            # serve_workers == 1 keeps today's in-process worker exactly.
-            self.worker = EngineWorker(engine, probe_shape=self.input_shape)
+        self.worker = EngineWorker(engine, probe_shape=self.input_shape)
         self.breaker = CircuitBreaker(
             failure_threshold=cfg.breaker_failure_threshold,
             reset_timeout=cfg.breaker_reset_seconds,
@@ -198,7 +180,6 @@ class InferenceServer:
                 max_batch_size=cfg.max_batch_size,
                 max_queue_depth=cfg.max_queue_depth,
                 max_inflight_bytes=cfg.max_inflight_bytes,
-                gather_window_seconds=cfg.gather_window_seconds,
                 hang_timeout_seconds=cfg.hang_timeout_seconds,
             ),
             estimator=ServiceEstimator(

@@ -16,18 +16,11 @@ Robustness decisions all happen here, at well-defined points:
   *or* by queued payload bytes — sheds load (429 + ``Retry-After``);
   a deadline that the current backlog provably cannot meet is rejected
   up front (504) rather than wasting a queue slot on a doomed request.
-* **Work-conserving dispatch**: an in-process worker (capacity 1) gets
-  whatever is queued the moment it is idle — no timer holds a lone
-  request for co-riders.  Requests that arrive while a batch runs
-  coalesce in the queue, and the next gather takes up to
+* **Work-conserving dispatch**: the worker gets whatever is queued
+  the moment it is idle — no timer holds a lone request for co-riders,
+  and one batch is in flight at a time.  Requests that arrive while a
+  batch runs coalesce in the queue, and the next gather takes up to
   ``max_batch_size`` of them, so batches grow with load on their own.
-* **The pool's dispatch hold**: a process pool (capacity > 1) waits
-  up to ``gather_window_seconds`` for co-riders before a batch goes to
-  a free replica — bounded by the slack its most urgent member's
-  deadline leaves after the estimated service time.  The aim is to
-  spare each replica a process hop per singleton; on a 2-core box the
-  hold measured as a cost, so it is kept only until it is measured
-  where the pool is meant to pay (README, "Mechanism decisions").
 * **Culling**: disconnected and deadline-expired entries are dropped
   *before* dispatch so the engine never spends cycles on an answer
   nobody is waiting for.  Every dropped entry's future is cancelled
@@ -79,9 +72,9 @@ class ServiceEstimator:
 
     ``unit`` is seconds per sample-timestep, learned from every
     completed batch; ``overhead`` is the fixed per-dispatch cost.  The
-    estimate feeds two decisions — admission feasibility and the gather
-    window — both of which apply their own safety factor, so the model
-    only needs to be roughly right and quick to adapt.
+    estimate feeds admission feasibility (behind a safety factor) and
+    queue culling, so the model only needs to be roughly right and
+    quick to adapt.
     """
 
     def __init__(
@@ -205,7 +198,6 @@ class BatcherConfig:
     max_queue_depth: int = 64
     max_inflight_bytes: int = 64 * 1024 * 1024
     safety_factor: float = 2.0          # estimate multiplier for feasibility
-    gather_window_seconds: float = 2e-3  # pool only: max hold to coalesce
     hang_timeout_seconds: float = 30.0   # worker-level wedge deadline
     idle_tick_seconds: float = 0.05      # queue poll cadence when idle
 
@@ -238,16 +230,6 @@ class MicroBatcher:
         self._closed = False
         self._wake = asyncio.Event()
         self._task: Optional[asyncio.Task] = None
-        # Concurrent dispatches, when the worker is a pool.  A plain
-        # EngineWorker has capacity 1 and keeps today's single
-        # outstanding batch; an EngineWorkerPool advertises capacity N
-        # and the loop keeps up to N batches in flight at once.
-        self._dispatch_tasks: set = set()
-
-    @property
-    def capacity(self) -> int:
-        """Concurrent dispatches the worker can absorb (1 = in-process)."""
-        return max(1, int(getattr(self.worker, "capacity", 1)))
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> None:
@@ -294,13 +276,6 @@ class MicroBatcher:
             except (asyncio.CancelledError, Exception):  # noqa: BLE001
                 pass
             self._task = None
-        for task in list(self._dispatch_tasks):
-            task.cancel()
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                pass
-        self._dispatch_tasks.clear()
         self._fail_queue(DrainingError("server shut down"), "shutdown_dropped")
 
     # -- admission -----------------------------------------------------
@@ -370,21 +345,17 @@ class MicroBatcher:
         ``Retry-After``.
 
         Derived from actual load, not a constant: queued plus in-flight
-        sample-timesteps priced at the EWMA unit cost (divided across
-        the worker's dispatch capacity), plus one per-dispatch overhead
-        for every batch the backlog will need.  A client shed at depth
-        60 therefore backs off proportionally longer than one shed at
-        depth 8, instead of every shed client retrying into the same
-        wall simultaneously.
+        sample-timesteps priced at the EWMA unit cost, plus one
+        per-dispatch overhead for every batch the backlog will need.  A
+        client shed at depth 60 therefore backs off proportionally
+        longer than one shed at depth 8, instead of every shed client
+        retrying into the same wall simultaneously.
         """
         cfg = self.config
         entries = len(self._queue) + self._inflight
         batches = math.ceil(max(entries, 1) / max(cfg.max_batch_size, 1))
         work = self._pending_work() + self._inflight_work
-        return (
-            batches * self.estimator.overhead
-            + self.estimator.unit * work / self.capacity
-        )
+        return batches * self.estimator.overhead + self.estimator.unit * work
 
     # -- queue maintenance ---------------------------------------------
     def _remove(self, entry: InferenceRequest) -> None:
@@ -460,46 +431,13 @@ class MicroBatcher:
                 else:
                     await asyncio.sleep(cfg.idle_tick_seconds)
                 continue
-            if mode == "probe" and self._dispatch_tasks:
-                # A half-open probe must be the only thing in flight so
-                # its verdict is the substrate's, not a stale batch's.
-                await asyncio.wait(
-                    list(self._dispatch_tasks),
-                    return_when=asyncio.ALL_COMPLETED,
-                )
-            capacity = self.capacity
-            if mode != "probe" and capacity > 1:
-                if len(self._dispatch_tasks) >= capacity:
-                    # Every replica has a batch; resume gathering as
-                    # soon as one frees up.
-                    await asyncio.wait(
-                        list(self._dispatch_tasks),
-                        return_when=asyncio.FIRST_COMPLETED,
-                    )
-                    continue
-                members = self._gather(cfg.max_batch_size)
-                if not members:
-                    continue
-                members = await self._hold_gather_window(members)
-                if members:
-                    task = asyncio.get_running_loop().create_task(
-                        self._dispatch_and_observe(members, probe=False)
-                    )
-                    self._dispatch_tasks.add(task)
-                    task.add_done_callback(self._dispatch_tasks.discard)
-                continue
-            # Capacity 1 or a half-open probe: nothing is in flight, so
-            # the worker is idle and a hold would only delay this batch.
+            # One batch in flight: it is awaited before the next gather,
+            # and arrivals meanwhile queue up to ride the next batch.
             members = self._gather(1 if mode == "probe" else cfg.max_batch_size)
             if members:
-                await self._dispatch_and_observe(members, probe=(mode == "probe"))
-
-    async def _dispatch_and_observe(
-        self, members: List[InferenceRequest], probe: bool
-    ) -> None:
-        await self._dispatch(members, probe=probe)
-        self.degrade.observe(self.metrics.p99_ms())
-        self.metrics.set_gauge("degrade_timesteps", self.degrade.current)
+                await self._dispatch(members, probe=(mode == "probe"))
+                self.degrade.observe(self.metrics.p99_ms())
+                self.metrics.set_gauge("degrade_timesteps", self.degrade.current)
 
     def _gather(self, limit: int) -> List[InferenceRequest]:
         members: List[InferenceRequest] = []
@@ -513,38 +451,6 @@ class MicroBatcher:
         self.metrics.set_gauge("queue_depth", len(self._queue))
         self.metrics.set_gauge("queued_bytes", self._queued_bytes)
         return members
-
-    async def _hold_gather_window(
-        self, members: List[InferenceRequest]
-    ) -> List[InferenceRequest]:
-        """Pool only: wait, bounded by the most urgent deadline, for co-riders.
-
-        The latest admissible start time is ``earliest deadline - safety
-        * estimated service``; if that leaves slack and the batch is not
-        full, hold briefly so concurrent arrivals coalesce instead of
-        each paying a replica's process hop.  Members whose client left
-        during the hold are dropped and counted.
-        """
-        cfg = self.config
-        if len(members) >= cfg.max_batch_size or cfg.gather_window_seconds <= 0:
-            return members
-        t_exec = max(min(e.timesteps, self.degrade.current) for e in members)
-        service = self.estimator.estimate(
-            len(members) + 1, t_exec
-        ) * cfg.safety_factor
-        earliest = min(e.deadline for e in members)
-        slack = earliest - self._clock() - service
-        hold = min(slack, cfg.gather_window_seconds)
-        if hold > 1e-4:
-            await asyncio.sleep(hold)
-            members.extend(self._gather(cfg.max_batch_size - len(members)))
-        alive = []
-        for entry in members:
-            if entry.alive():
-                alive.append(entry)
-            else:
-                self._cancel_dropped(entry)
-        return alive
 
     async def _dispatch(
         self, members: List[InferenceRequest], probe: bool = False

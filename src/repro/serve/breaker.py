@@ -1,4 +1,4 @@
-"""Circuit breaker around the warm engine worker pool.
+"""Circuit breaker around the warm engine worker.
 
 When the execution substrate starts failing — consecutive engine
 errors, engine-worker hang timeouts — continuing to
@@ -15,11 +15,10 @@ honest failure:
   seconds.  Fast-fail is the point: clients get an answer in
   microseconds instead of a queue slot on a dying substrate.
 * **half-open** — after the cooldown, exactly one probe dispatch is
-  admitted.  The probe is a real request through the worker (a slot
-  rebuilt after a hang, or a pool replica), so "the probe succeeded"
-  means the engine completed real work, not merely that a socket
-  opened.  Success closes the breaker; failure reopens it for another
-  cooldown.
+  admitted.  The probe is a real request through the worker (on a slot
+  rebuilt after a hang), so "the probe succeeded" means the engine
+  completed real work, not merely that a socket opened.  Success
+  closes the breaker; failure reopens it for another cooldown.
 
 Transitions are logged, counted, and exported through the shared
 metrics (``breaker_state`` label, ``breaker_trips`` /
@@ -57,9 +56,6 @@ class CircuitBreaker:
     on_transition:
         ``fn(old_state, new_state, reason)`` callback — the serving app
         wires this to logging + metrics.
-    name:
-        Optional label prefixed to transition logs, so the pool's
-        per-replica breakers are tellable apart from the global one.
     """
 
     def __init__(
@@ -68,7 +64,6 @@ class CircuitBreaker:
         reset_timeout: float = 2.0,
         clock: Callable[[], float] = time.monotonic,
         on_transition: Optional[Callable[[str, str, str], None]] = None,
-        name: str = "",
     ) -> None:
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
@@ -76,7 +71,6 @@ class CircuitBreaker:
             raise ValueError("reset_timeout must be positive")
         self.failure_threshold = int(failure_threshold)
         self.reset_timeout = float(reset_timeout)
-        self.name = str(name)
         self._clock = clock
         self._on_transition = on_transition
         self._lock = threading.Lock()
@@ -98,10 +92,7 @@ class CircuitBreaker:
             self._opened_at = self._clock()
         if new_state == CLOSED and old == HALF_OPEN:
             self.recoveries += 1
-        logger.warning(
-            "circuit breaker%s %s -> %s: %s",
-            f" [{self.name}]" if self.name else "", old, new_state, reason,
-        )
+        logger.warning("circuit breaker %s -> %s: %s", old, new_state, reason)
         if self._on_transition is not None:
             self._on_transition(old, new_state, reason)
 

@@ -73,7 +73,6 @@ class ServingMetrics:
         self._labels: Dict[str, str] = {}
         self._rate_window = float(rate_window_seconds)
         self._completions: deque = deque()
-        self._sections: Dict[str, Callable[[], dict]] = {}
 
     # ------------------------------------------------------------------
     def inc(self, name: str, n: int = 1) -> None:
@@ -92,18 +91,6 @@ class ServingMetrics:
         """A string-valued readout (e.g. the breaker state)."""
         with self._lock:
             self._labels[name] = str(value)
-
-    def set_section(self, name: str, provider: Callable[[], dict]) -> None:
-        """Register a callable-backed structured section of the snapshot.
-
-        The provider runs at snapshot time (outside the metrics lock, so
-        it may take its own locks) and its JSON-ready dict lands under
-        ``name`` — how the worker pool exposes per-replica depth and
-        restarts without the metrics object knowing pool internals.  A provider that raises contributes an
-        ``{"error": ...}`` stub instead of breaking ``/metrics``.
-        """
-        with self._lock:
-            self._sections[str(name)] = provider
 
     def observe_latency(self, seconds: float) -> None:
         """Record one *completed* request: latency + rate bookkeeping."""
@@ -124,7 +111,6 @@ class ServingMetrics:
             window = min(self._rate_window, uptime)
             quantiles = self._latency.quantiles((0.5, 0.99))
             completed = self._latency.count
-            providers = dict(self._sections)
             payload = {
                 "uptime_seconds": round(uptime, 3),
                 "requests_per_second": round(completed / uptime, 3),
@@ -140,11 +126,6 @@ class ServingMetrics:
                 "gauges": dict(self._gauges),
                 "labels": dict(self._labels),
             }
-        for name, provider in providers.items():
-            try:
-                payload[name] = provider()
-            except Exception as error:  # noqa: BLE001 - keep /metrics up
-                payload[name] = {"error": f"{type(error).__name__}: {error}"}
         return payload
 
     def p99_ms(self) -> Optional[float]:

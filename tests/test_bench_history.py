@@ -19,11 +19,10 @@ import compare_bench  # noqa: E402
 import record_history  # noqa: E402
 
 
-def serving_record(gain, pool_gain, rebaseline=None):
+def serving_record(gain, rebaseline=None):
     record = {
         "benchmark": "serving_load",
         "throughput": {"batching_throughput_gain": gain},
-        "pool": {"pool_scaling_gain": pool_gain, "gate_eligible": False},
     }
     if rebaseline:
         record["rebaseline"] = rebaseline
@@ -45,15 +44,15 @@ def gate(tmp_path, history, fresh):
 
 
 OLD_MEASUREMENT = [
-    ("pr1", serving_record(5.1, 1.03)),
-    ("pr2", serving_record(5.6, 1.03)),
+    ("pr1", serving_record(5.1)),
+    ("pr2", serving_record(5.6)),
 ]
 
 
 def test_unmarked_step_down_reads_as_a_slide(tmp_path):
     history = tmp_path / "history"
-    write_history(history, OLD_MEASUREMENT + [("pr3", serving_record(4.3, 0.66))])
-    assert gate(tmp_path, history, serving_record(4.2, 0.65)) == 1
+    write_history(history, OLD_MEASUREMENT + [("pr3", serving_record(4.3))])
+    assert gate(tmp_path, history, serving_record(4.2)) == 1
 
 
 def test_rebaseline_record_restarts_the_trend(tmp_path, capsys):
@@ -61,11 +60,11 @@ def test_rebaseline_record_restarts_the_trend(tmp_path, capsys):
     write_history(
         history,
         OLD_MEASUREMENT
-        + [("pr3", serving_record(4.3, 0.66, rebaseline="gain measured at the batcher"))],
+        + [("pr3", serving_record(4.3, rebaseline="gain measured at the batcher"))],
     )
     window = compare_bench.load_history_window(history, "serving")
     assert [name for name, _ in window] == ["2026-01-01-pr3-serving.json"]
-    assert gate(tmp_path, history, serving_record(4.2, 0.65)) == 0
+    assert gate(tmp_path, history, serving_record(4.2)) == 0
     assert "trend restarts at 2026-01-01-pr3-serving.json" in capsys.readouterr().out
 
 
@@ -73,10 +72,10 @@ def test_rebaseline_keeps_the_point_to_point_compare(tmp_path):
     history = tmp_path / "history"
     write_history(
         history,
-        OLD_MEASUREMENT + [("pr3", serving_record(4.3, 0.66, rebaseline="new measure"))],
+        OLD_MEASUREMENT + [("pr3", serving_record(4.3, rebaseline="new measure"))],
     )
-    # 0.66 / 1.3 = 0.508: a pool ratio below it still fails.
-    assert gate(tmp_path, history, serving_record(4.2, 0.45)) == 1
+    # 4.3 / 1.3 = 3.31: a batching gain below it still fails.
+    assert gate(tmp_path, history, serving_record(3.2)) == 1
 
 
 def test_trend_resumes_after_the_rebaseline(tmp_path):
@@ -85,14 +84,22 @@ def test_trend_resumes_after_the_rebaseline(tmp_path):
         history,
         OLD_MEASUREMENT
         + [
-            ("pr3", serving_record(4.3, 0.66, rebaseline="new measure")),
-            ("pr4", serving_record(3.7, 0.66)),
-            ("pr5", serving_record(3.2, 0.66)),
+            ("pr3", serving_record(4.3, rebaseline="new measure")),
+            ("pr4", serving_record(3.7)),
+            ("pr5", serving_record(3.2)),
         ],
     )
     assert len(compare_bench.load_history_window(history, "serving")) == 3
     # Each step is inside the 1.3x band; together they slide.
-    assert gate(tmp_path, history, serving_record(2.8, 0.66)) == 1
+    assert gate(tmp_path, history, serving_record(2.8)) == 1
+
+
+def test_records_that_carry_the_retired_pool_section_still_load(tmp_path):
+    history = tmp_path / "history"
+    old = serving_record(4.3)
+    old["pool"] = {"pool_scaling_gain": 0.63, "gate_eligible": False}
+    write_history(history, [("pr1", old), ("pr2", old)])
+    assert gate(tmp_path, history, serving_record(4.2)) == 0
 
 
 def _valid_serving_record():

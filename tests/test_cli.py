@@ -1,5 +1,6 @@
-"""CLI smoke tests (hardware artefacts only; training paths are covered
-by the benchmarks)."""
+"""CLI smoke tests (hardware artefacts, and argument checks that stop a
+training artefact before it trains; training paths are covered by the
+benchmarks)."""
 
 import pytest
 
@@ -211,3 +212,15 @@ class TestHardwareArtefacts:
         out = capsys.readouterr().out
         assert "Table IV" in out
         assert "Fig. 7" not in out
+
+
+class TestTrainingArtefacts:
+    def test_curve_shorter_than_the_evaluated_t_is_a_usage_error(self, capsys):
+        argv = ["fig9", "--max-timesteps", "4", "--epochs", "1",
+                "--train", "40", "--test", "20"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "max_timesteps=4" in err and "timesteps=8" in err
+        assert "Traceback" not in err

@@ -125,6 +125,18 @@ class TestEndToEndPipeline:
         assert any(isinstance(m, nn.QuantReLU) for m in result.quant_model.modules())
         assert "vgg11" in result.summary()
 
+    def test_curve_shorter_than_the_evaluated_t_is_rejected(self, tiny_dataset):
+        with pytest.raises(ValueError, match=r"max_timesteps=4 .*timesteps=8"):
+            run_conversion_pipeline(
+                "vgg11",
+                tiny_dataset,
+                width=0.125,
+                timesteps=8,
+                max_timesteps=4,
+                ann_config=TrainConfig(epochs=1),
+                finetune_config=TrainConfig(epochs=1, lr=5e-4),
+            )
+
     def test_snn_approaches_quant_accuracy(self, tiny_dataset):
         result = run_conversion_pipeline(
             "vgg11",

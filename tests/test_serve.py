@@ -280,12 +280,9 @@ class StubRun:
 class StubWorker:
     """Duck-typed EngineWorker: scripted delays and failures."""
 
-    def __init__(
-        self, delay: float = 0.0, fail_times: int = 0, capacity: int = 1
-    ) -> None:
+    def __init__(self, delay: float = 0.0, fail_times: int = 0) -> None:
         self.delay = delay
         self.fail_times = fail_times
-        self.capacity = capacity  # > 1 makes the batcher treat it as a pool
         self.calls = []
         self.restarts = 0
 
@@ -299,7 +296,7 @@ class StubWorker:
         return StubRun(x.shape[0], timesteps)
 
 
-def make_batcher(worker, *, threshold=3, reset=0.2, queue=8, gather=0.05,
+def make_batcher(worker, *, threshold=3, reset=0.2, queue=8,
                  degrade_budget=None, estimator=None, max_batch=8):
     metrics = ServingMetrics()
     breaker = CircuitBreaker(failure_threshold=threshold, reset_timeout=reset)
@@ -314,7 +311,6 @@ def make_batcher(worker, *, threshold=3, reset=0.2, queue=8, gather=0.05,
         config=BatcherConfig(
             max_batch_size=max_batch,
             max_queue_depth=queue,
-            gather_window_seconds=gather,
             hang_timeout_seconds=5.0,
             idle_tick_seconds=0.01,
         ),
@@ -331,7 +327,7 @@ class TestMicroBatcher:
     def test_coalesces_concurrent_requests_into_one_dispatch(self):
         async def scenario():
             worker = StubWorker(delay=0.01)
-            batcher, _, _ = make_batcher(worker, gather=0.08)
+            batcher, _, _ = make_batcher(worker)
             batcher.start()
             futures = [
                 batcher.submit(sample(), timesteps=4, deadline_ms=2000.0)
@@ -366,7 +362,7 @@ class TestMicroBatcher:
         async def scenario():
             worker = StubWorker(delay=0.2)
             batcher, _, metrics = make_batcher(
-                worker, queue=2, gather=0.0, max_batch=1
+                worker, queue=2, max_batch=1
             )
             batcher.start()
             futures = [batcher.submit(sample(), timesteps=4, deadline_ms=10_000.0)]
@@ -390,7 +386,7 @@ class TestMicroBatcher:
         async def scenario():
             worker = StubWorker(fail_times=2)
             batcher, breaker, metrics = make_batcher(
-                worker, threshold=2, reset=0.05, gather=0.0, max_batch=1
+                worker, threshold=2, reset=0.05, max_batch=1
             )
             batcher.start()
             futures = [
@@ -423,7 +419,7 @@ class TestMicroBatcher:
     def test_drain_completes_inflight_then_refuses_admission(self):
         async def scenario():
             worker = StubWorker(delay=0.05)
-            batcher, _, _ = make_batcher(worker, gather=0.0)
+            batcher, _, _ = make_batcher(worker)
             batcher.start()
             futures = [
                 batcher.submit(sample(), timesteps=4, deadline_ms=10_000.0)
@@ -443,7 +439,7 @@ class TestMicroBatcher:
     def test_expired_entry_dropped_before_dispatch(self):
         async def scenario():
             worker = StubWorker(delay=0.15)
-            batcher, _, metrics = make_batcher(worker, gather=0.0, max_batch=1)
+            batcher, _, metrics = make_batcher(worker, max_batch=1)
             batcher.start()
             blocker = batcher.submit(sample(), timesteps=4, deadline_ms=10_000.0)
             await asyncio.sleep(0.01)
@@ -460,13 +456,38 @@ class TestMicroBatcher:
         assert sum(n for n, _ in calls) == 1  # the doomed entry never ran
 
 
+class TestRetryAfterScalesWithLoad:
+    def test_deeper_queue_means_longer_retry_after(self):
+        def retry_after_when_full(depth):
+            async def scenario():
+                batcher, _, _ = make_batcher(
+                    StubWorker(), queue=depth,
+                    estimator=ServiceEstimator(initial_unit=1e-3, overhead=1e-2),
+                )
+                futures = [
+                    batcher.submit(sample(), timesteps=4, deadline_ms=3_600_000.0)
+                    for _ in range(depth)
+                ]
+                with pytest.raises(ShedError) as shed:
+                    batcher.submit(sample(), timesteps=4, deadline_ms=3_600_000.0)
+                await batcher.close()
+                await asyncio.gather(*futures, return_exceptions=True)
+                return shed.value.retry_after
+
+            return asyncio.run(scenario())
+
+        shallow, deep = retry_after_when_full(4), retry_after_when_full(16)
+        assert shallow is not None and deep is not None
+        assert deep > shallow
+
+
 class TestDispatchRule:
-    """In-process dispatch is work-conserving; only a pool holds."""
+    """Dispatch is work-conserving: one batch in flight, no hold."""
 
     def test_lone_request_is_not_held_for_the_window(self):
         async def scenario():
             worker = StubWorker()
-            batcher, _, _ = make_batcher(worker, gather=2.0)
+            batcher, _, _ = make_batcher(worker)
             batcher.start()
             started = time.monotonic()
             result = await batcher.submit(
@@ -477,7 +498,7 @@ class TestDispatchRule:
             return elapsed, result, worker.calls
 
         elapsed, result, calls = asyncio.run(scenario())
-        assert elapsed < 0.5  # the 2 s window would hold it otherwise
+        assert elapsed < 0.5  # dispatched at once, not held for co-riders
         assert result["batch_size"] == 1 and calls == [(1, 4)]
 
     def test_arrivals_during_a_dispatch_ride_the_next_batch(self):
@@ -500,46 +521,30 @@ class TestDispatchRule:
         assert calls == [(1, 4), (3, 4)]
         assert [r["batch_size"] for r in results] == [1, 3, 3, 3]
 
-    def test_pool_holds_to_coalesce_spaced_arrivals(self):
+    def test_client_leaving_while_queued_is_cancelled_and_counted(self):
         async def scenario():
-            worker = StubWorker(capacity=2)
-            batcher, _, _ = make_batcher(worker, gather=0.3)
+            worker = StubWorker(delay=0.1)
+            batcher, _, metrics = make_batcher(worker)
             batcher.start()
-            futures = []
-            for _ in range(3):
-                futures.append(
-                    batcher.submit(sample(), timesteps=4, deadline_ms=10_000.0)
-                )
-                await asyncio.sleep(0.02)
-            results = await asyncio.gather(*futures)
-            await batcher.close()
-            return worker.calls, results
-
-        calls, results = asyncio.run(scenario())
-        assert calls == [(3, 4)]
-        assert {r["batch_size"] for r in results} == {3}
-
-    def test_client_leaving_during_pool_hold_is_cancelled_and_counted(self):
-        async def scenario():
-            worker = StubWorker(capacity=2)
-            batcher, _, metrics = make_batcher(worker, gather=0.2)
-            batcher.start()
+            first = batcher.submit(sample(), timesteps=4, deadline_ms=10_000.0)
+            while not worker.calls:  # wait until the first batch is in flight
+                await asyncio.sleep(0.001)
             gone = {"flag": False}
-            future = batcher.submit(
+            leaving = batcher.submit(
                 sample(), timesteps=4, deadline_ms=10_000.0,
                 is_disconnected=lambda: gone["flag"],
             )
-            await asyncio.sleep(0.05)  # gathered; the hold is running
             gone["flag"] = True
-            # The hold ends and drops it; at worst the wait times out.
-            await asyncio.wait([future], timeout=5.0)
+            await first
+            # The next gather drops it; at worst the wait times out.
+            await asyncio.wait([leaving], timeout=5.0)
             await batcher.close()
-            return future, metrics.counter("cancelled_in_queue"), worker.calls
+            return leaving, metrics.counter("cancelled_in_queue"), worker.calls
 
-        future, cancelled, calls = asyncio.run(scenario())
-        assert future.cancelled()
+        leaving, cancelled, calls = asyncio.run(scenario())
+        assert leaving.cancelled()
         assert cancelled == 1
-        assert calls == []
+        assert calls == [(1, 4)]  # only the first request reached the worker
 
 
 # ----------------------------------------------------------------------
@@ -560,7 +565,7 @@ class TestDegradedPrefixConsistency:
         x = rng.normal(size=(1,) + shape).astype(np.float32)
 
         async def scenario():
-            batcher, _, _ = make_batcher(worker, gather=0.0)
+            batcher, _, _ = make_batcher(worker)
             batcher.degrade.current = 2  # force degradation
             batcher.start()
             result = await batcher.submit(x, timesteps=4, deadline_ms=30_000.0)
@@ -653,7 +658,6 @@ def serve_config(**overrides):
         port=0,
         timesteps=4,
         engine="dense",
-        gather_window_seconds=0.0,
         hang_timeout_seconds=20.0,
         drain_timeout_seconds=10.0,
         estimator_initial_unit=1e-4,
