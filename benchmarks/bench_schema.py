@@ -53,7 +53,9 @@ PROFILE_ROW_KEYS = (
     "synaptic_ops",
 )
 
-PROFILE_BACKENDS = ("gemm", "event", "event-batched")
+#: A synapse row's kernel, or a neuron row's step (``sites``/``dense`` on
+#: ``event-batched``, ``-`` on engines without a per-layer choice).
+PROFILE_BACKENDS = ("gemm", "event", "event-batched", "sites", "dense", "-")
 
 #: The gate of the density rule a profile row names ("" on neuron rows
 #: and fixed-backend engines).

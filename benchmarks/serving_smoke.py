@@ -18,7 +18,10 @@ Two phases, exit 0 only if both hold:
    process: readiness polled over HTTP, load applied from threads,
    SIGTERM delivered mid-stream.  Asserts in-flight work completes
    (every client gets 200 or a clean draining 503), and the process
-   exits 0 inside the drain deadline.
+   exits 0 inside the drain deadline.  Then the same server on an
+   engine that hangs (``benchmarks/hung_engine_serve.py``): its request
+   times out with 503, and after SIGTERM the process drains and exits
+   0 within 2 s of the drain, its wedged slot thread still asleep.
 
 Standalone on purpose (plain script, not pytest): CI runs it as its
 own job so a serving regression is visible as a named failing step.
@@ -237,9 +240,63 @@ def phase_sigterm():
             process.wait(timeout=10.0)
 
 
+def phase_sigterm_hung_engine():
+    print("phase 2b: subprocess SIGTERM drain with a hung engine")
+    port = free_port()
+    process = subprocess.Popen(
+        [
+            sys.executable, str(Path(__file__).resolve().parent / "hung_engine_serve.py"),
+            "--port", str(port), "--timesteps", str(TIMESTEPS),
+            "--input-shape", "2,8,8", "--hang-timeout", "0.3",
+        ],
+        cwd=Path(__file__).resolve().parent.parent,
+        env=dict(os.environ, PYTHONPATH="src"),
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    drained = []
+
+    def watch():
+        for line in iter(process.stderr.readline, ""):
+            if "drain complete" in line:
+                drained.append(time.monotonic())
+
+    watcher = threading.Thread(target=watch, daemon=True)
+    watcher.start()
+    try:
+        ready = False
+        deadline = time.monotonic() + 60.0
+        while time.monotonic() < deadline and process.poll() is None:
+            try:
+                if http_get(port, "/readyz") == 200:
+                    ready = True
+                    break
+            except OSError:
+                time.sleep(0.2)
+        check(ready, "hung-engine server came up and reported ready")
+        status = http_infer(port, np.zeros(SHAPE, dtype=np.float32))
+        check(status == 503, f"the hung run timed out with 503 (got {status})")
+        process.send_signal(signal.SIGTERM)
+        returncode = process.wait(timeout=30.0)
+        exited = time.monotonic()
+        watcher.join(5.0)
+        check(returncode == 0, f"hung-engine drain exited 0 (got {returncode})")
+        check(bool(drained), "the drain completed")
+        check(
+            exited - drained[0] < 2.0,
+            f"exited {exited - drained[0]:.2f} s after the drain (< 2 s)",
+        )
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait(timeout=10.0)
+
+
 def main():
     phase_chaos()
     phase_sigterm()
+    phase_sigterm_hung_engine()
     print("serving smoke: ok")
     return 0
 

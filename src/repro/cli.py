@@ -148,6 +148,7 @@ def _curve_and_rates(model_name: str, args):
         finetune_epochs=max(1, args.epochs - 2),
         seed=args.seed,
         engine=args.engine,
+        timesteps=args.timesteps,
     )
     return dataset, curve
 
@@ -170,45 +171,45 @@ def _print_profile(curve, args) -> None:
 def _run_fig7(args) -> None:
     _print_header("Fig. 7: ResNet-18 accuracy vs timesteps")
     _, curve = _curve_and_rates("resnet18", args)
-    _print_curve(curve)
+    _print_curve(curve, args.timesteps)
     _print_profile(curve, args)
 
 
 def _run_fig9(args) -> None:
     _print_header("Fig. 9: VGG-11 accuracy vs timesteps")
     _, curve = _curve_and_rates("vgg11", args)
-    _print_curve(curve)
+    _print_curve(curve, args.timesteps)
     _print_profile(curve, args)
 
 
 def _run_fig6(args) -> None:
     _print_header("Fig. 6: ResNet-18 per-layer spike rates")
     dataset, curve = _curve_and_rates("resnet18", args)
-    stats = spike_rate_experiment(
-        curve, dataset, timesteps=8, input_format=args.input_format
-    )
-    if args.input_format == "events":
-        print("input: rate-encoded COO spike stream (event-driven mode)")
-    print(stats.layer_table())
+    _print_spike_rates(curve, dataset, args)
     _print_profile(curve, args)
 
 
 def _run_fig8(args) -> None:
     _print_header("Fig. 8: VGG-11 per-layer spike rates")
     dataset, curve = _curve_and_rates("vgg11", args)
-    stats = spike_rate_experiment(
-        curve, dataset, timesteps=8, input_format=args.input_format
-    )
-    if args.input_format == "events":
-        print("input: rate-encoded COO spike stream (event-driven mode)")
-    print(stats.layer_table())
+    _print_spike_rates(curve, dataset, args)
     _print_profile(curve, args)
 
 
-def _print_curve(curve) -> None:
+def _print_spike_rates(curve, dataset, args) -> None:
+    stats = spike_rate_experiment(
+        curve, dataset, timesteps=args.timesteps, input_format=args.input_format
+    )
+    if args.input_format == "events":
+        print("input: rate-encoded COO spike stream (event-driven mode)")
+    print(f"spike rates over T={stats.timesteps}, {stats.samples} samples")
+    print(stats.layer_table())
+
+
+def _print_curve(curve, timesteps: int) -> None:
     print(f"ANN accuracy:       {curve.ann_accuracy:.4f}")
     print(f"quantised accuracy: {curve.quant_accuracy:.4f}")
-    print(f"SNN accuracy (T=8): {curve.per_step_accuracy[7]:.4f}")
+    print(f"SNN accuracy (T={timesteps}): {curve.per_step_accuracy[timesteps - 1]:.4f}")
     print("accuracy vs T: " + " ".join(f"{a:.3f}" for a in curve.per_step_accuracy))
     if curve.timesteps_to_match_quant is not None:
         print(f"matches the quantised ANN at T={curve.timesteps_to_match_quant}")
@@ -575,8 +576,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(ALL_ARTEFACTS) + ["all"],
         help="which artefacts to regenerate",
     )
-    parser.add_argument("--timesteps", type=int, default=8)
-    parser.add_argument("--max-timesteps", type=int, default=16, dest="max_timesteps")
+    parser.add_argument("--timesteps", type=int, default=8,
+                        help="evaluated T (tab1 and the training figures)")
+    parser.add_argument("--max-timesteps", type=int, default=16, dest="max_timesteps",
+                        help="where the accuracy-vs-T curve ends (>= --timesteps)")
     parser.add_argument("--width", type=float, default=0.125,
                         help="model width multiplier for training artefacts")
     parser.add_argument("--epochs", type=int, default=6)

@@ -80,8 +80,12 @@ def accuracy_vs_timesteps_experiment(
     finetune_epochs: int = 6,
     seed: int = 0,
     engine: str = "dense",
+    timesteps: int = 8,
 ) -> AccuracyCurve:
     """Run the full pipeline and return the accuracy-vs-T curve.
+
+    ``timesteps`` is the evaluated T the network is built for; the
+    curve runs to ``max_timesteps``, which must reach it.
 
     ``engine`` selects the SNN simulation backend (``"dense"``,
     ``"event"``, ``"batched"`` or ``"auto"``); accuracy is
@@ -95,7 +99,7 @@ def accuracy_vs_timesteps_experiment(
         dataset,
         width=width,
         levels=levels,
-        timesteps=8,
+        timesteps=timesteps,
         max_timesteps=max_timesteps,
         ann_config=TrainConfig(epochs=ann_epochs, seed=seed),
         finetune_config=TrainConfig(epochs=finetune_epochs, lr=5e-4, seed=seed + 1),

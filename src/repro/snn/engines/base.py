@@ -26,7 +26,6 @@ import numpy as np
 from repro.nn.layers import Conv2d, Linear
 from repro.nn.module import Module
 from repro.nn.quant import QuantConv2d, QuantLinear, _WeightFakeQuant
-from repro.snn.convert import reset_network_state
 from repro.snn.engines.lanes import lane_count, run_lanes
 from repro.snn.engines.profiling import profiled_call
 from repro.snn.neurons import IFNeuron
@@ -212,6 +211,9 @@ class SimulationEngine(abc.ABC):
         self.model: Optional[Module] = None
         self._synapse_modules: List[Tuple[str, Module]] = []
         self._neuron_modules: List[Tuple[str, IFNeuron]] = []
+        # Synapse and neuron layers interleaved in graph (registration)
+        # order: the order of a run's layer stats.
+        self._layer_order: List[Tuple[str, Module]] = []
         self._installed: List[Module] = []
         # Lane peers, built lazily and reused across runs: sibling
         # engines bound to persistent model clones, keyed by count
@@ -226,11 +228,16 @@ class SimulationEngine(abc.ABC):
         self.model = model
         self._synapse_modules = []
         self._neuron_modules = []
+        self._layer_order = []
         for name, module in model.named_modules():
+            layer = (name or type(module).__name__, module)
             if isinstance(module, (Conv2d, Linear)):
-                self._synapse_modules.append((name or type(module).__name__, module))
+                self._synapse_modules.append(layer)
             elif isinstance(module, IFNeuron):
-                self._neuron_modules.append((name or type(module).__name__, module))
+                self._neuron_modules.append(layer)
+            else:
+                continue
+            self._layer_order.append(layer)
         return self
 
     # ------------------------------------------------------------------
@@ -320,7 +327,8 @@ class SimulationEngine(abc.ABC):
     def _run_single(self, x: np.ndarray, timesteps: int, per_step: bool) -> EngineRun:
         """One in-process run: reset, instrument, execute, collect stats."""
         started = time.perf_counter()
-        reset_network_state(self.model)
+        for _, module in self._neuron_modules:
+            module.reset_state()
         synapse_stats = {
             name: LayerStats(name=name, kind="linear" if isinstance(m, Linear) else "conv")
             for name, m in self._synapse_modules
@@ -338,7 +346,7 @@ class SimulationEngine(abc.ABC):
             self._uninstall()
 
         layers: List[LayerStats] = []
-        for name, module in self._all_layers_in_order():
+        for name, module in self._layer_order:
             if isinstance(module, IFNeuron):
                 base_spikes, base_steps = neuron_base[name]
                 stat = neuron_stats[name]
@@ -398,16 +406,6 @@ class SimulationEngine(abc.ABC):
         layers consume them without re-deriving sparsity from the plane.
         """
         return Tensor(stream.step(t).to_dense())
-
-    def _all_layers_in_order(self) -> List[Tuple[str, Module]]:
-        """Synapse and neuron layers interleaved in graph (registration) order."""
-        synapse = dict(self._synapse_modules)
-        neurons = dict(self._neuron_modules)
-        ordered: List[Tuple[str, Module]] = []
-        for name, module in self.model.named_modules():
-            if name in synapse or name in neurons:
-                ordered.append((name, module))
-        return ordered
 
     # ------------------------------------------------------------------
     # Per-run instrumentation hooks

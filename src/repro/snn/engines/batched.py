@@ -87,7 +87,9 @@ class TimeBatchedEngine(SimulationEngine):
         # propagating constancy until a stateful layer breaks it.
         self._constant_arrays: Dict[int, np.ndarray] = {}
         # Arrays whose nonzero count is already known, keyed by id with
-        # a weak reference plus the count.  The neuron interceptor pays
+        # a weak reference, the count and whether it is exact (the
+        # event-batched engine also notes upper bounds, which only its
+        # density rule reads).  The neuron interceptor pays
         # one count_nonzero per run for its spike accounting whether or
         # not profiling is on; registering the result here lets the
         # profiler answer the *next* layer's density for free instead
@@ -96,7 +98,7 @@ class TimeBatchedEngine(SimulationEngine):
         # and the consumer reads the count while the plane is its live
         # input anyway.  The identity check at lookup makes a recycled
         # id (dead entry, new array) a harmless miss.
-        self._known_nonzero: Dict[int, Tuple[object, int]] = {}
+        self._known_nonzero: Dict[int, Tuple[object, int, bool]] = {}
         self._run_timesteps = 0
         self._run_batch = 0
         self._stateless_modules: List[Module] = []
@@ -124,12 +126,8 @@ class TimeBatchedEngine(SimulationEngine):
         n = int(x.shape[0])
         self._run_timesteps = timesteps
         self._run_batch = n
-        if isinstance(x, SpikeStream):
-            tiled = self._stack_stream(x)
-        else:
-            tiled = self._tile_constant(x)
         with no_grad():
-            out = self.model(Tensor(tiled)).data
+            out = self._forward_stack(x)
         stepped = out.reshape((timesteps, n) + out.shape[1:])
         # Sequential cumulative sum over the time axis: identical float
         # summation order to the dense engine's ``total += logits``.
@@ -140,29 +138,52 @@ class TimeBatchedEngine(SimulationEngine):
             outputs = [np.ascontiguousarray(cumulative[t]) for t in range(timesteps)]
         return total, outputs
 
+    def _forward_stack(self, x) -> np.ndarray:
+        """The model's ``(T*N, ...)`` output for one run's input."""
+        if isinstance(x, SpikeStream):
+            tiled = self._stack_stream(x)
+        else:
+            tiled = self._tile_constant(x)
+        return self.model(Tensor(tiled)).data
+
     def _stack_stream(self, stream: SpikeStream) -> np.ndarray:
         """Materialise a COO stream as the engine's (T*N, ...) stack.
 
         A stream is genuinely time-varying: it densifies into the
         t-major stack with no constant-tiling tag, so every layer runs
         over the full stack.  The event-batched subclass overrides this
-        to also register the stream's stacked coordinates, keeping the
-        COO structure alive across the layer graph.
+        to also note the stream's event count for its density rule.
         """
         dense = stream.to_dense(np.float32)
         return np.ascontiguousarray(
             dense.reshape((self._run_timesteps * stream.batch_size,) + dense.shape[2:])
         )
 
+    def _tile(self, out: np.ndarray) -> np.ndarray:
+        """Tile an (N, ...) array into the (T*N, ...) stack."""
+        return np.ascontiguousarray(
+            np.broadcast_to(out, (self._run_timesteps,) + out.shape)
+        ).reshape((self._run_timesteps * out.shape[0],) + out.shape[1:])
+
     def _tile_constant(self, out: np.ndarray) -> np.ndarray:
         """Tile an (N, ...) array into the (T*N, ...) stack and mark it
         constant, so downstream stateless layers can keep computing on
         the N-batch prefix only."""
-        tiled = np.ascontiguousarray(
-            np.broadcast_to(out, (self._run_timesteps,) + out.shape)
-        ).reshape((self._run_timesteps * out.shape[0],) + out.shape[1:])
+        tiled = self._tile(out)
         self._constant_arrays[id(tiled)] = tiled
         return tiled
+
+    def _note_nonzero(self, plane: np.ndarray, count: int, exact: bool = True) -> None:
+        """Remember ``plane``'s nonzero count (an upper bound unless
+        ``exact``) for the layer that reads it next."""
+        self._known_nonzero[id(plane)] = (weakref.ref(plane), int(count), exact)
+
+    def _known(self, data: np.ndarray) -> Optional[Tuple[int, bool]]:
+        """``(nonzero count, is_exact)`` noted for ``data``, or None."""
+        known = self._known_nonzero.get(id(data))
+        if known is None or known[0]() is not data:
+            return None
+        return known[1], known[2]
 
     # ------------------------------------------------------------------
     def _install(self, synapse_stats, neuron_stats) -> None:
@@ -187,145 +208,143 @@ class TimeBatchedEngine(SimulationEngine):
         # only its (N, ...) prefix scanned, scaled by T.  Both are exact
         # — identical numbers to a full count_nonzero pass — so billing
         # and the event-batched density rule are unchanged.
-        known = self._known_nonzero.get(id(data))
-        if known is not None and known[0]() is data:
-            return known[1]
+        known = self._known(data)
+        if known is not None and known[1]:
+            return known[0]
         if id(data) in self._constant_arrays and self._run_timesteps > 0:
             prefix = int(np.count_nonzero(data[: self._run_batch]))
             return prefix * self._run_timesteps
         return None
 
     # ------------------------------------------------------------------
-    def _make_interceptor(self, module, stat, orig):
-        is_conv = isinstance(module, Conv2d)
+    def _gemm(self, module, stat, data: np.ndarray, constant: bool) -> np.ndarray:
+        """The dense kernel of a synapse layer, billed as full MACs.
 
+        A ``constant`` input runs on its (N, ...) prefix only; the
+        caller re-tiles the (N, ...) result.
+        """
+        ops = _dense_op_count(module, data.shape)
+        stat.synaptic_ops += ops
+        stat.dense_synaptic_ops += ops
+        weight = _effective_weight(module, self._weight_cache)
+        bias = module.bias.data if module.bias is not None else None
+        work = data[: self._run_batch] if constant else data
+        if isinstance(module, Conv2d):
+            return dense_conv2d(work, weight, bias, module.stride, module.padding)
+        out = work @ weight.T
+        if bias is not None:
+            out += bias
+        return out
+
+    def _make_interceptor(self, module, stat, orig):
         def forward(x: Tensor) -> Tensor:
             data = x.data
-            ops = _dense_op_count(module, data.shape)
-            stat.synaptic_ops += ops
-            stat.dense_synaptic_ops += ops
-            weight = _effective_weight(module, self._weight_cache)
-            bias = module.bias.data if module.bias is not None else None
             constant = id(data) in self._constant_arrays
-            work = data[: self._run_batch] if constant else data
-            if is_conv:
-                out = dense_conv2d(work, weight, bias, module.stride, module.padding)
-            else:
-                out = work @ weight.T
-                if bias is not None:
-                    out += bias
-            if constant:
+            out = self._gemm(module, stat, data, constant)
+            return Tensor(self._tile_constant(out) if constant else out)
+
+        return forward
+
+    def _stateless(self, module, forward, data: np.ndarray, constant: bool) -> np.ndarray:
+        """Constancy propagation + lean eval-BN through a stateless layer.
+
+        A stateless layer fed a known T-fold tiling computes its output
+        on the N-batch prefix once (the caller re-tiles it); any other
+        input runs once over the full (T*N, ...) stack.  Eval-mode
+        BatchNorm runs the module's exact arithmetic directly on the
+        ndarray — the same op sequence, so results are bitwise identical
+        to the dense engine's, without the autograd wrappers.
+        Training-mode BatchNorm depends on whole-batch statistics, so it
+        always runs the module's own ``forward`` on the full stack.
+        """
+        if module.training:
+            return forward(Tensor(data)).data
+        work = data[: self._run_batch] if constant else data
+        if not isinstance(module, BatchNorm2d):
+            return forward(Tensor(work)).data
+        shape = (1, module.num_features, 1, 1)
+        # ((work - mu) * inv) * g + b, one allocation.
+        out = np.subtract(work, module.running_mean.reshape(shape))
+        out *= (module.running_var.reshape(shape) + module.eps) ** -0.5
+        out *= module.gamma.data.reshape(shape)
+        out += module.beta.data.reshape(shape)
+        return out
+
+    def _make_stateless_interceptor(
+        self, module: Module
+    ) -> Callable[[Tensor], Tensor]:
+        orig = module.forward
+
+        def forward(x: Tensor) -> Tensor:
+            constant = id(x.data) in self._constant_arrays
+            out = self._stateless(module, orig, x.data, constant)
+            if constant and not module.training:
                 out = self._tile_constant(out)
             return Tensor(out)
 
         return forward
 
-    def _make_stateless_interceptor(
-        self, module: Module
-    ) -> Callable[[Tensor], Tensor]:
-        """Constancy propagation + lean eval-BN through stateless layers.
-
-        A stateless layer fed a known T-fold tiling computes its output
-        on the N-batch prefix once and re-tiles; any other input runs
-        once over the full (T*N, ...) stack.  Eval-mode BatchNorm runs
-        the module's exact arithmetic directly on the ndarray — the
-        same op sequence, so results are bitwise identical to the dense
-        engine's, without the autograd wrappers.  Training-mode
-        BatchNorm depends on whole-batch statistics, so it always falls
-        back to the module's own forward on the full stack.
-        """
-        orig = module.forward
-        is_bn = isinstance(module, BatchNorm2d)
-        bn_terms: List[Optional[Tuple[np.ndarray, ...]]] = [None]
-
-        def forward(x: Tensor) -> Tensor:
-            data = x.data
-            if module.training:
-                return orig(x)
-            constant = id(data) in self._constant_arrays
-            work = data[: self._run_batch] if constant else data
-            if is_bn:
-                if bn_terms[0] is None:
-                    shape = (1, module.num_features, 1, 1)
-                    mu = module.running_mean.reshape(shape)
-                    inv = (module.running_var.reshape(shape) + module.eps) ** -0.5
-                    bn_terms[0] = (
-                        mu,
-                        inv,
-                        module.gamma.data.reshape(shape),
-                        module.beta.data.reshape(shape),
-                    )
-                mu, inv, g, b = bn_terms[0]
-                # ((work - mu) * inv) * g + b, one allocation.
-                out = np.subtract(work, mu)
-                out *= inv
-                out *= g
-                out += b
-            elif constant:
-                out = orig(Tensor(work)).data
-            else:
-                return orig(x)
-            return Tensor(self._tile_constant(out) if constant else out)
-
-        return forward
+    def _step_neuron(self, module: IFNeuron, data: np.ndarray) -> Tuple[np.ndarray, int]:
+        """Step a neuron over the (T*N, ...) stack; returns its spike
+        plane and spike count."""
+        t = self._run_timesteps
+        n = data.shape[0] // t
+        stacked = data.reshape((t, n) + data.shape[1:])
+        leak_fn = module._leak_fn()
+        # The membrane buffer is private to this run (reset to None
+        # at run start), so stepping integrates in place.
+        v = module.v
+        if v is None:
+            v = initial_membrane(
+                stacked.shape[1:],
+                module.threshold,
+                module.v_init_fraction,
+                dtype=data.dtype,
+            )
+        out = np.empty(stacked.shape, dtype=np.float32)
+        if module.reset == ResetMode.SUBTRACT and v.dtype == np.float32:
+            # neuron_step's op sequence fused with the store: the
+            # spike plane scaled by the threshold is written once,
+            # into the output, and subtracted from it as the reset
+            # (``spiked * thr`` is exactly that plane), so no step
+            # allocates a temporary.
+            thr = np.float32(module.threshold)
+            mask = np.empty(stacked.shape[1:], dtype=bool)
+            for step in range(t):
+                if leak_fn is not None:
+                    v = leak_fn(v)
+                v += stacked[step]
+                np.greater_equal(v, module.threshold, out=mask)
+                np.multiply(mask, thr, out=out[step])
+                v -= out[step]
+        else:
+            for step in range(t):
+                v, spiked = neuron_step(
+                    v,
+                    stacked[step],
+                    module.threshold,
+                    reset=module.reset,
+                    leak_fn=leak_fn,
+                    in_place=True,
+                )
+                np.multiply(
+                    spiked, module.threshold, out=out[step], casting="unsafe"
+                )
+        module.v = v
+        # Spikes are exactly 0 or threshold (> 0), so one count over
+        # the whole (T, N, ...) plane replaces T small reductions.
+        spikes = int(np.count_nonzero(out))
+        module.spike_count += spikes
+        module.neuron_steps += int(out.size)
+        module.last_spikes = out[-1] / module.threshold
+        return out.reshape(data.shape), spikes
 
     def _make_neuron_interceptor(
         self, module: IFNeuron, stat: LayerStats
     ) -> Callable[[Tensor], Tensor]:
         def forward(x: Tensor) -> Tensor:
-            data = x.data
-            t = self._run_timesteps
-            n = data.shape[0] // t
-            stacked = data.reshape((t, n) + data.shape[1:])
-            leak_fn = module._leak_fn()
-            # The membrane buffer is private to this run (reset to None
-            # at run start), so stepping integrates in place.
-            v = module.v
-            if v is None:
-                v = initial_membrane(
-                    stacked.shape[1:],
-                    module.threshold,
-                    module.v_init_fraction,
-                    dtype=data.dtype,
-                )
-            out = np.empty(stacked.shape, dtype=np.float32)
-            if module.reset == ResetMode.SUBTRACT and v.dtype == np.float32:
-                # neuron_step's op sequence fused with the store: the
-                # spike plane scaled by the threshold is written once,
-                # into the output, and subtracted from it as the reset
-                # (``spiked * thr`` is exactly that plane), so no step
-                # allocates a temporary.
-                thr = np.float32(module.threshold)
-                mask = np.empty(stacked.shape[1:], dtype=bool)
-                for step in range(t):
-                    if leak_fn is not None:
-                        v = leak_fn(v)
-                    v += stacked[step]
-                    np.greater_equal(v, module.threshold, out=mask)
-                    np.multiply(mask, thr, out=out[step])
-                    v -= out[step]
-            else:
-                for step in range(t):
-                    v, spiked = neuron_step(
-                        v,
-                        stacked[step],
-                        module.threshold,
-                        reset=module.reset,
-                        leak_fn=leak_fn,
-                        in_place=True,
-                    )
-                    np.multiply(
-                        spiked, module.threshold, out=out[step], casting="unsafe"
-                    )
-            module.v = v
-            # Spikes are exactly 0 or threshold (> 0), so one count over
-            # the whole (T, N, ...) plane replaces T small reductions.
-            spikes = int(np.count_nonzero(out))
-            module.spike_count += spikes
-            module.neuron_steps += int(out.size)
-            module.last_spikes = out[-1] / module.threshold
-            emitted = out.reshape(data.shape)
-            self._known_nonzero[id(emitted)] = (weakref.ref(emitted), spikes)
+            emitted, spikes = self._step_neuron(module, x.data)
+            self._note_nonzero(emitted, spikes)
             return Tensor(emitted)
 
         return forward

@@ -1,88 +1,89 @@
-"""COO-native time-batched backend: one gather per layer.
+"""COO-native time-batched backend: one gather per layer, sparsity carried explicitly.
 
-:class:`EventBatchedEngine` merges the two fast paths the suite already
-has — the time-batched schedule (one pass over the t-major ``(T*N, ...)``
-stack, T-fold fewer layer dispatches) and the event-driven selection of
-the sparse engine (compute scales with spikes, not plane size) — without
-inheriting the per-step Python loop that makes the event engine lose
-wall clock at low density.  A :class:`repro.snn.spikes.SpikeStream`
-enters as one *stacked coordinate batch* (:meth:`SpikeStream.stacked`)
-and its sparsity structure is carried across the layer graph alongside
-the dense planes at four levels of detail:
+:class:`EventBatchedEngine` (also named ``auto``) merges the two fast
+paths the suite already has — the time-batched schedule (one pass over
+the t-major ``(T*N, ...)`` stack, T-fold fewer layer dispatches) and
+event-driven selection (compute scales with spikes, not plane size) —
+and lets one per-layer density rule pick each synapse layer's kernel
+from the spikes that layer receives on this call (see the class).  A
+bound model runs on one of two paths.
 
-* *exact coordinates* (stream input, COO pool outputs, site-neuron
-  outputs) — a conv runs the bit-exact row-subset kernel
-  (:func:`repro.snn.engines.event.conv_rows`): one GEMM covering all
-  T timesteps over rows built by scattering each event into the
-  windows it feeds (:func:`repro.snn.engines.event.conv_event_rows`).
-  A linear never reads coordinates: it runs the full GEMM over every
-  stack row, because a GEMM over a row subset may pick another BLAS
-  kernel and differ in the last bit, and bills from the event count.
-  Where the consumer is proven at bind time
-  (:func:`_coordinate_handoffs`: a neuron feeding a pool, a pool or the
-  model input feeding a conv, in a plain ``Sequential``) only the
-  coordinates travel, behind an all-NaN placeholder, and no dense plane
-  is built between the layers;
-* *site values* (gathered conv outputs that feed a proven
-  ``Conv2d -> [BatchNorm2d ->] IFNeuron`` chain of a ``Sequential``) —
-  the active rows, their ``(rows, C)`` output block and the per-channel
-  background every other site holds.  No dense plane is built: eval BN
-  maps the block and the background, and the neuron builds one
-  ``(T, sites, C)`` input block, screens out every cell whose running
-  sum never reaches threshold and steps only the rest.  The chains are
-  found once per :meth:`EventBatchedEngine.bind`; what flows between
-  the modules meanwhile is an all-NaN placeholder, so a consumer that
-  escaped the proof cannot compute on it silently;
-* *active sites* (other conv outputs) — the same rows and background
-  over a dense plane, which lets eval-mode BatchNorm and the neuron
-  gather the values at the rows and run the same site kernels;
-* *nonzero counts* (neuron outputs, pooled planes) — exact or bounded
-  event counts that cost nothing to produce (the neuron already counts
-  its spikes) and let the next conv reject the gather in O(1) without
-  ever scanning the plane.
+**The layer schedule** (a plain :class:`repro.nn.Sequential`, nested
+plain ``Sequential``s flattened, every module in one slot).
+:meth:`EventBatchedEngine.bind` compiles the model into a list of
+steps (:func:`_compile`).  Each step takes and returns one explicit
+carrier of a layer's output:
 
-The count layer is what makes the backend safe at moderate density:
+* :class:`_Stack` — a dense stack, with its nonzero count (exact, or an
+  upper bound) and whether it tiles the constant input frame T-fold;
+* :class:`repro.snn.spikes.StepSpikes` — exact stacked coordinates
+  (stream input, COO pool outputs, site-neuron outputs).  A conv builds
+  its im2col rows by scattering each event into the windows it feeds
+  (:func:`repro.snn.engines.event.conv_event_rows`) and runs one
+  row-subset GEMM over all T timesteps
+  (:func:`repro.snn.engines.event.conv_rows`); a non-overlapping pool
+  maps the events through its windows.  A linear never reads
+  coordinates: it runs the full GEMM over every stack row, because a
+  GEMM over a row subset may pick another BLAS kernel and differ in the
+  last bit, and bills from the event count;
+* :class:`_Sites` — a conv output that is a per-channel background
+  everywhere except at its active rows, with the rows' ``(rows, C)``
+  value block (or the dense plane holding it).  Eval BN maps the block
+  and the background, and the neuron builds one ``(T, sites, C)`` input
+  block, screens out every cell whose running sum never reaches
+  threshold and steps only the rest (``_site_neuron``).
+
+A step that cannot read the carrier it receives builds the dense stack
+from it (:func:`_plane`), once, where it is needed.  A ``Sequential``'s
+``forward`` hands each child's output to the next child and to nothing
+else, so compiling the chain *is* the proof that every carrier has
+exactly one reader.
+
+**Interceptors** (graph models: ResNet, VGG's own ``forward``,
+``Sequential`` subclasses with their own ``forward``, modules held in
+two slots).  Their ``forward`` code may read a plane twice, so the
+batched engine's forward interceptors run the same density rule on
+dense planes only; nonzero counts (exact spike counts, pool and conv
+bounds) travel in ``TimeBatchedEngine._known_nonzero`` and every
+neuron steps densely.
+
+Nonzero counts are what make the backend safe at moderate density:
 full-plane coordinate scans cost milliseconds at the sizes where dense
 GEMM wins anyway, so the engine budgets them.  A conv first bounds its
 active-window fraction from the carried count (``events x windows-per-
 event / output rows``); only if the bound stays under ``window_pregate``
 does it enumerate windows, and only if the enumerated fraction stays
 under ``gather_limit`` does it gather — otherwise it falls back to the
-dense kernel having spent O(1) or O(events), not O(plane).  These
-gates are the engine's whole per-layer rule (see
-:class:`EventBatchedEngine`).
+dense kernel having spent O(1) or O(events), not O(plane).
 
 Every fast path is *bitwise identical* to the dense time-batched
 reference: row-subset GEMMs reduce each output element with the same
-summation the full GEMM uses (unlike the event engine's column-subset
-shrink, which only matches up to float summation order), silent rows
-come out exactly ``+0.0``, BN and pooling replicate the reference
-kernels' exact op sequences at active sites and on the background,
-and the screened membrane update runs the stepper's exact op sequence
-on every cell it keeps (a screened-out cell provably never spikes).
-Logits, per-step outputs, spike counts, membranes and recorded
-densities all match ``TimeBatchedEngine`` exactly; op billing
-matches the event engine (performed ops) on layers that took a
-coordinate path or are sparse linears, and the dense engines (full
-MACs) on layers a gate sent to the GEMM first — ``LayerStats.backend``
-and ``LayerStats.backend_source`` record which.
-
-Dense inputs (analog frames) keep the inherited GEMM path per layer, so
-the engine never loses to ``batched`` by more than the O(1) checks; at
-low input density the gathers shrink with the event count and the
-backend wins outright — see ``benchmarks/test_engine_speedup.py``.
+summation the full GEMM uses, silent rows come out exactly ``+0.0``,
+BN and pooling replicate the reference kernels' exact op sequences at
+active sites and on the background, and the screened membrane update
+runs the stepper's exact op sequence on every cell it keeps (a
+screened-out cell provably never spikes).  Logits, per-step outputs,
+spike counts, membranes and recorded densities all match
+``TimeBatchedEngine`` exactly; op billing counts performed ops on
+layers that took a coordinate path or are sparse linears, and full MACs
+on layers a gate sent to the GEMM first — ``LayerStats.backend`` and
+``LayerStats.backend_source`` record which, and a neuron's
+``LayerStats.backend`` records whether it stepped ``sites`` or
+``dense``.
 """
 
 from __future__ import annotations
 
+import math
+import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.nn.layers import AvgPool2d, BatchNorm2d, Conv2d, MaxPool2d
+from repro.nn.layers import AvgPool2d, BatchNorm2d, Conv2d, Linear, MaxPool2d
 from repro.nn.module import Module
 from repro.nn.sequential import Sequential
 from repro.snn.dynamics import ResetMode, initial_membrane
@@ -105,36 +106,95 @@ from repro.tensor import Tensor
 
 
 @dataclass(frozen=True)
-class _Sites:
-    """Carried structure of a plane that is a per-channel constant
-    everywhere except at a few spatial sites.
+class _Stack:
+    """A dense ``(T*N, ...)`` stack and what is known of it.
 
-    ``rows`` are the sorted flattened spatial sites ``b * OH * OW + oy *
-    OW + ox`` (over the stacked ``(T*N, C, OH, OW)`` plane, channel
-    axis excluded — a window touches all output channels at once) that
-    a convolution actually computed, or that carried events;
-    ``background`` is the ``(C,)`` value every *other* site holds —
-    exactly zero for a bias-free conv or a spike plane, ``0 + bias``
-    for a biased conv, BN of that after eval BN.  A constant background
-    is what licenses the screened membrane update downstream: untouched
-    sites of one channel all follow a single shared trajectory.
-
-    ``values`` is the ``(rows, C)`` block of the plane at ``rows``, or
-    None when a dense plane holds them.  A plane registered *with*
-    values is a placeholder: the dense plane was never built (see
-    :meth:`EventBatchedEngine._materialize`).
+    ``nonzero`` is its nonzero count — exact when ``exact``, otherwise
+    an upper bound only the density rule's gates read — or None when
+    unknown.  ``constant`` marks a T-fold tiling of an ``(N, ...)``
+    prefix (the direct-coded frame), which stateless layers compute
+    once on the prefix and re-tile.
     """
 
+    data: np.ndarray
+    nonzero: Optional[int] = None
+    exact: bool = False
+    constant: bool = False
+
+    @property
+    def shape(self) -> Tuple[int, ...]:
+        return self.data.shape
+
+
+@dataclass(frozen=True)
+class _Sites:
+    """A conv output that is a per-channel constant everywhere except at
+    a few spatial sites.
+
+    ``rows`` are the sorted flattened spatial sites ``b * OH * OW + oy *
+    OW + ox`` (over the stacked ``(T*N, C, OH, OW)`` plane of ``shape``,
+    channel axis excluded — a window touches all output channels at
+    once) that a convolution actually computed; ``background`` is the
+    ``(C,)`` value every *other* site holds — exactly zero for a
+    bias-free conv, ``0 + bias`` for a biased conv, BN of that after
+    eval BN.  A constant background is what licenses the screened
+    membrane update downstream: untouched sites of one channel all
+    follow a single shared trajectory.
+
+    ``values`` is the ``(rows, C)`` block at ``rows``; when the conv
+    ran its dense kernel, ``plane`` holds the dense plane instead.
+    ``nonzero`` bounds the plane's nonzeros for the density rule.
+    """
+
+    shape: Tuple[int, ...]
     rows: np.ndarray
     background: np.ndarray
     values: Optional[np.ndarray] = None
+    plane: Optional[np.ndarray] = None
+    nonzero: Optional[int] = None
 
 
-def _slot_counts(model: Module) -> Counter:
-    """How many child slots of the tree hold each module (by id)."""
-    return Counter(
-        id(child) for module in model.modules() for child in module._modules.values()
-    )
+#: What one schedule step hands the next.
+Carrier = Union[_Stack, StepSpikes, _Sites]
+
+
+def _dense_plane(sites: _Sites) -> np.ndarray:
+    """The dense plane site values stand for: the background broadcast,
+    the values scattered — the dense kernels' exact values."""
+    n, c, h, w = sites.shape
+    s = h * w
+    out = np.empty((n, c, s), dtype=sites.values.dtype)
+    out[:] = sites.background[np.newaxis, :, np.newaxis]
+    out[sites.rows // s, :, sites.rows % s] = sites.values
+    return out.reshape(sites.shape)
+
+
+def _plane(x: Carrier) -> np.ndarray:
+    """The dense stack a carrier stands for, built only when a step
+    that reads dense planes receives it."""
+    if isinstance(x, _Stack):
+        return x.data
+    if isinstance(x, StepSpikes):
+        return x.to_dense(np.float32)
+    return x.plane if x.plane is not None else _dense_plane(x)
+
+
+def _values(sites: _Sites) -> np.ndarray:
+    """The ``(rows, C)`` value block of ``sites``."""
+    if sites.values is not None:
+        return sites.values
+    n, c, h, w = sites.shape
+    s = h * w
+    return sites.plane.reshape(n, c, s)[sites.rows // s, :, sites.rows % s]
+
+
+def _nonzero(x: Carrier) -> Optional[Tuple[int, bool]]:
+    """``(nonzero count, is_exact)`` as carried; None when unknown."""
+    if isinstance(x, StepSpikes):
+        return x.num_events, True
+    if x.nonzero is None:
+        return None
+    return x.nonzero, isinstance(x, _Stack) and x.exact
 
 
 def _plain_sequential(module: Module) -> bool:
@@ -146,70 +206,36 @@ def _plain_sequential(module: Module) -> bool:
     )
 
 
-def _site_chains(model: Module) -> Dict[int, Optional[BatchNorm2d]]:
-    """Convs whose output only a site-aware consumer reads.
+def _compile(model: Module) -> Optional[List[Tuple[str, Module]]]:
+    """The leaf modules a plain ``Sequential`` runs, named and in call
+    order, or None when the model's forward is not provably that chain.
 
-    Maps ``id(conv)`` to the eval BN between it and its neuron (None
-    for a direct ``Conv2d -> IFNeuron`` pair) for every adjacent
-    ``Conv2d -> [BatchNorm2d ->] IFNeuron`` run of children of a plain
-    :class:`repro.nn.Sequential` — its ``forward`` hands each child's
-    output to the next child and nothing else, which proves the
-    consumer.  A module registered in more than one place may be called
-    from elsewhere, so chains through one are left out, as are
-    ``Sequential`` subclasses with their own ``forward``.
+    Nested plain ``Sequential``s flatten into their parent.  Anything
+    else holding children (a residual block, a ``Sequential`` subclass
+    with its own ``forward``) may read a plane twice, and a module held
+    in two slots may be called from elsewhere, so either refuses the
+    schedule and the model runs on interceptors.
     """
-    slots = _slot_counts(model)
-    chains: Dict[int, Optional[BatchNorm2d]] = {}
-    for parent in model.modules():
-        if not _plain_sequential(parent):
+    if not _plain_sequential(model) or not model._modules:
+        return None
+    slots = Counter(
+        id(child) for module in model.modules() for child in module._modules.values()
+    )
+    leaves: List[Tuple[str, Module]] = []
+    for name, module in model.named_modules():
+        if module is model:
             continue
-        children = list(parent._modules.values())
-        for conv, after, third in zip(children, children[1:], children[2:] + [None]):
-            bn = after if isinstance(after, BatchNorm2d) else None
-            neuron = after if bn is None else third
-            if (
-                isinstance(conv, Conv2d)
-                and isinstance(neuron, IFNeuron)
-                and all(slots[id(m)] == 1 for m in (conv, bn, neuron) if m is not None)
-            ):
-                chains[id(conv)] = bn
-    return chains
+        if slots[id(module)] != 1:
+            return None
+        if _plain_sequential(module):
+            continue
+        if module._modules:
+            return None
+        leaves.append((name, module))
+    return leaves
 
 
 _POOLS = (MaxPool2d, AvgPool2d)
-
-
-def _coordinate_handoffs(model: Module) -> Tuple[Set[int], bool]:
-    """Producers whose output may travel as coordinates alone.
-
-    Returns the ids of every ``IFNeuron`` directly followed by a
-    ``MaxPool2d``/``AvgPool2d``, and of every such pool directly followed
-    by a ``Conv2d``, among the children of a plain ``Sequential`` (the
-    proof :func:`_site_chains` makes: neither module sits in another
-    slot), plus whether the model's input reaches a ``Conv2d`` first
-    the same way.  Those consumers read a coordinate plane through the
-    registry, so its producer may hand them a NaN placeholder instead
-    of building the dense plane.
-    """
-    slots = _slot_counts(model)
-    handoffs: Set[int] = set()
-    for parent in model.modules():
-        if not _plain_sequential(parent):
-            continue
-        children = list(parent._modules.values())
-        for producer, consumer in zip(children, children[1:]):
-            if slots[id(producer)] != 1 or slots[id(consumer)] != 1:
-                continue
-            if (
-                isinstance(producer, IFNeuron) and isinstance(consumer, _POOLS)
-            ) or (isinstance(producer, _POOLS) and isinstance(consumer, Conv2d)):
-                handoffs.add(id(producer))
-    first = model
-    while _plain_sequential(first) and first._modules:
-        first = next(iter(first._modules.values()))
-        if slots[id(first)] != 1:
-            return handoffs, False
-    return handoffs, isinstance(first, Conv2d)
 
 
 def _screen(
@@ -233,34 +259,14 @@ def _screen(
     return v, np.flatnonzero(peak >= threshold)
 
 
+
+
 def _scanned_events(data: np.ndarray) -> StepSpikes:
     """The nonzeros of a dense plane as events, amplitudes included."""
     nonzero = np.nonzero(data)
     return StepSpikes(
         coords=np.stack(nonzero, axis=1), shape=data.shape, values=data[nonzero]
     )
-
-
-def _placeholder(shape: Tuple[int, ...]) -> np.ndarray:
-    """Stand-in for a plane carried as site values.
-
-    A zero-stride, read-only all-NaN view: a consumer that reads it
-    without asking the site registry gets NaN everywhere, so a consumer
-    that escaped :func:`_site_chains` fails bit-identity loudly instead
-    of computing on a wrong plane.
-    """
-    return np.broadcast_to(np.float32(np.nan), shape)
-
-
-def _dense_plane(shape: Tuple[int, ...], sites: _Sites) -> np.ndarray:
-    """The dense plane site values stand for: the background broadcast,
-    the values scattered — the dense kernels' exact values."""
-    n, c, h, w = shape
-    s = h * w
-    out = np.empty((n, c, s), dtype=sites.values.dtype)
-    out[:] = sites.background[np.newaxis, :, np.newaxis]
-    out[sites.rows // s, :, sites.rows % s] = sites.values
-    return out.reshape(shape)
 
 
 def _spike_planes(
@@ -402,29 +408,17 @@ class EventBatchedEngine(TimeBatchedEngine):
         if not 0.0 < density_threshold <= 1.0:
             raise ValueError("density_threshold must be in (0, 1]")
         self.density_threshold = density_threshold
-        # Carried sparsity structure of live planes, keyed by array id;
-        # the entries hold the plane itself so ids cannot be recycled
-        # while registered.  ``_coords`` holds *exact* nonzero
-        # coordinates; ``_sites`` the active-window superset of conv
-        # outputs (with their values, for placeholders); ``_counts``
-        # nonzero counts (exact flag) for planes whose structure is
-        # unknown but whose magnitude is.  A coordinate entry flagged
-        # deferred is a placeholder: only its coordinates exist.
-        self._coords: Dict[int, Tuple[np.ndarray, StepSpikes, bool]] = {}
-        self._sites: Dict[int, Tuple[np.ndarray, _Sites]] = {}
-        self._counts: Dict[int, Tuple[np.ndarray, int, bool]] = {}
-        # Bound-model structure, rebuilt per bind, not per run: the convs
-        # that may hand site values to their neuron (see _site_chains),
-        # the neurons and pools that may hand on coordinates alone and
-        # whether the model input may (see _coordinate_handoffs).
-        self._chains: Dict[int, Optional[BatchNorm2d]] = {}
-        self._handoffs: Set[int] = set()
-        self._defer_input = False
+        # The bound model's steps, compiled per bind (None: the model
+        # runs on interceptors), and the current run's layer stats.
+        self._schedule: Optional[list] = None
+        self._run_stats: dict = {}
 
     def bind(self, model: Module) -> "EventBatchedEngine":
         super().bind(model)
-        self._chains = _site_chains(model)
-        self._handoffs, self._defer_input = _coordinate_handoffs(model)
+        leaves = _compile(model)
+        self._schedule = None if leaves is None else [
+            (name, module, self._step_for(module)) for name, module in leaves
+        ]
         return self
 
     def _config(self) -> dict:
@@ -441,229 +435,182 @@ class EventBatchedEngine(TimeBatchedEngine):
         )
 
     # ------------------------------------------------------------------
-    # Carried-structure registry
+    # The layer schedule
     # ------------------------------------------------------------------
-    def _register_coords(
-        self, plane: np.ndarray, step: StepSpikes, deferred: bool = False
-    ) -> None:
-        """Register ``plane``'s exact nonzeros (coordinates and values);
-        ``deferred`` marks ``plane`` as a placeholder for them."""
-        self._coords[id(plane)] = (plane, step, deferred)
-        self._counts[id(plane)] = (plane, step.num_events, True)
-
-    def _register_sites(self, plane: np.ndarray, sites: _Sites) -> None:
-        self._sites[id(plane)] = (plane, sites)
-
-    def _register_count(self, plane: np.ndarray, count: int, exact: bool) -> None:
-        self._counts[id(plane)] = (plane, int(count), exact)
-
-    def _carried_coords(self, data: np.ndarray) -> Optional[StepSpikes]:
-        entry = self._coords.get(id(data))
-        return None if entry is None else entry[1]
-
-    def _carried_count(self, data: np.ndarray) -> Optional[Tuple[int, bool]]:
-        """``(nonzero count, is_exact)`` if carried; None when unknown."""
-        entry = self._counts.get(id(data))
-        return None if entry is None else (entry[1], entry[2])
-
-    def _sites_of(self, data: np.ndarray) -> Optional[_Sites]:
-        """Site structure of a 4D plane, from either registry; None when
-        unknown.  Exact coordinates become sites on a zero background."""
-        entry = self._sites.get(id(data))
-        if entry is not None:
-            return entry[1]
-        step = self._carried_coords(data)
-        if step is not None and len(step.shape) == 4:
-            w = step.shape[3]
-            s = step.shape[2] * w
-            rows = np.unique(
-                step.coords[:, 0] * s + step.coords[:, 2] * w + step.coords[:, 3]
-            )
-            return _Sites(rows=rows, background=np.zeros(data.shape[1], data.dtype))
-        return None
-
-    @staticmethod
-    def _gathered(data: np.ndarray, sites: _Sites) -> _Sites:
-        """``sites`` with their values (read from the dense plane)."""
-        if sites.values is not None:
-            return sites
-        n, c, h, w = data.shape
-        s = h * w
-        values = data.reshape(n, c, s)[sites.rows // s, :, sites.rows % s]
-        return _Sites(rows=sites.rows, background=sites.background, values=values)
-
-    def _emit(self, shape: Tuple[int, ...], sites: _Sites, defer: bool) -> np.ndarray:
-        """Hand on site values: as a placeholder carrying them when
-        ``defer`` (the consumer is proven site-aware), else as their
-        dense plane with the sites registered for the dense-plane site
-        paths."""
-        if defer:
-            out = _placeholder(shape)
-        else:
-            out = _dense_plane(shape, sites)
-            sites = _Sites(rows=sites.rows, background=sites.background)
-        self._register_sites(out, sites)
-        return out
-
-    def _materialize(self, data: np.ndarray) -> np.ndarray:
-        """The dense plane a placeholder stands for, built from its site
-        values or coordinates; any other plane unchanged."""
-        entry = self._sites.get(id(data))
-        if entry is not None and entry[1].values is not None:
-            return _dense_plane(data.shape, entry[1])
-        entry = self._coords.get(id(data))
-        if entry is not None and entry[2]:
-            return entry[1].to_dense(data.dtype)
-        return data
-
-    def _defers(self, conv: Conv2d) -> bool:
-        """Whether ``conv``'s gathered output may stay site values."""
-        if id(conv) not in self._chains:
-            return False
-        bn = self._chains[id(conv)]
-        return bn is None or not bn.training
-
-    def _input_nonzero_of(self, data: np.ndarray) -> Optional[int]:
-        # Exact carried counts make density recording free; bounds are
-        # not exact, so those planes fall back to the batched engine's
-        # shortcuts (neuron-emitted counts, constant-prefix scaling)
-        # and only then to the profiler's scan.
-        info = self._carried_count(data)
-        if info is not None and info[1]:
-            return info[0]
-        return super()._input_nonzero_of(data)
-
-    # ------------------------------------------------------------------
-    def _stack_stream(self, stream: SpikeStream) -> np.ndarray:
-        # The whole stream becomes one stacked coordinate batch: every
-        # layer's gather covers all T timesteps in a single call.  A
-        # model whose input provably reaches a conv first gets only the
-        # coordinates, behind a placeholder.
-        stacked = stream.stacked()
-        if self._defer_input:
-            tiled = _placeholder(stacked.shape)
-        else:
-            tiled = super()._stack_stream(stream)
-        self._register_coords(tiled, stacked, deferred=self._defer_input)
-        return tiled
+    def _step_for(self, module: Module):
+        """The step that runs ``module``: ``(module, stat, carrier) ->
+        carrier``; ``stat`` is None for layers without a profile row."""
+        if isinstance(module, (Conv2d, Linear)):
+            return self._synapse
+        if isinstance(module, IFNeuron):
+            return self._neuron
+        if isinstance(module, BatchNorm2d):
+            return self._bn
+        if isinstance(module, _POOLS):
+            return lambda m, stat, x: self._pool(m, m.forward, x)
+        return lambda m, stat, x: _Stack(m(Tensor(_plane(x))).data)
 
     def _install(self, synapse_stats, neuron_stats) -> None:
-        self._coords = {}
-        self._sites = {}
-        self._counts = {}
-        super()._install(synapse_stats, neuron_stats)
+        if self._schedule is None:
+            super()._install(synapse_stats, neuron_stats)
+        else:
+            self._run_stats = {**synapse_stats, **neuron_stats}
 
     def _uninstall(self) -> None:
-        super()._uninstall()
-        self._coords = {}
-        self._sites = {}
-        self._counts = {}
+        if self._schedule is None:
+            super()._uninstall()
+        self._run_stats = {}
+
+    def _forward_stack(self, x) -> np.ndarray:
+        if self._schedule is None:
+            return super()._forward_stack(x)
+        if isinstance(x, SpikeStream):
+            carrier: Carrier = x.stacked()
+        else:
+            carrier = _Stack(self._tile(x), constant=True)
+        for name, module, step in self._schedule:
+            stat = self._run_stats.get(name)
+            if stat is None or not self.profile_layers:
+                carrier = step(module, stat, carrier)
+                continue
+            if stat.kind != "neuron":
+                # Counted outside the timed region, like profiled_call.
+                stat.input_nonzero += self._input_nonzero(carrier)
+                stat.input_size += int(math.prod(carrier.shape))
+            started = time.perf_counter()
+            carrier = step(module, stat, carrier)
+            stat.wall_clock_seconds += time.perf_counter() - started
+        return _plane(carrier)
+
+    def _input_nonzero(self, x: Carrier) -> int:
+        """The exact nonzero count of a synapse layer's input."""
+        known = _nonzero(x)
+        if known is not None and known[1]:
+            return known[0]
+        if isinstance(x, _Stack) and x.constant:
+            return int(np.count_nonzero(x.data[: self._run_batch])) * self._run_timesteps
+        return int(np.count_nonzero(_plane(x)))
 
     # ------------------------------------------------------------------
-    # Synapse layers
+    # Interceptors (graph models): dense planes plus nonzero counts
     # ------------------------------------------------------------------
-    def _coo_conv(
-        self,
-        module: Conv2d,
-        data: np.ndarray,
-        step: StepSpikes,
-        weight: np.ndarray,
-        bias: Optional[np.ndarray],
-    ) -> Tuple[np.ndarray, int, bool]:
-        """Run a conv from a coordinate batch.
+    def _stack_stream(self, stream: SpikeStream) -> np.ndarray:
+        tiled = super()._stack_stream(stream)
+        self._note_nonzero(tiled, stream.num_events)
+        return tiled
 
-        Returns ``(output, performed_ops, gathered)``; the output is
-        bitwise identical to the dense kernel's either way.  The
-        enumerated active-window fraction decides between the
-        row-subset GEMM (:func:`repro.snn.engines.event.conv_rows`) and
-        one dense GEMM (``gathered`` records which); performed ops are
-        billed from the coordinates in both cases, and the active sites
-        are registered for the downstream BN/neuron site paths.  The
-        subset's rows are built from ``step``'s events and amplitudes
-        (:func:`repro.snn.engines.event.conv_event_rows`), so ``data``
-        may be a coordinate placeholder; every dense kernel reads its
-        dense plane.  A gathered conv whose consumer is a proven site
-        chain (:func:`_site_chains`) returns a placeholder carrying the
-        site values instead of a dense plane.
-        """
+    def _carrier_of(self, data: np.ndarray) -> _Stack:
+        nonzero, exact = self._known(data) or (None, False)
+        return _Stack(data, nonzero, exact, id(data) in self._constant_arrays)
+
+    def _unwrap(self, x: Carrier) -> Tensor:
+        """A step's output as the dense plane an interceptor returns,
+        its constancy or nonzero count noted for the next layer."""
+        plane = _plane(x)
+        known = _nonzero(x)
+        if isinstance(x, _Stack) and x.constant:
+            self._constant_arrays[id(plane)] = plane
+        elif known is not None:
+            self._note_nonzero(plane, *known)
+        return Tensor(plane)
+
+    def _make_interceptor(self, module, stat, orig):
+        return lambda x: self._unwrap(self._synapse(module, stat, self._carrier_of(x.data)))
+
+    def _make_stateless_interceptor(self, module: Module):
+        if not isinstance(module, _POOLS):
+            return super()._make_stateless_interceptor(module)
+        orig = module.forward
+        return lambda x: self._unwrap(self._pool(module, orig, self._carrier_of(x.data)))
+
+    def _make_neuron_interceptor(self, module: IFNeuron, stat: LayerStats):
+        stat.backend = "dense"
+        return super()._make_neuron_interceptor(module, stat)
+
+    # ------------------------------------------------------------------
+    # Synapse layers: the density rule
+    # ------------------------------------------------------------------
+    def _on_gemm(self, module, stat: LayerStats, source: str, x: _Stack) -> _Stack:
+        stat.backend, stat.backend_source = "gemm", source
+        out = self._gemm(module, stat, x.data, x.constant)
+        return _Stack(self._tile(out), constant=True) if x.constant else _Stack(out)
+
+    def _synapse(self, module, stat: LayerStats, x: Carrier) -> Carrier:
+        # Each gate below may send the layer to the GEMM;
+        # ``backend_source`` records the one that decided.
+        if isinstance(x, _Sites):
+            x = _Stack(_plane(x), x.nonzero)
+        if isinstance(x, _Stack) and x.constant:
+            return self._on_gemm(module, stat, "constant", x)
+        known = _nonzero(x)
+        if known is None:
+            # Unknown plane (flattened features): one cheap count
+            # decides; coordinates only if it pays.
+            known = int(np.count_nonzero(x.data)), True
+        count, exact = known
+        if count >= self.density_threshold * math.prod(x.shape):
+            return self._on_gemm(module, stat, "density", _Stack(_plane(x)))
+        if not isinstance(module, Conv2d):
+            return self._sparse_linear(module, stat, _plane(x), count, exact)
         k, s_, p = module.kernel_size, module.stride, module.padding
-        oh = _conv_out_size(data.shape[2], k, s_, p)
-        ow = _conv_out_size(data.shape[3], k, s_, p)
-        shape = (data.shape[0], module.out_channels, oh, ow)
-        windows = shape[0] * oh * ow
+        oh = _conv_out_size(x.shape[2], k, s_, p)
+        ow = _conv_out_size(x.shape[3], k, s_, p)
+        nwin = (1 + (k - 1) // s_) ** 2
+        if count * nwin >= self.window_pregate * x.shape[0] * oh * ow:
+            # O(1) rejection: even the loosest bound on the active-window
+            # fraction says one GEMM wins.
+            return self._on_gemm(module, stat, "pregate", _Stack(_plane(x)))
+        stat.dense_synaptic_ops += _dense_op_count(module, x.shape)
+        out, performed, gathered = self._coo_conv(module, x)
+        stat.synaptic_ops += performed
+        stat.backend = "event-batched" if gathered else "gemm"
+        stat.backend_source = "rows"
+        return out
+
+    def _coo_conv(self, module: Conv2d, x: Union[_Stack, StepSpikes]):
+        """Run a conv from its input's events.
+
+        Returns ``(sites, performed_ops, gathered)``; the output is
+        bitwise identical to the dense kernel's either way.  The events
+        are ``x``'s coordinates, or a scan of its dense plane.  The
+        enumerated active-window fraction decides between the row-subset
+        GEMM (:func:`repro.snn.engines.event.conv_rows`, over rows built
+        from the events and their amplitudes by
+        :func:`repro.snn.engines.event.conv_event_rows`) and one dense
+        GEMM (``gathered`` records which); performed ops are billed from
+        the events in both cases.
+        """
+        step = x if isinstance(x, StepSpikes) else _scanned_events(x.data)
+        weight = _effective_weight(module, self._weight_cache)
+        bias = module.bias.data if module.bias is not None else None
+        k, s_, p = module.kernel_size, module.stride, module.padding
+        n, _, h, w = x.shape
+        oh, ow = _conv_out_size(h, k, s_, p), _conv_out_size(w, k, s_, p)
+        shape = (n, module.out_channels, oh, ow)
+        windows = n * oh * ow
         amplitude = step.scale if step.values is None else step.values
+        dtype = x.data.dtype if isinstance(x, _Stack) else np.float32
         active_rows, entries, block = conv_event_rows(
-            step.coords, amplitude, data.shape, k, s_, p, data.dtype,
+            step.coords, amplitude, x.shape, k, s_, p, dtype,
             max_rows=self.gather_limit * windows,
         )
-        performed = entries * module.out_channels
         background = np.zeros(
-            module.out_channels, dtype=np.result_type(data.dtype, weight.dtype)
+            module.out_channels, dtype=np.result_type(dtype, weight.dtype)
         )
         if bias is not None:
             background = background + bias  # a silent window's 0 + bias
         gathered = block is not None
-        if gathered:
-            values = conv_rows(block, weight, bias, active_rows, windows)
-            out = self._emit(
-                shape, _Sites(active_rows, background, values), self._defers(module)
-            )
-        else:
-            out = dense_conv2d(self._materialize(data), weight, bias, s_, p)
-            self._register_sites(out, _Sites(active_rows, background))
-        self._register_count(
-            out, min(active_rows.size * module.out_channels, out.size), exact=False
+        sites = _Sites(
+            shape,
+            active_rows,
+            background,
+            values=conv_rows(block, weight, bias, active_rows, windows) if gathered else None,
+            plane=None if gathered else dense_conv2d(_plane(x), weight, bias, s_, p),
+            nonzero=min(active_rows.size * module.out_channels, int(math.prod(shape))),
         )
-        return out, performed, gathered
+        return sites, entries * module.out_channels, gathered
 
-    def _make_interceptor(self, module, stat, orig):
-        gemm = super()._make_interceptor(module, stat, orig)
-        is_conv = isinstance(module, Conv2d)
-
-        def on_gemm(source: str, x: Tensor) -> Tensor:
-            stat.backend, stat.backend_source = "gemm", source
-            return gemm(x)
-
-        def forward(x: Tensor) -> Tensor:
-            # The density rule: each gate below may send the layer to the
-            # GEMM; ``backend_source`` records the one that decided.
-            data = x.data
-            if id(data) in self._constant_arrays:
-                return on_gemm("constant", x)
-            info = self._carried_count(data)
-            if info is None:
-                # Unknown plane (flattened features, residual sums):
-                # one cheap count decides; coordinates only if it pays.
-                count, exact = int(np.count_nonzero(data)), True
-            else:
-                count, exact = info
-            if count >= self.density_threshold * data.size:
-                return on_gemm("density", Tensor(self._materialize(data)))
-            if not is_conv:
-                return self._sparse_linear(module, stat, data, count, exact)
-            k, s_, p = module.kernel_size, module.stride, module.padding
-            oh = _conv_out_size(data.shape[2], k, s_, p)
-            ow = _conv_out_size(data.shape[3], k, s_, p)
-            nwin = (1 + (k - 1) // s_) ** 2
-            if count * nwin >= self.window_pregate * data.shape[0] * oh * ow:
-                # O(1) rejection: even the loosest bound on the
-                # active-window fraction says one GEMM wins.
-                return on_gemm("pregate", Tensor(self._materialize(data)))
-            step = self._carried_coords(data)
-            if step is None:
-                step = _scanned_events(data)
-            stat.dense_synaptic_ops += _dense_op_count(module, data.shape)
-            weight = _effective_weight(module, self._weight_cache)
-            bias = module.bias.data if module.bias is not None else None
-            out, performed, gathered = self._coo_conv(module, data, step, weight, bias)
-            stat.synaptic_ops += performed
-            stat.backend = "event-batched" if gathered else "gemm"
-            stat.backend_source = "rows"
-            return Tensor(out)
-
-        return forward
-
-    def _sparse_linear(self, module, stat, data, count: int, exact: bool) -> Tensor:
+    def _sparse_linear(self, module, stat, dense, count: int, exact: bool) -> _Stack:
         """A sparse linear: the plain GEMM over every stack row, billed
         one op per (input event, output feature).
 
@@ -672,136 +619,90 @@ class EventBatchedEngine(TimeBatchedEngine):
         coordinates buy nothing here; only a bounded count is rescanned
         for the exact one.
         """
-        dense = self._materialize(data)
         if not exact:
             count = int(np.count_nonzero(dense))
         stat.synaptic_ops += count * module.out_features
-        stat.dense_synaptic_ops += _dense_op_count(module, data.shape)
+        stat.dense_synaptic_ops += _dense_op_count(module, dense.shape)
         stat.backend, stat.backend_source = "gemm", "linear"
         out = dense @ _effective_weight(module, self._weight_cache).T
         if module.bias is not None:
             out += module.bias.data
-        return Tensor(out)
+        return _Stack(out)
 
     # ------------------------------------------------------------------
     # Stateless layers: BN at active sites, COO pooling
     # ------------------------------------------------------------------
-    def _make_stateless_interceptor(
-        self, module: Module
-    ) -> Callable[[Tensor], Tensor]:
-        base = super()._make_stateless_interceptor(module)
-        if isinstance(module, BatchNorm2d):
-            return self._make_bn_interceptor(module, base)
-        return self._make_pool_interceptor(module, base)
-
-    def _make_bn_interceptor(self, module, base):
-        terms: List[Optional[Tuple[np.ndarray, ...]]] = [None]
-
-        def forward(x: Tensor) -> Tensor:
-            data = x.data
-            sites = None if module.training else self._sites_of(data)
-            if sites is None or 2 * sites.rows.size >= data.shape[0] * (
-                data.shape[2] * data.shape[3]
-            ):
-                return base(Tensor(self._materialize(data)))
-            out = self._bn_at_sites(module, self._gathered(data, sites), terms)
+    def _bn(self, module: BatchNorm2d, stat, x: Carrier) -> Carrier:
+        if (
+            isinstance(x, _Sites)
+            and not module.training
+            and 2 * x.rows.size < x.shape[0] * x.shape[2] * x.shape[3]
+        ):
             # BN is site-local, so the sites survive it verbatim, with
-            # BN(background) as the new background; site values stay
-            # deferred when they came in deferred (the chain's neuron
-            # reads them).
-            return Tensor(self._emit(data.shape, out, defer=sites.values is not None))
-
-        return forward
-
-    @staticmethod
-    def _bn_at_sites(module, sites: _Sites, terms) -> _Sites:
-        """Eval BN of site values: the module's exact op sequence on the
-        ``(rows, C)`` value block and on the ``(C,)`` background, so
-        both are bitwise what the dense kernel produces there, at
-        ``O(active sites · C)`` instead of a full-plane pass."""
-        if terms[0] is None:
-            terms[0] = (
-                module.running_mean,
-                (module.running_var + module.eps) ** -0.5,
-                module.gamma.data,
-                module.beta.data,
+            # BN(background) as the new background: its exact op
+            # sequence on the ``(rows, C)`` block and on the ``(C,)``
+            # background, at ``O(active sites · C)``.
+            inv = (module.running_var + module.eps) ** -0.5
+            mu, g, b = module.running_mean, module.gamma.data, module.beta.data
+            return _Sites(
+                x.shape,
+                x.rows,
+                background=((x.background - mu) * inv) * g + b,
+                values=((_values(x) - mu) * inv) * g + b,
             )
-        mu, inv, g, b = terms[0]
-        return _Sites(
-            rows=sites.rows,
-            background=((sites.background - mu) * inv) * g + b,
-            values=((sites.values - mu) * inv) * g + b,
-        )
+        return self._dense_stateless(module, module.forward, x)
 
-    def _make_pool_interceptor(self, module, base):
-        kernel, stride = module.kernel_size, module.stride
+    def _dense_stateless(self, module, forward, x: Carrier) -> _Stack:
+        """A stateless layer on the dense stack; a constant tiling stays
+        one, computed on its prefix (eval mode)."""
+        constant = isinstance(x, _Stack) and x.constant
+        out = self._stateless(module, forward, _plane(x), constant)
+        if constant and not module.training:
+            return _Stack(self._tile(out), constant=True)
+        return _Stack(out)
 
-        def forward(x: Tensor) -> Tensor:
-            data = x.data
-            if id(data) in self._constant_arrays:
-                return base(x)
-            step = self._carried_coords(data)
-            if (
-                step is not None
-                and data.ndim == 4
-                and step.density < self.pool_coo_limit
-            ):
-                out = self._coo_pool(module, data, step)
-                if out is not None:
-                    return Tensor(out)
-            result = base(Tensor(self._materialize(data)))
-            rdata = result.data
-            if id(rdata) in self._constant_arrays:
-                return result
-            if step is not None:
-                # COO construction didn't apply, but the coordinates can
-                # still map through non-overlapping windows for the
-                # layers downstream.  Registered coordinates are exact,
-                # values included: an average carries its pooled values,
-                # a max its (positive) amplitude.
-                coords = pooled_coords(step, kernel, stride, rdata.shape)
-                pooled = None
-                if coords is not None and isinstance(module, AvgPool2d):
-                    pooled = StepSpikes(
-                        coords=coords,
-                        shape=rdata.shape,
-                        values=rdata[tuple(coords.T)],
-                    )
-                elif coords is not None and step.scale > 0:
-                    pooled = StepSpikes(
-                        coords=coords, shape=rdata.shape, scale=step.scale
-                    )
-                if pooled is not None:
-                    self._register_coords(rdata, pooled)
-                    return result
-            info = self._carried_count(data)
-            if info is not None:
-                # Pooling cannot create nonzeros: the input count bounds
-                # the output count, which keeps the O(1) conv pregate
-                # alive downstream with no scan.
-                self._register_count(rdata, min(info[0], rdata.size), exact=False)
-            return result
+    def _pool(self, module, forward, x: Carrier) -> Carrier:
+        if isinstance(x, _Stack) and x.constant:
+            return self._dense_stateless(module, forward, x)
+        if (
+            isinstance(x, StepSpikes)
+            and len(x.shape) == 4
+            and x.density < self.pool_coo_limit
+        ):
+            out = self._coo_pool(module, x)
+            if out is not None:
+                return out
+        known = _nonzero(x)
+        plane = forward(Tensor(_plane(x))).data
+        if isinstance(x, StepSpikes):
+            # The COO kernel didn't apply, but the coordinates still map
+            # through non-overlapping windows: an average is nonzero
+            # where its window holds an event, a max where it holds a
+            # positive one.
+            coords = pooled_coords(x, module.kernel_size, module.stride, plane.shape)
+            if coords is not None and (isinstance(module, AvgPool2d) or x.scale > 0):
+                return _Stack(plane, coords.shape[0], exact=True)
+        if known is None:
+            return _Stack(plane)
+        # Pooling cannot create nonzeros: the input count bounds the
+        # output count, which keeps the O(1) conv pregate alive
+        # downstream with no scan.
+        return _Stack(plane, min(known[0], plane.size))
 
-        return forward
+    def _coo_pool(self, module, step: StepSpikes) -> Optional[StepSpikes]:
+        """The pooled plane's coordinates, or None.
 
-    def _coo_pool(self, module, data, step) -> Optional[np.ndarray]:
-        """Build the pooled plane directly in COO form, or None.
-
-        Applies to non-overlapping pools of planes with exact carried
-        coordinates and positive uniform amplitude, on dimensions the
-        dense tiled kernel also handles (evenly divisible).  Max pooling
-        puts the amplitude at the mapped coordinates (the max over a
-        window of ``{0, s}`` values is exactly ``s``); average pooling
-        builds each output's window taps from the input events, in the
-        dense kernel's tap order, and replicates its summation sequence,
-        so both are bitwise identical to the reference kernels.  Only
-        the coordinates are read, never ``data``.  The output's
-        coordinates are registered, keeping the stream alive with no
-        plane scan; a pool whose consumer is a proven conv
-        (:func:`_coordinate_handoffs`) hands on a placeholder for them.
+        Applies to non-overlapping pools of exact coordinates with
+        positive uniform amplitude, on dimensions the dense tiled kernel
+        also handles (evenly divisible).  Max pooling puts the amplitude
+        at the mapped coordinates (the max over a window of ``{0, s}``
+        values is exactly ``s``); average pooling builds each output's
+        window taps from the input events, in the dense kernel's tap
+        order, and replicates its summation sequence, so both are
+        bitwise identical to the reference kernels.
         """
         k, stride = module.kernel_size, module.stride
-        n, c, h, w = data.shape
+        n, c, h, w = step.shape
         if (
             k != stride
             or h % k
@@ -815,50 +716,33 @@ class EventBatchedEngine(TimeBatchedEngine):
         if coords is None:
             return None
         if isinstance(module, MaxPool2d):
-            pooled = StepSpikes(coords=coords, shape=out_shape, scale=step.scale)
-        else:
-            pooled = StepSpikes(
-                coords=coords,
-                shape=out_shape,
-                values=_avg_pool_values(step, coords, k, out_shape, data.dtype),
-            )
-        defer = id(module) in self._handoffs
-        out = _placeholder(out_shape) if defer else pooled.to_dense(data.dtype)
-        self._register_coords(out, pooled, deferred=defer)
-        return out
+            return StepSpikes(coords=coords, shape=out_shape, scale=step.scale)
+        return StepSpikes(
+            coords=coords,
+            shape=out_shape,
+            values=_avg_pool_values(step, coords, k, out_shape, np.float32),
+        )
 
     # ------------------------------------------------------------------
     # Neuron layers
     # ------------------------------------------------------------------
-    def _make_neuron_interceptor(
-        self, module: IFNeuron, stat: LayerStats
-    ) -> Callable[[Tensor], Tensor]:
-        dense_step = super()._make_neuron_interceptor(module, stat)
+    def _neuron(self, module: IFNeuron, stat: LayerStats, x: Carrier) -> Carrier:
+        if (
+            isinstance(x, _Sites)
+            and module.v is None
+            and module.reset == ResetMode.SUBTRACT
+        ):
+            out = self._site_neuron(module, stat, x)
+            if out is not None:
+                return out
+        stat.backend = "dense"
+        out, spikes = self._step_neuron(module, _plane(x))
+        # The dense step already counted its spikes, so the output's
+        # exact nonzero count is free — enough for the next conv's
+        # O(1) decision without a coordinate scan.
+        return _Stack(out, spikes, exact=True)
 
-        def forward(x: Tensor) -> Tensor:
-            data = x.data
-            entry = self._sites.get(id(data))
-            if (
-                entry is not None
-                and module.v is None
-                and module.reset == ResetMode.SUBTRACT
-            ):
-                result = self._site_neuron(module, data, entry[1])
-                if result is not None:
-                    return result
-            before = module.spike_count
-            result = dense_step(Tensor(self._materialize(data)))
-            # The dense step already counted its spikes, so the output's
-            # exact nonzero count is free — enough for the next conv's
-            # O(1) decision without a coordinate scan.
-            self._register_count(
-                result.data, int(module.spike_count - before), exact=True
-            )
-            return result
-
-        return forward
-
-    def _site_neuron(self, module, data, sites: _Sites) -> Optional[Tensor]:
+    def _site_neuron(self, module, stat: LayerStats, sites: _Sites) -> Optional[Carrier]:
         """Screened membrane update of a plane carried as site structure.
 
         Valid for subtract-reset IF/LIF neurons fed a plane that is a
@@ -879,15 +763,13 @@ class EventBatchedEngine(TimeBatchedEngine):
 
         When the background trajectory never fires (the common case:
         the zero-input response cannot climb to threshold), the fired
-        cells are the output's exact coordinates, which re-enter the
-        carried stream at no scan cost; a neuron feeding a proven pool
-        (:func:`_coordinate_handoffs`) hands on only them, behind a
-        placeholder.  The membrane and ``last_spikes`` are deferred
+        cells are the output's exact coordinates, handed on as such at
+        no scan cost.  The membrane and ``last_spikes`` are deferred
         (:meth:`repro.snn.neurons.IFNeuron.defer_state`).  Returns None
         when nearly every site is touched (a dense step is cheaper).
         """
         t = self._run_timesteps
-        b, c, hh, ww = data.shape
+        b, c, hh, ww = sites.shape
         if t < 1 or b % t:
             return None
         n = b // t
@@ -898,7 +780,8 @@ class EventBatchedEngine(TimeBatchedEngine):
         ind = np.flatnonzero(mask)
         if 2 * ind.size >= n * s:
             return None
-        values = self._gathered(data, sites).values
+        stat.backend = "sites"
+        values = _values(sites)
         dtype = values.dtype
         v0 = initial_membrane(
             (1,), module.threshold, module.v_init_fraction, dtype=dtype
@@ -934,12 +817,10 @@ class EventBatchedEngine(TimeBatchedEngine):
         shape = (n, c, hh, ww)
         if pattern.any():
             out = _spike_planes(pattern, fired, thr, sample, spatial, shape)
-            out = out.reshape(data.shape)
-            self._register_count(out, spikes, exact=True)
+            emitted: Carrier = _Stack(out.reshape(sites.shape), spikes, exact=True)
         else:
             # Fired cells are the output's nonzeros — assemble the
-            # stacked coordinates O(spikes), no plane scan.  A proven
-            # pool consumer reads only them, so no plane is built.
+            # stacked coordinates O(spikes), no plane scan.
             site, channel = np.divmod(np.concatenate(fired), c)
             coords = np.stack(
                 (
@@ -952,11 +833,8 @@ class EventBatchedEngine(TimeBatchedEngine):
                 axis=1,
             )
             emitted = StepSpikes(
-                coords=coords, shape=data.shape, scale=float(module.threshold)
+                coords=coords, shape=sites.shape, scale=float(module.threshold)
             )
-            defer = id(module) in self._handoffs
-            out = _placeholder(data.shape) if defer else emitted.to_dense(np.float32)
-            self._register_coords(out, emitted, deferred=defer)
         # The dense membrane and last spike plane are built on first read.
         module.defer_state(
             v=partial(_site_membrane, vbg, v, sample, spatial, shape),
@@ -972,5 +850,5 @@ class EventBatchedEngine(TimeBatchedEngine):
             ),
         )
         module.spike_count += spikes
-        module.neuron_steps += int(data.size)
-        return Tensor(out)
+        module.neuron_steps += int(math.prod(sites.shape))
+        return emitted

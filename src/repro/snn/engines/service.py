@@ -5,23 +5,26 @@ The serving layer (:mod:`repro.serve`) needs three things the raw
 give it:
 
 * **Serialised submission.**  An engine instance is not reentrant — a
-  run installs forward interceptors on the bound model for its
+  run may install forward interceptors on the bound model for its
   duration — so concurrent requests must queue behind one another.
-  :class:`EngineWorker` owns a single-thread executor per engine: the
-  thread *is* the engine's execution slot, and the queue in front of it
-  is the natural backpressure the micro-batcher measures.
+  :class:`EngineWorker` owns one slot per engine: a daemon thread
+  reading a queue, which *is* the engine's execution slot, and the
+  queue in front of it is the natural backpressure the micro-batcher
+  measures.
 * **An awaitable API.**  :meth:`EngineWorker.run_async` wraps the
-  worker future for ``asyncio`` callers with an optional wall-clock
+  slot's future for ``asyncio`` callers with an optional wall-clock
   timeout, so the event loop never blocks on a GEMM.
-* **A health probe and a poison recovery path.**  A worker thread stuck
+* **A health probe and a poison recovery path.**  A slot thread stuck
   inside a wedged run cannot be killed; what *can* be done is to
   abandon the wedged thread together with the model whose interceptors
   it still holds, and rebuild the slot on a sibling engine bound to a
   weight-sharing clone (:func:`clone_for_inference`).  Weights are
-  never copied, warm cross-run caches (effective weights) are shared with the replacement, and the stuck
-  thread dies with the process.  :meth:`EngineWorker.health_probe`
-  runs a tiny canary inference through the same slot so liveness means
-  "the engine actually completes work", not "the process exists".
+  never copied, and warm cross-run caches (effective weights) are
+  shared with the replacement.  The slot thread is a daemon, so an
+  abandoned thread never keeps the process alive: the interpreter
+  exits without joining it.  :meth:`EngineWorker.health_probe` runs a
+  tiny canary inference through the same slot so liveness means "the
+  engine actually completes work", not "the process exists".
 
 A run inside the slot is one plain ``engine.run``; a large batch still
 uses every core through the engine's block lanes.
@@ -32,9 +35,10 @@ from __future__ import annotations
 import asyncio
 import itertools
 import logging
+import queue
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -51,6 +55,49 @@ _WORKER_IDS = itertools.count(1)
 class WorkerTimeout(RuntimeError):
     """A submitted run outlived its wall-clock budget; the worker's
     execution slot was abandoned and rebuilt on a model clone."""
+
+
+class _Slot:
+    """One daemon thread that runs queued calls in order, completing
+    each call's :class:`~concurrent.futures.Future`."""
+
+    def __init__(self) -> None:
+        self._queue: "queue.SimpleQueue" = queue.SimpleQueue()
+        self._closed = False
+        threading.Thread(
+            target=self._serve, name=f"engine-worker-{next(_WORKER_IDS)}", daemon=True
+        ).start()
+
+    def _serve(self) -> None:
+        while True:
+            item = self._queue.get()
+            if item is None:
+                return
+            future, fn, args = item
+            if not future.set_running_or_notify_cancel():
+                continue
+            try:
+                result = fn(*args)
+            except BaseException as error:  # noqa: BLE001 - handed to the caller
+                future.set_exception(error)
+            else:
+                future.set_result(result)
+
+    def submit(self, fn, *args) -> Future:
+        if self._closed:
+            raise RuntimeError("cannot schedule new runs after shutdown")
+        future: Future = Future()
+        self._queue.put((future, fn, args))
+        return future
+
+    @property
+    def queued(self) -> int:
+        return self._queue.qsize()
+
+    def close(self) -> None:
+        """Let the thread exit once the calls queued before it ran."""
+        self._closed = True
+        self._queue.put(None)
 
 
 @dataclass(frozen=True)
@@ -94,17 +141,11 @@ class EngineWorker:
         )
         self.probe_timesteps = int(probe_timesteps)
         self._lock = threading.Lock()
-        self._executor = self._fresh_executor()
+        self._slot = _Slot()
         self.restarts = 0          # wedged slots abandoned and rebuilt
         self.runs_completed = 0
 
     # ------------------------------------------------------------------
-    def _fresh_executor(self) -> ThreadPoolExecutor:
-        return ThreadPoolExecutor(
-            max_workers=1,
-            thread_name_prefix=f"engine-worker-{next(_WORKER_IDS)}",
-        )
-
     @property
     def engine(self) -> SimulationEngine:
         return self._engine
@@ -112,7 +153,7 @@ class EngineWorker:
     @property
     def pending(self) -> int:
         """Queued-but-unfinished runs (approximate; for metrics only)."""
-        return getattr(self._executor, "_work_queue").qsize()
+        return self._slot.queued
 
     # ------------------------------------------------------------------
     def _run(self, x, timesteps: int, per_step: bool) -> EngineRun:
@@ -126,8 +167,8 @@ class EngineWorker:
     def submit(self, x, timesteps: int, per_step: bool = False) -> Future:
         """Queue one batch on the execution slot; returns its future."""
         with self._lock:
-            executor = self._executor
-        return executor.submit(self._run, x, int(timesteps), per_step)
+            slot = self._slot
+        return slot.submit(self._run, x, int(timesteps), per_step)
 
     async def run_async(
         self,
@@ -157,16 +198,16 @@ class EngineWorker:
     def restart(self) -> None:
         """Abandon the (possibly wedged) slot and rebuild it.
 
-        The old executor is shut down without waiting — its thread, if
-        stuck, keeps the *old* model's interceptors and dies with the
-        process.  The replacement engine is a sibling (same
+        The old slot is closed without waiting — its thread, if stuck,
+        keeps the *old* model's interceptors, and being a daemon it
+        never delays the process's exit.  The replacement engine is a sibling (same
         configuration, shared thread-safe cross-run caches, so
         effective weights stay warm) bound to a fresh structural clone that shares every weight array with the
         original model.
         """
         with self._lock:
-            self._executor.shutdown(wait=False)
-            self._executor = self._fresh_executor()
+            self._slot.close()
+            self._slot = _Slot()
             replacement = self._engine._sibling()
             replacement.bind(clone_for_inference(self._source_model))
             self._engine = replacement
@@ -217,5 +258,6 @@ class EngineWorker:
         return await loop.run_in_executor(None, self.health_probe, timeout)
 
     def shutdown(self) -> None:
-        """Release the slot's thread (idempotent)."""
-        self._executor.shutdown(wait=False)
+        """Release the slot's thread once its queued runs are done
+        (idempotent)."""
+        self._slot.close()

@@ -51,7 +51,9 @@ class LayerStats:
     wall_clock_seconds: float = 0.0  # time spent inside this layer's forward
     input_nonzero: int = 0       # nonzero input elements seen (synapse layers)
     input_size: int = 0          # total input elements seen (synapse layers)
-    backend: str = ""            # per-layer kernel the event-batched rule chose
+    # The kernel the event-batched rule chose for a synapse layer, or the
+    # step a neuron ran ("sites" | "dense"); "" without a per-layer choice.
+    backend: str = ""
     # Which gate of that rule decided ("constant" | "density" |
     # "pregate" | "rows" | "linear"; "" for engines without a per-layer
     # choice): why this kernel ran for this layer.
@@ -307,14 +309,18 @@ class RunStats:
         event-driven cost) and the spike rate for neuron layers;
         ``backend`` is the per-layer backend the run actually used
         (falling back to the engine name when the engine makes no
-        per-layer choice); ``source`` is the gate of the event-batched
-        rule that chose it (``""`` without a per-layer choice).
+        per-layer choice); on a neuron row it is the step that ran —
+        ``sites`` or ``dense`` on ``event-batched``, ``-`` on engines
+        without a choice.  ``source`` is the gate of the event-batched
+        rule that chose a synapse layer's kernel (``""`` without a
+        per-layer choice).
         """
         return [
             {
                 "name": layer.name,
                 "kind": layer.kind,
-                "backend": layer.backend or self.engine,
+                "backend": layer.backend
+                or ("-" if layer.kind == "neuron" else self.engine),
                 "source": layer.backend_source,
                 "wall_clock_ms": round(layer.wall_clock_seconds * 1e3, 3),
                 "density": round(layer.density, 6),

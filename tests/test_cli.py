@@ -224,3 +224,41 @@ class TestTrainingArtefacts:
         err = capsys.readouterr().err
         assert "max_timesteps=4" in err and "timesteps=8" in err
         assert "Traceback" not in err
+
+
+#: Tiny training runs: every figure trains in about a second.
+TINY = ["--epochs", "1", "--train", "16", "--test", "8", "--max-timesteps", "8"]
+
+
+def _evaluated_t(figure, out):
+    """The T a figure's output says it evaluated at."""
+    if figure in ("fig7", "fig9"):
+        line = next(l for l in out.splitlines() if l.startswith("SNN accuracy"))
+        return int(line.split("T=")[1].split(")")[0])
+    line = next(l for l in out.splitlines() if l.startswith("spike rates over"))
+    return int(line.split("T=")[1].split(",")[0])
+
+
+@pytest.mark.parametrize("figure", ["fig6", "fig7", "fig8", "fig9"])
+@pytest.mark.parametrize(
+    "flags, expected",
+    [([], 8), (["--timesteps", "4"], 4), (["--timesteps", "9"], None)],
+    ids=["default", "timesteps-4", "beyond-max"],
+)
+def test_timesteps_flag_matrix(figure, flags, expected, capsys):
+    """Every training figure evaluates at ``--timesteps`` (default 8)
+    and refuses a T beyond ``--max-timesteps`` as a usage error."""
+    if expected is None:
+        with pytest.raises(SystemExit) as excinfo:
+            main([figure, *TINY, *flags])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "max_timesteps=8" in err and "timesteps=9" in err
+        assert "Traceback" not in err
+        return
+    assert main([figure, *TINY, *flags]) == 0
+    out = capsys.readouterr().out
+    assert _evaluated_t(figure, out) == expected
+    if figure in ("fig7", "fig9"):
+        curve = next(l for l in out.splitlines() if l.startswith("accuracy vs T"))
+        assert len(curve.split(":")[1].split()) == 8

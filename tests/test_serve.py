@@ -12,8 +12,16 @@ responses are exact prefixes of the full-T logits.
 """
 
 import asyncio
+import json
+import os
+import signal
+import socket
+import subprocess
+import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -823,3 +831,118 @@ class TestHTTPServer:
             assert status == 503 and body["error"] == "draining"
         finally:
             handle.stop()
+
+
+# ----------------------------------------------------------------------
+# A wedged engine does not keep the process alive
+# ----------------------------------------------------------------------
+REPO = Path(__file__).resolve().parent.parent
+HUNG_SERVE = REPO / "benchmarks" / "hung_engine_serve.py"
+
+
+def _timed_lines(stream, lines):
+    """Collect ``(monotonic time, line)`` pairs from a child's pipe."""
+    for raw in iter(stream.readline, ""):
+        lines.append((time.monotonic(), raw))
+
+
+def _spawn(argv):
+    process = subprocess.Popen(
+        argv,
+        cwd=REPO,
+        env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+    lines = []
+    reader = threading.Thread(
+        target=_timed_lines, args=(process.stdout, lines), daemon=True
+    )
+    reader.start()
+    return process, lines, reader
+
+
+def _exit_after(process, reader, lines, marker):
+    """Seconds from the first output line containing ``marker`` to the
+    child's exit, and its return code."""
+    try:
+        returncode = process.wait(timeout=60.0)
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait(timeout=10.0)
+    exited = time.monotonic()
+    reader.join(10.0)
+    marked = [at for at, line in lines if marker in line]
+    assert marked, "".join(line for _, line in lines)
+    return exited - marked[0], returncode
+
+
+class TestWedgedEngineExit:
+    """An abandoned slot thread still asleep in a hung engine run must
+    not hold the interpreter open."""
+
+    def test_worker_script_exits_after_its_work(self):
+        script = textwrap.dedent(
+            """
+            import asyncio, time
+            from repro.serve import build_demo_network
+            from repro.snn.engines import make_engine
+            from repro.snn.engines.service import EngineWorker, WorkerTimeout
+
+            model, shape = build_demo_network((2, 8, 8))
+            engine = make_engine("auto").bind(model)
+            engine.run = lambda *args, **kwargs: time.sleep(120.0)
+            worker = EngineWorker(engine, probe_shape=shape)
+            x = [[[[0.0] * 8] * 8] * 2]
+
+            async def main():
+                try:
+                    await worker.run_async(x, 2, timeout=0.2)
+                except WorkerTimeout:
+                    print("timed out", flush=True)
+
+            asyncio.run(main())
+            worker.shutdown()
+            print("work done", flush=True)
+            """
+        )
+        process, lines, reader = _spawn([sys.executable, "-c", script])
+        seconds, returncode = _exit_after(process, reader, lines, "work done")
+        assert returncode == 0
+        assert any("timed out" in line for _, line in lines)
+        assert seconds < 2.0, f"exited {seconds:.1f} s after its work"
+
+    def test_serve_drains_and_exits_with_a_hung_engine(self):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        process, lines, reader = _spawn(
+            [
+                sys.executable, str(HUNG_SERVE), "--port", str(port),
+                "--timesteps", "2", "--input-shape", "2,8,8",
+                "--hang-timeout", "0.3",
+            ]
+        )
+        try:
+            deadline = time.monotonic() + 60.0
+            while not any("serving on" in line for _, line in lines):
+                assert process.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+            body = json.dumps({"input": np.zeros((2, 8, 8)).tolist()}).encode()
+            with socket.create_connection(("127.0.0.1", port), timeout=30.0) as conn:
+                conn.sendall(
+                    b"POST /v1/infer HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+                    + f"Content-Length: {len(body)}\r\n\r\n".encode()
+                    + body
+                )
+                status = int(conn.recv(65536).split(b" ", 2)[1])
+            assert status == 503  # the run timed out; the slot was rebuilt
+            process.send_signal(signal.SIGTERM)
+        except BaseException:
+            process.kill()
+            raise
+        seconds, returncode = _exit_after(process, reader, lines, "drain complete")
+        assert returncode == 0
+        assert seconds < 2.0, f"exited {seconds:.1f} s after the drain"

@@ -1,15 +1,17 @@
 """Coordinate-only handoffs between layers of the COO pipeline.
 
-On a sparse stream, ``event-batched`` (also named ``auto``) hands spikes
-from a neuron to a proven pool, and from a pool or the input stream to a
-proven conv, as registered coordinates behind a NaN placeholder: no
-dense plane is built between those layers, the conv builds its im2col
-rows by scattering the events into the windows they feed, and the
-neurons' membrane and ``last_spikes`` are built only when read.  Every one of these handoffs
+On a sparse stream, ``event-batched`` (also named ``auto``) runs a plain
+``Sequential`` as a compiled layer schedule whose steps hand each other
+explicit carriers: a neuron hands a pool, and a pool or the input
+stream hands a conv, exact coordinates, so no dense plane is built
+between those layers; the conv builds its im2col rows by scattering the
+events into the windows they feed, and the neurons' membrane and
+``last_spikes`` are built only when read.  Every one of these handoffs
 must be bitwise equal to ``batched`` — logits, per-step outputs, spike
-counts, membranes, ``last_spikes`` — and bill the same per-layer ops as
-a run that builds every plane.  A consumer the handoff does not cover
-gets the dense plane (``_materialize``).
+counts, membranes, ``last_spikes`` — and to the interceptor path the
+same modules take behind a ``forward`` the compiler cannot prove, and
+bill what that path bills wherever both picked the same kernel.  A step
+that cannot read coordinates gets the dense plane built from them.
 """
 
 import pickle
@@ -23,7 +25,7 @@ from repro.data.events import SyntheticDVS
 from repro.snn import SpikingNetwork, convert_to_snn
 from repro.snn.engines import event_batched as eb_mod
 from repro.snn.neurons import IFNeuron
-from repro.snn.spikes import SpikeStream
+from repro.snn.spikes import SpikeStream, StepSpikes
 from repro.tensor import Tensor, functional, no_grad
 
 TIMESTEPS = 4
@@ -107,35 +109,61 @@ def _assert_bitwise(model, stream, engine="event-batched"):
     return stats
 
 
-def _ops_without_handoffs(model, stream, engine, monkeypatch):
-    """Per-layer billed ops of a run whose producers build every plane."""
-    with monkeypatch.context() as patch:
-        patch.setattr(eb_mod, "_coordinate_handoffs", lambda _: (set(), False))
-        _, _, stats, _ = _run(model, stream, engine)
-    return [(l.name, l.synaptic_ops) for l in stats.layers]
+class GraphSequential(nn.Sequential):
+    """The same chain behind its own ``forward``: the compiler cannot
+    prove its consumers, so the engine runs it on interceptors."""
+
+    def forward(self, x):
+        for module in self:
+            x = module(x)
+        return x
+
+
+def _agreeing_ops(model, stream, engine, stats):
+    """Per synapse layer, ``(name, schedule ops, interceptor ops)`` where
+    both paths picked the same kernel for the same reason, after
+    checking the interceptor path is bitwise the schedule."""
+    twin = GraphSequential(*model)
+    assert eb_mod._compile(twin) is None
+    _, _, twin_stats, _ = _run(twin, stream, engine)
+    rows = []
+    for a, b in zip(stats.layers, twin_stats.layers):
+        assert a.name == b.name and a.spike_count == b.spike_count
+        if a.kind != "neuron" and (a.backend, a.backend_source) == (
+            b.backend,
+            b.backend_source,
+        ):
+            rows.append((a.name, a.synaptic_ops, b.synaptic_ops))
+    return rows
+
+
+def _assert_bills_match_interceptors(model, stream, engine, stats):
+    rows = _agreeing_ops(model, stream, engine, stats)
+    assert [name for name, _, _ in rows] == [
+        l.name for l in stats.layers if l.kind != "neuron"
+    ]
+    for name, ops, twin_ops in rows:
+        assert ops == twin_ops, name
 
 
 @pytest.fixture
-def placeholders(monkeypatch):
-    """Records, per consumer kind, whether each input was a placeholder,
-    how each conv's rows were built, and which coordinate placeholders
-    were densified."""
-    seen = {"pool": [], "conv": [], "rows": [], "materialized": []}
-
-    def placeholder(data):
-        return not any(data.strides) and bool(np.isnan(data).all())
+def carriers(monkeypatch):
+    """Records which carrier each COO pool and COO conv read, how each
+    conv's rows were built, and the shape of every coordinate carrier a
+    step densified."""
+    seen = {"pool": [], "conv": [], "rows": [], "densified": []}
 
     coo_pool = eb_mod.EventBatchedEngine._coo_pool
 
-    def pool_spy(self, module, data, step):
-        seen["pool"].append(placeholder(data))
-        return coo_pool(self, module, data, step)
+    def pool_spy(self, module, step):
+        seen["pool"].append(type(step).__name__)
+        return coo_pool(self, module, step)
 
     coo_conv = eb_mod.EventBatchedEngine._coo_conv
 
-    def conv_spy(self, module, data, step, weight, bias):
-        seen["conv"].append(placeholder(data))
-        return coo_conv(self, module, data, step, weight, bias)
+    def conv_spy(self, module, x):
+        seen["conv"].append(type(x).__name__)
+        return coo_conv(self, module, x)
 
     event_rows = eb_mod.conv_event_rows
 
@@ -143,78 +171,79 @@ def placeholders(monkeypatch):
         seen["rows"].append("valued" if np.ndim(amplitude) else "scalar")
         return event_rows(coords, amplitude, *args, **kwargs)
 
-    materialize = eb_mod.EventBatchedEngine._materialize
+    plane = eb_mod._plane
 
-    def materialize_spy(self, data):
-        coordinates = id(data) in self._coords
-        out = materialize(self, data)
-        if out is not data and coordinates:
-            seen["materialized"].append(placeholder(data))
-        return out
+    def plane_spy(x):
+        if isinstance(x, StepSpikes):
+            seen["densified"].append(x.shape)
+        return plane(x)
 
     monkeypatch.setattr(eb_mod.EventBatchedEngine, "_coo_pool", pool_spy)
     monkeypatch.setattr(eb_mod.EventBatchedEngine, "_coo_conv", conv_spy)
     monkeypatch.setattr(eb_mod, "conv_event_rows", rows_spy)
-    monkeypatch.setattr(eb_mod.EventBatchedEngine, "_materialize", materialize_spy)
+    monkeypatch.setattr(eb_mod, "_plane", plane_spy)
     return seen
+
+
+#: The head pool's output on a 24-square ``converted_coo_cnn``: the
+#: coordinates the Flatten reads as a dense plane, once per run.
+HEAD_SHAPE = (TIMESTEPS * 4, 8, 6, 6)
 
 
 class TestHandoffProof:
     def test_dvs_chain_is_proven(self):
         model = converted_coo_cnn(nn.MaxPool2d(2))
-        handoffs, defer_input = eb_mod._coordinate_handoffs(model)
-        layers = list(model._modules.values())
-        # neuron -> pool, pool -> conv, neuron -> head pool; not the head
-        # pool, whose consumer is a Flatten.
-        assert handoffs == {id(layers[i]) for i in (2, 3, 6)}
-        assert defer_input
+        leaves = eb_mod._compile(model)
+        # Every layer is a step, in call order: neuron -> pool,
+        # pool -> conv and the stream -> conv hand on coordinates.
+        assert [name for name, _ in leaves] == [str(i) for i in range(10)]
+        assert [m for _, m in leaves] == list(model)
 
     def test_unproven_structures(self):
         shared = nn.MaxPool2d(2)
         model = nn.Sequential(
             IFNeuron(1.0), shared, nn.Conv2d(2, 2, 3), shared, nn.Flatten()
         )
-        handoffs, defer_input = eb_mod._coordinate_handoffs(model)
-        assert handoffs == set() and not defer_input
+        assert eb_mod._compile(model) is None
 
         class Custom(nn.Sequential):
             def forward(self, x):
                 return self[1](self[0](x))
 
         model = Custom(nn.Conv2d(2, 2, 3), IFNeuron(1.0), nn.MaxPool2d(2))
-        assert eb_mod._coordinate_handoffs(model) == (set(), False)
+        assert eb_mod._compile(model) is None
+        nested = nn.Sequential(nn.Sequential(nn.Conv2d(2, 2, 3), IFNeuron(1.0)))
+        assert [name for name, _ in eb_mod._compile(nested)] == ["0.0", "0.1"]
 
 
 class TestNeuronToPool:
     @pytest.mark.parametrize("engine", ["event-batched", "auto"])
-    def test_max_pool(self, engine, placeholders, monkeypatch):
+    def test_max_pool(self, engine, carriers):
         model = converted_coo_cnn(nn.MaxPool2d(2), seed=1)
         stream = sparse_stream((4, 2, 24, 24), TIMESTEPS, 0.004, seed=1)
         stats = _assert_bitwise(model, stream, engine)
-        assert placeholders["pool"] and all(placeholders["pool"])
-        assert not placeholders["materialized"]
-        assert [(l.name, l.synaptic_ops) for l in stats.layers] == (
-            _ops_without_handoffs(model, stream, engine, monkeypatch)
-        )
+        assert carriers["pool"] and set(carriers["pool"]) == {"StepSpikes"}
+        # No plane was built between the neuron, the pool and the conv:
+        # at most the head pool's coordinates, read by the Flatten.
+        assert set(carriers["densified"]) <= {HEAD_SHAPE}
+        _assert_bills_match_interceptors(model, stream, engine, stats)
 
-    def test_avg_pool(self, placeholders, monkeypatch):
+    def test_avg_pool(self, carriers):
         model = converted_coo_cnn(nn.AvgPool2d(2), seed=2)
         stream = sparse_stream((4, 2, 24, 24), TIMESTEPS, 0.004, seed=2)
         stats = _assert_bitwise(model, stream)
-        assert placeholders["pool"] and all(placeholders["pool"])
-        # The averaged plane reaches the second conv as valued events,
-        # behind a placeholder: its rows are built from the events.
-        assert placeholders["conv"] and all(placeholders["conv"])
-        assert len(placeholders["rows"]) == len(placeholders["conv"])
-        assert "valued" in placeholders["rows"][1:]
+        assert carriers["pool"] and set(carriers["pool"]) == {"StepSpikes"}
+        # The averaged plane reaches the second conv as valued events:
+        # its rows are built from the events.
+        assert carriers["conv"] and set(carriers["conv"]) == {"StepSpikes"}
+        assert len(carriers["rows"]) == len(carriers["conv"])
+        assert "valued" in carriers["rows"][1:]
         assert {l.name: l.backend for l in stats.layers}["4"] == "event-batched"
-        assert [(l.name, l.synaptic_ops) for l in stats.layers] == (
-            _ops_without_handoffs(model, stream, "event-batched", monkeypatch)
-        )
+        _assert_bills_match_interceptors(model, stream, "event-batched", stats)
 
 
 class TestConvGatherFromCoordinates:
-    def test_stream_and_pool_inputs(self, placeholders, monkeypatch):
+    def test_stream_and_pool_inputs(self, carriers, monkeypatch):
         model = converted_coo_cnn(nn.MaxPool2d(2), seed=3)
         stream = sparse_stream((4, 2, 24, 24), TIMESTEPS, 0.004, seed=3)
         dense_copies = []
@@ -229,16 +258,16 @@ class TestConvGatherFromCoordinates:
             "event-batched",
             "event-batched",
         ]
-        # Both convs read only coordinates behind a placeholder (the
-        # stream input, then the pooled spikes), built their rows from
-        # the events, and never copied a dense plane into a workspace.
-        placeholders["conv"].clear()
-        placeholders["rows"].clear()
+        # Both convs read only coordinates (the stream input, then the
+        # pooled spikes), built their rows from the events, and never
+        # copied a dense plane into a workspace.
+        carriers["conv"].clear()
+        carriers["rows"].clear()
         monkeypatch.setattr(functional, "_padded_workspace", padded_spy)
         net = SpikingNetwork(model, timesteps=TIMESTEPS, engine="event-batched")
         net.forward(stream)
-        assert placeholders["conv"] == [True] * 2
-        assert placeholders["rows"] == ["scalar"] * 2
+        assert carriers["conv"] == ["StepSpikes"] * 2
+        assert carriers["rows"] == ["scalar"] * 2
         assert dense_copies == []
 
     @pytest.mark.parametrize("count", [1, 7, 60, 150, 700])
@@ -292,19 +321,23 @@ class TestConvGatherFromCoordinates:
 
 
 class TestMaterializeFallback:
+    """A step that cannot read the coordinates it receives builds the
+    dense plane from them, once, and stays bitwise."""
+
     @pytest.mark.parametrize(
         "pool",
         [nn.MaxPool2d(3, stride=2), nn.AvgPool2d(3, stride=2)],
         ids=["overlapping-max", "overlapping-avg"],
     )
-    def test_pool_outside_the_coo_kernel(self, pool, placeholders):
+    def test_pool_outside_the_coo_kernel(self, pool, carriers):
         model = converted_coo_cnn(pool, seed=5, size=17, head_pool=nn.MaxPool2d(2))
         stream = sparse_stream((4, 2, 17, 17), TIMESTEPS, 0.004, seed=5)
         _assert_bitwise(model, stream)
-        assert placeholders["materialized"] and all(placeholders["materialized"])
+        # The overlapping pool read the first neuron's spikes as a plane.
+        assert (TIMESTEPS * 4, 4, 17, 17) in carriers["densified"]
 
     @pytest.mark.parametrize("layer", ["0", "4"], ids=["stream", "pooled"])
-    def test_planned_gemm_conv(self, layer, placeholders, monkeypatch):
+    def test_planned_gemm_conv(self, layer, carriers, monkeypatch):
         """The stream input, or the pooled spikes, reach a conv whose
         rows gate refuses the gather densified, once per run."""
         model = converted_coo_cnn(nn.MaxPool2d(2), seed=6)
@@ -320,10 +353,13 @@ class TestMaterializeFallback:
         stats = _assert_bitwise(model, stream, "auto")
         layers = {l.name: l for l in stats.layers}
         assert (layers[layer].backend, layers[layer].backend_source) == ("gemm", "rows")
-        assert placeholders["materialized"] == [True] * 2
+        side = 24 if layer == "0" else 12
+        refused = [s for s in carriers["densified"] if s != HEAD_SHAPE]
+        assert refused == [(TIMESTEPS * 4, channels, side, side)] * 2
 
-    def test_escaped_placeholder_fails_loudly(self, monkeypatch):
-        """A pool falsely proven to feed a conv hands a Flatten NaN."""
+    def test_pool_feeding_a_flatten_gets_a_dense_plane(self, carriers):
+        """A pool whose reader is a Flatten hands it coordinates, which
+        the Flatten's step densifies: the readout is bitwise."""
         rng = np.random.default_rng(7)
         model = _converted(
             [
@@ -337,16 +373,10 @@ class TestMaterializeFallback:
             (2, 24, 24),
             7,
         )
-        pool = model[3]
-        proof = eb_mod._coordinate_handoffs
-        monkeypatch.setattr(
-            eb_mod,
-            "_coordinate_handoffs",
-            lambda m: (proof(m)[0] | {id(pool)}, proof(m)[1]),
-        )
         stream = sparse_stream((4, 2, 24, 24), TIMESTEPS, 0.004, seed=7)
-        net = SpikingNetwork(model, timesteps=TIMESTEPS, engine="event-batched")
-        assert np.isnan(net.forward(stream)).all()
+        _assert_bitwise(model, stream)
+        assert carriers["pool"] == ["StepSpikes"] * 2
+        assert carriers["densified"] == [(TIMESTEPS * 4, 4, 12, 12)] * 2
 
 
 class TestLazyNeuronState:
@@ -474,3 +504,58 @@ def test_dvs_call_allocation_peak():
         tracemalloc.stop()
     assert np.array_equal(logits, reference)
     assert peak_mb <= DVS_CALL_PEAK_MB, f"{peak_mb:.2f} MB"
+
+
+def _schedule_and_graph(case):
+    """``(schedule model, interceptor model, input, T)`` over the same
+    modules: a plain ``Sequential`` the engine compiles, and the same
+    layers behind a ``forward`` it cannot prove."""
+    from repro.serve.app import build_demo_network
+    from test_snn_blocked_runs import converted_vgg
+
+    if case == "dvs":
+        model = dvs_model()
+        return model, GraphSequential(*model), dvs_stream(), 8
+    if case == "vgg-frames":
+        vgg = converted_vgg()
+        chain = nn.Sequential(vgg.features, vgg.flatten, vgg.fc)
+        return chain, vgg, vgg_frames(), TIMESTEPS
+    model, shape = build_demo_network((2, 16, 16))
+    twin = GraphSequential(*model)
+    if case == "serve-stream":
+        return model, twin, sparse_stream((4,) + shape, 8, 0.01, seed=9), 8
+    x = np.random.default_rng(9).normal(size=(4,) + shape).astype(np.float32)
+    return model, twin, x, 8
+
+
+@pytest.mark.parametrize("case", ["dvs", "vgg-frames", "serve-stream", "serve-frames"])
+def test_schedule_matches_interceptors(case):
+    """The compiled schedule and the interceptor path are bitwise the
+    same run: logits, per-step logits, spike counts, membranes and
+    ``last_spikes``.  Only the schedule steps neurons on sites."""
+    chain, graph, x, timesteps = _schedule_and_graph(case)
+    assert eb_mod._compile(chain) is not None and eb_mod._compile(graph) is None
+    runs = []
+    for model in (chain, graph):
+        net = SpikingNetwork(model, timesteps=timesteps, engine="auto")
+        steps = net.forward_per_step(x)
+        stats = net.last_run_stats
+        logits = net.forward(x)
+        state = [(m.v.copy(), m.last_spikes.copy()) for m in _neurons(model)]
+        runs.append((logits, steps, stats, state))
+    (logits, steps, stats, state), (g_logits, g_steps, g_stats, g_state) = runs
+    assert np.array_equal(logits, g_logits)
+    assert len(steps) == len(g_steps) == timesteps
+    for a, b in zip(steps, g_steps):
+        assert np.array_equal(a, b)
+    assert [l.spike_count for l in stats.layers] == [
+        l.spike_count for l in g_stats.layers
+    ]
+    for (v, s), (gv, gs) in zip(state, g_state):
+        assert np.array_equal(v, gv)
+        assert np.array_equal(s, gs)
+    neurons = [l.backend for l in stats.layers if l.kind == "neuron"]
+    assert set(neurons) <= {"sites", "dense"}
+    assert {l.backend for l in g_stats.layers if l.kind == "neuron"} == {"dense"}
+    if case == "dvs":
+        assert "sites" in neurons

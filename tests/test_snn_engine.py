@@ -452,7 +452,8 @@ class TestProfileFormatting:
                 "name", "kind", "backend", "source", "wall_clock_ms",
                 "density", "synaptic_ops",
             }
-            assert row["backend"] == "event"  # fixed engine: no per-layer choice
+            # Fixed engine: no per-layer choice; neuron rows name no step.
+            assert row["backend"] == ("-" if row["kind"] == "neuron" else "event")
             assert row["source"] == ""  # fixed engine: no gate decided
             assert row["wall_clock_ms"] == round(layer.wall_clock_seconds * 1e3, 3)
             assert row["density"] == round(layer.density, 6)

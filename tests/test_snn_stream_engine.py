@@ -370,11 +370,10 @@ class TestSiteValuedChains:
         for a, b in zip(ref_stats.layers, eb_stats.layers):
             assert a.spike_count == b.spike_count, a.name
 
-    def test_chain_hands_a_nan_placeholder(self, monkeypatch):
+    def test_chain_hands_site_values(self, monkeypatch):
         """In a Sequential chain no dense conv plane is built: the neuron
-        receives a zero-stride all-NaN placeholder plus the site values,
-        so a consumer reading the plane directly could not pass a
-        bit-identity check."""
+        receives the conv's active rows, their value block and the
+        background, and only the screened sites are stepped."""
         from repro import nn
         from repro.snn.engines import event_batched as eb_mod
         from repro.snn.neurons import IFNeuron
@@ -382,11 +381,19 @@ class TestSiteValuedChains:
         seen = []
         orig = eb_mod.EventBatchedEngine._site_neuron
 
-        def spy(self, module, data, sites):
-            seen.append((data, sites.values is not None))
-            return orig(self, module, data, sites)
+        def spy(self, module, stat, sites):
+            seen.append((sites.values is not None, sites.plane is None))
+            return orig(self, module, stat, sites)
+
+        built = []
+        dense_plane = eb_mod._dense_plane
+
+        def plane_spy(sites):
+            built.append(sites.shape)
+            return dense_plane(sites)
 
         monkeypatch.setattr(eb_mod.EventBatchedEngine, "_site_neuron", spy)
+        monkeypatch.setattr(eb_mod, "_dense_plane", plane_spy)
         model = _with_head(
             nn.Sequential(
                 nn.Conv2d(2, 2, 3, padding=1, rng=np.random.default_rng(1)),
@@ -396,55 +403,53 @@ class TestSiteValuedChains:
         )
         stream = _sparse_stream((4, 2, 24, 24), TIMESTEPS, 0.004, seed=41)
         ref, _ = self._run(model, stream, "batched")
-        out, _ = self._run(model, stream, "event-batched")
+        out, stats = self._run(model, stream, "event-batched")
         assert np.array_equal(ref, out)
-        assert len(seen) == 1
-        data, deferred = seen[0]
-        assert deferred
-        assert not any(data.strides) and np.isnan(data).all()
+        assert seen == [(True, True)]
+        assert built == []
+        assert [l.backend for l in stats.layers] == ["event-batched", "sites"]
 
     @pytest.mark.parametrize(
         "build", [_residual_chain, _custom_forward_chain, _shared_conv_chain]
     )
-    def test_unproven_consumers_get_dense_planes(self, build, monkeypatch):
+    def test_unproven_consumers_get_dense_planes(self, build):
         """A residual add, a custom forward reading the conv output
         twice, and a conv shared between two slots are not provable
-        site chains: they run on dense planes — the neuron gathers the
-        site values from the plane — and stay bitwise."""
+        chains: the compiler refuses them, the interceptors hand every
+        layer dense planes, every neuron steps densely, and the run
+        stays bitwise.  The convs still pick the COO kernel."""
         from repro.snn.engines import event_batched as eb_mod
 
-        engaged = []
-        orig = eb_mod.EventBatchedEngine._site_neuron
-
-        def spy(self, module, data, sites):
-            out = orig(self, module, data, sites)
-            engaged.append((sites.values is None, out is not None))
-            return out
-
-        monkeypatch.setattr(eb_mod.EventBatchedEngine, "_site_neuron", spy)
         model = _with_head(build(2))
-        assert eb_mod._site_chains(model) == {}
+        assert eb_mod._compile(model) is None
         stream = _sparse_stream((4, 2, 24, 24), TIMESTEPS, 0.004, seed=42)
-        ref, _ = self._run(model, stream, "batched")
+        ref, ref_stats = self._run(model, stream, "batched")
         out, stats = self._run(model, stream, "event-batched")
         assert np.array_equal(ref, out)
         assert any(l.backend == "event-batched" for l in stats.layers)
-        assert engaged and all(dense and ran for dense, ran in engaged)
+        neurons = [l for l in stats.layers if l.kind == "neuron"]
+        assert neurons and {l.backend for l in neurons} == {"dense"}
+        for a, b in zip(ref_stats.layers, stats.layers):
+            assert a.spike_count == b.spike_count, a.name
 
-    def test_escaped_placeholder_fails_loudly(self, monkeypatch):
-        """If the chain proof wrongly admitted a conv whose output is
-        also read elsewhere, that reader would get NaN — the logits
-        cannot come out silently wrong."""
+    def test_compiler_refuses_unproven_chains(self):
+        """Only a chain whose every consumer is proven compiles: the
+        same layers as a plain Sequential do, behind a residual add, a
+        custom forward or a shared slot they do not."""
+        from repro import nn
         from repro.snn.engines import event_batched as eb_mod
+        from repro.snn.neurons import IFNeuron
 
-        body = _residual_chain(3)
-        model = _with_head(body)
-        monkeypatch.setattr(
-            eb_mod, "_site_chains", lambda _: {id(body.conv): body.bn}
+        plain = nn.Sequential(
+            nn.Conv2d(2, 2, 3, padding=1, rng=np.random.default_rng(3)),
+            _bn(2, 3),
+            IFNeuron(threshold=1.0),
         )
-        stream = _sparse_stream((4, 2, 24, 24), TIMESTEPS, 0.004, seed=43)
-        out, _ = self._run(model, stream, "event-batched")
-        assert np.isnan(out).all()
+        assert [n for n, _ in eb_mod._compile(_with_head(plain))] == [
+            "0.0", "0.1", "0.2", "1", "2",
+        ]
+        for build in (_residual_chain, _custom_forward_chain, _shared_conv_chain):
+            assert eb_mod._compile(_with_head(build(3))) is None, build.__name__
 
     def test_screen_skips_and_steps_cells(self, monkeypatch):
         """The screen drops cells that never reach threshold and steps
