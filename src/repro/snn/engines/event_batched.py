@@ -22,16 +22,18 @@ carrier of a layer's output:
   (:func:`repro.snn.engines.event.conv_event_rows`) and runs one
   row-subset GEMM over all T timesteps
   (:func:`repro.snn.engines.event.conv_rows`); a non-overlapping pool
-  maps the events through its windows.  A linear never reads
+  maps the events through its windows, and an average pool looks each
+  window's value up from its event count.  A linear never reads
   coordinates: it runs the full GEMM over every stack row, because a
   GEMM over a row subset may pick another BLAS kernel and differ in the
   last bit, and bills from the event count;
 * :class:`_Sites` — a conv output that is a per-channel background
   everywhere except at its active rows, with the rows' ``(rows, C)``
   value block (or the dense plane holding it).  Eval BN maps the block
-  and the background, and the neuron builds one ``(T, sites, C)`` input
-  block, screens out every cell whose running sum never reaches
-  threshold and steps only the rest (``_site_neuron``).
+  and the background, and the neuron bounds every site's peak membrane
+  from the block alone, steps only the sites whose bound reaches
+  threshold and hands on its spikes as coordinates (``_site_neuron``),
+  building no block sized by the plane.
 
 A step that cannot read the carrier it receives builds the dense stack
 from it (:func:`_plane`), once, where it is needed.  A ``Sequential``'s
@@ -61,8 +63,8 @@ reference: row-subset GEMMs reduce each output element with the same
 summation the full GEMM uses, silent rows come out exactly ``+0.0``,
 BN and pooling replicate the reference kernels' exact op sequences at
 active sites and on the background, and the screened membrane update
-runs the stepper's exact op sequence on every cell it keeps (a
-screened-out cell provably never spikes).  Logits, per-step outputs,
+runs the stepper's exact op sequence at every site it keeps (at a
+screened-out site no cell ever spikes).  Logits, per-step outputs,
 spike counts, membranes and recorded densities all match
 ``TimeBatchedEngine`` exactly; op billing counts performed ops on
 layers that took a coordinate path or are sparse linears, and full MACs
@@ -78,7 +80,6 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -97,9 +98,10 @@ from repro.snn.engines.dense import dense_conv2d
 from repro.snn.engines.event import (
     conv_event_rows,
     conv_rows,
+    distinct,
     pooled_coords,
 )
-from repro.snn.neurons import IFNeuron
+from repro.snn.neurons import IFNeuron, LIFNeuron
 from repro.snn.spikes import SpikeStream, StepSpikes
 from repro.snn.stats import LayerStats
 from repro.tensor import Tensor
@@ -239,26 +241,36 @@ _POOLS = (MaxPool2d, AvgPool2d)
 
 
 def _screen(
-    x: np.ndarray, v0: np.floating, threshold: np.floating, leak_fn
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Running membrane sums of a ``(T, cells)`` input block, and the
-    flat indices of the cells whose sum ever reaches ``threshold``.
+    xt: np.ndarray,
+    site: np.ndarray,
+    sites: int,
+    background: np.ndarray,
+    v0: np.floating,
+    threshold: np.floating,
+    timesteps: int,
+) -> np.ndarray:
+    """Ranks of the touched sites at which some channel's membrane may
+    reach ``threshold``; at every other site no cell ever spikes.
 
-    The sums use the stepper's exact op sequence (leak, then add, from
-    the same initial membrane), so a cell that never reaches threshold
-    never spikes and its final sum *is* its stepped membrane, bit for
-    bit; only the returned cells need stepping.
+    ``xt`` is the channel-major ``(C, rows)`` input of the touched
+    sites, column ``i`` one step of site ``site[i]``; every other step
+    of a site receives ``background``.  Until its first spike a cell
+    integrates without reset, and neither a leak in ``(0, 1]`` nor an add
+    lifts its membrane above ``max(v0, 0)`` plus the positive inputs so
+    far, so its peak is at most ``max(v0, 0) + sum of max(x, 0) over its
+    touched steps + (T - touched steps) * max(background, 0)``.  Taking
+    each input's maximum over the channels bounds every cell of a site
+    at once.  Each of the stepper's at most ``2T`` rounded ops inflates
+    the bound by at most a factor ``1 + eps / 2``; the bound, a sum of
+    non-negative terms, is summed in float64 and compared with a ``4T *
+    eps`` margin, which covers both.  It reads the value block once, in
+    one pass over the channels: no ``(T, sites, C)`` block is built.
     """
-    v = np.full(x.shape[1], v0, dtype=x.dtype)
-    peak = np.full(x.shape[1], -np.inf, dtype=x.dtype)
-    for step in range(x.shape[0]):
-        if leak_fn is not None:
-            v = leak_fn(v)
-        v += x[step]
-        np.maximum(peak, v, out=peak)
-    return v, np.flatnonzero(peak >= threshold)
-
-
+    rise = np.bincount(site, weights=np.maximum(xt.max(axis=0), 0), minlength=sites)
+    quiet = timesteps - np.bincount(site, minlength=sites)
+    peak = rise + quiet * max(float(background.max()), 0.0)
+    margin = 1.0 + 4 * timesteps * float(np.finfo(xt.dtype).eps)
+    return np.flatnonzero(peak >= float(threshold) / margin - max(float(v0), 0.0))
 
 
 def _scanned_events(data: np.ndarray) -> StepSpikes:
@@ -269,87 +281,124 @@ def _scanned_events(data: np.ndarray) -> StepSpikes:
     )
 
 
-def _spike_planes(
-    pattern: np.ndarray,
-    fired: List[np.ndarray],
-    thr: np.ndarray,
-    sample: np.ndarray,
-    spatial: np.ndarray,
-    shape: Tuple[int, ...],
-) -> np.ndarray:
-    """The site neuron's ``(steps, N, C, H, W)`` spike output: each
-    step's background pattern broadcast, then its stepped sites' block
-    (``thr`` at the fired cells) scattered at ``(sample, spatial)``."""
-    n, c, hh, ww = shape
-    out = np.empty((len(fired), n, c, hh * ww), dtype=np.float32)
-    out[:] = (pattern * thr)[:, np.newaxis, :, np.newaxis]
-    for step, cell in enumerate(fired):
-        block = np.zeros(sample.size * c, dtype=np.float32)
-        block[cell] = thr
-        out[step][sample, :, spatial] = block.reshape(sample.size, c)
-    return out.reshape((len(fired),) + shape)
+@dataclass(frozen=True)
+class _SiteRun:
+    """What the site neuron computed, from which its membrane and last
+    spike plane are built on first read.
 
-
-def _last_spike_plane(
-    pattern, fired, thr, sample, spatial, shape, threshold: float
-) -> np.ndarray:
-    """``last_spikes`` of the site neuron: its last step's output plane
-    over the threshold, as the stepped engines compute it."""
-    plane = _spike_planes(pattern[-1:], fired[-1:], thr, sample, spatial, shape)
-    return plane[0] / threshold
-
-
-def _site_membrane(
-    vbg: np.ndarray,
-    v: np.ndarray,
-    sample: np.ndarray,
-    spatial: np.ndarray,
-    shape: Tuple[int, ...],
-) -> np.ndarray:
-    """The site neuron's membrane: the background trajectory's final
-    ``(C,)`` value broadcast, the sites' values ``v`` scattered."""
-    n, c, hh, ww = shape
-    membrane = np.empty((n, c, hh * ww), dtype=v.dtype)
-    membrane[:] = vbg[np.newaxis, :, np.newaxis]
-    membrane[sample, :, spatial] = v.reshape(sample.size, c)
-    return membrane.reshape(shape)
-
-
-def _avg_pool_values(
-    step: StepSpikes,
-    coords: np.ndarray,
-    k: int,
-    out_shape: Tuple[int, ...],
-    dtype: np.dtype,
-) -> np.ndarray:
-    """Average-pooled values at the sorted output ``coords`` of a ``k``
-    by ``k`` non-overlapping pool over uniform-amplitude events.
-
-    Tap ``(i, j)`` of every output window is a row of a ``(k*k, outputs)``
-    block holding the amplitude where an event sits and zero elsewhere
-    — exactly the plane's value there — summed in the dense kernel's
-    tap order and sequence, then scaled, so the values are its bits.
+    ``ind`` are the touched flat ``sample * H * W + spatial`` sites;
+    ``step``/``site`` each value row's step and rank in ``ind``, and
+    ``values`` the ``(rows, C)`` block; ``vbg`` and ``pattern`` the
+    shared background trajectory's final membrane and ``(T, C)`` firing
+    pattern; ``kept`` the ranks of the stepped sites, ``v`` their final
+    ``(C, kept)`` membrane and ``last`` the flat positions in it that
+    fired at the last step.
     """
-    if not coords.shape[0]:
-        return np.zeros(0, dtype=dtype)
-    events = step.coords
-    outputs = np.ravel_multi_index(tuple(coords.T), out_shape)
-    owner = np.ravel_multi_index(
-        (events[:, 0], events[:, 1], events[:, 2] // k, events[:, 3] // k),
-        out_shape,
-    )
-    taps = np.zeros((k * k, coords.shape[0]), dtype=dtype)
-    taps[
-        (events[:, 2] % k) * k + events[:, 3] % k,
-        np.searchsorted(outputs, owner),
-    ] = step.scale
-    if k == 1:
-        acc = taps[0].copy()
-    else:
-        acc = taps[0] + taps[1]
-        for tap in taps[2:]:
-            np.add(acc, tap, out=acc)
-    return acc * np.asarray(1.0 / (k * k), dtype=acc.dtype)
+
+    shape: Tuple[int, ...]
+    ind: np.ndarray
+    step: np.ndarray
+    site: np.ndarray
+    values: np.ndarray
+    background: np.ndarray
+    v0: np.floating
+    leak_fn: object
+    thr: np.ndarray
+    threshold: float
+    vbg: np.ndarray
+    pattern: np.ndarray
+    kept: np.ndarray
+    v: np.ndarray
+    last: np.ndarray
+
+    def _scatter(self, fill: np.ndarray, block: np.ndarray) -> np.ndarray:
+        """A ``shape`` plane holding ``fill[c]`` at every untouched site
+        and the channel-major ``(C, sites)`` ``block`` at the touched
+        ones."""
+        n, c, hh, ww = self.shape
+        sample, spatial = np.divmod(self.ind, hh * ww)
+        out = np.empty((n, c, hh * ww), dtype=block.dtype)
+        out[:] = fill[np.newaxis, :, np.newaxis]
+        out[sample, :, spatial] = block.T
+        return out.reshape(self.shape)
+
+    def membrane(self) -> np.ndarray:
+        """The stepped engines' final membrane: at every touched site the
+        running sums in the stepper's op sequence (a site the screen
+        dropped never spikes, so its sums are its membrane), the stepped
+        sites' values over them, the background trajectory elsewhere."""
+        t, c = self.pattern.shape
+        x = np.empty((t, c, self.ind.size), dtype=self.values.dtype)
+        x[:] = self.background[:, np.newaxis]
+        x[self.step, :, self.site] = self.values
+        v = np.full((c, self.ind.size), self.v0, dtype=self.values.dtype)
+        for step in range(t):
+            if self.leak_fn is not None:
+                v = self.leak_fn(v)
+            v += x[step]
+        v[:, self.kept] = self.v
+        return self._scatter(self.vbg, v)
+
+    def last_spikes(self) -> np.ndarray:
+        """The last step's spike plane over the threshold, as the
+        stepped engines compute it."""
+        c = self.pattern.shape[1]
+        stepped = np.zeros(self.v.size, dtype=np.float32)
+        stepped[self.last] = self.thr
+        block = np.zeros((c, self.ind.size), dtype=np.float32)
+        block[:, self.kept] = stepped.reshape(self.v.shape)
+        fill = (self.pattern[-1] * self.thr).astype(np.float32)
+        return self._scatter(fill, block) / self.threshold
+
+
+def _site_events(
+    shape: Tuple[int, ...],
+    fired: np.ndarray,
+    site: np.ndarray,
+    quiet: np.ndarray,
+    pattern: np.ndarray,
+) -> np.ndarray:
+    """The site neuron's ``(E, 4)`` stacked output coordinates.
+
+    ``fired`` are the flat positions in the stepped ``(T, C, sites)``
+    spike block, ``site`` the block's flat ``sample * H * W + spatial``
+    sites; the untouched ``quiet`` sites fire at every ``(step,
+    channel)`` of the background ``pattern``.  Built column by column,
+    each over its contiguous event axis, and returned as the transposed
+    view.
+    """
+    n, c, hh, ww = shape
+    plane = fired // site.size  # step * C + channel
+    step = plane // c
+    on_step, on_channel = np.nonzero(pattern)
+    out = np.empty((4, fired.size + on_step.size * quiet.size), dtype=np.int64)
+    head = out[:, : fired.size]
+    tail = out[:, fired.size :].reshape(4, on_step.size, quiet.size)
+    for events, sites in ((head, site[fired - plane * site.size]), (tail, quiet)):
+        sample = sites // (hh * ww)
+        spatial = sites - sample * (hh * ww)
+        events[0] = sample
+        events[2] = spatial // ww
+        events[3] = spatial - events[2] * ww
+    head[0] += step * n
+    head[1] = plane - step * c
+    tail[0] += on_step[:, np.newaxis] * n
+    tail[1] = on_channel[:, np.newaxis]
+    return out.T
+
+
+def _window_means(scale: float, counts: np.ndarray, k: int) -> np.ndarray:
+    """Average-pooled values of ``k`` by ``k`` windows holding
+    ``counts`` events of amplitude ``scale`` each.
+
+    The dense kernel sums a window's taps in order, and adding a ``+0.0``
+    tap is exact, so a window holding ``j`` events sums to the ``j``-th
+    running sum of the amplitude (``s``, ``s + s``, ``(s + s) + s``, ...)
+    wherever they sit; one float32 cumulative sum tabulates those, and
+    the kernel's float32 ``1 / k²`` scales them — its bits.
+    """
+    sums = np.cumsum(np.full(k * k, scale, dtype=np.float32))
+    return sums[counts - 1] * np.asarray(1.0 / (k * k), dtype=np.float32)
 
 
 class EventBatchedEngine(TimeBatchedEngine):
@@ -696,10 +745,9 @@ class EventBatchedEngine(TimeBatchedEngine):
         positive uniform amplitude, on dimensions the dense tiled kernel
         also handles (evenly divisible).  Max pooling puts the amplitude
         at the mapped coordinates (the max over a window of ``{0, s}``
-        values is exactly ``s``); average pooling builds each output's
-        window taps from the input events, in the dense kernel's tap
-        order, and replicates its summation sequence, so both are
-        bitwise identical to the reference kernels.
+        values is exactly ``s``); average pooling looks each window's
+        value up from its event count (:func:`_window_means`), so both
+        are bitwise identical to the reference kernels.
         """
         k, stride = module.kernel_size, module.stride
         n, c, h, w = step.shape
@@ -712,15 +760,14 @@ class EventBatchedEngine(TimeBatchedEngine):
         ):
             return None
         out_shape = (n, c, h // k, w // k)
-        coords = pooled_coords(step, k, stride, out_shape)
-        if coords is None:
-            return None
         if isinstance(module, MaxPool2d):
+            coords = pooled_coords(step, k, stride, out_shape)
             return StepSpikes(coords=coords, shape=out_shape, scale=step.scale)
+        coords, counts = pooled_coords(step, k, stride, out_shape, counts=True)
         return StepSpikes(
             coords=coords,
             shape=out_shape,
-            values=_avg_pool_values(step, coords, k, out_shape, np.float32),
+            values=_window_means(step.scale, counts, k),
         )
 
     # ------------------------------------------------------------------
@@ -751,35 +798,33 @@ class EventBatchedEngine(TimeBatchedEngine):
         the same input at every step, so its membrane follows one shared
         trajectory — computed once on a ``(C,)`` vector with the exact
         dense op sequence (leak, integrate, compare, subtract-reset) and
-        broadcast.  The individual sites (every sample/site pair touched
-        at any step; stepping one from step 0 applies the ops it would
-        share before its first touch, so this is bitwise equivalent)
-        get one ``(T, sites, C)`` input block: their values where
-        touched, the background elsewhere.  :func:`_screen` drops every
-        cell whose running sum never reaches threshold — it never
-        spikes, and its sum is its membrane — and only the rest are
-        stepped.  Membrane, spikes and counters come out bitwise
-        identical to dense stepping at ``O(touched sites · C · T)``.
+        broadcast.  Of the touched sites (every sample/site pair touched
+        at any step), :func:`_screen` keeps those where some channel's
+        bounded peak membrane reaches threshold, reading only the
+        ``(rows, C)`` value block, and only their ``(C, kept)`` cells are
+        stepped, with the stepper's exact op sequence (from step 0, which
+        applies the ops a site shares with the background before its
+        first touch, so this is bitwise equivalent); a kept site's input
+        at a step is its value row then, or the background.  Membrane,
+        spikes and counters come out bitwise identical to dense stepping
+        at ``O(rows · C + kept sites · C · T)``.
 
-        When the background trajectory never fires (the common case:
-        the zero-input response cannot climb to threshold), the fired
-        cells are the output's exact coordinates, handed on as such at
-        no scan cost.  The membrane and ``last_spikes`` are deferred
-        (:meth:`repro.snn.neurons.IFNeuron.defer_state`).  Returns None
-        when nearly every site is touched (a dense step is cheaper).
+        The output is handed on as stacked coordinates: the fired cells,
+        plus every untouched site of each ``(step, channel)`` the
+        background trajectory fired at.  The membrane (including the
+        exact sums at the dropped sites) and ``last_spikes`` are built
+        on first read (:meth:`repro.snn.neurons.IFNeuron.defer_state`).
+        Returns None when the screen's bound does not cover the neuron's
+        leak or the stack does not split into T steps.
         """
         t = self._run_timesteps
         b, c, hh, ww = sites.shape
-        if t < 1 or b % t:
+        leak_fn = module._leak_fn()
+        if t < 1 or b % t or not (leak_fn is None or isinstance(module, LIFNeuron)):
             return None
         n = b // t
-        s = hh * ww
-        step_of, site_of = np.divmod(sites.rows, n * s)
-        mask = np.zeros(n * s, dtype=bool)
-        mask[site_of] = True
-        ind = np.flatnonzero(mask)
-        if 2 * ind.size >= n * s:
-            return None
+        step_of, site_of = np.divmod(sites.rows, n * hh * ww)
+        ind, site = distinct(site_of, n * hh * ww, inverse=True)
         stat.backend = "sites"
         values = _values(sites)
         dtype = values.dtype
@@ -787,7 +832,6 @@ class EventBatchedEngine(TimeBatchedEngine):
             (1,), module.threshold, module.v_init_fraction, dtype=dtype
         )[0]
         thr = np.asarray(module.threshold, dtype=dtype)
-        leak_fn = module._leak_fn()
         vbg = np.full(c, v0, dtype=dtype)
         pattern = np.empty((t, c), dtype=bool)
         for step in range(t):
@@ -796,59 +840,48 @@ class EventBatchedEngine(TimeBatchedEngine):
             vbg += sites.background
             pattern[step] = vbg >= thr
             vbg -= pattern[step] * thr
-        x = np.empty((t, ind.size, c), dtype=dtype)
-        x[:] = sites.background
-        x[step_of, np.searchsorted(ind, site_of)] = values
-        xf = x.reshape(t, ind.size * c)
-        v, cells = _screen(xf, v0, thr, leak_fn)
-        vi = np.full(cells.size, v0, dtype=dtype)
-        fired: List[np.ndarray] = []
+        # Channel-major from here on, so that each op runs over the long
+        # site or row axis; a last column holds the background, a site's
+        # input at an untouched step.
+        rows = values.shape[0]
+        xt = np.empty((c, rows + 1), dtype=dtype)
+        xt[:, :rows] = values.T
+        xt[:, rows] = sites.background
+        kept = _screen(xt[:, :rows], site, ind.size, sites.background, v0, thr, t)
+        # Step every channel of the kept sites: at each step a site's
+        # input is the column of its value row then, or the background
+        # column; spikes are collected once, after the last step.
+        local = np.full(ind.size, -1, dtype=np.intp)
+        local[kept] = np.arange(kept.size)
+        hit = np.flatnonzero(local[site] >= 0)
+        column = np.full((t, kept.size), rows, dtype=np.intp)
+        column[step_of[hit], local[site[hit]]] = hit
+        x = np.take(xt, column, axis=1)
+        v = np.full((c, kept.size), v0, dtype=dtype)
+        spiked = np.empty((t,) + v.shape, dtype=bool)
+        reset = np.empty(v.shape, dtype=dtype)
         for step in range(t):
             if leak_fn is not None:
-                vi = leak_fn(vi)
-            vi += xf[step, cells]
-            spiked = vi >= thr
-            vi -= spiked * thr
-            fired.append(cells[spiked])
-        v[cells] = vi
-        sample, spatial = np.divmod(ind, s)
-        spikes = sum(int(f.size) for f in fired)
-        spikes += int(pattern.sum(dtype=np.int64)) * (n * s - ind.size)
-        shape = (n, c, hh, ww)
+                v = leak_fn(v)
+            v += x[:, step]
+            np.greater_equal(v, thr, out=spiked[step])
+            np.multiply(spiked[step], thr, out=reset)
+            v -= reset
+        fired = np.flatnonzero(spiked)
+        quiet = ind[:0]
         if pattern.any():
-            out = _spike_planes(pattern, fired, thr, sample, spatial, shape)
-            emitted: Carrier = _Stack(out.reshape(sites.shape), spikes, exact=True)
-        else:
-            # Fired cells are the output's nonzeros — assemble the
-            # stacked coordinates O(spikes), no plane scan.
-            site, channel = np.divmod(np.concatenate(fired), c)
-            coords = np.stack(
-                (
-                    np.repeat(np.arange(t), [f.size for f in fired]) * n
-                    + sample[site],
-                    channel,
-                    spatial[site] // ww,
-                    spatial[site] % ww,
-                ),
-                axis=1,
-            )
-            emitted = StepSpikes(
-                coords=coords, shape=sites.shape, scale=float(module.threshold)
-            )
-        # The dense membrane and last spike plane are built on first read.
-        module.defer_state(
-            v=partial(_site_membrane, vbg, v, sample, spatial, shape),
-            last_spikes=partial(
-                _last_spike_plane,
-                pattern,
-                fired,
-                thr,
-                sample,
-                spatial,
-                shape,
-                module.threshold,
-            ),
+            quiet = np.ones(n * hh * ww, dtype=bool)
+            quiet[ind] = False
+            quiet = np.flatnonzero(quiet)
+        coords = _site_events((n, c, hh, ww), fired, ind[kept], quiet, pattern)
+        last = fired[fired >= (t - 1) * v.size] - (t - 1) * v.size
+        run = _SiteRun(
+            (n, c, hh, ww), ind, step_of, site, values, sites.background, v0,
+            leak_fn, thr, module.threshold, vbg, pattern, kept, v, last,
         )
-        module.spike_count += spikes
+        module.defer_state(v=run.membrane, last_spikes=run.last_spikes)
+        module.spike_count += coords.shape[0]
         module.neuron_steps += int(math.prod(sites.shape))
-        return emitted
+        return StepSpikes(
+            coords=coords, shape=sites.shape, scale=float(module.threshold)
+        )

@@ -444,6 +444,31 @@ def test_dvs_model_bitwise(engine):
     _assert_bitwise(dvs_model(), dvs_stream(), engine)
 
 
+def dvs_streams():
+    """Four batch-8 streams cut from one event set, as the repository
+    benchmark feeds them."""
+    events = SyntheticDVS(num_train=0, num_test=32, height=64, width=64,
+                          timesteps=8, noise_rate=0.002, seed=1)
+    stream = events.spike_stream("test")[0]
+    return [stream.batch_slice(lo, lo + 8) for lo in range(0, 32, 8)]
+
+
+def test_dvs_neurons_hand_coordinates_to_every_pool(carriers):
+    """On the DVS benchmark's inputs every neuron steps its sites, the
+    last one too (it touches about half of its 2,048 sites and its
+    background fires), and every pool, ``AvgPool2d(4)`` included,
+    receives coordinates, in every call."""
+    model = dvs_model()
+    reference = SpikingNetwork(model, timesteps=8, engine="batched")
+    net = SpikingNetwork(model, timesteps=8, engine="auto")
+    for stream in dvs_streams():
+        carriers["pool"].clear()
+        assert np.array_equal(net.forward(stream), reference.forward(stream))
+        layers = {l.name: l.backend for l in net.last_run_stats.layers}
+        assert [layers[name] for name in ("2", "6", "10")] == ["sites"] * 3
+        assert carriers["pool"] == ["StepSpikes"] * 3
+
+
 def vgg_frames():
     """One direct-coded CIFAR-shaped frame batch for the converted VGG."""
     return np.random.default_rng(12).normal(size=(4, 3, 32, 32)).astype(np.float32)

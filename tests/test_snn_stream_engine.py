@@ -461,10 +461,10 @@ class TestSiteValuedChains:
         screened = []
         orig = eb_mod._screen
 
-        def spy(x, v0, threshold, leak_fn):
-            v, cells = orig(x, v0, threshold, leak_fn)
-            screened.append((x.shape[1], cells.size))
-            return v, cells
+        def spy(xt, site, sites, *args):
+            kept = orig(xt, site, sites, *args)
+            screened.append((sites, kept.size))
+            return kept
 
         monkeypatch.setattr(eb_mod, "_screen", spy)
         model = _with_head(
