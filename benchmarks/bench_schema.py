@@ -29,7 +29,7 @@ TOP_LEVEL_KEYS = (
 
 SCENARIO_KEYS = ("model", "width", "timesteps", "batch", "input")
 
-ENGINE_NAMES = {"dense", "event", "batched", "event-batched", "auto"}
+ENGINE_NAMES = {"dense", "batched", "event-batched", "auto"}
 
 DVS_SCENARIO_KEYS = ("model", "timesteps", "batch", "input", "input_density")
 
@@ -55,7 +55,7 @@ PROFILE_ROW_KEYS = (
 
 #: A synapse row's kernel, or a neuron row's step (``sites``/``dense`` on
 #: ``event-batched``, ``-`` on engines without a per-layer choice).
-PROFILE_BACKENDS = ("gemm", "event", "event-batched", "sites", "dense", "-")
+PROFILE_BACKENDS = ("gemm", "event-batched", "sites", "dense", "-")
 
 #: The gate of the density rule a profile row names ("" on neuron rows
 #: and fixed-backend engines).

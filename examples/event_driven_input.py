@@ -126,12 +126,12 @@ def coo_dataflow(dvs: SyntheticDVS) -> None:
     model.eval()
     convert_to_snn(model)
 
-    network = SpikingNetwork(model, engine="event")
+    network = SpikingNetwork(model, engine="auto")
     network.forward(stream)  # T comes from the stream itself
     stats = network.last_run_stats
     trace = stats.spike_trace()
     print(
-        f"  event engine on the stream: {stats.total_synaptic_ops:,} performed "
+        f"  auto engine on the stream: {stats.total_synaptic_ops:,} synaptic "
         f"ops vs {stats.total_dense_synaptic_ops:,} dense "
         f"(saving {stats.synaptic_op_saving:.1%})"
     )

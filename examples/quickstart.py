@@ -29,7 +29,7 @@ def main() -> None:
         ann_config=TrainConfig(epochs=4, verbose=True),
         finetune_config=TrainConfig(epochs=3, lr=5e-4, verbose=True),
         progress=print,
-        engine="event",        # sparse event propagation (see examples/engine_comparison.py)
+        engine="auto",         # per-layer density rule: GEMM or COO (see examples/engine_comparison.py)
     )
 
     print()

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from typing import List, Optional
 
 from repro.eval import (
@@ -591,10 +592,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=ENGINE_CHOICES,
         default="dense",
         help="SNN simulation backend for training artefacts: full dense "
-        "recompute per timestep, sparse event propagation, "
-        "time-batched layer-sequential execution, or auto "
-        "(event-batched: a density rule picks GEMM or COO row-subset "
-        "per layer on every call; fastest)",
+        "recompute per timestep, time-batched layer-sequential "
+        "execution, or auto (event-batched: a density rule picks GEMM "
+        "or COO row-subset per layer on every call; fastest); 'event' "
+        "is a deprecated name for auto",
     )
     parser.add_argument(
         "--input-format",
@@ -623,6 +624,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
+    # Python hides a DeprecationWarning raised outside ``__main__``; show
+    # the package's (a retired --engine name) once each.
+    warnings.filterwarnings("once", category=DeprecationWarning, module=r"repro\.")
     # `campaign` has its own flag set (grids, resume knobs) that would
     # collide with the artefact parser's; dispatch before parsing.
     if argv and argv[0] == "campaign":

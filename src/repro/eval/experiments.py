@@ -88,7 +88,7 @@ def accuracy_vs_timesteps_experiment(
     curve runs to ``max_timesteps``, which must reach it.
 
     ``engine`` selects the SNN simulation backend (``"dense"``,
-    ``"event"``, ``"batched"`` or ``"auto"``); accuracy is
+    ``"batched"`` or ``"auto"``); accuracy is
     backend-independent, wall clock is not — the batched and auto
     backends compute the whole accuracy-vs-T curve from one
     layer-sequential pass.

@@ -161,7 +161,7 @@ def run_conversion_pipeline(
     it must reach ``timesteps``, or :class:`TimestepRangeError` is raised
     before any training.
     ``engine`` selects the SNN execution backend (``"dense"``,
-    ``"event"``, ``"batched"`` or ``"auto"``); the accuracy
+    ``"batched"`` or ``"auto"``); the accuracy
     numbers are independent of it.
     """
     say = progress or (lambda message: None)

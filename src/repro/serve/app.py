@@ -19,7 +19,7 @@ Routes
 ``GET /metrics``
     One JSON snapshot: request rate, p50/p99 latency, queue depth,
     shed/reject counters, breaker state and trip count, engine-worker
-    restarts.
+    restarts and abandoned slot threads still running.
 ``POST /v1/infer``
     The inference path: bearer auth (optional), JSON body with a
     single-sample ``input`` plus optional ``deadline_ms`` /
@@ -383,6 +383,7 @@ class InferenceServer:
         snapshot["worker"] = {
             "restarts": self.worker.restarts,
             "runs_completed": self.worker.runs_completed,
+            "abandoned_alive": self.worker.abandoned_alive,
         }
         snapshot["degrade"] = {
             "current_timesteps": self.batcher.degrade.current,

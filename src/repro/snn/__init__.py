@@ -6,16 +6,17 @@ by an integrate-and-fire neuron whose firing threshold is the learned
 step size and whose membrane potential starts at threshold/2 (the QCFS
 optimum), using reset-by-subtraction.  The resulting stateful network is
 run for T timesteps by :class:`SpikingNetwork` on a pluggable
-:mod:`repro.snn.engines` backend — ``"dense"`` (reference per-timestep
-recompute), ``"event"`` (sparse event propagation whose cost scales
-with spike rate, like the paper's hardware), ``"batched"``
-(layer-sequential time batching: one big GEMM per stateless layer over
-all T timesteps), ``"event-batched"`` (the time-batched schedule with
-COO-native gathers: one row-subset GEMM per layer covering all T
-timesteps, bitwise identical to ``"batched"`` and faster at low input
-density; ``"auto"`` is another name for it: a per-layer density rule
-picks GEMM or the row-subset kernel on every call).  The time-stacked backends run a large batch as sample
-blocks in lanes, one per usable core.
+:mod:`repro.snn.engines` backend — ``"dense"`` (the per-step reference
+recompute), ``"batched"`` (layer-sequential time batching: one big
+GEMM per stateless layer over all T timesteps, the bitwise reference)
+and ``"event-batched"`` (the time-batched schedule with COO-native
+layers: a per-layer density rule picks GEMM or a row-subset kernel on
+every call, bitwise identical to ``"batched"`` and faster at low input
+density; ``"auto"`` is another name for it, and the retired
+``"event"`` resolves to it with a ``DeprecationWarning``).  Every
+backend bills synaptic ops by the SIA's rule, so the counts do not
+depend on the kernel.  The time-stacked backends run a large batch as
+sample blocks in lanes, one per usable core.
 """
 
 from repro.snn.dynamics import (
@@ -33,7 +34,6 @@ from repro.snn.engines import (
     DenseEngine,
     EventBatchedEngine,
     SimulationEngine,
-    SparseEventEngine,
     TimeBatchedEngine,
     make_engine,
 )
@@ -74,7 +74,6 @@ __all__ = [
     "SimulationEngine",
     "DenseEngine",
     "EventBatchedEngine",
-    "SparseEventEngine",
     "TimeBatchedEngine",
     "make_engine",
     "LayerStats",

@@ -1,13 +1,12 @@
 """Backward-compatible facade over :mod:`repro.snn.engines`.
 
 The engine layer grew from one 800-line module into the
-``repro.snn.engines`` package (``base`` / ``dense`` / ``event`` /
-``batched`` / ``event_batched`` plus the ``profiling`` and ``sharding``
-infrastructure).  Every public name that ever lived here keeps
-importing from this module unchanged::
+``repro.snn.engines`` package (``base`` / ``dense`` / ``batched`` /
+``event_batched`` / ``kernels`` plus the ``profiling`` and ``sharding``
+infrastructure).  The public names of the surviving engines keep
+importing from this module::
 
-    from repro.snn.engine import DenseEngine, SparseEventEngine, TimeBatchedEngine
-    from repro.snn.engine import make_engine, sparse_conv2d, sparse_linear
+    from repro.snn.engine import DenseEngine, TimeBatchedEngine, make_engine
 
 New code should import from :mod:`repro.snn.engines` directly.
 """
@@ -24,7 +23,6 @@ from repro.snn.engines import (
     LRUCache,
     SHARD_MODES,
     SimulationEngine,
-    SparseEventEngine,
     TimeBatchedEngine,
     WEIGHT_CACHE_CAPACITY,
     clone_for_inference,
@@ -33,8 +31,6 @@ from repro.snn.engines import (
     make_engine,
     profiled_call,
     resolve_shard_mode,
-    sparse_conv2d,
-    sparse_linear,
 )
 from repro.snn.engines.base import _dense_op_count, _effective_weight
 
@@ -46,7 +42,6 @@ __all__ = [
     "LRUCache",
     "SHARD_MODES",
     "SimulationEngine",
-    "SparseEventEngine",
     "TimeBatchedEngine",
     "WEIGHT_CACHE_CAPACITY",
     "clone_for_inference",
@@ -57,6 +52,4 @@ __all__ = [
     "pooled_coords",
     "profiled_call",
     "resolve_shard_mode",
-    "sparse_conv2d",
-    "sparse_linear",
 ]

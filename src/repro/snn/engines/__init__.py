@@ -3,51 +3,51 @@
 The paper's central claim is that event-driven, sparsity-exploiting
 execution is what makes the accelerator fast: per timestep the hardware
 only pays for kernel-row segments that actually carry spikes.  This
-package structures SNN execution as an engine layer with four backends
+package structures SNN execution as an engine layer with three backends
 behind one :class:`SimulationEngine` interface:
 
 ``DenseEngine`` (:mod:`repro.snn.engines.dense`)
-    The reference backend: one dense forward pass of the converted
-    model per timestep (exactly the old ``SpikingNetwork`` behaviour).
-
-``SparseEventEngine`` (:mod:`repro.snn.engines.event`)
-    Propagates only active spike events; conv/linear cost scales with
-    spike rate, mirroring the paper's aggregation core.
+    The per-step reference: one dense forward pass of the converted
+    model per timestep.
 
 ``TimeBatchedEngine`` (:mod:`repro.snn.engines.batched`)
-    The wall-clock backend: layer-outer/time-inner execution, one GEMM
-    per stateless layer over a ``(T*N, ...)`` stack.
+    The bitwise GEMM reference: layer-outer/time-inner execution, one
+    GEMM per stateless layer over a ``(T*N, ...)`` stack.
 
 ``EventBatchedEngine`` (:mod:`repro.snn.engines.event_batched`)
     The time-stacked schedule with COO-native layers, and the default
     (``"auto"`` is its name too).  Like the paper's accelerator, it
     decides each synapse layer's kernel from the spikes that layer
     receives: one deterministic density rule picks the batched GEMM or
-    the COO row-subset kernel per layer and per call, and both compute
-    the same floats, so it is bitwise equal to the batched engine.
-    ``LayerStats.backend_source`` names the gate that decided.
+    the COO row-subset kernel (:mod:`repro.snn.engines.kernels`) per
+    layer and per call, and both compute the same floats, so it is
+    bitwise equal to the batched engine.  ``LayerStats.backend_source``
+    names the gate that decided.
 
 All engines run the *same* module graph — backends install
 per-instance forward interceptors for the duration of a run — so
 arbitrary models (VGG chains, ResNet residual graphs) work identically
 on any backend, and their logits agree up to float summation order.
 Every run produces a :class:`repro.snn.stats.RunStats` with per-layer
-spike rates, performed-vs-dense synaptic-op counts and (when
-``profile_layers`` is on, the default) per-layer wall clock and input
-density — rendered by ``RunStats.profile_table()``.
+spike rates, synaptic-op counts and (when ``profile_layers`` is on, the
+default) per-layer wall clock and input density — rendered by
+``RunStats.profile_table()``.  Synaptic ops follow the SIA's rule on
+every backend (:func:`repro.snn.engines.base.bill_synapse`): each
+nonzero input value times its fan-out, whichever kernel ran.
 
 One engine run is one datapath, like the paper's SIA running one
 inference.  The only in-process parallelism is block lanes: the
 time-stacked engines run a large call's sample blocks concurrently,
 one lane per usable core (:mod:`repro.snn.engines.lanes`),
-bit-identical to running them one after another.  ``dense`` and
-``event`` use every core through multi-threaded BLAS instead.  The
-supervisor in :mod:`repro.snn.engines.sharding` parallelises campaign
-grid points, not engine runs.
+bit-identical to running them one after another.  ``dense`` uses every
+core through multi-threaded BLAS instead.  The supervisor in
+:mod:`repro.snn.engines.sharding` parallelises campaign grid points,
+not engine runs.
 """
 
 from __future__ import annotations
 
+import warnings
 from typing import Union
 
 from repro.snn.engines.base import (
@@ -57,17 +57,12 @@ from repro.snn.engines.base import (
     WEIGHT_CACHE_CAPACITY,
     _dense_op_count,
     _effective_weight,
+    bill_synapse,
 )
 from repro.snn.engines.batched import TimeBatchedEngine
 from repro.snn.engines.dense import DenseEngine, dense_conv2d
-from repro.snn.engines.event import (
-    SparseEventEngine,
-    conv_active_windows,
-    pooled_coords,
-    sparse_conv2d,
-    sparse_linear,
-)
 from repro.snn.engines.event_batched import EventBatchedEngine
+from repro.snn.engines.kernels import conv_active_windows, pooled_coords
 from repro.snn.engines.profiling import profiled_call
 from repro.snn.engines.service import (
     EngineWorker,
@@ -93,15 +88,18 @@ from repro.snn.engines.sharding import (
 # ----------------------------------------------------------------------
 ENGINES = {
     "dense": DenseEngine,
-    "event": SparseEventEngine,
-    "sparse": SparseEventEngine,  # alias
     "batched": TimeBatchedEngine,
     "time-batched": TimeBatchedEngine,  # alias
     "event-batched": EventBatchedEngine,
     "coo": EventBatchedEngine,  # alias
     "auto": EventBatchedEngine,  # the default name: the density rule
     "adaptive": EventBatchedEngine,  # alias
+    "event": EventBatchedEngine,  # retired engine's name, deprecated
 }
+
+#: Retired names that still resolve, to the engine named here, with a
+#: DeprecationWarning.
+DEPRECATED_NAMES = {"event": "event-batched"}
 
 EngineSpec = Union[str, SimulationEngine]
 
@@ -111,12 +109,21 @@ def make_engine(spec: EngineSpec = "dense") -> SimulationEngine:
     if isinstance(spec, SimulationEngine):
         return spec
     if isinstance(spec, str):
+        name = spec.lower()
         try:
-            return ENGINES[spec.lower()]()
+            engine = ENGINES[name]()
         except KeyError:
             raise ValueError(
                 f"unknown engine {spec!r}; choose from {sorted(set(ENGINES))}"
             ) from None
+        if name in DEPRECATED_NAMES:
+            warnings.warn(
+                f"engine {spec!r} is retired; it runs "
+                f"{DEPRECATED_NAMES[name]!r} (also named 'auto')",
+                DeprecationWarning,
+                stacklevel=2,
+            )
+        return engine
     raise TypeError(f"engine must be a name or SimulationEngine, got {type(spec)!r}")
 
 
@@ -136,10 +143,10 @@ __all__ = [
     "ShardFailure",
     "ShardPolicy",
     "SimulationEngine",
-    "SparseEventEngine",
     "SupervisedOutcome",
     "TimeBatchedEngine",
     "WEIGHT_CACHE_CAPACITY",
+    "bill_synapse",
     "clone_for_inference",
     "run_supervised",
     "split_bounds",
@@ -150,6 +157,4 @@ __all__ = [
     "pooled_coords",
     "profiled_call",
     "resolve_shard_mode",
-    "sparse_linear",
-    "sparse_conv2d",
 ]

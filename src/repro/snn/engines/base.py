@@ -6,7 +6,8 @@ per-run reset/install/execute/collect cycle in
 :meth:`SimulationEngine._run_single` (called once per sample block by
 :meth:`SimulationEngine._run_blocked`), and the per-layer wall-clock
 profiling wrappers (see :mod:`repro.snn.engines.profiling`) installed
-around every interceptor.  Backends customise per-layer execution by
+around every interceptor, and the one synaptic-op rule every backend
+bills by (:func:`bill_synapse`).  Backends customise per-layer execution by
 overriding :meth:`SimulationEngine._make_interceptor` (synapse layers)
 and :meth:`SimulationEngine._make_neuron_interceptor` (stateful
 layers), or the whole schedule via :meth:`SimulationEngine._execute`.
@@ -15,11 +16,13 @@ layers), or the whole schedule via :meth:`SimulationEngine._execute`.
 from __future__ import annotations
 
 import abc
+import functools
+import math
 import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -29,7 +32,7 @@ from repro.nn.quant import QuantConv2d, QuantLinear, _WeightFakeQuant
 from repro.snn.engines.lanes import lane_count, run_lanes
 from repro.snn.engines.profiling import profiled_call
 from repro.snn.neurons import IFNeuron
-from repro.snn.spikes import SpikeStream
+from repro.snn.spikes import SpikeStream, StepSpikes
 from repro.snn.stats import LayerStats, RunStats
 from repro.tensor import Tensor, no_grad
 
@@ -163,6 +166,96 @@ def _dense_op_count(module: Module, x_shape: Sequence[int]) -> int:
     return int(x_shape[0]) * module.in_features * module.out_features
 
 
+@functools.lru_cache(maxsize=256)
+def _coverage(size: int, kernel: int, stride: int, padding: int) -> np.ndarray:
+    """How many output windows of a conv cover each of ``size`` input
+    positions along one axis (padding never counts)."""
+    cover = np.zeros(size + 2 * padding, dtype=np.int64)
+    last = stride * (_conv_out_size(size, kernel, stride, padding) - 1)
+    for tap in range(kernel):
+        cover[tap : tap + last + 1 : stride] += 1
+    cover = cover[padding : padding + size]
+    cover.setflags(write=False)
+    return cover
+
+
+@functools.lru_cache(maxsize=256)
+def _window_weights(h: int, w: int, kernel: int, stride: int, padding: int) -> np.ndarray:
+    """How many output windows cover each pixel of an ``h x w`` conv
+    input (``cy[y] * cx[x]``), flattened, in a float type that sums a
+    channel's worth of them exactly."""
+    cover = np.outer(
+        _coverage(h, kernel, stride, padding), _coverage(w, kernel, stride, padding)
+    ).ravel()
+    # A channel sums to at most cover.sum(); float32 counts exactly below 2**24.
+    cover = cover.astype(np.float32 if cover.sum() < 2**24 else np.float64)
+    cover.setflags(write=False)
+    return cover
+
+
+def _conv_taps(plane: np.ndarray, module: Conv2d, nonzero: Optional[int]) -> Tuple[int, int]:
+    """``(nonzeros, nonzero im2col entries)`` of a dense conv input.
+
+    Each nonzero at ``(n, c, y, x)`` sits in ``cy[y] * cx[x]`` windows:
+    one matrix-vector product of the plane's nonzero mask with those
+    weights sums every channel at once, exactly (integer sums of the
+    weights' float type).  ``nonzero``, when known exactly, spares the
+    count.
+    """
+    n, c, h, w = plane.shape
+    weights = _window_weights(h, w, module.kernel_size, module.stride, module.padding)
+    mask = plane != 0
+    per_channel = mask.reshape(n * c, h * w).astype(weights.dtype) @ weights
+    if nonzero is None:
+        nonzero = int(np.count_nonzero(mask))
+    return nonzero, int(per_channel.sum(dtype=np.float64))
+
+
+def bill_synapse(
+    module: Module,
+    stat: LayerStats,
+    x: Union[np.ndarray, StepSpikes],
+    nonzero: Optional[int] = None,
+    repeat: int = 1,
+    density: bool = True,
+) -> None:
+    """Bill one synapse-layer call by the SIA's rule, whichever kernel ran.
+
+    Every nonzero input value costs one synaptic op per weight it fans
+    out to: a linear bills ``nnz(x) * out_features``, a conv ``C_out``
+    per nonzero im2col entry — each input nonzero times the number of
+    output windows covering it (``SpikingCore.fc_timestep`` /
+    ``conv_timestep``).  ``x`` is the layer's input: a dense plane, with
+    its exact ``nonzero`` count when the caller knows it, or its events.
+    ``repeat`` bills a plane that stands for that many copies (a
+    constant frame's ``(N, ...)`` prefix, once per timestep).  The same
+    count gives the dense MACs and, with ``density`` (the profiler), the
+    layer's observed input density.
+    """
+    is_conv = isinstance(module, Conv2d)
+    if isinstance(x, StepSpikes):
+        nonzero = taps = x.num_events
+        if is_conv and nonzero:
+            _, _, h, w = x.shape
+            k, s, p = module.kernel_size, module.stride, module.padding
+            taps = int(
+                _coverage(h, k, s, p)[x.coords[:, 2]]
+                @ _coverage(w, k, s, p)[x.coords[:, 3]]
+            )
+    elif is_conv:
+        nonzero, taps = _conv_taps(x, module, nonzero)
+    else:
+        if nonzero is None:
+            nonzero = int(np.count_nonzero(x))
+        taps = nonzero
+    fan_out = module.out_channels if is_conv else module.out_features
+    stat.synaptic_ops += taps * fan_out * repeat
+    stat.dense_synaptic_ops += _dense_op_count(module, x.shape) * repeat
+    if density:
+        stat.input_nonzero += nonzero * repeat
+        stat.input_size += math.prod(x.shape) * repeat
+
+
 def _concat_runs(runs: List[EngineRun], timesteps: int, per_step: bool) -> EngineRun:
     """Join the runs of consecutive batch slices into one batch-order run.
 
@@ -199,9 +292,11 @@ class SimulationEngine(abc.ABC):
 
     ``profile_layers`` (default on) wraps every interceptor in a
     near-zero-overhead ``perf_counter`` pair that attributes wall clock
-    (and, for synapse layers, observed input density) to each layer's
-    :class:`repro.snn.stats.LayerStats` — the data behind
-    :meth:`repro.snn.stats.RunStats.profile_table`.
+    to each layer's :class:`repro.snn.stats.LayerStats`, and records
+    each synapse layer's observed input density — the data behind
+    :meth:`repro.snn.stats.RunStats.profile_table`.  Every backend bills
+    synaptic ops with :func:`bill_synapse`, so the counts do not depend
+    on the kernel that ran.
     """
 
     name: str = "abstract"
@@ -378,9 +473,8 @@ class SimulationEngine(abc.ABC):
         stack).
 
         Dense inputs present the *same* direct-coded frame Tensor every
-        timestep (its stable array identity is what enables the event
-        engine's frame-psum reuse); a :class:`SpikeStream` presents one
-        materialised plane per timestep via :meth:`_stream_step_input`.
+        timestep; a :class:`SpikeStream` presents one densified plane
+        per timestep.
         """
         total: Optional[np.ndarray] = None
         outputs: Optional[List[np.ndarray]] = [] if per_step else None
@@ -388,7 +482,7 @@ class SimulationEngine(abc.ABC):
         inp = None if stream else Tensor(x)
         with no_grad():
             for t in range(timesteps):
-                step_in = self._stream_step_input(x, t) if stream else inp
+                step_in = Tensor(x.step(t).to_dense()) if stream else inp
                 logits = self.model(step_in).data
                 if total is None:
                     total = logits.copy()
@@ -397,15 +491,6 @@ class SimulationEngine(abc.ABC):
                 if outputs is not None:
                     outputs.append(total.copy())
         return total, outputs
-
-    def _stream_step_input(self, stream: SpikeStream, t: int) -> Tensor:
-        """Materialise one timestep of a COO input stream.
-
-        The default densifies the step's coordinates; the event engine
-        overrides this to also register the coordinates so downstream
-        layers consume them without re-deriving sparsity from the plane.
-        """
-        return Tensor(stream.step(t).to_dense())
 
     # ------------------------------------------------------------------
     # Per-run instrumentation hooks
@@ -423,16 +508,6 @@ class SimulationEngine(abc.ABC):
         run the module's own forward (the time-outer engines)."""
         return None
 
-    def _input_nonzero_of(self, data: np.ndarray) -> Optional[int]:
-        """Known nonzero count of an input plane, or None to scan it.
-
-        The profiler asks here before paying a ``count_nonzero`` pass;
-        the event engine answers from carried stream metadata (COO
-        coordinates), so stream-fed layers record density without ever
-        re-deriving it from the dense plane.
-        """
-        return None
-
     def _set_forward(self, module: Module, forward: Callable) -> None:
         object.__setattr__(module, "forward", forward)
         self._installed.append(module)
@@ -447,12 +522,7 @@ class SimulationEngine(abc.ABC):
             stat = synapse_stats[name]
             interceptor = self._make_interceptor(module, stat, module.forward)
             if self.profile_layers:
-                interceptor = profiled_call(
-                    interceptor,
-                    stat,
-                    record_density=True,
-                    nonzero_of=self._input_nonzero_of,
-                )
+                interceptor = profiled_call(interceptor, stat)
             self._set_forward(module, interceptor)
         for name, module in self._neuron_modules:
             stat = neuron_stats[name]
@@ -462,7 +532,7 @@ class SimulationEngine(abc.ABC):
                     continue  # nothing to intercept: run the module as-is
                 interceptor = module.forward
             if self.profile_layers:
-                interceptor = profiled_call(interceptor, stat, record_density=False)
+                interceptor = profiled_call(interceptor, stat)
             self._set_forward(module, interceptor)
 
     def _uninstall(self) -> None:

@@ -14,8 +14,8 @@ from repro.snn.engines.base import (
     LRUCache,
     SimulationEngine,
     WEIGHT_CACHE_CAPACITY,
-    _dense_op_count,
     _effective_weight,
+    bill_synapse,
 )
 from repro.snn.engines.dense import dense_conv2d
 from repro.snn.engines.sharding import split_bounds
@@ -63,8 +63,9 @@ class TimeBatchedEngine(SimulationEngine):
 
     Arithmetic is the dense reference arithmetic — same kernels, same
     per-sample summation order — so logits match ``DenseEngine``
-    exactly, and op accounting bills full dense MACs like the dense
-    backend.  The win is wall clock: T-fold fewer Python layer
+    exactly, and ops are billed by the SIA rule from each layer's input
+    (:func:`repro.snn.engines.base.bill_synapse`), as on every backend.
+    The win is wall clock: T-fold fewer Python layer
     dispatches, T-fold larger matmuls (better BLAS utilisation), one
     im2col per layer per run, and the constant input frame's convolution
     is computed once and re-tiled instead of recomputed T times (the
@@ -90,10 +91,9 @@ class TimeBatchedEngine(SimulationEngine):
         # a weak reference, the count and whether it is exact (the
         # event-batched engine also notes upper bounds, which only its
         # density rule reads).  The neuron interceptor pays
-        # one count_nonzero per run for its spike accounting whether or
-        # not profiling is on; registering the result here lets the
-        # profiler answer the *next* layer's density for free instead
-        # of re-scanning the same plane.  Weak on purpose: pinning every
+        # one count_nonzero per run for its spike accounting; registering
+        # the result here lets the *next* layer's op billing skip a
+        # full re-count of the same plane.  Weak on purpose: pinning every
         # activation until run end would defeat numpy's buffer reuse,
         # and the consumer reads the count while the plane is its live
         # input anyway.  The identity check at lookup makes a recycled
@@ -202,33 +202,27 @@ class TimeBatchedEngine(SimulationEngine):
         self._constant_arrays = {}
         self._known_nonzero = {}
 
-    def _input_nonzero_of(self, data: np.ndarray) -> Optional[int]:
-        # A plane emitted by a neuron layer carries the count its spike
-        # accounting already computed; a constant T-fold tiling needs
-        # only its (N, ...) prefix scanned, scaled by T.  Both are exact
-        # — identical numbers to a full count_nonzero pass — so billing
-        # and the event-batched density rule are unchanged.
-        known = self._known(data)
-        if known is not None and known[1]:
-            return known[0]
-        if id(data) in self._constant_arrays and self._run_timesteps > 0:
-            prefix = int(np.count_nonzero(data[: self._run_batch]))
-            return prefix * self._run_timesteps
-        return None
-
     # ------------------------------------------------------------------
-    def _gemm(self, module, stat, data: np.ndarray, constant: bool) -> np.ndarray:
-        """The dense kernel of a synapse layer, billed as full MACs.
+    def _gemm(
+        self, module, stat, data: np.ndarray, constant: bool, nonzero: Optional[int]
+    ) -> np.ndarray:
+        """The dense kernel of a synapse layer, billed by the SIA rule.
 
-        A ``constant`` input runs on its (N, ...) prefix only; the
-        caller re-tiles the (N, ...) result.
+        A ``constant`` input runs (and is counted) on its (N, ...)
+        prefix only; the caller re-tiles the (N, ...) result.
+        ``nonzero`` is the input's exact nonzero count when known.
         """
-        ops = _dense_op_count(module, data.shape)
-        stat.synaptic_ops += ops
-        stat.dense_synaptic_ops += ops
+        work = data[: self._run_batch] if constant else data
+        bill_synapse(
+            module,
+            stat,
+            work,
+            nonzero=None if constant else nonzero,
+            repeat=self._run_timesteps if constant else 1,
+            density=self.profile_layers,
+        )
         weight = _effective_weight(module, self._weight_cache)
         bias = module.bias.data if module.bias is not None else None
-        work = data[: self._run_batch] if constant else data
         if isinstance(module, Conv2d):
             return dense_conv2d(work, weight, bias, module.stride, module.padding)
         out = work @ weight.T
@@ -240,7 +234,8 @@ class TimeBatchedEngine(SimulationEngine):
         def forward(x: Tensor) -> Tensor:
             data = x.data
             constant = id(data) in self._constant_arrays
-            out = self._gemm(module, stat, data, constant)
+            nonzero, exact = self._known(data) or (None, False)
+            out = self._gemm(module, stat, data, constant, nonzero if exact else None)
             return Tensor(self._tile_constant(out) if constant else out)
 
         return forward

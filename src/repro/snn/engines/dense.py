@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.snn.engines.base import SimulationEngine, _dense_op_count
+from repro.snn.engines.base import SimulationEngine, bill_synapse
 from repro.tensor import Tensor
 from repro.tensor.functional import im2col
 
@@ -35,9 +35,7 @@ class DenseEngine(SimulationEngine):
 
     def _make_interceptor(self, module, stat, orig):
         def forward(x: Tensor) -> Tensor:
-            ops = _dense_op_count(module, x.shape)
-            stat.synaptic_ops += ops
-            stat.dense_synaptic_ops += ops
+            bill_synapse(module, stat, x.data, density=self.profile_layers)
             return orig(x)
 
         return forward

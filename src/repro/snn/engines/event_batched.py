@@ -19,9 +19,9 @@ carrier of a layer's output:
 * :class:`repro.snn.spikes.StepSpikes` — exact stacked coordinates
   (stream input, COO pool outputs, site-neuron outputs).  A conv builds
   its im2col rows by scattering each event into the windows it feeds
-  (:func:`repro.snn.engines.event.conv_event_rows`) and runs one
+  (:func:`repro.snn.engines.kernels.conv_event_rows`) and runs one
   row-subset GEMM over all T timesteps
-  (:func:`repro.snn.engines.event.conv_rows`); a non-overlapping pool
+  (:func:`repro.snn.engines.kernels.conv_rows`); a non-overlapping pool
   maps the events through its windows, and an average pool looks each
   window's value up from its event count.  A linear never reads
   coordinates: it runs the full GEMM over every stack row, because a
@@ -65,11 +65,11 @@ BN and pooling replicate the reference kernels' exact op sequences at
 active sites and on the background, and the screened membrane update
 runs the stepper's exact op sequence at every site it keeps (at a
 screened-out site no cell ever spikes).  Logits, per-step outputs,
-spike counts, membranes and recorded densities all match
-``TimeBatchedEngine`` exactly; op billing counts performed ops on
-layers that took a coordinate path or are sparse linears, and full MACs
-on layers a gate sent to the GEMM first — ``LayerStats.backend`` and
-``LayerStats.backend_source`` record which, and a neuron's
+spike counts, membranes, recorded densities and synaptic ops (billed
+from each layer's input by :func:`repro.snn.engines.base.bill_synapse`,
+whichever kernel ran) all match ``TimeBatchedEngine`` exactly.
+``LayerStats.backend`` and ``LayerStats.backend_source`` record which
+kernel a synapse layer ran and the gate that chose it, and a neuron's
 ``LayerStats.backend`` records whether it stepped ``sites`` or
 ``dense``.
 """
@@ -88,14 +88,10 @@ from repro.nn.layers import AvgPool2d, BatchNorm2d, Conv2d, Linear, MaxPool2d
 from repro.nn.module import Module
 from repro.nn.sequential import Sequential
 from repro.snn.dynamics import ResetMode, initial_membrane
-from repro.snn.engines.base import (
-    _conv_out_size,
-    _dense_op_count,
-    _effective_weight,
-)
+from repro.snn.engines.base import _conv_out_size, _effective_weight, bill_synapse
 from repro.snn.engines.batched import TimeBatchedEngine
 from repro.snn.engines.dense import dense_conv2d
-from repro.snn.engines.event import (
+from repro.snn.engines.kernels import (
     conv_event_rows,
     conv_rows,
     distinct,
@@ -412,10 +408,8 @@ class EventBatchedEngine(TimeBatchedEngine):
     ``LayerStats.backend_source`` records the one that decided:
 
     * ``constant`` — the input is the tiled constant frame;
-    * ``density`` — the nonzero fraction reaches ``density_threshold``
-      (the GEMM bills dense MACs);
-    * ``linear`` — a linear always runs the GEMM over every stack row
-      and bills one op per input event and output feature;
+    * ``density`` — the nonzero fraction reaches ``density_threshold``;
+    * ``linear`` — a linear always runs the GEMM over every stack row;
     * ``pregate`` — the O(1) bound on a conv's active-window fraction
       reaches ``window_pregate``;
     * ``rows`` — the enumerated active-row fraction decides: under
@@ -522,23 +516,10 @@ class EventBatchedEngine(TimeBatchedEngine):
             if stat is None or not self.profile_layers:
                 carrier = step(module, stat, carrier)
                 continue
-            if stat.kind != "neuron":
-                # Counted outside the timed region, like profiled_call.
-                stat.input_nonzero += self._input_nonzero(carrier)
-                stat.input_size += int(math.prod(carrier.shape))
             started = time.perf_counter()
             carrier = step(module, stat, carrier)
             stat.wall_clock_seconds += time.perf_counter() - started
         return _plane(carrier)
-
-    def _input_nonzero(self, x: Carrier) -> int:
-        """The exact nonzero count of a synapse layer's input."""
-        known = _nonzero(x)
-        if known is not None and known[1]:
-            return known[0]
-        if isinstance(x, _Stack) and x.constant:
-            return int(np.count_nonzero(x.data[: self._run_batch])) * self._run_timesteps
-        return int(np.count_nonzero(_plane(x)))
 
     # ------------------------------------------------------------------
     # Interceptors (graph models): dense planes plus nonzero counts
@@ -581,7 +562,9 @@ class EventBatchedEngine(TimeBatchedEngine):
     # ------------------------------------------------------------------
     def _on_gemm(self, module, stat: LayerStats, source: str, x: _Stack) -> _Stack:
         stat.backend, stat.backend_source = "gemm", source
-        out = self._gemm(module, stat, x.data, x.constant)
+        out = self._gemm(
+            module, stat, x.data, x.constant, x.nonzero if x.exact else None
+        )
         return _Stack(self._tile(out), constant=True) if x.constant else _Stack(out)
 
     def _synapse(self, module, stat: LayerStats, x: Carrier) -> Carrier:
@@ -597,10 +580,14 @@ class EventBatchedEngine(TimeBatchedEngine):
             # decides; coordinates only if it pays.
             known = int(np.count_nonzero(x.data)), True
         count, exact = known
+
+        def dense() -> _Stack:
+            return _Stack(_plane(x), count, exact)
+
         if count >= self.density_threshold * math.prod(x.shape):
-            return self._on_gemm(module, stat, "density", _Stack(_plane(x)))
+            return self._on_gemm(module, stat, "density", dense())
         if not isinstance(module, Conv2d):
-            return self._sparse_linear(module, stat, _plane(x), count, exact)
+            return self._linear(module, stat, dense())
         k, s_, p = module.kernel_size, module.stride, module.padding
         oh = _conv_out_size(x.shape[2], k, s_, p)
         ow = _conv_out_size(x.shape[3], k, s_, p)
@@ -608,10 +595,9 @@ class EventBatchedEngine(TimeBatchedEngine):
         if count * nwin >= self.window_pregate * x.shape[0] * oh * ow:
             # O(1) rejection: even the loosest bound on the active-window
             # fraction says one GEMM wins.
-            return self._on_gemm(module, stat, "pregate", _Stack(_plane(x)))
-        stat.dense_synaptic_ops += _dense_op_count(module, x.shape)
-        out, performed, gathered = self._coo_conv(module, x)
-        stat.synaptic_ops += performed
+            return self._on_gemm(module, stat, "pregate", dense())
+        out, events, gathered = self._coo_conv(module, x)
+        bill_synapse(module, stat, events, density=self.profile_layers)
         stat.backend = "event-batched" if gathered else "gemm"
         stat.backend_source = "rows"
         return out
@@ -619,15 +605,14 @@ class EventBatchedEngine(TimeBatchedEngine):
     def _coo_conv(self, module: Conv2d, x: Union[_Stack, StepSpikes]):
         """Run a conv from its input's events.
 
-        Returns ``(sites, performed_ops, gathered)``; the output is
-        bitwise identical to the dense kernel's either way.  The events
-        are ``x``'s coordinates, or a scan of its dense plane.  The
+        Returns ``(sites, events, gathered)``; the output is bitwise
+        identical to the dense kernel's either way.  The events are
+        ``x``'s coordinates, or a scan of its dense plane.  The
         enumerated active-window fraction decides between the row-subset
-        GEMM (:func:`repro.snn.engines.event.conv_rows`, over rows built
+        GEMM (:func:`repro.snn.engines.kernels.conv_rows`, over rows built
         from the events and their amplitudes by
-        :func:`repro.snn.engines.event.conv_event_rows`) and one dense
-        GEMM (``gathered`` records which); performed ops are billed from
-        the events in both cases.
+        :func:`repro.snn.engines.kernels.conv_event_rows`) and one dense
+        GEMM (``gathered`` records which).
         """
         step = x if isinstance(x, StepSpikes) else _scanned_events(x.data)
         weight = _effective_weight(module, self._weight_cache)
@@ -639,7 +624,7 @@ class EventBatchedEngine(TimeBatchedEngine):
         windows = n * oh * ow
         amplitude = step.scale if step.values is None else step.values
         dtype = x.data.dtype if isinstance(x, _Stack) else np.float32
-        active_rows, entries, block = conv_event_rows(
+        active_rows, _, block = conv_event_rows(
             step.coords, amplitude, x.shape, k, s_, p, dtype,
             max_rows=self.gather_limit * windows,
         )
@@ -657,23 +642,21 @@ class EventBatchedEngine(TimeBatchedEngine):
             plane=None if gathered else dense_conv2d(_plane(x), weight, bias, s_, p),
             nonzero=min(active_rows.size * module.out_channels, int(math.prod(shape))),
         )
-        return sites, entries * module.out_channels, gathered
+        return sites, step, gathered
 
-    def _sparse_linear(self, module, stat, dense, count: int, exact: bool) -> _Stack:
-        """A sparse linear: the plain GEMM over every stack row, billed
-        one op per (input event, output feature).
+    def _linear(self, module, stat, x: _Stack) -> _Stack:
+        """A linear below the density gate: the plain GEMM over every stack row.
 
         A GEMM over the rows with events alone may pick another BLAS
         kernel for the smaller M and differ in the last bit, so the
-        coordinates buy nothing here; only a bounded count is rescanned
-        for the exact one.
+        coordinates buy nothing here.
         """
-        if not exact:
-            count = int(np.count_nonzero(dense))
-        stat.synaptic_ops += count * module.out_features
-        stat.dense_synaptic_ops += _dense_op_count(module, dense.shape)
+        bill_synapse(
+            module, stat, x.data, nonzero=x.nonzero if x.exact else None,
+            density=self.profile_layers,
+        )
         stat.backend, stat.backend_source = "gemm", "linear"
-        out = dense @ _effective_weight(module, self._weight_cache).T
+        out = x.data @ _effective_weight(module, self._weight_cache).T
         if module.bias is not None:
             out += module.bias.data
         return _Stack(out)
@@ -689,15 +672,22 @@ class EventBatchedEngine(TimeBatchedEngine):
         ):
             # BN is site-local, so the sites survive it verbatim, with
             # BN(background) as the new background: its exact op
-            # sequence on the ``(rows, C)`` block and on the ``(C,)``
-            # background, at ``O(active sites · C)``.
+            # sequence, ((v - mu) * inv) * g + b, on the ``(C,)``
+            # background and on the value block, at ``O(active sites ·
+            # C)``.  The block is mapped channel-major, so that every
+            # per-channel broadcast runs along the long row axis, and
+            # handed on as the ``(rows, C)`` transposed view (the site
+            # neuron reads it channel-major).
             inv = (module.running_var + module.eps) ** -0.5
             mu, g, b = module.running_mean, module.gamma.data, module.beta.data
+            c = (slice(None), np.newaxis)
+            centred = np.subtract(_values(x).T, mu[c], order="C")
+            values = ((centred * inv[c]) * g[c] + b[c]).T
             return _Sites(
                 x.shape,
                 x.rows,
                 background=((x.background - mu) * inv) * g + b,
-                values=((_values(x) - mu) * inv) * g + b,
+                values=values,
             )
         return self._dense_stateless(module, module.forward, x)
 

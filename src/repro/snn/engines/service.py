@@ -64,9 +64,10 @@ class _Slot:
     def __init__(self) -> None:
         self._queue: "queue.SimpleQueue" = queue.SimpleQueue()
         self._closed = False
-        threading.Thread(
+        self.thread = threading.Thread(
             target=self._serve, name=f"engine-worker-{next(_WORKER_IDS)}", daemon=True
-        ).start()
+        )
+        self.thread.start()
 
     def _serve(self) -> None:
         while True:
@@ -142,6 +143,7 @@ class EngineWorker:
         self.probe_timesteps = int(probe_timesteps)
         self._lock = threading.Lock()
         self._slot = _Slot()
+        self._abandoned: list = []  # slots given up by restart()
         self.restarts = 0          # wedged slots abandoned and rebuilt
         self.runs_completed = 0
 
@@ -154,6 +156,15 @@ class EngineWorker:
     def pending(self) -> int:
         """Queued-but-unfinished runs (approximate; for metrics only)."""
         return self._slot.queued
+
+    @property
+    def abandoned_alive(self) -> int:
+        """Abandoned slot threads still running — each still inside the
+        wedged run it was given up on (an abandoned thread exits once
+        that run returns).  Slots whose thread has exited are forgotten."""
+        with self._lock:
+            self._abandoned = [s for s in self._abandoned if s.thread.is_alive()]
+            return len(self._abandoned)
 
     # ------------------------------------------------------------------
     def _run(self, x, timesteps: int, per_step: bool) -> EngineRun:
@@ -207,6 +218,7 @@ class EngineWorker:
         """
         with self._lock:
             self._slot.close()
+            self._abandoned.append(self._slot)
             self._slot = _Slot()
             replacement = self._engine._sibling()
             replacement.bind(clone_for_inference(self._source_model))

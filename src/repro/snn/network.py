@@ -8,13 +8,13 @@ host-side software implements.
 
 Execution is delegated to a pluggable :mod:`repro.snn.engines`
 backend: ``engine="dense"`` re-runs the full model every timestep (the
-reference), ``engine="event"`` propagates only active spike events so
-per-timestep cost scales with spike rate, like the paper's hardware,
-``engine="batched"`` time-batches all T timesteps into one
+reference), ``engine="batched"`` time-batches all T timesteps into one
 layer-sequential pass, and ``engine="auto"`` (``"event-batched"``)
 adds COO-native layers that a per-layer density rule picks on every
-call (the fastest software path).  The time-stacked engines run a large batch as sample
-blocks in lanes, one per usable core.  Every run leaves a
+call, so cost follows the spikes like the paper's hardware (the
+fastest software path).  All three bill the same synaptic ops.  The
+time-stacked engines run a large batch as sample blocks in lanes, one
+per usable core.  Every run leaves a
 :class:`repro.snn.stats.RunStats` on ``last_run_stats`` with per-layer
 spike rates, synaptic-op counts and the wall-clock/density profile
 behind ``RunStats.profile_table()``.
@@ -44,8 +44,8 @@ class SpikingNetwork:
     timesteps:
         Default number of timesteps T per inference.
     engine:
-        Execution backend: ``"dense"``, ``"event"``, ``"batched"``,
-        ``"auto"`` or a bound-ready
+        Execution backend: ``"dense"``, ``"batched"``, ``"auto"``
+        (``"event-batched"``) or a bound-ready
         :class:`repro.snn.engines.SimulationEngine` instance.
     """
 

@@ -9,10 +9,10 @@ instrumentation point regardless of which backend produced them.
 
 Conventions:
 
-* ``synaptic_ops`` is the work the backend *performed* — for
-  event-driven backends that is one op per (spike, fan-out weight)
-  pair, which is what the paper's aggregation core executes; for dense
-  backends it equals the full MAC count.
+* ``synaptic_ops`` is the SIA's event-driven op count: one op per
+  (nonzero input value, fan-out weight) pair, what the paper's
+  aggregation core executes.  Every simulation backend bills it the
+  same way, whichever kernel ran.
 * ``dense_synaptic_ops`` is what a dense recompute of the same layer
   would have cost, so ``synaptic_ops / dense_synaptic_ops`` is the
   event-driven saving.
@@ -42,7 +42,12 @@ class LayerStats:
     kind: str = ""               # "conv" | "linear" | "neuron" | hw layer kind
     spike_count: int = 0
     neuron_steps: int = 0        # neurons * timesteps * samples observed
-    synaptic_ops: int = 0        # ops actually performed by the backend
+    # The SIA's op count: every nonzero input value times its fan-out —
+    # out_features for a linear, C_out times the output windows covering
+    # it for a conv (nnz(im2col) x C_out) — from the layer's input alone,
+    # whichever kernel ran.  The first (frame) layer is billed the same
+    # way, although the SIA runs it on the PS, not on its cores.
+    synaptic_ops: int = 0
     dense_synaptic_ops: int = 0  # ops a dense recompute would need
     core_cycles: int = 0         # hardware-only
     aggregation_cycles: int = 0  # hardware-only
@@ -301,7 +306,7 @@ class RunStats:
     # ------------------------------------------------------------------
     def profile_records(self) -> List[dict]:
         """Per-layer profile rows: name, kind, backend, wall-clock ms,
-        density and performed ops.
+        density and synaptic ops.
 
         This is the machine-readable form embedded in the engine
         benchmark artifact (``BENCH_engines.json``).  ``density`` is the

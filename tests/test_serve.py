@@ -607,10 +607,25 @@ class StallLayer(nn.Module):
         return x
 
 
+class WedgeLayer(nn.Module):
+    """Pass-through that, while a class-level ``release`` event is set
+    up, blocks until it is set: a hang that ends on cue."""
+
+    release = None
+
+    def forward(self, x):
+        if type(self).release is not None:
+            type(self).release.wait()
+        return x
+
+
 @pytest.fixture(autouse=True)
 def _disarm_stall():
     yield
     StallLayer.stall_seconds = 0.0
+    if WedgeLayer.release is not None:
+        WedgeLayer.release.set()
+    WedgeLayer.release = None
 
 
 class TestEngineWorker:
@@ -799,6 +814,28 @@ class TestHTTPServer:
             assert metrics["breaker"]["state"] == "closed"
             assert metrics["worker"]["restarts"] >= 1
             assert handle.request("GET", "/readyz")[0] == 200
+
+    def test_metrics_count_abandoned_threads_while_wedged(self):
+        """``worker.abandoned_alive`` is 1 while the abandoned slot's
+        thread is still inside the wedged run, and 0 once it returns."""
+        model = nn.Sequential(WedgeLayer(), tiny_network(shape=SHAPE))
+        config = serve_config(hang_timeout_seconds=0.3, breaker_failure_threshold=5)
+        with ServerHandle(model, SHAPE, config) as handle:
+            x = np.zeros(SHAPE, dtype=np.float32)
+            assert handle.request("GET", "/metrics")[1]["worker"]["abandoned_alive"] == 0
+            WedgeLayer.release = threading.Event()
+            status, _ = handle.infer(x, deadline_ms=60_000)
+            assert status == 503  # timed out; the slot was rebuilt
+            worker = handle.request("GET", "/metrics")[1]["worker"]
+            assert (worker["restarts"], worker["abandoned_alive"]) == (1, 1)
+            WedgeLayer.release.set()  # the hang ends
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                worker = handle.request("GET", "/metrics")[1]["worker"]
+                if worker["abandoned_alive"] == 0:
+                    break
+                time.sleep(0.02)
+            assert (worker["restarts"], worker["abandoned_alive"]) == (1, 0)
 
     def test_drain_completes_inflight_work(self):
         model = nn.Sequential(StallLayer(), tiny_network(shape=SHAPE))

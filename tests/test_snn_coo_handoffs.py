@@ -276,7 +276,7 @@ class TestConvGatherFromCoordinates:
         GEMM's bits: a small BLAS product may take another kernel and
         sum in another order."""
         from repro.snn.engines.dense import dense_conv2d
-        from repro.snn.engines.event import conv_event_rows, conv_rows
+        from repro.snn.engines.kernels import conv_event_rows, conv_rows
 
         rng = np.random.default_rng(count)
         for shape, c_out in (((2, 4, 20, 20), 8), ((3, 16, 6, 6), 32)):
@@ -300,7 +300,7 @@ class TestConvGatherFromCoordinates:
         """Rows built from events alone are the dense unfold's rows, bit
         for bit, and give the dense convolution's outputs."""
         from repro.snn.engines.dense import dense_conv2d
-        from repro.snn.engines.event import conv_event_rows, conv_rows
+        from repro.snn.engines.kernels import conv_event_rows, conv_rows
 
         rng = np.random.default_rng(4)
         spikes = rng.random((3, 2, 6, 6)) < 0.1

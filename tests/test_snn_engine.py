@@ -1,4 +1,4 @@
-"""Simulation-engine tests: dense vs event vs batched equivalence and statistics."""
+"""Simulation-engine tests: dense vs batched vs event-batched equivalence and statistics."""
 
 import numpy as np
 import pytest
@@ -6,13 +6,15 @@ import pytest
 from repro import nn
 from repro.snn import (
     DenseEngine,
-    SparseEventEngine,
+    EventBatchedEngine,
     SpikingNetwork,
     TimeBatchedEngine,
     convert_to_snn,
     make_engine,
 )
-from repro.snn.engine import sparse_conv2d, sparse_linear
+from repro.snn.engines.event_batched import _Stack
+from repro.snn.engines.kernels import conv_event_rows, conv_rows
+from repro.snn.stats import LayerStats
 from repro.tensor import Tensor, no_grad
 
 
@@ -75,24 +77,41 @@ def converted_resnet(seed=0):
 class TestMakeEngine:
     def test_names(self):
         assert isinstance(make_engine("dense"), DenseEngine)
-        assert isinstance(make_engine("event"), SparseEventEngine)
-        assert isinstance(make_engine("sparse"), SparseEventEngine)
         assert isinstance(make_engine("batched"), TimeBatchedEngine)
         assert isinstance(make_engine("time-batched"), TimeBatchedEngine)
+        assert isinstance(make_engine("event-batched"), EventBatchedEngine)
+        # The retired sparse engine's alias is gone with it.
+        with pytest.raises(ValueError):
+            make_engine("sparse")
+
+    def test_event_name_is_deprecated(self):
+        """``event`` names the retired engine: it resolves to
+        event-batched with one DeprecationWarning, from the factory and
+        from ``SpikingNetwork(engine=...)`` alike."""
+        with pytest.warns(DeprecationWarning, match="'event' is retired") as caught:
+            engine = make_engine("event")
+        assert len(caught) == 1
+        assert type(engine) is EventBatchedEngine
+        with pytest.warns(DeprecationWarning):
+            net = SpikingNetwork(converted_toy(), timesteps=2, engine="event")
+        x = np.random.default_rng(15).normal(size=(2, 2, 4, 4)).astype(np.float32)
+        reference = SpikingNetwork(converted_toy(), timesteps=2, engine="event-batched")
+        assert np.array_equal(net.forward(x), reference.forward(x))
+        assert net.last_run_stats.engine == "event-batched"
 
     def test_instance_passthrough(self):
-        engine = SparseEventEngine()
+        engine = EventBatchedEngine()
         assert make_engine(engine) is engine
 
     def test_bound_engine_cannot_be_shared_across_models(self):
-        engine = SparseEventEngine()
+        engine = EventBatchedEngine()
         SpikingNetwork(converted_toy(0), timesteps=2, engine=engine)
         with pytest.raises(ValueError):
             SpikingNetwork(converted_toy(1), timesteps=2, engine=engine)
 
     def test_rebinding_same_model_is_fine(self):
         model = converted_toy()
-        engine = SparseEventEngine()
+        engine = EventBatchedEngine()
         SpikingNetwork(model, timesteps=2, engine=engine)
         SpikingNetwork(model, timesteps=3, engine=engine)
 
@@ -110,14 +129,14 @@ class TestMakeEngine:
 
     def test_invalid_density_threshold(self):
         with pytest.raises(ValueError):
-            SparseEventEngine(density_threshold=0.0)
+            EventBatchedEngine(density_threshold=0.0)
 
 
 class TestEquivalenceToy:
     def test_logits_and_predictions_match(self):
         x = np.random.default_rng(0).normal(size=(6, 2, 4, 4)).astype(np.float32)
         dense = SpikingNetwork(converted_toy(), timesteps=6, engine="dense")
-        event = SpikingNetwork(converted_toy(), timesteps=6, engine="event")
+        event = SpikingNetwork(converted_toy(), timesteps=6, engine="event-batched")
         ld = dense.forward(x)
         le = event.forward(x)
         assert np.allclose(ld, le, atol=1e-4)
@@ -126,13 +145,13 @@ class TestEquivalenceToy:
     def test_per_step_match(self):
         x = np.random.default_rng(1).normal(size=(4, 2, 4, 4)).astype(np.float32)
         dense = SpikingNetwork(converted_toy(), timesteps=4, engine="dense")
-        event = SpikingNetwork(converted_toy(), timesteps=4, engine="event")
+        event = SpikingNetwork(converted_toy(), timesteps=4, engine="event-batched")
         for a, b in zip(dense.forward_per_step(x, 5), event.forward_per_step(x, 5)):
             assert np.allclose(a, b, atol=1e-4)
 
     def test_event_engine_is_repeatable(self):
         x = np.random.default_rng(2).normal(size=(3, 2, 4, 4)).astype(np.float32)
-        net = SpikingNetwork(converted_toy(), timesteps=4, engine="event")
+        net = SpikingNetwork(converted_toy(), timesteps=4, engine="event-batched")
         assert np.array_equal(net.forward(x), net.forward(x))
 
 
@@ -185,13 +204,20 @@ class TestEquivalenceBatched:
         batched = SpikingNetwork(model, timesteps=4, engine="batched")
         lb = batched.forward(x)
         self._assert_identical(ld, lb, atol=1e-4)
-        # Batched bills the same full dense MAC count and sees the same
+        # Batched bills the same dense MAC count and sees the same
         # spikes — the wall-clock win changes no accounting.
         stats = batched.last_run_stats
-        assert stats.total_synaptic_ops == dense_stats.total_synaptic_ops
+        assert stats.total_dense_synaptic_ops == dense_stats.total_dense_synaptic_ops
         assert stats.spike_rates() == pytest.approx(
             dense_stats.spike_rates(), abs=1e-3
         )
+        # Ops follow the spikes: every layer whose input saw the same
+        # spikes on both engines bills the same ops.
+        for i, (a, b) in enumerate(zip(dense_stats.layers, stats.layers)):
+            if a.kind != "neuron" and (
+                i == 0 or a.input_nonzero == b.input_nonzero
+            ):
+                assert a.synaptic_ops == b.synaptic_ops, a.name
 
     def test_stats_and_cleanup(self):
         x = np.random.default_rng(25).normal(size=(3, 2, 8, 8)).astype(np.float32)
@@ -439,7 +465,7 @@ class TestProfileFormatting:
 
     @pytest.fixture(scope="class")
     def stats(self):
-        net = SpikingNetwork(converted_toy(), timesteps=3, engine="event")
+        net = SpikingNetwork(converted_toy(), timesteps=3, engine="batched")
         x = np.random.default_rng(40).normal(size=(2, 2, 4, 4)).astype(np.float32)
         net.forward(x)
         return net.last_run_stats
@@ -453,7 +479,7 @@ class TestProfileFormatting:
                 "density", "synaptic_ops",
             }
             # Fixed engine: no per-layer choice; neuron rows name no step.
-            assert row["backend"] == ("-" if row["kind"] == "neuron" else "event")
+            assert row["backend"] == ("-" if row["kind"] == "neuron" else "batched")
             assert row["source"] == ""  # fixed engine: no gate decided
             assert row["wall_clock_ms"] == round(layer.wall_clock_seconds * 1e3, 3)
             assert row["density"] == round(layer.density, 6)
@@ -490,14 +516,14 @@ class TestProfileFormatting:
 
 
 class TestEquivalenceResidual:
-    """The event engine must handle non-sequential graphs (ResNet)."""
+    """The event-batched engine must handle non-sequential graphs (ResNet)."""
 
     def test_resnet_logits_and_predictions_match(self):
         model = converted_resnet()
         x = np.random.default_rng(3).normal(size=(4, 3, 32, 32)).astype(np.float32)
         dense = SpikingNetwork(model, timesteps=4, engine="dense")
         ld = dense.forward(x)
-        event = SpikingNetwork(model, timesteps=4, engine="event")
+        event = SpikingNetwork(model, timesteps=4, engine="event-batched")
         le = event.forward(x)
         assert np.allclose(ld, le, atol=1e-3)
         assert np.array_equal(ld.argmax(1), le.argmax(1))
@@ -507,22 +533,24 @@ class TestEquivalenceResidual:
         x = np.random.default_rng(4).normal(size=(4, 3, 32, 32)).astype(np.float32)
         dense = SpikingNetwork(model, timesteps=4, engine="dense")
         dense.forward(x)
-        event = SpikingNetwork(model, timesteps=4, engine="event")
+        event = SpikingNetwork(model, timesteps=4, engine="event-batched")
         event.forward(x)
+        # Event-driven ops (what the SIA executes) undercut the dense
+        # MACs the dense reference recomputes every step.
         assert (
             event.last_run_stats.total_synaptic_ops
-            < dense.last_run_stats.total_synaptic_ops
+            < dense.last_run_stats.total_dense_synaptic_ops
         )
 
 
 class TestRunStats:
     def test_stats_populated(self):
         x = np.random.default_rng(5).normal(size=(5, 2, 4, 4)).astype(np.float32)
-        net = SpikingNetwork(converted_toy(), timesteps=4, engine="event")
+        net = SpikingNetwork(converted_toy(), timesteps=4, engine="event-batched")
         net.forward(x)
         stats = net.last_run_stats
         assert stats is not None
-        assert stats.engine == "event"
+        assert stats.engine == "event-batched"
         assert stats.batch_size == 5
         assert stats.timesteps == 4
         assert stats.wall_clock_seconds > 0
@@ -531,7 +559,7 @@ class TestRunStats:
 
     def test_spike_rates_in_unit_interval(self):
         x = np.random.default_rng(6).normal(size=(4, 2, 4, 4)).astype(np.float32)
-        net = SpikingNetwork(converted_toy(), timesteps=4, engine="event")
+        net = SpikingNetwork(converted_toy(), timesteps=4, engine="event-batched")
         net.forward(x)
         rates = net.last_run_stats.spike_rates()
         assert len(rates) == 1
@@ -544,12 +572,15 @@ class TestRunStats:
         stats = net.last_run_stats
         conv = stats.layers[0]
         # conv: 2 samples x 3 steps x 16 output pixels x (2*3*3 taps) x 4 out-ch
-        assert conv.synaptic_ops == 2 * 3 * 16 * 18 * 4
-        assert conv.synaptic_ops == conv.dense_synaptic_ops
+        assert conv.dense_synaptic_ops == 2 * 3 * 16 * 18 * 4
+        # Performed ops skip the padding: each of the 4x4 pixels of the
+        # 2 channels (all nonzero) feeds cy * cx of the 3x3 windows
+        # (cy, cx in 2, 3, 3, 2: sum 10 each), times 4 output channels.
+        assert conv.synaptic_ops == 2 * 3 * 2 * 10 * 10 * 4
 
     def test_event_ops_bounded_by_dense(self):
         x = np.random.default_rng(8).normal(size=(4, 2, 4, 4)).astype(np.float32)
-        net = SpikingNetwork(converted_toy(), timesteps=4, engine="event")
+        net = SpikingNetwork(converted_toy(), timesteps=4, engine="event-batched")
         net.forward(x)
         stats = net.last_run_stats
         assert 0 < stats.total_synaptic_ops <= stats.total_dense_synaptic_ops
@@ -557,14 +588,14 @@ class TestRunStats:
 
     def test_layer_table_renders(self):
         x = np.random.default_rng(9).normal(size=(2, 2, 4, 4)).astype(np.float32)
-        net = SpikingNetwork(converted_toy(), timesteps=2, engine="event")
+        net = SpikingNetwork(converted_toy(), timesteps=2, engine="event-batched")
         net.forward(x)
         table = net.last_run_stats.layer_table()
         assert "spike_rate" in table
         assert "overall" in table
 
     def test_interceptors_removed_after_run(self):
-        net = SpikingNetwork(converted_toy(), timesteps=2, engine="event")
+        net = SpikingNetwork(converted_toy(), timesteps=2, engine="dense")
         x = np.random.default_rng(10).normal(size=(2, 2, 4, 4)).astype(np.float32)
         net.forward(x)
         for _, module in net.model.named_modules():
@@ -589,26 +620,46 @@ class TestTimestepValidation:
         assert net.last_run_stats.timesteps == 3
 
 
+def _event_conv(x, w, b, stride, padding):
+    """A conv of a dense plane through the COO kernels: rows built from
+    its events (``conv_event_rows``), only those multiplied
+    (``conv_rows``), every other window ``0 + bias``."""
+    n, _, h, width = x.shape
+    c_out, _, k, _ = w.shape
+    coords = np.argwhere(x)
+    rows, entries, block = conv_event_rows(
+        coords, x[tuple(coords.T)], x.shape, k, stride, padding, x.dtype
+    )
+    oh = (h + 2 * padding - k) // stride + 1
+    ow = (width + 2 * padding - k) // stride + 1
+    out = np.zeros((n * oh * ow, c_out), dtype=np.float32)
+    if b is not None:
+        out += b
+    if rows.size:
+        out[rows] = conv_rows(block, w, b, rows, n * oh * ow)
+    return out.reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2), entries
+
+
 class TestSparseKernels:
     def test_sparse_conv_matches_dense_at_any_density(self):
         rng = np.random.default_rng(11)
         w = rng.normal(size=(5, 3, 3, 3)).astype(np.float32)
         for density in (0.0, 0.05, 0.5, 1.0):
             x = (rng.random((2, 3, 8, 8)) < density).astype(np.float32) * 1.5
-            got, performed = sparse_conv2d(x, w, None, stride=1, padding=1)
+            got, entries = _event_conv(x, w, None, stride=1, padding=1)
             from repro.tensor import functional as F
             from repro.tensor.functional import im2col
 
             want = F.conv2d(Tensor(x), Tensor(w), None, stride=1, padding=1).data
             assert np.allclose(got, want, atol=1e-5)
             cols, _, _ = im2col(x, 3, 1, 1)
-            assert performed == np.count_nonzero(cols) * 5
+            assert entries == np.count_nonzero(cols)
 
     def test_sparse_conv_strided(self):
         rng = np.random.default_rng(12)
         w = rng.normal(size=(4, 2, 3, 3)).astype(np.float32)
         x = (rng.random((1, 2, 9, 9)) < 0.2).astype(np.float32)
-        got, _ = sparse_conv2d(x, w, None, stride=2, padding=1)
+        got, _ = _event_conv(x, w, None, stride=2, padding=1)
         from repro.tensor import functional as F
 
         want = F.conv2d(Tensor(x), Tensor(w), None, stride=2, padding=1).data
@@ -619,17 +670,21 @@ class TestSparseKernels:
         w = rng.normal(size=(3, 2, 3, 3)).astype(np.float32)
         b = rng.normal(size=3).astype(np.float32)
         x = np.zeros((2, 2, 5, 5), np.float32)  # fully silent input
-        got, performed = sparse_conv2d(x, w, b, stride=1, padding=1)
-        assert performed == 0
+        got, entries = _event_conv(x, w, b, stride=1, padding=1)
+        assert entries == 0
         # Silent input: every output pixel is exactly the bias.
         assert np.allclose(got, b.reshape(1, 3, 1, 1) * np.ones_like(got))
 
-    def test_sparse_linear_matches_dense(self):
+    def test_linear_gemm_matches_dense(self):
+        """A sparse linear runs the plain GEMM and bills one op per
+        (nonzero input, output feature)."""
         rng = np.random.default_rng(14)
-        w = rng.normal(size=(7, 20)).astype(np.float32)
-        b = rng.normal(size=7).astype(np.float32)
+        linear = nn.Linear(20, 7, rng=rng)
         x = (rng.random((4, 20)) < 0.3).astype(np.float32) * 2.0
-        got, performed = sparse_linear(x, w, b)
-        want = x @ w.T + b
+        stat = LayerStats(name="fc", kind="linear")
+        got = EventBatchedEngine()._linear(linear, stat, _Stack(x)).data
+        want = x @ linear.weight.data.T + linear.bias.data
         assert np.allclose(got, want, atol=1e-5)
-        assert performed == np.count_nonzero(x) * 7
+        assert (stat.backend, stat.backend_source) == ("gemm", "linear")
+        assert stat.synaptic_ops == np.count_nonzero(x) * 7
+        assert stat.dense_synaptic_ops == 4 * 20 * 7

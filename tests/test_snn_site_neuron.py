@@ -12,7 +12,7 @@ import pytest
 
 from repro import nn
 from repro.snn.engines import event_batched as eb_mod
-from repro.snn.engines.event import distinct
+from repro.snn.engines.kernels import distinct
 from repro.snn.neurons import IFNeuron, LIFNeuron
 from repro.snn.spikes import StepSpikes
 from repro.tensor import Tensor, functional
@@ -103,3 +103,33 @@ def test_distinct_matches_unique(domain, size):
     got, rank = distinct(keys, domain, inverse=True)
     assert np.array_equal(got, values)
     assert np.array_equal(rank, inverse.reshape(-1))
+
+
+@pytest.mark.parametrize("rows,channels", [(11627, 8), (700, 16), (3, 32)])
+def test_bn_at_sites_matches_dense_bn(rows, channels):
+    """Eval BN on a site-valued conv output (its ``(rows, C)`` block
+    mapped channel-major, on a ``dvs``-sized block among others) is
+    bitwise eval BN of the dense plane, both as the block and as the
+    plane the sites stand for."""
+    rng = np.random.default_rng(rows)
+    shape = (8, channels, 64, 64)
+    sites = np.sort(rng.choice(8 * 64 * 64, size=rows, replace=False))
+    x = eb_mod._Sites(
+        shape,
+        sites,
+        background=rng.normal(size=channels).astype(np.float32),
+        values=rng.normal(size=(rows, channels)).astype(np.float32),
+    )
+    bn = nn.BatchNorm2d(channels)
+    bn.running_mean = rng.normal(size=channels).astype(np.float32)
+    bn.running_var = rng.uniform(0.5, 2.0, size=channels).astype(np.float32)
+    bn.gamma.data[:] = rng.normal(size=channels)
+    bn.beta.data[:] = rng.normal(size=channels)
+    bn.eval()
+    out = eb_mod.EventBatchedEngine()._bn(bn, None, x)
+    assert isinstance(out, eb_mod._Sites)
+    want = bn(Tensor(eb_mod._dense_plane(x))).data
+    assert np.array_equal(eb_mod._dense_plane(out), want)
+    s = 64 * 64
+    block = want.reshape(8, channels, s)[sites // s, :, sites % s]
+    assert np.array_equal(out.values, block)

@@ -17,7 +17,7 @@ from repro.data import (
     rate_encode_stream,
 )
 from repro.snn.engines import conv_active_windows, pooled_coords
-from repro.snn.engines.event import conv_event_rows
+from repro.snn.engines.kernels import conv_event_rows
 from repro.snn.spikes import SpikeStream, SpikeTrace, StepSpikes
 from repro.tensor.functional import im2col
 

@@ -1,10 +1,9 @@
 """SpikeStream dataflow acceptance: engines, accelerator, hw traffic.
 
-The tentpole contract: running `SparseEventEngine` on a COO
-`SpikeStream` must produce *bit-identical* predictions and
-`performed_ops` to the dense-input path on the VGG and ResNet test
-models — the stream carries coordinates across layers, it never changes
-arithmetic — and the hardware Table-1/Table-4/traffic experiments must
+The contract: running an engine on a COO `SpikeStream` must produce
+*bit-identical* predictions and synaptic ops to the dense-input path on
+the VGG and ResNet test models — the stream carries coordinates across
+layers, it never changes arithmetic or billing — and the hardware Table-1/Table-4/traffic experiments must
 accept a measured spike trace sourced from stream metadata.
 """
 
@@ -53,11 +52,11 @@ def _run_both(model, x, engine):
 
 
 class TestStreamEquivalence:
-    """Acceptance: bit-identical predictions and performed_ops between
-    the dense-input and stream-input event-engine paths."""
+    """Acceptance: bit-identical predictions and synaptic ops between
+    the dense-input and stream-input paths of the COO engine."""
 
     def test_vgg_bit_identical(self, converted_vgg, frames):
-        ld, sd, ls, ss = _run_both(converted_vgg, frames, "event")
+        ld, sd, ls, ss = _run_both(converted_vgg, frames, "event-batched")
         assert np.array_equal(ld, ls)  # logits, not just predictions
         assert np.array_equal(ld.argmax(1), ls.argmax(1))
         assert sd.total_synaptic_ops == ss.total_synaptic_ops
@@ -67,14 +66,14 @@ class TestStreamEquivalence:
 
     def test_resnet_bit_identical(self, frames):
         model = converted_resnet()
-        ld, sd, ls, ss = _run_both(model, frames, "event")
+        ld, sd, ls, ss = _run_both(model, frames, "event-batched")
         assert np.array_equal(ld, ls)
         assert sd.total_synaptic_ops == ss.total_synaptic_ops
 
     def test_stream_densities_come_from_metadata(self, converted_vgg, frames):
         """The profiler's density record on the stream path (sourced
         from carried coordinates) equals the dense path's scans."""
-        _, sd, _, ss = _run_both(converted_vgg, frames, "event")
+        _, sd, _, ss = _run_both(converted_vgg, frames, "event-batched")
         for a, b in zip(sd.layers, ss.layers):
             if a.kind != "neuron":
                 assert a.input_nonzero == b.input_nonzero, a.name
@@ -83,7 +82,7 @@ class TestStreamEquivalence:
     def test_pooled_chain_bit_identical(self, ):
         model = converted_pooled_toy()
         x = np.random.default_rng(11).normal(size=(4, 2, 8, 8)).astype(np.float32)
-        ld, sd, ls, ss = _run_both(model, x, "event")
+        ld, sd, ls, ss = _run_both(model, x, "event-batched")
         assert np.array_equal(ld, ls)
         assert sd.total_synaptic_ops == ss.total_synaptic_ops
 
@@ -114,12 +113,12 @@ class TestEventBatchedBitExact:
         stream = _sparse_stream(frames.shape, TIMESTEPS, 0.01, seed=21)
         (ld, sd), (le, se) = self._both(converted_vgg, stream)
         assert np.array_equal(ld, le)
-        # The dense billing side must agree layer by layer; the event
-        # side performs (and bills) at most that many MACs.
+        # Both engines bill the same ops layer by layer, whichever
+        # kernel ran.
         for a, b in zip(sd.layers, se.layers):
             assert a.dense_synaptic_ops == b.dense_synaptic_ops, a.name
-            assert b.synaptic_ops <= a.synaptic_ops, a.name
-        assert se.total_synaptic_ops <= sd.total_synaptic_ops
+            assert b.synaptic_ops == a.synaptic_ops, a.name
+        assert se.total_synaptic_ops < se.total_dense_synaptic_ops
 
     def test_resnet_stream_bitwise(self, frames):
         model = converted_resnet()
@@ -563,38 +562,37 @@ class TestAllEnginesAcceptStreams:
         stream = rate_encode_stream(frames, 6, rng=np.random.default_rng(5))
         logits = {}
         ops = {}
-        for engine in ("dense", "event", "batched", "event-batched", "auto"):
+        for engine in ("dense", "batched", "event-batched", "auto"):
             net = SpikingNetwork(converted_vgg, timesteps=6, engine=engine)
             logits[engine] = net.forward(stream)
             ops[engine] = net.last_run_stats.total_synaptic_ops
-        for engine in ("event", "batched", "event-batched", "auto"):
+        for engine in ("batched", "event-batched", "auto"):
             assert np.allclose(logits["dense"], logits[engine], atol=1e-4), engine
             assert np.array_equal(
                 logits["dense"].argmax(1), logits[engine].argmax(1)
             ), engine
         # The batched-COO path is bitwise against its dense reference.
         assert np.array_equal(logits["batched"], logits["event-batched"])
-        # The event backends' op reduction survives the stream path.
-        assert ops["event"] < ops["dense"]
-        assert ops["event-batched"] <= ops["dense"]
-        assert ops["batched"] == ops["dense"]  # GEMM backends bill dense MACs
+        # One op rule: the GEMM and COO backends bill the same ops.
+        assert ops["batched"] == ops["event-batched"] == ops["auto"]
 
     def test_per_step_stream_matches_dense_input(self, converted_vgg, frames):
-        net = SpikingNetwork(converted_vgg, timesteps=TIMESTEPS, engine="event")
-        steps_dense = net.forward_per_step(frames)
-        steps_stream = net.forward_per_step(direct_encode_stream(frames, TIMESTEPS))
-        assert len(steps_stream) == TIMESTEPS
-        for a, b in zip(steps_dense, steps_stream):
-            assert np.array_equal(a, b)
+        for engine in ("batched", "auto"):
+            net = SpikingNetwork(converted_vgg, timesteps=TIMESTEPS, engine=engine)
+            steps_dense = net.forward_per_step(frames)
+            steps_stream = net.forward_per_step(direct_encode_stream(frames, TIMESTEPS))
+            assert len(steps_stream) == TIMESTEPS
+            for a, b in zip(steps_dense, steps_stream):
+                assert np.array_equal(a, b), engine
 
     def test_stream_supplies_default_timesteps(self, converted_vgg, frames):
-        net = SpikingNetwork(converted_vgg, timesteps=8, engine="event")
+        net = SpikingNetwork(converted_vgg, timesteps=8, engine="auto")
         stream = rate_encode_stream(frames, 3, rng=np.random.default_rng(6))
         net.forward(stream)  # no explicit T: the stream's 3 wins
         assert net.last_run_stats.timesteps == 3
 
     def test_explicit_timestep_mismatch_fails(self, converted_vgg, frames):
-        net = SpikingNetwork(converted_vgg, timesteps=8, engine="event")
+        net = SpikingNetwork(converted_vgg, timesteps=8, engine="auto")
         stream = rate_encode_stream(frames, 3, rng=np.random.default_rng(6))
         with pytest.raises(ValueError, match="SpikeStream"):
             net.forward(stream, timesteps=8)
@@ -602,7 +600,7 @@ class TestAllEnginesAcceptStreams:
     def test_accuracy_helpers_accept_streams(self, converted_vgg, frames):
         """accuracy()/accuracy_per_step() resolve T from the stream like
         forward() does (streams slice per evaluation batch)."""
-        net = SpikingNetwork(converted_vgg, timesteps=8, engine="event")
+        net = SpikingNetwork(converted_vgg, timesteps=8, engine="auto")
         stream = rate_encode_stream(frames, 3, rng=np.random.default_rng(6))
         y = np.zeros(stream.batch_size, dtype=np.int64)
         acc = net.accuracy(stream, y, batch_size=2)
@@ -662,7 +660,7 @@ class TestHardwareAcceptsStreams:
 
         mapped = map_network(converted_vgg, calibration_input=frames)
         stream = rate_encode_stream(frames, TIMESTEPS, rng=np.random.default_rng(9))
-        net = SpikingNetwork(converted_vgg, timesteps=TIMESTEPS, engine="event")
+        net = SpikingNetwork(converted_vgg, timesteps=TIMESTEPS, engine="auto")
         net.forward(stream)
         return mapped, net.last_run_stats.spike_trace(), stream
 
@@ -725,12 +723,12 @@ class TestHardwareAcceptsStreams:
         assert result["dense_equivalent_gops"] > 0
 
     def test_spike_trace_requires_profiling(self, converted_vgg, frames):
-        from repro.snn import SparseEventEngine
+        from repro.snn import TimeBatchedEngine
 
         net = SpikingNetwork(
             converted_vgg,
             timesteps=TIMESTEPS,
-            engine=SparseEventEngine(profile_layers=False),
+            engine=TimeBatchedEngine(profile_layers=False),
         )
         net.forward(frames)
         with pytest.raises(ValueError, match="profile_layers"):
