@@ -11,7 +11,7 @@ Usage::
 
     # resumable campaigns (parameter grids with atomic per-point records)
     python -m repro.cli campaign faults --out runs/faults
-    python -m repro.cli campaign dse --out runs/dse --workers 4 --mode auto
+    python -m repro.cli campaign dse --out runs/dse --workers 4
 
     # robust async inference serving (micro-batching, load shedding,
     # circuit breaking, graceful SIGTERM drain)
@@ -242,9 +242,23 @@ def _parse_int_list(text: str) -> List[int]:
     return values
 
 
-def build_campaign_parser() -> argparse.ArgumentParser:
-    from repro.eval.campaign import CAMPAIGN_MODES
+def _bounded(kind, low: float, strict: bool):
+    """An argparse type: ``kind(text)`` that must be ``> low``
+    (``strict``) or ``>= low``, so a bad knob is a usage error before
+    any work starts."""
 
+    def parse(text: str):
+        value = kind(text)
+        if value < low or (strict and value == low):
+            relation = ">" if strict else ">="
+            raise argparse.ArgumentTypeError(f"must be {relation} {low}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+def build_campaign_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.cli campaign",
         description="Run a resumable parameter-grid campaign: one atomic "
@@ -282,17 +296,18 @@ def build_campaign_parser() -> argparse.ArgumentParser:
                         help="stop after N missing points (kill simulation; "
                         f"exits {EXIT_CAMPAIGN_INCOMPLETE} if the grid is "
                         "left incomplete)")
-    parser.add_argument("--retries", type=int, default=1,
+    parser.add_argument("--retries", type=_bounded(int, 0, strict=False), default=1,
                         help="extra attempts per point per substrate")
-    parser.add_argument("--point-timeout", type=float, default=None,
-                        dest="point_timeout",
-                        help="per-point wall-clock deadline in seconds")
-    parser.add_argument("--backoff", type=float, default=0.05,
+    parser.add_argument("--point-timeout", type=_bounded(float, 0, strict=True),
+                        default=None, dest="point_timeout",
+                        help="per-point wall-clock deadline in seconds "
+                        "(forked points; a hung point is killed)")
+    parser.add_argument("--backoff", type=_bounded(float, 0, strict=False),
+                        default=0.05,
                         help="base retry backoff in seconds")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="points evaluated concurrently")
-    parser.add_argument("--mode", choices=CAMPAIGN_MODES, default="serial",
-                        help="execution substrate for --workers > 1")
+    parser.add_argument("--workers", type=_bounded(int, 1, strict=False), default=1,
+                        help="most points in flight: 1 runs serially, more "
+                        "runs forked waves of at most this many points")
     return parser
 
 
@@ -409,7 +424,7 @@ def _campaign_dse(args):
 
 def campaign_main(argv: Optional[List[str]] = None) -> int:
     from repro.eval.campaign import CampaignRunner
-    from repro.snn.engines.sharding import ShardPolicy
+    from repro.eval.supervisor import ShardPolicy
 
     args = build_campaign_parser().parse_args(argv)
     builders = {"faults": _campaign_faults, "dse": _campaign_dse}
@@ -424,7 +439,6 @@ def campaign_main(argv: Optional[List[str]] = None) -> int:
             backoff=args.backoff,
         ),
         workers=args.workers,
-        mode=args.mode,
     )
     result = runner.run(max_points=args.max_points)
 

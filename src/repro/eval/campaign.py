@@ -22,18 +22,18 @@ This module makes that shape a first-class, failure-tolerant workload:
   re-runs.  Records carry the supervision trail too:
   ``shard_failures`` counts the failed attempts behind the point's
   eventual success and ``degraded_shard_mode`` names the substrate the
-  fork→thread→serial chain had to finish on (0/"" for clean points).
+  fork→serial chain had to finish on (0/"" for clean points).
 * **Resume.**  Re-invoking a killed campaign loads the manifest,
   verifies it matches the spec, and completes only the missing points
   — records that are corrupt, truncated or schema-mismatched are
   discarded (one warning) and re-run.  The merged result equals an
   uninterrupted run.
-* **Supervised execution.**  With ``workers > 1``, points fan out over
-  forked processes or threads under
-  :func:`repro.snn.engines.sharding.run_supervised` — the only parallel
-  user of the supervisor — with per-point exception capture,
-  wall-clock deadlines, bounded retry/backoff and the
-  fork→thread→serial degradation chain.
+* **Supervised execution.**  With ``workers > 1``, points run as
+  forked waves of at most ``workers`` processes under
+  :func:`repro.eval.supervisor.run_supervised`, with per-point
+  exception capture, per-wave deadlines, bounded retry/backoff and the
+  fork→serial degradation chain; ``workers == 1`` (or a platform
+  without ``fork``) runs them serially.
 """
 
 from __future__ import annotations
@@ -46,12 +46,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
-from repro.snn.engines.sharding import (
-    ShardFailure,
-    ShardPolicy,
-    resolve_shard_mode,
-    run_supervised,
-)
+from repro.eval.supervisor import ShardFailure, ShardPolicy, run_supervised
 from repro.utils.io import atomic_write_json
 
 logger = logging.getLogger(__name__)
@@ -59,11 +54,6 @@ logger = logging.getLogger(__name__)
 #: On-disk format tags (manifest and per-point records).
 CAMPAIGN_FORMAT = "repro-campaign/v1"
 POINT_FORMAT = "repro-campaign-point/v1"
-
-#: Execution substrates a campaign accepts; ``serial`` is first-class
-#: here (a campaign of heavyweight points often wants no parallelism),
-#: ``auto`` picks fork where available and threads otherwise.
-CAMPAIGN_MODES = ("auto", "fork", "thread", "serial")
 
 
 def point_id(params: Mapping) -> str:
@@ -199,13 +189,10 @@ class CampaignRunner:
         ``points/<id>.json`` per completed point.
     policy:
         Per-point retry/timeout/backoff knobs
-        (:class:`repro.snn.engines.sharding.ShardPolicy`).
+        (:class:`repro.eval.supervisor.ShardPolicy`).
     workers:
-        Points evaluated concurrently (1 = serial).
-    mode:
-        Execution substrate: ``"serial"``, ``"fork"``, ``"thread"`` or
-        ``"auto"`` (fork where available, threads otherwise; only
-        consulted when ``workers > 1``).
+        Most points in flight at once: 1 runs them serially, more runs
+        forked waves of at most ``workers`` points.
     """
 
     def __init__(
@@ -215,12 +202,7 @@ class CampaignRunner:
         out_dir: Union[str, Path],
         policy: Optional[ShardPolicy] = None,
         workers: int = 1,
-        mode: str = "serial",
     ) -> None:
-        if mode not in CAMPAIGN_MODES:
-            raise ValueError(
-                f"unknown campaign mode {mode!r}; choose from {CAMPAIGN_MODES}"
-            )
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.spec = spec
@@ -228,7 +210,6 @@ class CampaignRunner:
         self.out_dir = Path(out_dir)
         self.policy = policy
         self.workers = int(workers)
-        self.mode = mode
 
     # ------------------------------------------------------------------
     @property
@@ -386,14 +367,11 @@ class CampaignRunner:
             pending = pending[: max(int(max_points), 0)]
         failures: List[ShardFailure] = []
         if pending:
-            mode = "serial"
-            if self.workers > 1 and self.mode != "serial":
-                mode = resolve_shard_mode(self.mode)
             outcome = run_supervised(
                 count=len(pending),
-                mode=mode,
-                policy=self.policy,
                 serial_fn=lambda i: self._execute_point(pending[i]),
+                policy=self.policy,
+                workers=self.workers,
                 label=f"campaign[{self.spec.name}]",
             )
             failures = outcome.failures

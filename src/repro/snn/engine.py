@@ -2,7 +2,7 @@
 
 The engine layer grew from one 800-line module into the
 ``repro.snn.engines`` package (``base`` / ``dense`` / ``batched`` /
-``event_batched`` / ``kernels`` plus the ``profiling`` and ``sharding``
+``event_batched`` / ``kernels`` plus the ``profiling`` and ``lanes``
 infrastructure).  The public names of the surviving engines keep
 importing from this module::
 
@@ -21,16 +21,13 @@ from repro.snn.engines import (
     EngineRun,
     EngineSpec,
     LRUCache,
-    SHARD_MODES,
     SimulationEngine,
     TimeBatchedEngine,
     WEIGHT_CACHE_CAPACITY,
     clone_for_inference,
     dense_conv2d,
-    fork_available,
     make_engine,
     profiled_call,
-    resolve_shard_mode,
 )
 from repro.snn.engines.base import _dense_op_count, _effective_weight
 
@@ -40,16 +37,13 @@ __all__ = [
     "EngineRun",
     "EngineSpec",
     "LRUCache",
-    "SHARD_MODES",
     "SimulationEngine",
     "TimeBatchedEngine",
     "WEIGHT_CACHE_CAPACITY",
     "clone_for_inference",
     "conv_active_windows",
     "dense_conv2d",
-    "fork_available",
     "make_engine",
     "pooled_coords",
     "profiled_call",
-    "resolve_shard_mode",
 ]

@@ -40,9 +40,9 @@ inference.  The only in-process parallelism is block lanes: the
 time-stacked engines run a large call's sample blocks concurrently,
 one lane per usable core (:mod:`repro.snn.engines.lanes`),
 bit-identical to running them one after another.  ``dense`` uses every
-core through multi-threaded BLAS instead.  The supervisor in
-:mod:`repro.snn.engines.sharding` parallelises campaign grid points,
-not engine runs.
+core through multi-threaded BLAS instead.  Campaign grid points run in
+parallel under the supervisor in :mod:`repro.eval.supervisor`, outside
+this package.
 """
 
 from __future__ import annotations
@@ -63,24 +63,12 @@ from repro.snn.engines.batched import TimeBatchedEngine
 from repro.snn.engines.dense import DenseEngine, dense_conv2d
 from repro.snn.engines.event_batched import EventBatchedEngine
 from repro.snn.engines.kernels import conv_active_windows, pooled_coords
+from repro.snn.engines.lanes import clone_for_inference, split_bounds
 from repro.snn.engines.profiling import profiled_call
 from repro.snn.engines.service import (
     EngineWorker,
     ProbeResult,
     WorkerTimeout,
-)
-from repro.snn.engines.sharding import (
-    DEFAULT_SHARD_POLICY,
-    SHARD_MODES,
-    ShardExecutionError,
-    ShardFailure,
-    ShardPolicy,
-    SupervisedOutcome,
-    clone_for_inference,
-    fork_available,
-    resolve_shard_mode,
-    run_supervised,
-    split_bounds,
 )
 
 # ----------------------------------------------------------------------
@@ -137,24 +125,15 @@ __all__ = [
     "WorkerTimeout",
     "EventBatchedEngine",
     "LRUCache",
-    "DEFAULT_SHARD_POLICY",
-    "SHARD_MODES",
-    "ShardExecutionError",
-    "ShardFailure",
-    "ShardPolicy",
     "SimulationEngine",
-    "SupervisedOutcome",
     "TimeBatchedEngine",
     "WEIGHT_CACHE_CAPACITY",
     "bill_synapse",
     "clone_for_inference",
-    "run_supervised",
     "split_bounds",
     "conv_active_windows",
     "dense_conv2d",
-    "fork_available",
     "make_engine",
     "pooled_coords",
     "profiled_call",
-    "resolve_shard_mode",
 ]

@@ -312,7 +312,7 @@ class SimulationEngine(abc.ABC):
         self._installed: List[Module] = []
         # Lane peers, built lazily and reused across runs: sibling
         # engines bound to persistent model clones, keyed by count
-        # (see repro.snn.engines.sharding._thread_peers_for).
+        # (see repro.snn.engines.lanes._thread_peers_for).
         self._thread_peers: Dict[int, List["SimulationEngine"]] = {}
 
     # ------------------------------------------------------------------

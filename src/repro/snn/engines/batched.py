@@ -18,7 +18,7 @@ from repro.snn.engines.base import (
     bill_synapse,
 )
 from repro.snn.engines.dense import dense_conv2d
-from repro.snn.engines.sharding import split_bounds
+from repro.snn.engines.lanes import split_bounds
 from repro.snn.neurons import IFNeuron
 from repro.snn.spikes import SpikeStream
 from repro.snn.stats import LayerStats

@@ -9,10 +9,10 @@ unchanged block list is split into ``min(blocks, cores)`` contiguous
 * lane 0 runs on the calling thread, on the engine itself;
 * every other lane runs on one process-wide pool of ``cores - 1``
   threads, each on a sibling engine bound to a weight-sharing model
-  clone (:func:`repro.snn.engines.sharding._thread_peers_for`), so
-  concurrent lanes never touch the same module state.  The clones are
-  rebuilt when the bound model rebinds anything they share, such as a
-  neuron's threshold or a BN buffer;
+  clone (:func:`_thread_peers_for`), so concurrent lanes never touch
+  the same module state.  The clones are rebuilt when the bound model
+  rebinds anything they share, such as a neuron's threshold or a BN
+  buffer;
 * each lane runs its blocks serially, and the runs are joined in batch
   order exactly like serial blocks.
 
@@ -31,6 +31,12 @@ Blocks run serially, exactly as without lanes, when
   usable cores (``os.sched_getaffinity``);
 * the loaded BLAS does not export ``openblas_set_num_threads_local``
   (another BLAS, or an older OpenBLAS).
+
+The module also holds what lanes build on: :func:`split_bounds` (the
+contiguous split rule, which also forms a call's sample blocks) and
+:func:`clone_for_inference` (a structural model clone that shares every
+weight array, which :class:`~repro.snn.engines.service.EngineWorker`
+also rebuilds a wedged slot on).
 """
 
 from __future__ import annotations
@@ -40,10 +46,11 @@ import ctypes
 import functools
 import os
 import threading
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.snn.engines.sharding import _thread_peers_for, split_bounds
+from repro.nn.module import Module
 
 #: glibc's ``mallopt`` parameter for the number of malloc arenas.
 M_ARENA_MAX = -8
@@ -175,6 +182,140 @@ def _after_fork_in_child() -> None:
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_after_fork_in_child)
+
+
+# ----------------------------------------------------------------------
+def split_bounds(total: int, shards: int) -> List[Tuple[int, int]]:
+    """Contiguous ``(lo, hi)`` row bounds splitting ``total`` rows into
+    at most ``shards`` near-equal blocks (empty blocks dropped).
+
+    The one splitting rule: it forms a call's sample blocks
+    (``TimeBatchedEngine._sample_blocks``) and groups them into lanes.
+    """
+    if total < 1 or shards < 1:
+        return []
+    shards = min(shards, total)
+    step, extra = divmod(total, shards)
+    bounds: List[Tuple[int, int]] = []
+    lo = 0
+    for index in range(shards):
+        hi = lo + step + (1 if index < extra else 0)
+        bounds.append((lo, hi))
+        lo = hi
+    return bounds
+
+
+# ----------------------------------------------------------------------
+# Weight-sharing clones (block lanes, worker restarts)
+# ----------------------------------------------------------------------
+def clone_for_inference(module: Module) -> Module:
+    """Structurally clone a module tree, sharing all parameters/buffers.
+
+    Every :class:`Module` object is fresh (own ``_modules`` /
+    ``_parameters`` / ``_buffers`` dicts, own neuron membrane and spike
+    counters once it runs), while every Parameter and buffer array is
+    the *same object* as the source's — weights are shared, never
+    copied, and a training step that rebinds ``param.data`` is visible
+    to every clone because the Parameter itself is shared.  Attributes
+    that point at child modules (``self.conv1`` and friends) are
+    remapped onto the corresponding clones; an installed forward
+    interceptor (only present mid-run) is never carried over.
+    """
+    children = OrderedDict(
+        (name, clone_for_inference(child)) for name, child in module._modules.items()
+    )
+    remap = {
+        id(original): children[name]
+        for name, original in module._modules.items()
+    }
+    clone = object.__new__(type(module))
+    for key, value in module.__dict__.items():
+        if key == "_modules":
+            value = children
+        elif key in ("_parameters", "_buffers"):
+            value = OrderedDict(value)
+        elif key == "forward":
+            continue
+        elif isinstance(value, Module):
+            value = remap.get(id(value), value)
+        elif isinstance(value, (list, tuple)):
+            value = type(value)(remap.get(id(item), item) for item in value)
+        object.__setattr__(clone, key, value)
+    return clone
+
+
+#: ``Module.__dict__`` entries :func:`clone_for_inference` rebuilds for
+#: the clone instead of sharing them.
+_CLONE_OWNED = frozenset({"_modules", "_parameters", "_buffers", "forward"})
+
+
+def _peers_stale(engine, peers) -> bool:
+    """Detect model changes the weight-sharing clones cannot mirror.
+
+    A clone shares every attribute of its source by reference, so a
+    change made in place (a ``param.data`` rebind on a shared Parameter,
+    an in-place array update) reaches every peer for free.  A *rebind*
+    on an original module — a neuron's ``threshold`` scaled, a BN buffer
+    replaced by ``load_state_dict``, a train/eval flip, a child swapped
+    — lands on the original only, and any one of them means the cached
+    clones must be rebuilt.  The per-run state a module names in
+    ``RUN_STATE`` (a neuron's membrane and spike counters) belongs to
+    each clone and is not compared.
+    """
+    for peer in peers:
+        if peer.model is None:
+            return True
+        for original, cloned in zip(engine.model.modules(), peer.model.modules()):
+            if _clone_diverged(original, cloned):
+                return True
+    return False
+
+
+def _clone_diverged(original: Module, cloned: Module) -> bool:
+    """Whether ``original`` rebound anything ``cloned`` took from it."""
+    if type(original) is not type(cloned):
+        return True
+    if original._modules.keys() != cloned._modules.keys():
+        return True
+    # Parameters and buffers are attributes too, so this loop sees them.
+    run_state = getattr(original, "RUN_STATE", ())
+    copied = cloned.__dict__
+    for key, value in original.__dict__.items():
+        if key in _CLONE_OWNED or key in run_state or isinstance(value, Module):
+            continue  # child modules are compared through _modules
+        if key not in copied:
+            return True
+        if isinstance(value, (list, tuple)):
+            # Clones hold a remapped copy of a list or tuple: compare
+            # its items, except the child modules in it.
+            if len(value) != len(copied[key]) or any(
+                item is not other
+                for item, other in zip(value, copied[key])
+                if not isinstance(item, Module)
+            ):
+                return True
+        elif value is not copied[key]:
+            return True
+    return False
+
+
+def _thread_peers_for(engine, count: int) -> List:
+    """Sibling engines over model clones, cached on the engine.
+
+    Rebuilding clones per run would defeat the cross-run caches (the
+    effective-weight LRU is keyed by module identity, so fresh clone
+    ids would miss it every time and fill it with dead entries); the
+    peers persist until the bound model changes under them.
+    """
+    peers = engine._thread_peers.get(count)
+    if peers is None or _peers_stale(engine, peers):
+        peers = []
+        for _ in range(count):
+            peer = engine._sibling()
+            peer.bind(clone_for_inference(engine.model))
+            peers.append(peer)
+        engine._thread_peers[count] = peers
+    return peers
 
 
 # ----------------------------------------------------------------------

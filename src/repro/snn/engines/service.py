@@ -45,7 +45,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.snn.engines.base import EngineRun, SimulationEngine
-from repro.snn.engines.sharding import clone_for_inference
+from repro.snn.engines.lanes import clone_for_inference
 
 logger = logging.getLogger(__name__)
 

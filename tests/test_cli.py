@@ -84,16 +84,6 @@ class TestParser:
         args = build_parser().parse_args(["fig7", "--engine", "adaptive"])
         assert args.engine == "adaptive"
 
-    def test_shard_mode_choices_track_registry(self):
-        """The campaign's --mode, the supervisor's one user, accepts
-        every shard mode plus serial."""
-        from repro.cli import build_campaign_parser
-        from repro.snn.engines.sharding import SHARD_MODES
-
-        parser = build_campaign_parser()
-        for mode in SHARD_MODES + ("serial",):
-            assert parser.parse_args(["dse", "--out", "x", "--mode", mode]).mode == mode
-
     def test_input_format_flag(self):
         args = build_parser().parse_args(["fig8", "--input-format", "events"])
         assert args.input_format == "events"
@@ -120,7 +110,6 @@ class TestCampaignParser:
 
         args = build_campaign_parser().parse_args(["dse", "--out", "x"])
         assert args.workers == 1
-        assert args.mode == "serial"
         assert args.max_points is None
         assert args.retries == 1
         assert args.trials == 2
@@ -144,6 +133,15 @@ class TestCampaignParser:
         with pytest.raises(SystemExit):
             build_campaign_parser().parse_args(["dse", "--out", "x", "--pe", ","])
 
+    def test_mode_flag_is_gone(self, capsys):
+        """``--workers`` alone picks the substrate: there is no --mode."""
+        from repro.cli import build_campaign_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            build_campaign_parser().parse_args(["dse", "--out", "x", "--mode", "fork"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --mode" in capsys.readouterr().err
+
 
 class TestCampaignCommand:
     def test_dse_campaign_kill_and_resume(self, tmp_path, capsys):
@@ -160,6 +158,27 @@ class TestCampaignCommand:
         text = capsys.readouterr().out
         assert "4/4 points complete" in text
         assert "8x8PE/8BN@100MHz" in text
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--workers", "0"), ("--retries", "-1"), ("--point-timeout", "0"),
+         ("--backoff", "-1")],
+        ids=["workers-0", "retries-neg", "point-timeout-0", "backoff-neg"],
+    )
+    def test_bad_knob_is_a_usage_error(self, tmp_path, capsys, flag, value):
+        """A bad execution knob stops the campaign at the parser, before
+        the fault sweep trains its VGG-11."""
+        out = tmp_path / "faults"
+        argv = ["campaign", "faults", "--out", str(out), "--epochs", "1",
+                "--train", "16", "--test", "8", "--timesteps", "2", flag, value]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {flag}" in captured.err
+        assert "Traceback" not in captured.err
+        assert "training" not in captured.out
+        assert not out.exists()
 
     def test_campaign_dispatch_does_not_shadow_artefacts(self, capsys):
         # Regular artefact parsing still works after the dispatch hook.

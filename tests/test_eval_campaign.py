@@ -1,6 +1,7 @@
 """Resumable campaign runner: determinism, atomic records, resume."""
 
 import json
+import time
 
 import pytest
 
@@ -12,7 +13,7 @@ from repro.eval.campaign import (
     point_id,
     point_seed,
 )
-from repro.snn.engines.sharding import ShardExecutionError, ShardPolicy
+from repro.eval.supervisor import ShardExecutionError, ShardPolicy, fork_available
 
 
 def square_fn(params, seed):
@@ -211,17 +212,30 @@ class TestRunner:
     def test_parallel_modes_match_serial(self, tmp_path):
         serial = CampaignRunner(spec3x2(), square_fn, tmp_path / "s")
         serial.run()
-        threaded = CampaignRunner(
-            spec3x2(), square_fn, tmp_path / "t", workers=3, mode="thread"
-        )
-        threaded.run()
+        forked = CampaignRunner(spec3x2(), square_fn, tmp_path / "f", workers=3)
+        forked.run()
         for pid in [p.id for p in spec3x2().points()]:
             a = (tmp_path / "s" / "points" / f"{pid}.json").read_bytes()
-            b = (tmp_path / "t" / "points" / f"{pid}.json").read_bytes()
+            b = (tmp_path / "f" / "points" / f"{pid}.json").read_bytes()
             assert a == b
 
+    @pytest.mark.skipif(not fork_available(), reason="needs the fork start method")
+    def test_workers_bound_points_in_flight(self, tmp_path):
+        """``workers=2`` runs 2 points at a time: never more, and not 1."""
+
+        def timed(params, seed):
+            start = time.monotonic()
+            time.sleep(0.3)
+            return {"start": start, "end": time.monotonic()}
+
+        result = CampaignRunner(spec3x2(), timed, tmp_path / "c", workers=2).run()
+        spans = [(r["start"], r["end"]) for r in result.results()]
+        assert len(spans) == 6
+        in_flight = max(
+            sum(1 for lo, hi in spans if lo <= t < hi) for t, _ in spans
+        )
+        assert in_flight == 2
+
     def test_validation(self, tmp_path):
-        with pytest.raises(ValueError):
-            CampaignRunner(spec3x2(), square_fn, tmp_path, mode="bogus")
         with pytest.raises(ValueError):
             CampaignRunner(spec3x2(), square_fn, tmp_path, workers=0)

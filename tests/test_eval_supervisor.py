@@ -2,26 +2,25 @@
 
 Runs generic tasks through :func:`run_supervised` — the substrate the
 campaign runner fans its grid points over — and injects failures that
-fire only off the supervising process/thread (a crash) or only in a
-fork child (a hang).  The contract: failed tasks retry, then degrade
-fork -> thread -> serial, the final results are bit-identical to
-calling the tasks directly, and every failure is recorded.
+fire only in a fork child (a crash or a hang).  The contract: failed
+tasks retry, then degrade fork -> serial, the final results are
+bit-identical to calling the tasks directly, and every failure is
+recorded.
 """
 
+import logging
 import os
-import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.snn.engines import sharding
-from repro.snn.engines.sharding import (
+from repro.eval import supervisor
+from repro.eval.supervisor import (
     ShardExecutionError,
     ShardFailure,
     ShardPolicy,
     fork_available,
-    resolve_shard_mode,
     run_supervised,
 )
 
@@ -29,14 +28,6 @@ MAIN_PID = os.getpid()
 
 #: "off" | "crash" | "hang"; fork children inherit it copy-on-write.
 POISON = {"mode": "off"}
-
-
-def _in_child() -> bool:
-    """True in a fork child or a worker thread, False in the supervisor."""
-    return (
-        os.getpid() != MAIN_PID
-        or threading.current_thread() is not threading.main_thread()
-    )
 
 
 def _in_fork_child() -> bool:
@@ -51,7 +42,7 @@ def _disarm_poison():
 
 def task(index: int) -> np.ndarray:
     """A deterministic numpy task that misbehaves when poisoned."""
-    if POISON["mode"] == "crash" and _in_child():
+    if POISON["mode"] == "crash" and _in_fork_child():
         raise RuntimeError("injected task poison")
     if POISON["mode"] == "hang" and _in_fork_child():
         time.sleep(60.0)
@@ -91,27 +82,27 @@ class TestCrashDegradation:
         POISON["mode"] = "crash"
         outcome = run_supervised(
             count=2,
-            mode="fork",
-            policy=ShardPolicy(retries=1, backoff=0.01),
             serial_fn=task,
+            policy=ShardPolicy(retries=1, backoff=0.01),
+            workers=2,
         )
-        # The poison kills fork children AND thread workers, so only the
-        # serial fallback can finish — and it must match exactly.
+        # The poison kills fork children, so only the serial fallback
+        # can finish — and it must match exactly.
         assert_results(outcome, 2)
         assert outcome.degraded_mode == "serial"
         failures = outcome.failures
         assert all(isinstance(f, ShardFailure) for f in failures)
         assert {f.kind for f in failures} == {"exception"}
-        assert {f.mode for f in failures} == {"fork", "thread"}
-        # retries=1 => two attempts per substrate for both tasks.
-        assert len([f for f in failures if f.mode == "fork"]) == 4
-        assert len([f for f in failures if f.mode == "thread"]) == 4
+        assert {f.mode for f in failures} == {"fork"}
+        # retries=1 => two fork attempts for both tasks.
+        assert len(failures) == 4
         assert all("injected task poison" in f.error for f in failures)
 
     def test_clean_run_records_nothing(self):
-        outcome = run_supervised(count=3, mode="fork", policy=None, serial_fn=task)
+        outcome = run_supervised(count=3, serial_fn=task, workers=3)
         assert_results(outcome, 3)
         assert outcome.failures == []
+        assert outcome.requested_mode == "fork"
         assert outcome.degraded_mode == ""
 
 
@@ -122,15 +113,15 @@ class TestHangDegradation:
         start = time.monotonic()
         outcome = run_supervised(
             count=2,
-            mode="fork",
-            policy=ShardPolicy(timeout=1.0, retries=0, backoff=0.01),
             serial_fn=task,
+            policy=ShardPolicy(timeout=1.0, retries=0, backoff=0.01),
+            workers=2,
         )
         elapsed = time.monotonic() - start
 
-        # The hang only triggers in fork children, so threads recover.
+        # The hang only triggers in fork children, so serial recovers.
         assert_results(outcome, 2)
-        assert outcome.degraded_mode == "thread"
+        assert outcome.degraded_mode == "serial"
         assert {f.kind for f in outcome.failures} == {"timeout"}
         assert {f.mode for f in outcome.failures} == {"fork"}
         # Hang detection means the deadline bounds the wait, not the
@@ -146,9 +137,8 @@ class TestSupervisor:
         with pytest.raises(ShardExecutionError) as excinfo:
             run_supervised(
                 count=2,
-                mode="serial",
-                policy=ShardPolicy(retries=1, backoff=0.0),
                 serial_fn=always_fails,
+                policy=ShardPolicy(retries=1, backoff=0.0),
             )
         failures = excinfo.value.failures
         assert len(failures) == 4  # 2 tasks x 2 attempts
@@ -166,59 +156,29 @@ class TestSupervisor:
 
         outcome = run_supervised(
             count=3,
-            mode="serial",
-            policy=ShardPolicy(retries=1, backoff=0.0),
             serial_fn=flaky,
+            policy=ShardPolicy(retries=1, backoff=0.0),
         )
         assert outcome.results == [0, 10, 20]
         assert outcome.degraded_mode == ""  # recovered without degrading
         assert len(outcome.failures) == 3
         assert all(f.attempt == 1 for f in outcome.failures)
 
-    def test_thread_timeout_degrades_to_serial(self):
-        released = threading.Event()
 
-        def slow_off_main(i):
-            if threading.current_thread() is not threading.main_thread():
-                released.wait(5.0)  # hung until the test releases it
-            return i
-
-        start = time.monotonic()
-        try:
-            outcome = run_supervised(
-                count=1,
-                mode="thread",
-                policy=ShardPolicy(timeout=0.2, retries=0, backoff=0.0),
-                serial_fn=slow_off_main,
-            )
-        finally:
-            released.set()
-        # The supervisor abandons the hung thread instead of joining it.
-        assert time.monotonic() - start < 4.0
-        assert outcome.results == [0]
-        assert [f.kind for f in outcome.failures] == ["timeout"]
-        assert outcome.failures[0].mode == "thread"
-        assert outcome.degraded_mode == "serial"
-
-
-class TestForklessAuto:
-    def test_auto_degrades_to_thread_without_fork(self, monkeypatch):
-        monkeypatch.setattr(sharding, "fork_available", lambda: False)
-        assert sharding.resolve_shard_mode("auto") == "thread"
-        with pytest.raises(RuntimeError):
-            sharding.resolve_shard_mode("fork")
-
-    def test_auto_run_on_forkless_platform(self, monkeypatch):
-        monkeypatch.setattr(sharding, "fork_available", lambda: False)
-        ran_on = set()
+class TestForkless:
+    def test_workers_run_serially_without_fork(self, monkeypatch, caplog):
+        monkeypatch.setattr(supervisor, "fork_available", lambda: False)
+        ran_in = set()
 
         def recording(i):
-            ran_on.add(threading.current_thread() is threading.main_thread())
+            ran_in.add(os.getpid())
             return task(i)
 
-        outcome = run_supervised(
-            count=2, mode=resolve_shard_mode("auto"), policy=None, serial_fn=recording
-        )
+        with caplog.at_level(logging.WARNING, logger=supervisor.__name__):
+            outcome = run_supervised(count=2, serial_fn=recording, workers=2)
         assert_results(outcome, 2)
         assert outcome.failures == []
-        assert ran_on == {False}  # worker threads, never the serial path
+        assert outcome.requested_mode == "serial"
+        assert ran_in == {MAIN_PID}  # the calling process, never a child
+        assert len(caplog.records) == 1
+        assert "'fork' start method is unavailable" in caplog.records[0].getMessage()

@@ -31,12 +31,13 @@ import pytest
 
 from repro import nn
 from repro.data import rate_encode_stream
+from repro.eval.supervisor import fork_available
 from repro.snn import IFNeuron
-from repro.snn.engines import EventBatchedEngine, fork_available, make_engine
+from repro.snn.engines import EventBatchedEngine, make_engine
 from repro.snn.engines import batched as batched_module
 from repro.snn.engines import lanes as lanes_module
 from repro.snn.engines.batched import TimeBatchedEngine
-from repro.snn.engines.sharding import clone_for_inference
+from repro.snn.engines.lanes import clone_for_inference
 
 from test_snn_blocked_runs import converted_vgg, frames
 from test_snn_engine import converted_resnet, converted_toy, force_lanes

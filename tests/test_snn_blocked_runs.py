@@ -27,12 +27,13 @@ import numpy as np
 import pytest
 
 from repro.data import rate_encode_stream
+from repro.eval.supervisor import fork_available
 from repro.pipeline import build_quantized_twin
 from repro.snn import convert_to_snn
-from repro.snn.engines import fork_available, make_engine
+from repro.snn.engines import make_engine
 from repro.snn.engines import batched as batched_module
 from repro.snn.engines import lanes as lanes_module
-from repro.snn.engines.sharding import split_bounds
+from repro.snn.engines.lanes import split_bounds
 from repro.tensor import Tensor, no_grad
 
 from test_snn_engine import converted_resnet, force_lanes

@@ -636,7 +636,8 @@ class TestStreamSharding:
             assert sharded.stats.total_synaptic_ops == single.stats.total_synaptic_ops
 
     def test_fork_shards_match_single(self, converted_vgg, frames, lanes_on, monkeypatch):
-        from repro.snn.engines import fork_available, make_engine
+        from repro.eval.supervisor import fork_available
+        from repro.snn.engines import make_engine
         from test_snn_blocked_runs import run_in_fork
 
         if not fork_available():
