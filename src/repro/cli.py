@@ -301,7 +301,8 @@ def build_campaign_parser() -> argparse.ArgumentParser:
     parser.add_argument("--point-timeout", type=_bounded(float, 0, strict=True),
                         default=None, dest="point_timeout",
                         help="per-point wall-clock deadline in seconds "
-                        "(forked points; a hung point is killed)")
+                        "(points then run forked, also at --workers 1; a "
+                        "hung point is killed and fails the run)")
     parser.add_argument("--backoff", type=_bounded(float, 0, strict=False),
                         default=0.05,
                         help="base retry backoff in seconds")

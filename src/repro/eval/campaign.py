@@ -28,12 +28,14 @@ This module makes that shape a first-class, failure-tolerant workload:
   — records that are corrupt, truncated or schema-mismatched are
   discarded (one warning) and re-run.  The merged result equals an
   uninterrupted run.
-* **Supervised execution.**  With ``workers > 1``, points run as
-  forked waves of at most ``workers`` processes under
-  :func:`repro.eval.supervisor.run_supervised`, with per-point
+* **Supervised execution.**  With ``workers > 1`` or a per-point
+  deadline, points run as forked waves of at most ``workers`` processes
+  under :func:`repro.eval.supervisor.run_supervised`, with per-point
   exception capture, per-wave deadlines, bounded retry/backoff and the
-  fork→serial degradation chain; ``workers == 1`` (or a platform
-  without ``fork``) runs them serially.
+  fork→serial degradation chain (a point that timed out is not re-run
+  serially: the run raises once the others finish); ``workers == 1``
+  without a deadline (or a platform without ``fork``) runs them
+  serially.
 """
 
 from __future__ import annotations
@@ -191,8 +193,9 @@ class CampaignRunner:
         Per-point retry/timeout/backoff knobs
         (:class:`repro.eval.supervisor.ShardPolicy`).
     workers:
-        Most points in flight at once: 1 runs them serially, more runs
-        forked waves of at most ``workers`` points.
+        Most points in flight at once: 1 runs them serially (in forked
+        waves of one under a ``policy.timeout``), more runs forked waves
+        of at most ``workers`` points.
     """
 
     def __init__(

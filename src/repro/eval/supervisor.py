@@ -3,12 +3,15 @@
 :func:`run_supervised` runs ``count`` independent tasks ``fn(index)``
 with at most ``workers`` of them in flight:
 
-* ``workers == 1`` runs them serially, in the calling process;
-* ``workers > 1`` runs them as forked *waves* of at most ``workers``
-  processes.  Children inherit the task closure copy-on-write, so
-  nothing but the index and the result is pickled;
-* on a platform without the ``fork`` start method, ``workers > 1``
-  runs serially and logs one warning.
+* ``workers == 1`` without a deadline runs them serially, in the
+  calling process;
+* ``workers > 1``, or any ``workers`` with a :attr:`ShardPolicy.timeout`,
+  runs them as forked *waves* of at most ``workers`` processes, because
+  only a process can be killed when it hangs.  Children inherit the
+  task closure copy-on-write, so nothing but the index and the result
+  is pickled;
+* on a platform without the ``fork`` start method they run serially,
+  and one warning says so (and that a deadline cannot hold).
 
 Every attempt runs under a **supervisor**:
 
@@ -19,14 +22,16 @@ Every attempt runs under a **supervisor**:
   task is treated as failed;
 * failed tasks — and only those — are retried up to
   :attr:`ShardPolicy.retries` times with exponential backoff, then
-  degrade ``fork -> serial``.
+  degrade ``fork -> serial``; a task that timed out is not re-run
+  serially, where nothing could stop it hanging.
 
-Only when the serial fallback itself fails does the supervisor raise
-(:class:`ShardExecutionError`, carrying every recorded failure).  Fork
-is the one parallel substrate because only a process can be killed when
-it hangs.  The campaign runner (:mod:`repro.eval.campaign`) fans its
-grid points out this way; engine runs are not supervised (their only
-in-process parallelism is block lanes, :mod:`repro.snn.engines.lanes`).
+When a task failed on every substrate it may run on, the supervisor
+raises (:class:`ShardExecutionError`, carrying every recorded failure)
+after the other tasks finished.  Fork is the one parallel substrate
+because only a process can be killed when it hangs.  The campaign
+runner (:mod:`repro.eval.campaign`) fans its grid points out this way;
+engine runs are not supervised (their only in-process parallelism is
+block lanes, :mod:`repro.snn.engines.lanes`).
 """
 
 from __future__ import annotations
@@ -56,12 +61,14 @@ class ShardPolicy:
     ``workers`` tasks gets; all tasks of a wave start together, so a
     task still unfinished at the deadline is hung and its wave's
     processes are terminated.  ``None`` disables hang detection (a
-    clean run is never interrupted); the serial fallback never times
-    out.  ``retries`` is the number of *extra* attempts the failed
-    tasks get on each substrate before the supervisor degrades to the
-    next one; ``backoff`` seconds are slept before the first retry and
-    doubled for each further one (transient failures — memory
-    pressure, a crashed child — often clear after a beat).
+    clean run is never interrupted).  Serial runs have no deadline, so
+    a timeout runs every attempt on fork, and a task that timed out is
+    never re-run serially.  ``retries`` is the number of *extra*
+    attempts the failed tasks get on each substrate before the
+    supervisor degrades to the next one; ``backoff`` seconds are slept
+    before the first retry and doubled for each further one (transient
+    failures — memory pressure, a crashed child — often clear after a
+    beat).
     """
 
     timeout: Optional[float] = None
@@ -101,7 +108,8 @@ class ShardFailure:
 
 
 class ShardExecutionError(RuntimeError):
-    """Every substrate — serial included — failed for some task."""
+    """Some task failed on every substrate it may run on: fork and
+    serial, or fork alone once it timed out."""
 
     def __init__(self, label: str, failures: Sequence[ShardFailure]) -> None:
         self.failures = list(failures)
@@ -235,34 +243,42 @@ def run_supervised(
     """Run ``count`` independent tasks, at most ``workers`` at a time,
     under supervision: per-task failure capture, wave deadlines,
     bounded retries with backoff, and the fork->serial degradation
-    chain re-running only the failed tasks.
+    chain re-running only the failed tasks that did not time out.
 
     ``serial_fn`` is the task body on both substrates: fork children
     inherit it copy-on-write, the serial fallback calls it directly.
     Raises :class:`ShardExecutionError` only when a task failed on
-    every substrate in the chain.
+    every substrate it may run on.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     policy = DEFAULT_SHARD_POLICY if policy is None else policy
     mode = "serial"
-    if workers > 1 and count > 0:
+    if count > 0 and (workers > 1 or policy.timeout is not None):
         if fork_available():
             mode = "fork"
         else:
             logger.warning(
                 "%s supervisor: the 'fork' start method is unavailable on "
-                "this platform; running %d task(s) serially, not %d at a time",
+                "this platform; running %d task(s) serially%s%s",
                 label,
                 count,
-                workers,
+                f", not {workers} at a time" if workers > 1 else "",
+                f"; the {policy.timeout:g} s deadline cannot hold"
+                if policy.timeout is not None else "",
             )
     chain = ("fork", "serial") if mode == "fork" else ("serial",)
     results: List = [None] * count
     failures: List[ShardFailure] = []
     pending = list(range(count))
+    hung: List[int] = []
     completed_mode = mode
     for substrate in chain:
+        if substrate == "serial":
+            # Nothing could stop a task that hung from hanging here.
+            timed_out = {f.index for f in failures if f.kind == "timeout"}
+            hung = [i for i in pending if i in timed_out]
+            pending = [i for i in pending if i not in timed_out]
         if not pending:
             break
         attempts = 1 + policy.retries
@@ -293,7 +309,7 @@ def run_supervised(
             if not pending:
                 break
         completed_mode = substrate
-    if pending:
+    if pending or hung:
         raise ShardExecutionError(label, failures)
     if failures:
         by_kind = {

@@ -20,7 +20,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro import nn
-from repro.tensor import Tensor
 
 ActivationFactory = Callable[[], nn.Module]
 
@@ -43,7 +42,7 @@ def _make_conv(
     return cls(in_ch, out_ch, kernel, stride=stride, padding=padding, bias=False, rng=rng)
 
 
-class BasicBlock(nn.Module):
+class BasicBlock(nn.Residual):
     """Two 3x3 convolutions with identity/projection shortcut."""
 
     expansion = 1
@@ -72,15 +71,21 @@ class BasicBlock(nn.Module):
         else:
             self.shortcut = nn.Identity()
 
-    def forward(self, x: Tensor) -> Tensor:
-        out = self.act1(self.bn1(self.conv1(x)))
-        out = self.bn2(self.conv2(out))
-        out = out + self.shortcut(x)
-        return self.act2(out)
+    def parts(self):
+        return (
+            (self.conv1, self.bn1, self.act1, self.conv2, self.bn2),
+            self.shortcut,
+            self.act2,
+        )
 
 
-class ResNet(nn.Module):
-    """CIFAR ResNet; ``blocks_per_stage=[2,2,2,2]`` gives ResNet-18."""
+class ResNet(nn.Sequential):
+    """CIFAR ResNet; ``blocks_per_stage=[2,2,2,2]`` gives ResNet-18.
+
+    A chain of its named children, registered in call order: stem
+    (``conv1``, ``bn1``, ``act1``), four stages of :class:`BasicBlock`
+    (``layer1`` .. ``layer4``), ``pool`` and ``fc``.
+    """
 
     def __init__(
         self,
@@ -125,15 +130,6 @@ class ResNet(nn.Module):
         self.pool = nn.GlobalAvgPool2d()
         fc_cls = nn.QuantLinear if quantize else nn.Linear
         self.fc = fc_cls(channels[3], num_classes, rng=rng)
-
-    def forward(self, x: Tensor) -> Tensor:
-        out = self.act1(self.bn1(self.conv1(x)))
-        out = self.layer1(out)
-        out = self.layer2(out)
-        out = self.layer3(out)
-        out = self.layer4(out)
-        out = self.pool(out)
-        return self.fc(out)
 
 
 def resnet18(

@@ -17,7 +17,6 @@ from typing import Callable, List, Optional, Sequence, Union
 import numpy as np
 
 from repro import nn
-from repro.tensor import Tensor
 
 ActivationFactory = Callable[[], nn.Module]
 
@@ -29,8 +28,9 @@ def _scaled(channels: int, width: float) -> int:
     return max(4, int(round(channels * width / 4)) * 4)
 
 
-class VGG(nn.Module):
-    """VGG feature extractor + linear classifier."""
+class VGG(nn.Sequential):
+    """VGG feature extractor + linear classifier: the chain ``features``,
+    ``flatten``, ``fc``."""
 
     def __init__(
         self,
@@ -73,11 +73,6 @@ class VGG(nn.Module):
         self.flatten = nn.Flatten()
         fc_cls = nn.QuantLinear if quantize else nn.Linear
         self.fc = fc_cls(ch, num_classes, rng=rng)
-
-    def forward(self, x: Tensor) -> Tensor:
-        out = self.features(x)
-        out = self.flatten(out)
-        return self.fc(out)
 
 
 def vgg11(

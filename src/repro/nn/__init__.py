@@ -8,7 +8,7 @@ convertible to the accelerator's spiking domain.
 """
 
 from repro.nn.module import Module, Parameter
-from repro.nn.sequential import Sequential
+from repro.nn.sequential import Residual, Sequential
 from repro.nn.layers import (
     AvgPool2d,
     BatchNorm2d,
@@ -33,6 +33,7 @@ __all__ = [
     "Module",
     "Parameter",
     "Sequential",
+    "Residual",
     "Conv2d",
     "Linear",
     "BatchNorm2d",

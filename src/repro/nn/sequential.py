@@ -1,8 +1,8 @@
-"""Sequential container."""
+"""Containers whose ``forward`` is their declared structure: chains and residual blocks."""
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence, Tuple
 
 from repro.nn.module import Module
 from repro.tensor import Tensor
@@ -37,3 +37,24 @@ class Sequential(Module):
     def append(self, module: Module) -> "Sequential":
         setattr(self, str(len(self._modules)), module)
         return self
+
+
+class Residual(Module):
+    """``post(main(x) + shortcut(x))`` over registered children.
+
+    A subclass registers its children and names the three parts in
+    :meth:`parts`; :meth:`forward` runs exactly that declaration, so a
+    block's structure can be read without reading code (the time-batched
+    engines compile it into their layer schedule).
+    """
+
+    def parts(self) -> Tuple[Sequence[Module], Module, Module]:
+        """``(main branch, in call order; shortcut; post-add module)``."""
+        raise NotImplementedError
+
+    def forward(self, x: Tensor) -> Tensor:
+        main, shortcut, post = self.parts()
+        out = x
+        for module in main:
+            out = module(out)
+        return post(out + shortcut(x))

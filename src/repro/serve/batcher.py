@@ -4,10 +4,10 @@ The serving fast path.  Incoming single-image requests land in one
 bounded queue; a single dispatch loop coalesces whatever is waiting
 into a ``(N, C, H, W)`` batch and runs it through the warm
 :class:`~repro.snn.engines.service.EngineWorker`.  Batching is how an
-SNN accelerator serves load: per-run overhead (interceptor install,
-state reset) is paid once per *batch* instead of once per
-request, so throughput under concurrency multiplies while the engine
-itself stays untouched.
+SNN accelerator serves load: per-run overhead (stats set-up, state
+reset, one Python dispatch per layer) is paid once per *batch* instead
+of once per request, so throughput under concurrency multiplies while
+the engine itself stays untouched.
 
 Robustness decisions all happen here, at well-defined points:
 

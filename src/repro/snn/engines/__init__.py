@@ -24,10 +24,15 @@ behind one :class:`SimulationEngine` interface:
     bitwise equal to the batched engine.  ``LayerStats.backend_source``
     names the gate that decided.
 
-All engines run the *same* module graph — backends install
-per-instance forward interceptors for the duration of a run — so
-arbitrary models (VGG chains, ResNet residual graphs) work identically
-on any backend, and their logits agree up to float summation order.
+``dense`` runs the modules' own ``forward``s once per timestep, with
+per-instance billing interceptors installed for the duration of a run,
+and is the independent oracle.  The time-batched engines compile the
+model at ``bind`` into one layer schedule — chains and
+:class:`repro.nn.Residual` blocks, so VGG, ResNet, the DVS CNN and the
+serving demo net alike — whose steps pass explicit carriers; a model
+they cannot compile (an arbitrary ``forward``) runs on ``dense``'s
+time-outer path.  Logits agree across backends up to float summation
+order (bitwise wherever every GEMM takes the same BLAS kernel).
 Every run produces a :class:`repro.snn.stats.RunStats` with per-layer
 spike rates, synaptic-op counts and (when ``profile_layers`` is on, the
 default) per-layer wall clock and input density — rendered by

@@ -2,15 +2,17 @@
 
 :class:`SimulationEngine` owns everything common to all backends — the
 block and lane orchestration in :meth:`SimulationEngine.run`, the
-per-run reset/install/execute/collect cycle in
+per-run reset/execute/collect cycle in
 :meth:`SimulationEngine._run_single` (called once per sample block by
-:meth:`SimulationEngine._run_blocked`), and the per-layer wall-clock
-profiling wrappers (see :mod:`repro.snn.engines.profiling`) installed
-around every interceptor, and the one synaptic-op rule every backend
-bills by (:func:`bill_synapse`).  Backends customise per-layer execution by
-overriding :meth:`SimulationEngine._make_interceptor` (synapse layers)
-and :meth:`SimulationEngine._make_neuron_interceptor` (stateful
-layers), or the whole schedule via :meth:`SimulationEngine._execute`.
+:meth:`SimulationEngine._run_blocked`), the time-outer schedule
+(:meth:`SimulationEngine._execute`: the model's own ``forward`` once per
+timestep, every synapse layer behind a billing interceptor and, with
+profiling on, every layer behind a wall-clock wrapper from
+:mod:`repro.snn.engines.profiling`), and the one synaptic-op rule every
+backend bills by (:func:`bill_synapse`).  ``dense`` runs that schedule;
+the time-batched engines replace it with their compiled layer schedule
+(:mod:`repro.snn.engines.batched`) and fall back to it for a model
+that does not compile.
 """
 
 from __future__ import annotations
@@ -286,11 +288,12 @@ class SimulationEngine(abc.ABC):
 
     Engines are bound to a model once (:meth:`bind`) and then invoked
     through :meth:`run`, which owns the timestep loop, state reset and
-    statistics collection.  Subclasses customise per-layer execution by
-    installing instance-level forward interceptors for the duration of
-    a run, and may replace the whole-run schedule via :meth:`_execute`.
+    statistics collection.  The default schedule is time-outer: the
+    model's own ``forward`` per timestep, with instance-level forward
+    interceptors installed for the duration of a run; subclasses may
+    replace the whole-run schedule via :meth:`_execute`.
 
-    ``profile_layers`` (default on) wraps every interceptor in a
+    ``profile_layers`` (default on) brackets every layer call with a
     near-zero-overhead ``perf_counter`` pair that attributes wall clock
     to each layer's :class:`repro.snn.stats.LayerStats`, and records
     each synapse layer's observed input density — the data behind
@@ -310,6 +313,8 @@ class SimulationEngine(abc.ABC):
         # order: the order of a run's layer stats.
         self._layer_order: List[Tuple[str, Module]] = []
         self._installed: List[Module] = []
+        # The current run's layer stats, by layer name.
+        self._run_stats: Dict[str, LayerStats] = {}
         # Lane peers, built lazily and reused across runs: sibling
         # engines bound to persistent model clones, keyed by count
         # (see repro.snn.engines.lanes._thread_peers_for).
@@ -420,47 +425,40 @@ class SimulationEngine(abc.ABC):
         return merged
 
     def _run_single(self, x: np.ndarray, timesteps: int, per_step: bool) -> EngineRun:
-        """One in-process run: reset, instrument, execute, collect stats."""
+        """One in-process run: reset, execute, collect stats."""
         started = time.perf_counter()
         for _, module in self._neuron_modules:
             module.reset_state()
-        synapse_stats = {
-            name: LayerStats(name=name, kind="linear" if isinstance(m, Linear) else "conv")
-            for name, m in self._synapse_modules
-        }
-        neuron_stats = {
-            name: LayerStats(name=name, kind="neuron") for name, _ in self._neuron_modules
+        stats = self._run_stats = {
+            name: LayerStats(
+                name=name,
+                kind="neuron" if isinstance(m, IFNeuron)
+                else "linear" if isinstance(m, Linear) else "conv",
+            )
+            for name, m in self._layer_order
         }
         neuron_base = {
             name: (m.spike_count, m.neuron_steps) for name, m in self._neuron_modules
         }
-        self._install(synapse_stats, neuron_stats)
         try:
             total, outputs = self._execute(x, timesteps, per_step)
         finally:
-            self._uninstall()
+            self._run_stats = {}
 
-        layers: List[LayerStats] = []
-        for name, module in self._layer_order:
-            if isinstance(module, IFNeuron):
-                base_spikes, base_steps = neuron_base[name]
-                stat = neuron_stats[name]
-                stat.spike_count = module.spike_count - base_spikes
-                stat.neuron_steps = module.neuron_steps - base_steps
-                stat.timesteps = timesteps
-                layers.append(stat)
-            else:
-                stat = synapse_stats[name]
-                stat.timesteps = timesteps
-                layers.append(stat)
-        stats = RunStats(
+        for name, module in self._neuron_modules:
+            base_spikes, base_steps = neuron_base[name]
+            stats[name].spike_count = module.spike_count - base_spikes
+            stats[name].neuron_steps = module.neuron_steps - base_steps
+        for stat in stats.values():
+            stat.timesteps = timesteps
+        run_stats = RunStats(
             batch_size=int(x.shape[0]),
             timesteps=timesteps,
-            layers=layers,
+            layers=list(stats.values()),
             engine=self.name,
             wall_clock_seconds=time.perf_counter() - started,
         )
-        return EngineRun(logits=total, stats=stats, per_step=outputs)
+        return EngineRun(logits=total, stats=run_stats, per_step=outputs)
 
     def _execute(
         self, x: np.ndarray, timesteps: int, per_step: bool
@@ -469,71 +467,66 @@ class SimulationEngine(abc.ABC):
 
         Returns ``(accumulated_logits, per_step_cumulative_or_None)``.
         Subclasses may restructure the whole schedule (e.g. the
-        time-batched engine runs the model once over a ``(T*N, ...)``
-        stack).
+        time-batched engines run a compiled layer schedule once over a
+        ``(T*N, ...)`` stack).
 
         Dense inputs present the *same* direct-coded frame Tensor every
         timestep; a :class:`SpikeStream` presents one densified plane
-        per timestep.
+        per timestep.  The model's own ``forward`` runs, with the run's
+        interceptors installed (:meth:`_install`).
         """
         total: Optional[np.ndarray] = None
         outputs: Optional[List[np.ndarray]] = [] if per_step else None
         stream = isinstance(x, SpikeStream)
         inp = None if stream else Tensor(x)
-        with no_grad():
-            for t in range(timesteps):
-                step_in = Tensor(x.step(t).to_dense()) if stream else inp
-                logits = self.model(step_in).data
-                if total is None:
-                    total = logits.copy()
-                else:
-                    total += logits
-                if outputs is not None:
-                    outputs.append(total.copy())
+        self._install()
+        try:
+            with no_grad():
+                for t in range(timesteps):
+                    step_in = Tensor(x.step(t).to_dense()) if stream else inp
+                    logits = self.model(step_in).data
+                    if total is None:
+                        total = logits.copy()
+                    else:
+                        total += logits
+                    if outputs is not None:
+                        outputs.append(total.copy())
+        finally:
+            self._uninstall()
         return total, outputs
 
     # ------------------------------------------------------------------
-    # Per-run instrumentation hooks
+    # Per-run instrumentation of the time-outer schedule
     # ------------------------------------------------------------------
-    @abc.abstractmethod
     def _make_interceptor(
         self, module: Module, stat: LayerStats, orig: Callable[[Tensor], Tensor]
     ) -> Callable[[Tensor], Tensor]:
-        """Build the forward replacement installed on ``module`` for a run."""
+        """The forward installed on a synapse layer for a run: bill the
+        call by the SIA rule, then run the layer."""
 
-    def _make_neuron_interceptor(
-        self, module: IFNeuron, stat: LayerStats
-    ) -> Optional[Callable[[Tensor], Tensor]]:
-        """Forward replacement for a stateful neuron layer, or None to
-        run the module's own forward (the time-outer engines)."""
-        return None
+        def forward(x: Tensor) -> Tensor:
+            bill_synapse(module, stat, x.data, density=self.profile_layers)
+            return orig(x)
+
+        return forward
 
     def _set_forward(self, module: Module, forward: Callable) -> None:
         object.__setattr__(module, "forward", forward)
         self._installed.append(module)
 
-    def _install(
-        self,
-        synapse_stats: Dict[str, LayerStats],
-        neuron_stats: Dict[str, LayerStats],
-    ) -> None:
+    def _install(self) -> None:
         self._installed = []
         for name, module in self._synapse_modules:
-            stat = synapse_stats[name]
+            stat = self._run_stats[name]
             interceptor = self._make_interceptor(module, stat, module.forward)
             if self.profile_layers:
                 interceptor = profiled_call(interceptor, stat)
             self._set_forward(module, interceptor)
-        for name, module in self._neuron_modules:
-            stat = neuron_stats[name]
-            interceptor = self._make_neuron_interceptor(module, stat)
-            if interceptor is None:
-                if not self.profile_layers:
-                    continue  # nothing to intercept: run the module as-is
-                interceptor = module.forward
-            if self.profile_layers:
-                interceptor = profiled_call(interceptor, stat)
-            self._set_forward(module, interceptor)
+        if self.profile_layers:
+            for name, module in self._neuron_modules:
+                self._set_forward(
+                    module, profiled_call(module.forward, self._run_stats[name])
+                )
 
     def _uninstall(self) -> None:
         for module in self._installed:

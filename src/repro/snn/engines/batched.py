@@ -1,14 +1,33 @@
-"""Layer-sequential backend: one pass over a ``(T*N, ...)`` stack."""
+"""Layer-sequential backend: one pass over a ``(T*N, ...)`` stack.
+
+:meth:`TimeBatchedEngine.bind` compiles the model into a layer schedule
+(:func:`_compile`): a list of steps in call order, each taking and
+returning one explicit carrier of a layer's output.  A model compiles
+when its structure is its ``forward``: a plain :class:`repro.nn.Sequential`
+chains its children, nested plain ``Sequential``s flatten into it, an
+:class:`repro.nn.Identity` is no step at all, and an
+:class:`repro.nn.Residual` whose ``forward`` is the base's becomes one
+residual step, which runs its main branch and its shortcut on the same
+carrier, adds them densely and runs its post-add module on the sum.
+Every module must sit in exactly one slot.  The built-in VGG and
+ResNet, the DVS CNN and the serving demo net all compile.  A model that
+does not (an arbitrary ``forward``, a module in two slots) runs on the
+time-outer path every engine shares, with the billing interceptor
+(:meth:`repro.snn.engines.base.SimulationEngine._execute`).
+"""
 
 from __future__ import annotations
 
-import weakref
-from typing import Callable, Dict, List, Optional, Tuple
+import time
+from collections import Counter
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.nn.layers import AvgPool2d, BatchNorm2d, Conv2d, MaxPool2d
+from repro.nn.layers import AvgPool2d, BatchNorm2d, Conv2d, Identity, Linear, MaxPool2d
 from repro.nn.module import Module
+from repro.nn.sequential import Residual, Sequential
 from repro.snn.dynamics import ResetMode, initial_membrane, neuron_step
 from repro.snn.engines.base import (
     LRUCache,
@@ -21,7 +40,6 @@ from repro.snn.engines.dense import dense_conv2d
 from repro.snn.engines.lanes import split_bounds
 from repro.snn.neurons import IFNeuron
 from repro.snn.spikes import SpikeStream
-from repro.snn.stats import LayerStats
 from repro.tensor import Tensor, no_grad
 
 #: Stack rows (T x samples) one time-stacked pass covers at most.  A
@@ -47,6 +65,86 @@ from repro.tensor import Tensor, no_grad
 STACK_BLOCK_ROWS = 256
 
 
+@dataclass(frozen=True)
+class _Stack:
+    """A dense ``(T*N, ...)`` stack and what is known of it.
+
+    ``nonzero`` is its nonzero count — exact when ``exact``, otherwise
+    an upper bound only the event-batched density rule's gates read —
+    or None when unknown.  ``constant`` marks a T-fold tiling of an
+    ``(N, ...)`` prefix (the direct-coded frame), which stateless layers
+    compute once on the prefix and re-tile.
+    """
+
+    data: np.ndarray
+    nonzero: Optional[int] = None
+    exact: bool = False
+    constant: bool = False
+
+    @property
+    def shape(self) -> Tuple[int, ...]:
+        return self.data.shape
+
+
+#: A compiled model: ``(name, module, branches)`` per step, in call
+#: order.  ``branches`` is None for a layer, or a residual block's
+#: compiled ``(main, shortcut, post)``.
+Compiled = List[Tuple[str, Module, Optional[tuple]]]
+
+
+def _plain(module: Module, container: type) -> bool:
+    """``module`` is a ``container`` whose ``forward`` is the container's
+    own, so its declared structure is what it runs."""
+    return isinstance(module, container) and type(module).forward is container.forward
+
+
+def _compile(model: Module) -> Optional[Compiled]:
+    """The steps ``model`` runs, named and in call order, or None when
+    its ``forward`` is not provably them.
+
+    Anything holding children other than a plain ``Sequential`` or
+    ``Residual`` (a ``Sequential`` subclass with its own ``forward``)
+    may read a plane twice, and a module held in two slots may be called
+    from elsewhere, so either refuses the schedule.
+    """
+    if not model._modules:
+        return None
+    slots = Counter(
+        id(child) for module in model.modules() for child in module._modules.values()
+    )
+    if any(count != 1 for count in slots.values()):
+        return None
+    names = {id(module): name for name, module in model.named_modules()}
+
+    def chain(modules) -> Optional[Compiled]:
+        steps: Compiled = []
+        for module in modules:
+            if _plain(module, Sequential):
+                sub = chain(module._modules.values())
+            elif _plain(module, Residual):
+                sub = residual(module)
+            elif module._modules:
+                return None
+            else:
+                sub = [] if isinstance(module, Identity) else [(names[id(module)], module, None)]
+            if sub is None:
+                return None
+            steps += sub
+        return steps
+
+    def residual(block: Residual) -> Optional[Compiled]:
+        main, shortcut, post = block.parts()
+        declared = [*main, shortcut, post]
+        if sorted(map(id, declared)) != sorted(map(id, block._modules.values())):
+            return None
+        branches = (chain(main), chain([shortcut]), chain([post]))
+        if any(branch is None for branch in branches):
+            return None
+        return [(names[id(block)], block, branches)]
+
+    return chain([model])
+
+
 class TimeBatchedEngine(SimulationEngine):
     """Layer-sequential backend: one pass over a ``(T*N, ...)`` stack.
 
@@ -61,6 +159,11 @@ class TimeBatchedEngine(SimulationEngine):
     changes nothing, and neuron layers see their T inputs in exactly
     the order the dense engine would feed them.
 
+    The model runs as its compiled layer schedule (module docstring);
+    this engine's steps are its GEMM, stateless and neuron kernels
+    (:meth:`_gemm`, :meth:`_stateless`, :meth:`_step_neuron`) over
+    :class:`_Stack` carriers, and it is the bit reference the
+    event-batched engine, which overrides only the steps, is held to.
     Arithmetic is the dense reference arithmetic — same kernels, same
     per-sample summation order — so logits match ``DenseEngine``
     exactly, and ops are billed by the SIA rule from each layer's input
@@ -81,39 +184,41 @@ class TimeBatchedEngine(SimulationEngine):
     def __init__(self, profile_layers: bool = True) -> None:
         super().__init__(profile_layers=profile_layers)
         self._weight_cache = LRUCache(WEIGHT_CACHE_CAPACITY)
-        # Arrays known to be T-fold tilings of an (N, ...) prefix, keyed
-        # by id.  Strong references keep ids stable for the run's
-        # duration.  Seeded with the tiled input; a synapse layer fed a
-        # constant array computes its N-batch output once and re-tiles,
-        # propagating constancy until a stateful layer breaks it.
-        self._constant_arrays: Dict[int, np.ndarray] = {}
-        # Arrays whose nonzero count is already known, keyed by id with
-        # a weak reference, the count and whether it is exact (the
-        # event-batched engine also notes upper bounds, which only its
-        # density rule reads).  The neuron interceptor pays
-        # one count_nonzero per run for its spike accounting; registering
-        # the result here lets the *next* layer's op billing skip a
-        # full re-count of the same plane.  Weak on purpose: pinning every
-        # activation until run end would defeat numpy's buffer reuse,
-        # and the consumer reads the count while the plane is its live
-        # input anyway.  The identity check at lookup makes a recycled
-        # id (dead entry, new array) a harmless miss.
-        self._known_nonzero: Dict[int, Tuple[object, int, bool]] = {}
+        # The bound model's steps, compiled per bind (None: the model
+        # runs on the time-outer path).
+        self._schedule: Optional[list] = None
         self._run_timesteps = 0
         self._run_batch = 0
-        self._stateless_modules: List[Module] = []
 
     def _share_caches(self, peer: "SimulationEngine") -> None:
         peer._weight_cache = self._weight_cache
 
     def bind(self, model: Module) -> "TimeBatchedEngine":
         super().bind(model)
-        self._stateless_modules = [
-            module
-            for _, module in model.named_modules()
-            if isinstance(module, (BatchNorm2d, AvgPool2d, MaxPool2d))
-        ]
+        compiled = _compile(model)
+        self._schedule = None if compiled is None else self._steps(compiled)
         return self
+
+    def _steps(self, compiled: Compiled) -> list:
+        """``(name, module, step)`` per compiled entry; a step maps
+        ``(module, stat, carrier) -> carrier``, ``stat`` None for a
+        module without a profile row."""
+        return [
+            (name, module, self._step_for(module) if branches is None
+             else self._residual(*map(self._steps, branches)))
+            for name, module, branches in compiled
+        ]
+
+    def _step_for(self, module: Module):
+        if isinstance(module, (Conv2d, Linear)):
+            return self._synapse
+        if isinstance(module, IFNeuron):
+            return self._neuron
+        if isinstance(module, BatchNorm2d):
+            return self._bn
+        if isinstance(module, (AvgPool2d, MaxPool2d)):
+            return self._pool
+        return self._module_step
 
     # ------------------------------------------------------------------
     def _sample_blocks(self, batch: int, timesteps: int) -> List[Tuple[int, int]]:
@@ -123,11 +228,13 @@ class TimeBatchedEngine(SimulationEngine):
     def _execute(
         self, x, timesteps: int, per_step: bool
     ) -> Tuple[np.ndarray, Optional[List[np.ndarray]]]:
+        if self._schedule is None:
+            return super()._execute(x, timesteps, per_step)
         n = int(x.shape[0])
         self._run_timesteps = timesteps
         self._run_batch = n
         with no_grad():
-            out = self._forward_stack(x)
+            out = self._dense(self._run_steps(self._schedule, self._input(x)))
         stepped = out.reshape((timesteps, n) + out.shape[1:])
         # Sequential cumulative sum over the time axis: identical float
         # summation order to the dense engine's ``total += logits``.
@@ -138,26 +245,29 @@ class TimeBatchedEngine(SimulationEngine):
             outputs = [np.ascontiguousarray(cumulative[t]) for t in range(timesteps)]
         return total, outputs
 
-    def _forward_stack(self, x) -> np.ndarray:
-        """The model's ``(T*N, ...)`` output for one run's input."""
+    def _run_steps(self, steps: list, carrier):
+        """Hand ``carrier`` through ``steps``, timing each profiled one."""
+        for name, module, step in steps:
+            stat = self._run_stats.get(name)
+            if stat is None or not self.profile_layers:
+                carrier = step(module, stat, carrier)
+                continue
+            started = time.perf_counter()
+            carrier = step(module, stat, carrier)
+            stat.wall_clock_seconds += time.perf_counter() - started
+        return carrier
+
+    def _input(self, x):
+        """The first step's carrier: a stream's densified t-major stack,
+        or the frame tiled T-fold and marked constant."""
         if isinstance(x, SpikeStream):
-            tiled = self._stack_stream(x)
-        else:
-            tiled = self._tile_constant(x)
-        return self.model(Tensor(tiled)).data
+            dense = x.to_dense(np.float32)
+            return _Stack(np.ascontiguousarray(dense.reshape((-1,) + dense.shape[2:])))
+        return _Stack(self._tile(x), constant=True)
 
-    def _stack_stream(self, stream: SpikeStream) -> np.ndarray:
-        """Materialise a COO stream as the engine's (T*N, ...) stack.
-
-        A stream is genuinely time-varying: it densifies into the
-        t-major stack with no constant-tiling tag, so every layer runs
-        over the full stack.  The event-batched subclass overrides this
-        to also note the stream's event count for its density rule.
-        """
-        dense = stream.to_dense(np.float32)
-        return np.ascontiguousarray(
-            dense.reshape((self._run_timesteps * stream.batch_size,) + dense.shape[2:])
-        )
+    def _dense(self, x) -> np.ndarray:
+        """The dense stack a carrier stands for."""
+        return x.data
 
     def _tile(self, out: np.ndarray) -> np.ndarray:
         """Tile an (N, ...) array into the (T*N, ...) stack."""
@@ -165,43 +275,49 @@ class TimeBatchedEngine(SimulationEngine):
             np.broadcast_to(out, (self._run_timesteps,) + out.shape)
         ).reshape((self._run_timesteps * out.shape[0],) + out.shape[1:])
 
-    def _tile_constant(self, out: np.ndarray) -> np.ndarray:
-        """Tile an (N, ...) array into the (T*N, ...) stack and mark it
-        constant, so downstream stateless layers can keep computing on
-        the N-batch prefix only."""
-        tiled = self._tile(out)
-        self._constant_arrays[id(tiled)] = tiled
-        return tiled
+    # ------------------------------------------------------------------
+    # Steps
+    # ------------------------------------------------------------------
+    def _residual(self, main: list, shortcut: list, post: list):
+        """A residual block's step: both branches on the same carrier
+        (steps never write their input), added densely, then ``post``."""
 
-    def _note_nonzero(self, plane: np.ndarray, count: int, exact: bool = True) -> None:
-        """Remember ``plane``'s nonzero count (an upper bound unless
-        ``exact``) for the layer that reads it next."""
-        self._known_nonzero[id(plane)] = (weakref.ref(plane), int(count), exact)
+        def step(module, stat, x):
+            out = self._run_steps(main, x)
+            added = np.add(self._dense(out), self._dense(self._run_steps(shortcut, x)))
+            return self._run_steps(post, _Stack(added))
 
-    def _known(self, data: np.ndarray) -> Optional[Tuple[int, bool]]:
-        """``(nonzero count, is_exact)`` noted for ``data``, or None."""
-        known = self._known_nonzero.get(id(data))
-        if known is None or known[0]() is not data:
-            return None
-        return known[1], known[2]
+        return step
+
+    def _synapse(self, module, stat, x: _Stack) -> _Stack:
+        out = self._gemm(module, stat, x.data, x.constant, x.nonzero if x.exact else None)
+        return _Stack(self._tile(out), constant=True) if x.constant else _Stack(out)
+
+    def _neuron(self, module: IFNeuron, stat, x) -> _Stack:
+        # The step counts its spikes, so the output's exact nonzero
+        # count is free: the next layer's billing skips a re-count.
+        out, spikes = self._step_neuron(module, self._dense(x))
+        return _Stack(out, spikes, exact=True)
+
+    def _stateless_step(self, module, stat, x) -> _Stack:
+        """A stateless layer on the dense stack; a constant tiling stays
+        one, computed on its prefix (eval mode)."""
+        constant = isinstance(x, _Stack) and x.constant
+        out = self._stateless(module, self._dense(x), constant)
+        if constant and not module.training:
+            return _Stack(self._tile(out), constant=True)
+        return _Stack(out)
+
+    # BN and the pools run as any stateless layer here; the event-batched
+    # engine gives each a step of its own.
+    _bn = _pool = _stateless_step
+
+    def _module_step(self, module, stat, x) -> _Stack:
+        """Any other layer (``Flatten``, global pooling): its own forward."""
+        return _Stack(module(Tensor(self._dense(x))).data)
 
     # ------------------------------------------------------------------
-    def _install(self, synapse_stats, neuron_stats) -> None:
-        # The weight cache survives runs (entries self-invalidate on
-        # parameter rebinds); constant-tiling tags and known nonzero
-        # counts are run-scoped.
-        self._constant_arrays = {}
-        self._known_nonzero = {}
-        super()._install(synapse_stats, neuron_stats)
-        for module in self._stateless_modules:
-            interceptor = self._make_stateless_interceptor(module)
-            self._set_forward(module, interceptor)
-
-    def _uninstall(self) -> None:
-        super()._uninstall()
-        self._constant_arrays = {}
-        self._known_nonzero = {}
-
+    # Kernels
     # ------------------------------------------------------------------
     def _gemm(
         self, module, stat, data: np.ndarray, constant: bool, nonzero: Optional[int]
@@ -230,17 +346,7 @@ class TimeBatchedEngine(SimulationEngine):
             out += bias
         return out
 
-    def _make_interceptor(self, module, stat, orig):
-        def forward(x: Tensor) -> Tensor:
-            data = x.data
-            constant = id(data) in self._constant_arrays
-            nonzero, exact = self._known(data) or (None, False)
-            out = self._gemm(module, stat, data, constant, nonzero if exact else None)
-            return Tensor(self._tile_constant(out) if constant else out)
-
-        return forward
-
-    def _stateless(self, module, forward, data: np.ndarray, constant: bool) -> np.ndarray:
+    def _stateless(self, module, data: np.ndarray, constant: bool) -> np.ndarray:
         """Constancy propagation + lean eval-BN through a stateless layer.
 
         A stateless layer fed a known T-fold tiling computes its output
@@ -253,10 +359,10 @@ class TimeBatchedEngine(SimulationEngine):
         always runs the module's own ``forward`` on the full stack.
         """
         if module.training:
-            return forward(Tensor(data)).data
+            return module(Tensor(data)).data
         work = data[: self._run_batch] if constant else data
         if not isinstance(module, BatchNorm2d):
-            return forward(Tensor(work)).data
+            return module(Tensor(work)).data
         shape = (1, module.num_features, 1, 1)
         # ((work - mu) * inv) * g + b, one allocation.
         out = np.subtract(work, module.running_mean.reshape(shape))
@@ -264,20 +370,6 @@ class TimeBatchedEngine(SimulationEngine):
         out *= module.gamma.data.reshape(shape)
         out += module.beta.data.reshape(shape)
         return out
-
-    def _make_stateless_interceptor(
-        self, module: Module
-    ) -> Callable[[Tensor], Tensor]:
-        orig = module.forward
-
-        def forward(x: Tensor) -> Tensor:
-            constant = id(x.data) in self._constant_arrays
-            out = self._stateless(module, orig, x.data, constant)
-            if constant and not module.training:
-                out = self._tile_constant(out)
-            return Tensor(out)
-
-        return forward
 
     def _step_neuron(self, module: IFNeuron, data: np.ndarray) -> Tuple[np.ndarray, int]:
         """Step a neuron over the (T*N, ...) stack; returns its spike
@@ -333,13 +425,3 @@ class TimeBatchedEngine(SimulationEngine):
         module.neuron_steps += int(out.size)
         module.last_spikes = out[-1] / module.threshold
         return out.reshape(data.shape), spikes
-
-    def _make_neuron_interceptor(
-        self, module: IFNeuron, stat: LayerStats
-    ) -> Callable[[Tensor], Tensor]:
-        def forward(x: Tensor) -> Tensor:
-            emitted, spikes = self._step_neuron(module, x.data)
-            self._note_nonzero(emitted, spikes)
-            return Tensor(emitted)
-
-        return forward

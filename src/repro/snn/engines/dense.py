@@ -6,8 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.snn.engines.base import SimulationEngine, bill_synapse
-from repro.tensor import Tensor
+from repro.snn.engines.base import SimulationEngine
 from repro.tensor.functional import im2col
 
 
@@ -29,13 +28,12 @@ def dense_conv2d(
 
 
 class DenseEngine(SimulationEngine):
-    """Reference backend: full dense recompute every timestep."""
+    """Reference backend: full dense recompute every timestep.
+
+    It runs the modules' own ``forward``s on the time-outer schedule
+    (:meth:`SimulationEngine._execute`), so it shares no kernel or
+    schedule with the time-batched engines and is their independent
+    oracle.
+    """
 
     name = "dense"
-
-    def _make_interceptor(self, module, stat, orig):
-        def forward(x: Tensor) -> Tensor:
-            bill_synapse(module, stat, x.data, density=self.profile_layers)
-            return orig(x)
-
-        return forward

@@ -5,17 +5,16 @@ paths the suite already has — the time-batched schedule (one pass over
 the t-major ``(T*N, ...)`` stack, T-fold fewer layer dispatches) and
 event-driven selection (compute scales with spikes, not plane size) —
 and lets one per-layer density rule pick each synapse layer's kernel
-from the spikes that layer receives on this call (see the class).  A
-bound model runs on one of two paths.
+from the spikes that layer receives on this call (see the class).
 
-**The layer schedule** (a plain :class:`repro.nn.Sequential`, nested
-plain ``Sequential``s flattened, every module in one slot).
-:meth:`EventBatchedEngine.bind` compiles the model into a list of
-steps (:func:`_compile`).  Each step takes and returns one explicit
+It runs the time-batched engine's compiled layer schedule
+(:mod:`repro.snn.engines.batched`: chains and residual blocks) and
+overrides only its steps.  Each step takes and returns one explicit
 carrier of a layer's output:
 
-* :class:`_Stack` — a dense stack, with its nonzero count (exact, or an
-  upper bound) and whether it tiles the constant input frame T-fold;
+* :class:`repro.snn.engines.batched._Stack` — a dense stack, with its
+  nonzero count (exact, or an upper bound) and whether it tiles the
+  constant input frame T-fold;
 * :class:`repro.snn.spikes.StepSpikes` — exact stacked coordinates
   (stream input, COO pool outputs, site-neuron outputs).  A conv builds
   its im2col rows by scattering each event into the windows it feeds
@@ -36,18 +35,13 @@ carrier of a layer's output:
   building no block sized by the plane.
 
 A step that cannot read the carrier it receives builds the dense stack
-from it (:func:`_plane`), once, where it is needed.  A ``Sequential``'s
+from it (:func:`_plane`), once, where it is needed.  A chain's
 ``forward`` hands each child's output to the next child and to nothing
 else, so compiling the chain *is* the proof that every carrier has
-exactly one reader.
-
-**Interceptors** (graph models: ResNet, VGG's own ``forward``,
-``Sequential`` subclasses with their own ``forward``, modules held in
-two slots).  Their ``forward`` code may read a plane twice, so the
-batched engine's forward interceptors run the same density rule on
-dense planes only; nonzero counts (exact spike counts, pool and conv
-bounds) travel in ``TimeBatchedEngine._known_nonzero`` and every
-neuron steps densely.
+exactly one reader.  A residual block's two branches both read its
+input carrier, which no step writes, and its add builds the dense sum
+of their outputs.  A model that does not compile runs on the shared
+time-outer path, on dense planes.
 
 Nonzero counts are what make the backend safe at moderate density:
 full-plane coordinate scans cost milliseconds at the sizes where dense
@@ -77,19 +71,15 @@ kernel a synapse layer ran and the gate that chose it, and a neuron's
 from __future__ import annotations
 
 import math
-import time
-from collections import Counter
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from repro.nn.layers import AvgPool2d, BatchNorm2d, Conv2d, Linear, MaxPool2d
-from repro.nn.module import Module
-from repro.nn.sequential import Sequential
+from repro.nn.layers import AvgPool2d, BatchNorm2d, Conv2d, MaxPool2d
 from repro.snn.dynamics import ResetMode, initial_membrane
 from repro.snn.engines.base import _conv_out_size, _effective_weight, bill_synapse
-from repro.snn.engines.batched import TimeBatchedEngine
+from repro.snn.engines.batched import TimeBatchedEngine, _Stack
 from repro.snn.engines.dense import dense_conv2d
 from repro.snn.engines.kernels import (
     conv_event_rows,
@@ -101,27 +91,6 @@ from repro.snn.neurons import IFNeuron, LIFNeuron
 from repro.snn.spikes import SpikeStream, StepSpikes
 from repro.snn.stats import LayerStats
 from repro.tensor import Tensor
-
-
-@dataclass(frozen=True)
-class _Stack:
-    """A dense ``(T*N, ...)`` stack and what is known of it.
-
-    ``nonzero`` is its nonzero count — exact when ``exact``, otherwise
-    an upper bound only the density rule's gates read — or None when
-    unknown.  ``constant`` marks a T-fold tiling of an ``(N, ...)``
-    prefix (the direct-coded frame), which stateless layers compute
-    once on the prefix and re-tile.
-    """
-
-    data: np.ndarray
-    nonzero: Optional[int] = None
-    exact: bool = False
-    constant: bool = False
-
-    @property
-    def shape(self) -> Tuple[int, ...]:
-        return self.data.shape
 
 
 @dataclass(frozen=True)
@@ -193,47 +162,6 @@ def _nonzero(x: Carrier) -> Optional[Tuple[int, bool]]:
     if x.nonzero is None:
         return None
     return x.nonzero, isinstance(x, _Stack) and x.exact
-
-
-def _plain_sequential(module: Module) -> bool:
-    """A :class:`repro.nn.Sequential` whose ``forward`` hands each
-    child's output to the next child and to nothing else."""
-    return (
-        isinstance(module, Sequential)
-        and type(module).forward is Sequential.forward
-    )
-
-
-def _compile(model: Module) -> Optional[List[Tuple[str, Module]]]:
-    """The leaf modules a plain ``Sequential`` runs, named and in call
-    order, or None when the model's forward is not provably that chain.
-
-    Nested plain ``Sequential``s flatten into their parent.  Anything
-    else holding children (a residual block, a ``Sequential`` subclass
-    with its own ``forward``) may read a plane twice, and a module held
-    in two slots may be called from elsewhere, so either refuses the
-    schedule and the model runs on interceptors.
-    """
-    if not _plain_sequential(model) or not model._modules:
-        return None
-    slots = Counter(
-        id(child) for module in model.modules() for child in module._modules.values()
-    )
-    leaves: List[Tuple[str, Module]] = []
-    for name, module in model.named_modules():
-        if module is model:
-            continue
-        if slots[id(module)] != 1:
-            return None
-        if _plain_sequential(module):
-            continue
-        if module._modules:
-            return None
-        leaves.append((name, module))
-    return leaves
-
-
-_POOLS = (MaxPool2d, AvgPool2d)
 
 
 def _screen(
@@ -451,18 +379,6 @@ class EventBatchedEngine(TimeBatchedEngine):
         if not 0.0 < density_threshold <= 1.0:
             raise ValueError("density_threshold must be in (0, 1]")
         self.density_threshold = density_threshold
-        # The bound model's steps, compiled per bind (None: the model
-        # runs on interceptors), and the current run's layer stats.
-        self._schedule: Optional[list] = None
-        self._run_stats: dict = {}
-
-    def bind(self, model: Module) -> "EventBatchedEngine":
-        super().bind(model)
-        leaves = _compile(model)
-        self._schedule = None if leaves is None else [
-            (name, module, self._step_for(module)) for name, module in leaves
-        ]
-        return self
 
     def _config(self) -> dict:
         config = super()._config()
@@ -478,94 +394,22 @@ class EventBatchedEngine(TimeBatchedEngine):
         )
 
     # ------------------------------------------------------------------
-    # The layer schedule
+    # Carriers
     # ------------------------------------------------------------------
-    def _step_for(self, module: Module):
-        """The step that runs ``module``: ``(module, stat, carrier) ->
-        carrier``; ``stat`` is None for layers without a profile row."""
-        if isinstance(module, (Conv2d, Linear)):
-            return self._synapse
-        if isinstance(module, IFNeuron):
-            return self._neuron
-        if isinstance(module, BatchNorm2d):
-            return self._bn
-        if isinstance(module, _POOLS):
-            return lambda m, stat, x: self._pool(m, m.forward, x)
-        return lambda m, stat, x: _Stack(m(Tensor(_plane(x))).data)
-
-    def _install(self, synapse_stats, neuron_stats) -> None:
-        if self._schedule is None:
-            super()._install(synapse_stats, neuron_stats)
-        else:
-            self._run_stats = {**synapse_stats, **neuron_stats}
-
-    def _uninstall(self) -> None:
-        if self._schedule is None:
-            super()._uninstall()
-        self._run_stats = {}
-
-    def _forward_stack(self, x) -> np.ndarray:
-        if self._schedule is None:
-            return super()._forward_stack(x)
+    def _input(self, x):
         if isinstance(x, SpikeStream):
-            carrier: Carrier = x.stacked()
-        else:
-            carrier = _Stack(self._tile(x), constant=True)
-        for name, module, step in self._schedule:
-            stat = self._run_stats.get(name)
-            if stat is None or not self.profile_layers:
-                carrier = step(module, stat, carrier)
-                continue
-            started = time.perf_counter()
-            carrier = step(module, stat, carrier)
-            stat.wall_clock_seconds += time.perf_counter() - started
-        return _plane(carrier)
+            return x.stacked()
+        return super()._input(x)
 
-    # ------------------------------------------------------------------
-    # Interceptors (graph models): dense planes plus nonzero counts
-    # ------------------------------------------------------------------
-    def _stack_stream(self, stream: SpikeStream) -> np.ndarray:
-        tiled = super()._stack_stream(stream)
-        self._note_nonzero(tiled, stream.num_events)
-        return tiled
-
-    def _carrier_of(self, data: np.ndarray) -> _Stack:
-        nonzero, exact = self._known(data) or (None, False)
-        return _Stack(data, nonzero, exact, id(data) in self._constant_arrays)
-
-    def _unwrap(self, x: Carrier) -> Tensor:
-        """A step's output as the dense plane an interceptor returns,
-        its constancy or nonzero count noted for the next layer."""
-        plane = _plane(x)
-        known = _nonzero(x)
-        if isinstance(x, _Stack) and x.constant:
-            self._constant_arrays[id(plane)] = plane
-        elif known is not None:
-            self._note_nonzero(plane, *known)
-        return Tensor(plane)
-
-    def _make_interceptor(self, module, stat, orig):
-        return lambda x: self._unwrap(self._synapse(module, stat, self._carrier_of(x.data)))
-
-    def _make_stateless_interceptor(self, module: Module):
-        if not isinstance(module, _POOLS):
-            return super()._make_stateless_interceptor(module)
-        orig = module.forward
-        return lambda x: self._unwrap(self._pool(module, orig, self._carrier_of(x.data)))
-
-    def _make_neuron_interceptor(self, module: IFNeuron, stat: LayerStats):
-        stat.backend = "dense"
-        return super()._make_neuron_interceptor(module, stat)
+    def _dense(self, x: Carrier) -> np.ndarray:
+        return _plane(x)
 
     # ------------------------------------------------------------------
     # Synapse layers: the density rule
     # ------------------------------------------------------------------
     def _on_gemm(self, module, stat: LayerStats, source: str, x: _Stack) -> _Stack:
         stat.backend, stat.backend_source = "gemm", source
-        out = self._gemm(
-            module, stat, x.data, x.constant, x.nonzero if x.exact else None
-        )
-        return _Stack(self._tile(out), constant=True) if x.constant else _Stack(out)
+        return super()._synapse(module, stat, x)
 
     def _synapse(self, module, stat: LayerStats, x: Carrier) -> Carrier:
         # Each gate below may send the layer to the GEMM;
@@ -689,20 +533,11 @@ class EventBatchedEngine(TimeBatchedEngine):
                 background=((x.background - mu) * inv) * g + b,
                 values=values,
             )
-        return self._dense_stateless(module, module.forward, x)
+        return self._stateless_step(module, stat, x)
 
-    def _dense_stateless(self, module, forward, x: Carrier) -> _Stack:
-        """A stateless layer on the dense stack; a constant tiling stays
-        one, computed on its prefix (eval mode)."""
-        constant = isinstance(x, _Stack) and x.constant
-        out = self._stateless(module, forward, _plane(x), constant)
-        if constant and not module.training:
-            return _Stack(self._tile(out), constant=True)
-        return _Stack(out)
-
-    def _pool(self, module, forward, x: Carrier) -> Carrier:
+    def _pool(self, module, stat, x: Carrier) -> Carrier:
         if isinstance(x, _Stack) and x.constant:
-            return self._dense_stateless(module, forward, x)
+            return self._stateless_step(module, stat, x)
         if (
             isinstance(x, StepSpikes)
             and len(x.shape) == 4
@@ -712,7 +547,7 @@ class EventBatchedEngine(TimeBatchedEngine):
             if out is not None:
                 return out
         known = _nonzero(x)
-        plane = forward(Tensor(_plane(x))).data
+        plane = module(Tensor(_plane(x))).data
         if isinstance(x, StepSpikes):
             # The COO kernel didn't apply, but the coordinates still map
             # through non-overlapping windows: an average is nonzero
@@ -773,11 +608,9 @@ class EventBatchedEngine(TimeBatchedEngine):
             if out is not None:
                 return out
         stat.backend = "dense"
-        out, spikes = self._step_neuron(module, _plane(x))
-        # The dense step already counted its spikes, so the output's
-        # exact nonzero count is free — enough for the next conv's
+        # The output's exact spike count is enough for the next conv's
         # O(1) decision without a coordinate scan.
-        return _Stack(out, spikes, exact=True)
+        return super()._neuron(module, stat, x)
 
     def _site_neuron(self, module, stat: LayerStats, sites: _Sites) -> Optional[Carrier]:
         """Screened membrane update of a plane carried as site structure.

@@ -219,7 +219,8 @@ def clone_for_inference(module: Module) -> Module:
     to every clone because the Parameter itself is shared.  Attributes
     that point at child modules (``self.conv1`` and friends) are
     remapped onto the corresponding clones; an installed forward
-    interceptor (only present mid-run) is never carried over.
+    interceptor (only present mid-run on the time-outer path) is never
+    carried over.
     """
     children = OrderedDict(
         (name, clone_for_inference(child)) for name, child in module._modules.items()

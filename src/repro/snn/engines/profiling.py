@@ -2,13 +2,16 @@
 
 The paper's mapper measures before it specialises: per-layer activity
 decides how each layer is laid onto the aggregation core.  The software
-twin needs the same signal, so every engine wraps its per-layer
-interceptors in :func:`profiled_call` — two ``perf_counter`` reads per
-layer *call* (one call per run on the batched schedule, one per
-timestep on the time-outer engines), accumulated straight onto the
-layer's :class:`repro.snn.stats.LayerStats`.  Input densities come from
-the op billing (:func:`repro.snn.engines.base.bill_synapse`), which
-counts each synapse layer's input nonzeros once.
+twin needs the same signal: two ``perf_counter`` reads per layer *call*,
+accumulated straight onto the layer's
+:class:`repro.snn.stats.LayerStats`.  The time-batched engines take them
+around each step of their compiled layer schedule (one call per run;
+``TimeBatchedEngine._run_steps``); the time-outer path (``dense``, and
+a model the time-batched engines cannot compile) wraps each layer's
+forward in :func:`profiled_call` (one call per timestep).  Input
+densities come from the op billing
+(:func:`repro.snn.engines.base.bill_synapse`), which counts each
+synapse layer's input nonzeros once.
 
 The wrapper is only installed when ``SimulationEngine.profile_layers``
 is on (the default); its overhead is a few hundred nanoseconds per

@@ -5,8 +5,10 @@ The serving layer (:mod:`repro.serve`) needs three things the raw
 give it:
 
 * **Serialised submission.**  An engine instance is not reentrant — a
-  run may install forward interceptors on the bound model for its
-  duration — so concurrent requests must queue behind one another.
+  run steps the bound model's neuron state and its per-run layer stats,
+  and a ``dense`` run (or a model the time-batched engines cannot
+  compile) installs forward interceptors on it for its duration — so
+  concurrent requests must queue behind one another.
   :class:`EngineWorker` owns one slot per engine: a daemon thread
   reading a queue, which *is* the engine's execution slot, and the
   queue in front of it is the natural backpressure the micro-batcher
@@ -16,8 +18,8 @@ give it:
   timeout, so the event loop never blocks on a GEMM.
 * **A health probe and a poison recovery path.**  A slot thread stuck
   inside a wedged run cannot be killed; what *can* be done is to
-  abandon the wedged thread together with the model whose interceptors
-  it still holds, and rebuild the slot on a sibling engine bound to a
+  abandon the wedged thread together with the model whose state it
+  still holds, and rebuild the slot on a sibling engine bound to a
   weight-sharing clone (:func:`clone_for_inference`).  Weights are
   never copied, and warm cross-run caches (effective weights) are
   shared with the replacement.  The slot thread is a daemon, so an
@@ -210,7 +212,7 @@ class EngineWorker:
         """Abandon the (possibly wedged) slot and rebuild it.
 
         The old slot is closed without waiting — its thread, if stuck,
-        keeps the *old* model's interceptors, and being a daemon it
+        keeps the *old* model (and any interceptors on it), and being a daemon it
         never delays the process's exit.  The replacement engine is a sibling (same
         configuration, shared thread-safe cross-run caches, so
         effective weights stay warm) bound to a fresh structural clone that shares every weight array with the

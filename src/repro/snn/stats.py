@@ -17,8 +17,9 @@ Conventions:
   would have cost, so ``synaptic_ops / dense_synaptic_ops`` is the
   event-driven saving.
 * ``wall_clock_seconds`` on a layer is the measured time spent inside
-  that layer's forward across the run (near-zero-overhead
-  ``perf_counter`` deltas recorded by the engine interceptors);
+  that layer across the run (near-zero-overhead ``perf_counter``
+  deltas around each schedule step on the time-batched engines, around
+  each interceptor on the time-outer path);
   ``input_nonzero`` / ``input_size`` accumulate the observed input
   density of synapse layers — together with each synapse layer's
   ``backend`` and the gate that chose it (``backend_source``) this is

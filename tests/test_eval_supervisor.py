@@ -2,10 +2,11 @@
 
 Runs generic tasks through :func:`run_supervised` — the substrate the
 campaign runner fans its grid points over — and injects failures that
-fire only in a fork child (a crash or a hang).  The contract: failed
-tasks retry, then degrade fork -> serial, the final results are
-bit-identical to calling the tasks directly, and every failure is
-recorded.
+fire only in a fork child (a crash or a hang), or in any process.  The
+contract: failed tasks retry, then degrade fork -> serial, the final
+results are bit-identical to calling the tasks directly, and every
+failure is recorded; under a deadline every substrate runs forked, and
+a task that timed out is never re-run serially.
 """
 
 import logging
@@ -106,27 +107,81 @@ class TestCrashDegradation:
         assert outcome.degraded_mode == ""
 
 
-@pytest.mark.skipif(not fork_available(), reason="needs the fork start method")
-class TestHangDegradation:
-    def test_hang_is_detected_and_degrades(self):
-        POISON["mode"] = "hang"
-        start = time.monotonic()
-        outcome = run_supervised(
-            count=2,
-            serial_fn=task,
-            policy=ShardPolicy(timeout=1.0, retries=0, backoff=0.01),
-            workers=2,
-        )
-        elapsed = time.monotonic() - start
+#: A hung task sleeps this long: far past ``DEADLINE``, yet short enough
+#: that a supervisor which never stops it returns, and fails the test.
+HANG_SECONDS = 5.0
+DEADLINE = 0.5
 
-        # The hang only triggers in fork children, so serial recovers.
-        assert_results(outcome, 2)
-        assert outcome.degraded_mode == "serial"
-        assert {f.kind for f in outcome.failures} == {"timeout"}
-        assert {f.mode for f in outcome.failures} == {"fork"}
-        # Hang detection means the deadline bounds the wait, not the
-        # 60 s sleep; generous slack for pool setup.
-        assert elapsed < 30.0
+
+def faulty(fault: str):
+    """``task``, or a task that raises or hangs in any process."""
+
+    def run(index: int):
+        if fault == "raise":
+            raise RuntimeError(f"task {index} raised")
+        if fault == "hang":
+            time.sleep(HANG_SECONDS)
+        return task(index)
+
+    return run
+
+
+#: The ``(substrate, kind)`` failures each task records, in order.
+EXPECTED_FAILURES = {
+    "clean": [],
+    "raise": [("fork", "exception"), ("serial", "exception")],
+    # Never re-run serially, where nothing could stop it.
+    "hang": [("fork", "timeout")],
+}
+
+
+@pytest.mark.skipif(not fork_available(), reason="needs the fork start method")
+@pytest.mark.parametrize("fault", ["clean", "raise", "hang"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_substrate_fault_matrix(workers, fault):
+    """Under a deadline every substrate runs forked waves, ``workers=1``
+    too, and each fault ends in its own record: a clean wave records
+    nothing, a task that raises fails on fork and then on serial, and a
+    task that hangs is killed at the deadline and fails without a
+    serial attempt."""
+    count = workers  # one wave
+    policy = ShardPolicy(timeout=DEADLINE, retries=0, backoff=0.0)
+    started = time.monotonic()
+    if fault == "clean":
+        outcome = run_supervised(count, faulty(fault), policy, workers)
+        assert_results(outcome, count)
+        assert (outcome.requested_mode, outcome.failures) == ("fork", [])
+    else:
+        with pytest.raises(ShardExecutionError) as excinfo:
+            run_supervised(count, faulty(fault), policy, workers)
+        assert [(f.index, f.mode, f.attempt, f.kind) for f in excinfo.value.failures] == [
+            (i, mode, 1, kind)
+            for mode, kind in EXPECTED_FAILURES[fault]
+            for i in range(count)
+        ]
+    if fault == "hang":
+        assert time.monotonic() - started < DEADLINE + 1.0
+
+
+@pytest.mark.skipif(not fork_available(), reason="needs the fork start method")
+def test_timed_out_task_recovers_on_a_fork_retry(tmp_path):
+    """A deadline bars only the serial re-run: a task that timed out once
+    and finished on a fork retry is a result, not a failure of the run."""
+    marker = tmp_path / "hung-once"
+
+    def hangs_once(index: int):
+        if not marker.exists():
+            marker.touch()
+            time.sleep(HANG_SECONDS)
+        return task(index)
+
+    outcome = run_supervised(
+        1, hangs_once, ShardPolicy(timeout=DEADLINE, retries=1, backoff=0.0)
+    )
+    assert_results(outcome, 1)
+    assert [(f.mode, f.attempt, f.kind) for f in outcome.failures] == [
+        ("fork", 1, "timeout")
+    ]
 
 
 class TestSupervisor:
@@ -182,3 +237,14 @@ class TestForkless:
         assert ran_in == {MAIN_PID}  # the calling process, never a child
         assert len(caplog.records) == 1
         assert "'fork' start method is unavailable" in caplog.records[0].getMessage()
+
+    def test_deadline_without_fork_warns_once(self, monkeypatch, caplog):
+        monkeypatch.setattr(supervisor, "fork_available", lambda: False)
+        with caplog.at_level(logging.WARNING, logger=supervisor.__name__):
+            outcome = run_supervised(
+                count=2, serial_fn=task, policy=ShardPolicy(timeout=DEADLINE)
+            )
+        assert_results(outcome, 2)
+        assert outcome.requested_mode == "serial"
+        assert len(caplog.records) == 1
+        assert "deadline cannot hold" in caplog.records[0].getMessage()

@@ -37,7 +37,7 @@ def converted_toy(seed=0, neuron="if"):
 
 def converted_pooled_toy(seed=0):
     """Conv/BN/pool chain — exercises the batched engine's stateless
-    interceptors (BatchNorm + MaxPool) on both sides of a neuron layer."""
+    steps (BatchNorm + MaxPool) on both sides of a neuron layer."""
     model = nn.Sequential(
         nn.Conv2d(2, 4, 3, padding=1, rng=np.random.default_rng(seed)),
         nn.BatchNorm2d(4),
@@ -229,7 +229,7 @@ class TestEquivalenceBatched:
         assert [l.kind for l in stats.layers] == [
             "conv", "neuron", "conv", "neuron", "linear",
         ]
-        # All interceptors (synapse, neuron and stateless) uninstalled.
+        # No module keeps a replaced forward.
         for _, module in net.model.named_modules():
             assert "forward" not in module.__dict__
 
@@ -301,7 +301,7 @@ class TestThreadSharding:
 
     def test_parent_model_untouched(self, lanes_on):
         """Lanes run on clones: neither the bound model nor a clone keeps
-        an interceptor, and the engine stays usable after."""
+        a replaced forward, and the engine stays usable after."""
         model = converted_toy()
         net = SpikingNetwork(model, timesteps=4, engine="event-batched")
         x = np.random.default_rng(44).normal(size=(4, 2, 4, 4)).astype(np.float32)

@@ -128,7 +128,7 @@ class TestEventBatchedBitExact:
         assert se.total_dense_synaptic_ops == sd.total_dense_synaptic_ops
 
     def test_vgg_dense_frames_parity(self, converted_vgg, frames):
-        """Dense (frame) inputs take the same interceptors — parity must
+        """Dense (frame) inputs take the same schedule steps — parity must
         hold when most layers fall back to the GEMM path.  Tolerance is
         one ulp, not zero: a row-subset GEMM can hit a different BLAS
         micro-kernel than the full-batch GEMM (kernel choice depends on
@@ -412,43 +412,72 @@ class TestSiteValuedChains:
         "build", [_residual_chain, _custom_forward_chain, _shared_conv_chain]
     )
     def test_unproven_consumers_get_dense_planes(self, build):
-        """A residual add, a custom forward reading the conv output
-        twice, and a conv shared between two slots are not provable
-        chains: the compiler refuses them, the interceptors hand every
-        layer dense planes, every neuron steps densely, and the run
-        stays bitwise.  The convs still pick the COO kernel."""
-        from repro.snn.engines import event_batched as eb_mod
+        """A residual add outside :class:`repro.nn.Residual`, a custom
+        forward reading the conv output twice, and a conv shared between
+        two slots are not provable chains: the compiler refuses them,
+        and every time-batched engine runs them on the time-outer path
+        — the modules' own ``forward``s on dense planes, synapse layers
+        billed by the interceptor — bitwise equal to ``dense``: logits,
+        per-step logits, spike and op counts, membranes."""
+        from repro.snn.engines.batched import _compile
 
         model = _with_head(build(2))
-        assert eb_mod._compile(model) is None
+        assert _compile(model) is None
         stream = _sparse_stream((4, 2, 24, 24), TIMESTEPS, 0.004, seed=42)
-        ref, ref_stats = self._run(model, stream, "batched")
-        out, stats = self._run(model, stream, "event-batched")
-        assert np.array_equal(ref, out)
-        assert any(l.backend == "event-batched" for l in stats.layers)
-        neurons = [l for l in stats.layers if l.kind == "neuron"]
-        assert neurons and {l.backend for l in neurons} == {"dense"}
-        for a, b in zip(ref_stats.layers, stats.layers):
-            assert a.spike_count == b.spike_count, a.name
+        ref, ref_stats = self._run(model, stream, "dense")
+        ref_steps = SpikingNetwork(model, TIMESTEPS, engine="dense").forward_per_step(stream)
+        ref_v = self._membranes(model)
+        for engine in ("batched", "event-batched"):
+            out, stats = self._run(model, stream, engine)
+            assert np.array_equal(ref, out), engine
+            steps = SpikingNetwork(model, TIMESTEPS, engine=engine).forward_per_step(stream)
+            assert all(np.array_equal(a, b) for a, b in zip(ref_steps, steps))
+            assert {l.backend for l in stats.layers} == {""}
+            for a, b in zip(ref_stats.layers, stats.layers):
+                assert (a.spike_count, a.synaptic_ops, a.dense_synaptic_ops) == (
+                    b.spike_count, b.synaptic_ops, b.dense_synaptic_ops
+                ), a.name
+            for a, b in zip(ref_v, self._membranes(model)):
+                assert np.array_equal(a, b)
 
     def test_compiler_refuses_unproven_chains(self):
         """Only a chain whose every consumer is proven compiles: the
-        same layers as a plain Sequential do, behind a residual add, a
-        custom forward or a shared slot they do not."""
+        same layers as a plain Sequential do, and so does a residual add
+        declared as an :class:`repro.nn.Residual`; behind a residual add
+        in a ``forward`` of their own, a custom forward or a shared slot
+        they do not."""
         from repro import nn
-        from repro.snn.engines import event_batched as eb_mod
+        from repro.snn.engines.batched import _compile
         from repro.snn.neurons import IFNeuron
 
-        plain = nn.Sequential(
-            nn.Conv2d(2, 2, 3, padding=1, rng=np.random.default_rng(3)),
-            _bn(2, 3),
-            IFNeuron(threshold=1.0),
-        )
-        assert [n for n, _ in eb_mod._compile(_with_head(plain))] == [
-            "0.0", "0.1", "0.2", "1", "2",
+        def plain():
+            return nn.Sequential(
+                nn.Conv2d(2, 2, 3, padding=1, rng=np.random.default_rng(3)),
+                _bn(2, 3),
+                IFNeuron(threshold=1.0),
+            )
+
+        assert [(n, b) for n, _, b in _compile(_with_head(plain()))] == [
+            ("0.0", None), ("0.1", None), ("0.2", None), ("1", None), ("2", None),
         ]
+
+        class Declared(nn.Residual):
+            def __init__(self):
+                super().__init__()
+                self.body = plain()
+                self.skip = nn.Identity()
+                self.sn = IFNeuron(threshold=1.0)
+
+            def parts(self):
+                return (self.body,), self.skip, self.sn
+
+        (name, block, (main, shortcut, post)), *head = _compile(_with_head(Declared()))
+        assert name == "0" and isinstance(block, Declared)
+        assert [n for n, _, _ in main] == ["0.body.0", "0.body.1", "0.body.2"]
+        assert shortcut == [] and [n for n, _, _ in post] == ["0.sn"]
+        assert [n for n, _, _ in head] == ["1", "2"]
         for build in (_residual_chain, _custom_forward_chain, _shared_conv_chain):
-            assert eb_mod._compile(_with_head(build(3))) is None, build.__name__
+            assert _compile(_with_head(build(3))) is None, build.__name__
 
     def test_screen_skips_and_steps_cells(self, monkeypatch):
         """The screen drops cells that never reach threshold and steps
